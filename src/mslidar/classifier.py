@@ -185,43 +185,63 @@ def save_checkpoint(
 
 
 def load_checkpoint(path) -> tuple[Mlp, dict]:
-    """Inverse of save_checkpoint: model plus metadata."""
+    """Inverse of save_checkpoint: model plus metadata.
+
+    Every section is length-checked: a truncated file, trailing bytes or
+    an undecodable field raise DataError.
+    """
     path = Path(path)
     raw = path.read_bytes()
     if raw[:4] != CHECKPOINT_MAGIC:
         raise DataError(f"{path}: not a model checkpoint")
     off = 4
-    version, seed, n_cfg = struct.unpack_from("<HqH", raw, off)
+
+    def take(n: int, what: str) -> bytes:
+        nonlocal off
+        if off + n > len(raw):
+            raise DataError(
+                f"{path}: checkpoint truncated in {what} "
+                f"(needs {off + n} bytes, file has {len(raw)})"
+            )
+        off += n
+        return raw[off - n : off]
+
+    def unpack(fmt: str, what: str) -> tuple:
+        return struct.unpack(fmt, take(struct.calcsize(fmt), what))
+
+    version, seed, n_cfg = unpack("<HqH", "header")
     if version != CHECKPOINT_VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {version}")
-    off += struct.calcsize("<HqH")
-    cfg_name = raw[off : off + n_cfg].decode("ascii")
-    off += n_cfg
-    (n_side,) = struct.unpack_from("<H", raw, off)
-    off += 2
-    sidecar = raw[off : off + n_side].decode("utf-8")
-    off += n_side
-    cw = struct.unpack_from("<2d", raw, off)
-    off += 16
-    (n_sizes,) = struct.unpack_from("<H", raw, off)
-    off += 2
-    sizes = struct.unpack_from(f"<{n_sizes}I", raw, off)
-    off += 4 * n_sizes
+    cfg_raw = take(n_cfg, "feature config name")
+    (n_side,) = unpack("<H", "sidecar length")
+    side_raw = take(n_side, "sidecar name")
+    cw = unpack("<2d", "class weights")
+    (n_sizes,) = unpack("<H", "layer count")
+    sizes = unpack(f"<{n_sizes}I", "layer sizes")
+    if n_sizes < 2 or min(sizes) < 1:
+        raise DataError(f"{path}: invalid layer sizes {sizes}")
+    try:
+        cfg_name = cfg_raw.decode("ascii")
+        sidecar = side_raw.decode("utf-8")
+        fconfig = FeatureConfig[cfg_name]
+    except (UnicodeDecodeError, KeyError) as exc:
+        raise DataError(f"{path}: bad checkpoint metadata ({exc})") from exc
+    if Path(sidecar).name != sidecar:
+        # predict joins it to the model's directory: a path would escape it
+        raise DataError(f"{path}: sidecar reference {sidecar!r} is not a file name")
 
+    # parameters in file order (W0, b0, W1, b1, ...), sized before allocating
+    n_params = sum(a * b + b for a, b in zip(sizes[:-1], sizes[1:]))
+    payload = np.frombuffer(take(4 * n_params, "parameters"), dtype="<f4")
+    if off != len(raw):
+        raise DataError(f"{path}: {len(raw) - off} trailing bytes after the checkpoint")
     model = Mlp(sizes[0], tuple(sizes[1:-1]), sizes[-1], seed=seed)
-    for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
-        n_w = fan_in * fan_out
-        model.weights[i] = (
-            np.frombuffer(raw, dtype="<f4", count=n_w, offset=off)
-            .reshape(fan_in, fan_out).copy()
-        )
-        off += 4 * n_w
-        model.biases[i] = np.frombuffer(
-            raw, dtype="<f4", count=fan_out, offset=off
-        ).copy()
-        off += 4 * fan_out
+    pos = 0
+    for p in model.parameters():
+        p[...] = payload[pos : pos + p.size].reshape(p.shape)
+        pos += p.size
     meta = {
-        "feature_config": FeatureConfig[cfg_name],
+        "feature_config": fconfig,
         "class_weights": np.asarray(cw),
         "seed": seed,
         "norm_sidecar": sidecar,

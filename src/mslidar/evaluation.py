@@ -207,11 +207,15 @@ def run_ablation(
     neighbor_radius: float = 2.0,
     workers: int = 1,
     on_report=None,
+    p_low: float = 1.0,
+    p_high: float = 99.0,
 ) -> AblationResult:
     """Train and evaluate one model per feature config, same seed for all.
 
     The geometric neighbor graphs depend only on the coordinates, so
-    they are computed once per cloud and reused across configs. Raises
+    they are computed once per cloud and reused across configs. Spectral
+    columns are scaled at the p_low/p_high percentiles of the train
+    split, as in the train stage. Raises
     after saving partial results via `on_report` if one config fails.
     """
     for name, cloud in (("train", train_cloud), ("test", test_cloud)):
@@ -230,7 +234,9 @@ def run_ablation(
     for cfg in configs:
         params = None
         if cfg.spectral_columns:
-            params = fit_config_normalization(train_cloud, cfg)
+            params = fit_config_normalization(
+                train_cloud, cfg, p_low=p_low, p_high=p_high
+            )
         fm_train = clf.neighborhood_stats(
             assemble_features(train_cloud, cfg, params), graph_train
         )
@@ -286,11 +292,6 @@ def _report_payload(r: EvalReport) -> dict:
         "counts": {"tp": r.counts.tp, "fp": r.counts.fp, "fn": r.counts.fn, "tn": r.counts.tn},
         "manifest": r.manifest,
     }
-
-
-def report_from_json(text: str) -> dict:
-    """Re-parse an exported report; numeric round-trip is exact."""
-    return json.loads(text)
 
 
 def report_to_csv(obj: EvalReport | AblationResult) -> str:

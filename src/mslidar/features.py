@@ -138,22 +138,33 @@ class NormalizationParams:
 
     @classmethod
     def from_json(cls, text: str) -> "NormalizationParams":
-        d = json.loads(text)
-        return cls(
-            columns=tuple(d["columns"]),
-            p_low=float(d["p_low"]),
-            p_high=float(d["p_high"]),
-            lo=np.asarray(d["lo"], dtype=np.float64),
-            hi=np.asarray(d["hi"], dtype=np.float64),
-            impute=np.asarray(d["impute"], dtype=np.float64),
-        )
+        """Parse to_json output; anything malformed raises DataError."""
+        try:
+            d = json.loads(text)
+            params = cls(
+                columns=tuple(d["columns"]),
+                p_low=float(d["p_low"]),
+                p_high=float(d["p_high"]),
+                lo=np.asarray(d["lo"], dtype=np.float64),
+                hi=np.asarray(d["hi"], dtype=np.float64),
+                impute=np.asarray(d["impute"], dtype=np.float64),
+            )
+        except (ValueError, KeyError, TypeError) as exc:
+            raise DataError(f"malformed normalization params ({exc!r})") from exc
+        n = len(params.columns)
+        if any(a.shape != (n,) for a in (params.lo, params.hi, params.impute)):
+            raise DataError(f"normalization params must hold {n} values per field")
+        return params
 
     def save(self, path) -> None:
         Path(path).write_text(self.to_json() + "\n", encoding="utf-8")
 
     @classmethod
     def load(cls, path) -> "NormalizationParams":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
+        try:
+            return cls.from_json(Path(path).read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError, DataError) as exc:
+            raise DataError(f"normalization sidecar {path}: {exc}") from exc
 
 
 def fit_normalization(

@@ -447,6 +447,8 @@ def stage_ablate(
         neighbor_radius=cfg["neighborhood"]["radius"],
         workers=cfg["threads"],
         on_report=save_partial,
+        p_low=cfg["features"]["p_low"],
+        p_high=cfg["features"]["p_high"],
     )
     (out_dir / "ablation.json").write_text(
         ev.report_to_json(result) + "\n", encoding="utf-8"

@@ -126,3 +126,133 @@ def prepared_scene(tiny_scene):
     merged = dtm.normalize_height(merged, grid)
     merged = features.add_pndvi(merged)
     return preprocess.voxel_subsample(merged)
+
+
+class ReferenceMlp:
+    """The plain allocating network the production Mlp must match bit for bit:
+    fresh arrays for every activation and delta, a one-hot softmax gradient
+    and a full backward pass for the initial loss."""
+
+    def __init__(self, d_in, hidden=(64, 64), n_out=2, seed=0, dtype=np.float32):
+        self.sizes = (int(d_in),) + tuple(int(h) for h in hidden) + (int(n_out),)
+        self.dtype = np.dtype(dtype)
+        rng = np.random.default_rng(seed)
+        self.weights, self.biases = [], []
+        last = len(self.sizes) - 2
+        for li, (fan_in, fan_out) in enumerate(zip(self.sizes[:-1], self.sizes[1:])):
+            bound = np.sqrt(6.0 / (fan_in + fan_out))
+            if li == last:
+                row = rng.uniform(-bound, bound, size=(fan_in, 1))
+                w = np.repeat(row, fan_out, axis=1)
+            else:
+                w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
+            self.weights.append(w.astype(self.dtype))
+            self.biases.append(np.zeros(fan_out, dtype=self.dtype))
+
+    def parameters(self):
+        out = []
+        for w, b in zip(self.weights, self.biases):
+            out.extend((w, b))
+        return out
+
+    def forward(self, x):
+        acts = [x]
+        h = x
+        for i in range(len(self.weights) - 1):
+            h = np.maximum(h @ self.weights[i] + self.biases[i], 0.0)
+            acts.append(h)
+        return h @ self.weights[-1] + self.biases[-1], acts
+
+    def loss_and_grads(self, x, y, class_weights):
+        x = np.asarray(x, dtype=self.dtype)
+        y = np.asarray(y)
+        cw = np.asarray(class_weights, dtype=self.dtype)
+        logits, acts = self.forward(x)
+        logits64 = logits.astype(np.float64)
+        shift = logits64 - logits64.max(axis=1, keepdims=True)
+        logsumexp = np.log(np.exp(shift).sum(axis=1)) + logits64.max(axis=1)
+        ce = logsumexp - logits64[np.arange(y.shape[0]), y]
+        w = cw[y].astype(np.float64)
+        w_sum = w.sum()
+        loss = float((w * ce).sum() / w_sum)
+
+        e = np.exp(logits64 - logits64.max(axis=1, keepdims=True))
+        p = e / e.sum(axis=1, keepdims=True)
+        onehot = np.zeros_like(p)
+        onehot[np.arange(y.shape[0]), y] = 1.0
+        dlogits = ((p - onehot) * (w / w_sum)[:, None]).astype(self.dtype)
+
+        grads_w = [None] * len(self.weights)
+        grads_b = [None] * len(self.biases)
+        delta = dlogits
+        last = len(self.weights) - 1
+        for i in range(last, -1, -1):
+            grads_w[i] = acts[i].T @ delta
+            grads_b[i] = delta.sum(axis=0)
+            if i > 0:
+                if i == last and delta.shape[1] == 2:
+                    w = self.weights[i]
+                    back = delta[:, :1] * w[:, 0] + delta[:, 1:] * w[:, 1]
+                else:
+                    back = delta @ self.weights[i].T
+                delta = back * (acts[i] > 0)
+        grads = []
+        for gw, gb in zip(grads_w, grads_b):
+            grads.extend((gw, gb))
+        return loss, grads
+
+
+def reference_train(features, labels, class_weights, config):
+    """The per-parameter AdamW loop over fancy-indexed batches.
+
+    Returns (parameters, loss_curve, stopped_epoch)."""
+    x = np.ascontiguousarray(features, dtype=config.dtype)
+    y = np.ascontiguousarray(labels).astype(np.int64)
+    model = ReferenceMlp(x.shape[1], config.hidden, 2, seed=config.seed,
+                         dtype=config.dtype)
+    params = model.parameters()
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    lr = config.learning_rate
+    b1, b2, eps = config.beta1, config.beta2, config.eps
+    decayed = [i % 2 == 0 for i in range(len(params))]
+
+    loss0, _ = model.loss_and_grads(x, y, class_weights)
+    curve = [loss0]
+    rng = np.random.default_rng(config.seed)
+    t = 0
+    best = loss0
+    since_best = 0
+    stopped = None
+    n = x.shape[0]
+    bs = max(int(config.batch_size), 1)
+    for epoch in range(config.epochs):
+        order = rng.permutation(n)
+        epoch_loss = 0.0
+        epoch_weight = 0.0
+        for start in range(0, n, bs):
+            sel = order[start : start + bs]
+            loss, grads = model.loss_and_grads(x[sel], y[sel], class_weights)
+            t += 1
+            bc1 = 1.0 - b1**t
+            bc2 = 1.0 - b2**t
+            for i, (p, g) in enumerate(zip(params, grads)):
+                m[i] = b1 * m[i] + (1 - b1) * g
+                v[i] = b2 * v[i] + (1 - b2) * np.square(g)
+                update = (m[i] / bc1) / (np.sqrt(v[i] / bc2) + eps)
+                if decayed[i]:
+                    p -= config.dtype(lr * config.weight_decay) * p
+                p -= config.dtype(lr) * update
+            epoch_loss += loss * sel.shape[0]
+            epoch_weight += sel.shape[0]
+        curve.append(epoch_loss / epoch_weight)
+        if config.patience is not None:
+            if curve[-1] < best - 1e-12:
+                best = curve[-1]
+                since_best = 0
+            else:
+                since_best += 1
+                if since_best >= config.patience:
+                    stopped = epoch
+                    break
+    return params, curve, stopped

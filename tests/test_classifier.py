@@ -343,3 +343,54 @@ class TestCheckpoint:
         path.write_bytes(b"AAAA" + b"\x00" * 30)
         with pytest.raises(DataError, match="checkpoint"):
             load_checkpoint(path)
+
+    @staticmethod
+    def saved(tmp_path):
+        model = Mlp(4, (8, 3), 2, seed=0)
+        path = tmp_path / "model.mstm"
+        save_checkpoint(path, model, FeatureConfig.XYZ_PNDVI, (0.36, 1.64),
+                        seed=0, norm_sidecar="normalization.json")
+        # section ends: magic, header, config name, sidecar length, sidecar
+        # name, class weights, layer count, layer sizes, then W/b per layer
+        ends = [4, 16, 16 + len("XYZ_PNDVI")]
+        ends += [ends[-1] + 2, ends[-1] + 2 + len("normalization.json")]
+        ends += [ends[-1] + 16, ends[-1] + 18, ends[-1] + 18 + 4 * 4]
+        for w, b in zip(model.weights, model.biases):
+            ends += [ends[-1] + 4 * w.size, ends[-1] + 4 * w.size + 4 * b.size]
+        raw = path.read_bytes()
+        assert ends[-1] == len(raw)
+        return path, raw, ends
+
+    def test_truncation_at_every_section_boundary_is_data_error(self, tmp_path):
+        path, raw, ends = self.saved(tmp_path)
+        for end in ends[:-1]:
+            for cut in (end - 1, end):
+                path.write_bytes(raw[:cut])
+                with pytest.raises(DataError, match="checkpoint"):
+                    load_checkpoint(path)
+
+    def test_trailing_bytes_are_data_error(self, tmp_path):
+        path, raw, _ = self.saved(tmp_path)
+        path.write_bytes(raw + b"\x00")
+        with pytest.raises(DataError, match="trailing"):
+            load_checkpoint(path)
+
+    def test_unknown_feature_config_name_is_data_error(self, tmp_path):
+        path, raw, _ = self.saved(tmp_path)
+        path.write_bytes(raw.replace(b"XYZ_PNDVI", b"XYZ_PNDVX"))
+        with pytest.raises(DataError, match="metadata"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("sidecar", ["../normalization.json", "/tmp/norm.json"])
+    def test_sidecar_reference_must_be_a_file_name(self, tmp_path, sidecar):
+        path = tmp_path / "model.mstm"
+        save_checkpoint(path, Mlp(4, (8,), 2, seed=0), FeatureConfig.XYZ_PNDVI,
+                        (1.0, 1.0), seed=0, norm_sidecar=sidecar)
+        with pytest.raises(DataError, match="not a file name"):
+            load_checkpoint(path)
+
+    def test_loaded_parameters_are_views_of_the_flat_vector(self, tmp_path):
+        path, _, _ = self.saved(tmp_path)
+        model, _ = load_checkpoint(path)
+        for p in model.parameters():
+            assert np.shares_memory(p, model.flat)

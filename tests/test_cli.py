@@ -1,10 +1,13 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
 
 from mslidar.cli import build_parser, main
+from mslidar import evaluation
 from mslidar.columnar import read_columnar
+from mslidar.features import FeatureConfig, fit_config_normalization
 
 
 @pytest.fixture(scope="module")
@@ -178,6 +181,31 @@ def test_ablate_small_and_stagewise_equivalence(chain, tmp_path):
     assert stagewise["counts"] == ablation["reports"]["XYZ"]["counts"]
 
 
+def test_ablate_fits_normalization_at_configured_percentiles(chain, tmp_path,
+                                                            monkeypatch):
+    fitted = []
+
+    def recording_fit(*args, **kwargs):
+        params = fit_config_normalization(*args, **kwargs)
+        fitted.append(params)
+        return params
+
+    monkeypatch.setattr(evaluation, "fit_config_normalization", recording_fit)
+    cfg = tmp_path / "p10.yaml"
+    cfg.write_text("features:\n  p_low: 10.0\n  p_high: 90.0\n")
+    rc = main(["ablate", "--train", str(chain["splits"] / "train.mst"),
+               "--test", str(chain["splits"] / "test.mst"),
+               "--out-dir", str(tmp_path / "ablation"), "--configs", "XYZ_PNDVI",
+               "--epochs", "1", "--config", str(cfg)])
+    assert rc == 0
+    (params,) = fitted
+    assert (params.p_low, params.p_high) == (10.0, 90.0)
+    default = fit_config_normalization(
+        read_columnar(chain["splits"] / "train.mst"), FeatureConfig.XYZ_PNDVI
+    )
+    assert np.all(params.lo > default.lo) and np.all(params.hi < default.hi)
+
+
 def test_export_roundtrip(chain, tmp_path):
     las = tmp_path / "cloud.las"
     assert main(["export", "--cloud", str(chain["sub"]), "--las", str(las)]) == 0
@@ -227,6 +255,22 @@ class TestErrorPaths:
                    "--out-dir", str(tmp_path / "s"),
                    "--ratios", "0.5", "0.2", "0.2"])
         assert rc == 2
+
+    @pytest.mark.parametrize("damage", ["delete", "corrupt"])
+    def test_bad_normalization_sidecar_is_data_error(self, chain, tmp_path, capsys,
+                                                     damage):
+        model_dir = tmp_path / "model"
+        shutil.copytree(chain["model"], model_dir)
+        sidecar = model_dir / "normalization.json"
+        if damage == "delete":
+            sidecar.unlink()
+        else:
+            sidecar.write_text(sidecar.read_text()[:40])
+        rc = main(["predict", "--in", str(chain["splits"] / "test.mst"),
+                   "--model", str(model_dir / "model.mstm"),
+                   "--out-dir", str(tmp_path / "p")])
+        assert rc == 3
+        assert "error[data]" in capsys.readouterr().err
 
     def test_unknown_feature_config_rejected(self, chain, tmp_path, capsys):
         rc = main(["train", "--train", str(chain["splits"] / "train.mst"),

@@ -164,6 +164,21 @@ class TestNormalization:
         np.testing.assert_array_equal(back.hi, params.hi)
         np.testing.assert_array_equal(back.impute, params.impute)
 
+    @pytest.mark.parametrize("text", [
+        None,                                   # file missing
+        '{"columns": ["a"], "p_low": 1.0',      # truncated JSON
+        '{"columns": ["a"], "p_low": 1.0}',     # missing keys
+        '["a", "b"]',                           # not an object
+        '{"columns": ["a", "b"], "p_low": 1, "p_high": 99, '
+        '"lo": [0.0], "hi": [1.0, 2.0], "impute": [0.5, 0.5]}',  # short field
+    ], ids=["missing", "truncated", "missing-keys", "not-object", "short-field"])
+    def test_bad_sidecar_is_data_error(self, tmp_path, text):
+        path = tmp_path / "norm.json"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(DataError, match="norm.json"):
+            NormalizationParams.load(path)
+
     def test_column_count_mismatch_rejected(self):
         params = fit_normalization(np.random.default_rng(6).normal(size=(50, 2)))
         with pytest.raises(DataError, match="does not match"):
