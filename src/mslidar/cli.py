@@ -1,9 +1,10 @@
 """Command-line front end.
 
-One subcommand per pipeline stage; stages exchange clouds through the
-columnar format and every output carries a manifest. Exit codes: 0 ok,
-2 config error, 3 data error, 4 numeric failure, 1 internal. Errors
-print a single machine-parseable line: ``error[<category>]: <detail>``.
+One subcommand per row of the stage table :data:`pipeline.STAGES`;
+stages exchange clouds through the columnar format and every output
+carries a manifest. Exit codes: 0 ok, 2 config error, 3 data error,
+4 numeric failure, 1 internal. Errors print a single machine-parseable
+line: ``error[<category>]: <detail>``.
 """
 
 import argparse
@@ -14,20 +15,14 @@ from pathlib import Path
 
 from . import __version__, pipeline
 from .errors import ConfigError, MslidarError
-from .features import FeatureConfig
+from .pipeline import setting
 
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", type=Path, default=None, help="YAML config file")
-    p.add_argument(
-        "--seed", type=int, default=None,
-        help="global seed (default: config value, or $MSLIDAR_SEED, or 0)",
-    )
-    p.add_argument(
-        "--threads", type=int, default=None,
-        help="worker cap for neighbor queries; results do not depend on it",
-    )
-    p.add_argument("-v", "--verbose", action="store_true")
+# Config options every stage takes, besides --config and -v.
+COMMON = (
+    setting("seed", help="global seed; overrides $MSLIDAR_SEED, which overrides "
+            "the config file"),
+    setting("threads", help="worker cap for neighbor queries; results do not depend on it"),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -37,201 +32,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--version", action="version", version=f"mslidar {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def cmd(name, help_):
-        p = sub.add_parser(name, help=help_)
-        _add_common(p)
-        return p
-
-    p = cmd("synth", "generate a labeled synthetic scene")
-    p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--target-points", type=int, default=None)
-
-    p = cmd("ingest", "read a LAS file into the columnar format")
-    p.add_argument("--las", type=Path, required=True)
-    p.add_argument("--channel", required=True, choices=["green", "nir", "scanner"])
-    p.add_argument("--reflectance-source", default="intensity")
-    p.add_argument("--out", type=Path, required=True)
-
-    p = cmd("denoise", "statistical outlier removal (per channel)")
-    p.add_argument("--in", dest="inp", type=Path, required=True)
-    p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--n-sigma", type=float, default=None)
-
-    p = cmd("merge", "fuse the two channels with cross-channel reflectance")
-    p.add_argument("--in", dest="inp", type=Path, help="combined dual-channel cloud")
-    p.add_argument("--green", type=Path, help="green-channel cloud")
-    p.add_argument("--nir", type=Path, help="NIR-channel cloud")
-    p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--radius", type=float, default=None)
-    p.add_argument("--k", type=int, default=None)
-
-    p = cmd("ground", "cloth-simulation ground flagging")
-    p.add_argument("--in", dest="inp", type=Path, required=True)
-    p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--cloth-resolution", type=float, default=None)
-    p.add_argument("--rigidness", type=int, default=None)
-    p.add_argument("--iterations", type=int, default=None)
-    p.add_argument("--class-threshold", type=float, default=None)
-
-    p = cmd("normalize-height", "DTM construction and height normalization")
-    p.add_argument("--in", dest="inp", type=Path, required=True)
-    p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--cell", type=float, default=None)
-
-    p = cmd("features", "attach the spectral vegetation index column")
-    p.add_argument("--in", dest="inp", type=Path, required=True)
-    p.add_argument("--out", type=Path, required=True)
-
-    p = cmd("subsample", "voxel-grid subsampling with majority labels")
-    p.add_argument("--in", dest="inp", type=Path, required=True)
-    p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--grid", type=float, default=None)
-
-    p = cmd("split", "tile-based train/val/test split")
-    p.add_argument("--in", dest="inp", type=Path, required=True)
-    p.add_argument("--out-dir", type=Path, required=True)
-    p.add_argument("--ratios", type=float, nargs=3, default=None)
-    p.add_argument("--tile-size", type=float, default=None)
-
-    p = cmd("train", "train the point classifier")
-    p.add_argument("--train", dest="train_path", type=Path, required=True)
-    p.add_argument("--out-dir", type=Path, required=True)
-    p.add_argument("--feature-config", default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--learning-rate", type=float, default=None)
-    p.add_argument("--weight-decay", type=float, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-
-    p = cmd("predict", "classify a cloud with a trained model")
-    p.add_argument("--in", dest="inp", type=Path, required=True)
-    p.add_argument("--model", type=Path, required=True)
-    p.add_argument("--out-dir", type=Path, required=True)
-    p.add_argument("--postprocess-threshold", type=float, default=None)
-
-    p = cmd("import-pred", "validate external predictions for scoring")
-    p.add_argument("--labels", type=Path, required=True)
-    p.add_argument("--cloud", type=Path, required=True)
-    p.add_argument("--out-dir", type=Path, required=True)
-
-    p = cmd("evaluate", "score predictions against ground truth")
-    p.add_argument("--cloud", type=Path, required=True)
-    p.add_argument("--pred", type=Path, required=True)
-    p.add_argument("--out-dir", type=Path, required=True)
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--predicted-tree-only", action="store_true", default=None)
-    p.add_argument("--las-out", type=Path, default=None)
-
-    p = cmd("ablate", "train/evaluate every feature configuration")
-    p.add_argument("--train", dest="train_path", type=Path, required=True)
-    p.add_argument("--test", dest="test_path", type=Path, required=True)
-    p.add_argument("--out-dir", type=Path, required=True)
-    p.add_argument(
-        "--configs", nargs="+", default=None,
-        help="subset of feature configs (default: all six)",
-    )
-    p.add_argument("--epochs", type=int, default=None)
-
-    p = cmd("export", "write a cloud (optionally with predictions) to LAS")
-    p.add_argument("--cloud", type=Path, required=True)
-    p.add_argument("--las", type=Path, required=True)
-    p.add_argument("--pred", type=Path, default=None)
-
+    for st in pipeline.STAGES.values():
+        p = sub.add_parser(st.name, help=st.help)
+        p.add_argument("--config", type=Path, default=None, help="YAML config file")
+        for f in (*COMMON, *st.flags):
+            p.add_argument(f.option, dest=f.dest, help=f.help, **f.kwargs)
+        p.add_argument("-v", "--verbose", action="store_true")
     return ap
 
 
-def _overrides(args: argparse.Namespace) -> dict:
-    """Map CLI flags onto config-tree overrides (flag wins over file)."""
-    tree: dict = {}
-
-    def put(path: tuple[str, ...], value):
-        if value is None:
-            return
-        node = tree
-        for key in path[:-1]:
-            node = node.setdefault(key, {})
-        node[path[-1]] = value
-
-    seed = args.seed
-    if seed is None and os.environ.get("MSLIDAR_SEED"):
-        seed = int(os.environ["MSLIDAR_SEED"])
-    put(("seed",), seed)
-    put(("threads",), args.threads)
-    cmd = args.command
-    if cmd == "synth":
-        put(("synth", "target_points"), args.target_points)
-    elif cmd == "denoise":
-        put(("sor", "k"), args.k)
-        put(("sor", "n_sigma"), args.n_sigma)
-    elif cmd == "merge":
-        put(("merge", "radius"), args.radius)
-        put(("merge", "k"), args.k)
-    elif cmd == "ground":
-        put(("csf", "cloth_resolution"), args.cloth_resolution)
-        put(("csf", "rigidness"), args.rigidness)
-        put(("csf", "iterations"), args.iterations)
-        put(("csf", "class_threshold"), args.class_threshold)
-    elif cmd == "normalize-height":
-        put(("dtm", "cell"), args.cell)
-    elif cmd == "subsample":
-        put(("voxel", "grid"), args.grid)
-    elif cmd == "split":
-        put(("split", "ratios"), list(args.ratios) if args.ratios else None)
-        put(("split", "tile_size"), args.tile_size)
-    elif cmd == "train":
-        put(("features", "config"), args.feature_config)
-        put(("train", "epochs"), args.epochs)
-        put(("train", "learning_rate"), args.learning_rate)
-        put(("train", "weight_decay"), args.weight_decay)
-        put(("train", "batch_size"), args.batch_size)
-    elif cmd == "predict":
-        put(("postprocess", "threshold"), args.postprocess_threshold)
-    elif cmd == "evaluate":
-        put(("evaluate", "threshold"), args.threshold)
-        put(("evaluate", "predicted_tree_only"), args.predicted_tree_only)
-    elif cmd == "ablate":
-        put(("train", "epochs"), args.epochs)
-    return tree
-
-
-def _dispatch(args: argparse.Namespace, cfg: dict) -> None:
-    cmd = args.command
-    if cmd == "synth":
-        pipeline.stage_synth(cfg, args.out, args.target_points)
-    elif cmd == "ingest":
-        pipeline.stage_ingest(cfg, args.las, args.channel, args.reflectance_source, args.out)
-    elif cmd == "denoise":
-        pipeline.stage_denoise(cfg, args.inp, args.out)
-    elif cmd == "merge":
-        pipeline.stage_merge(cfg, args.out, combined=args.inp, green=args.green, nir=args.nir)
-    elif cmd == "ground":
-        pipeline.stage_ground(cfg, args.inp, args.out)
-    elif cmd == "normalize-height":
-        pipeline.stage_normalize_height(cfg, args.inp, args.out)
-    elif cmd == "features":
-        pipeline.stage_features(cfg, args.inp, args.out)
-    elif cmd == "subsample":
-        pipeline.stage_subsample(cfg, args.inp, args.out)
-    elif cmd == "split":
-        pipeline.stage_split(cfg, args.inp, args.out_dir)
-    elif cmd == "train":
-        pipeline.stage_train(cfg, args.train_path, args.out_dir)
-    elif cmd == "predict":
-        pipeline.stage_predict(cfg, args.inp, args.model, args.out_dir)
-    elif cmd == "import-pred":
-        pipeline.stage_import_pred(cfg, args.labels, args.cloud, args.out_dir)
-    elif cmd == "evaluate":
-        pipeline.stage_evaluate(cfg, args.cloud, args.pred, args.out_dir, args.las_out)
-    elif cmd == "ablate":
-        configs = None
-        if args.configs:
-            configs = tuple(FeatureConfig.from_name(n) for n in args.configs)
-        pipeline.stage_ablate(cfg, args.train_path, args.test_path, args.out_dir, configs)
-    elif cmd == "export":
-        pipeline.stage_export(cfg, args.cloud, args.las, args.pred)
-    else:  # pragma: no cover - argparse enforces the choices
-        raise ConfigError(f"unknown command {cmd!r}")
+def effective_config(args: argparse.Namespace) -> dict:
+    """Defaults < config file < $MSLIDAR_SEED < flags, as the stage runs it."""
+    flags = (*COMMON, *pipeline.STAGES[args.command].flags)
+    overrides = {f.config: getattr(args, f.dest) for f in flags
+                 if f.config and getattr(args, f.dest) is not None}
+    env_seed = os.environ.get("MSLIDAR_SEED")
+    if args.seed is None and env_seed:
+        try:
+            overrides["seed"] = int(env_seed)
+        except ValueError:
+            raise ConfigError(
+                f"MSLIDAR_SEED must be an integer, got {env_seed!r}"
+            ) from None
+    return pipeline.load_config(args.config, overrides)
 
 
 def main(argv=None) -> int:
@@ -240,9 +63,10 @@ def main(argv=None) -> int:
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
+    st = pipeline.STAGES[args.command]
     try:
-        cfg = pipeline.load_config(args.config, _overrides(args))
-        _dispatch(args, cfg)
+        cfg = effective_config(args)
+        st.run(cfg, **{f.dest: getattr(args, f.dest) for f in st.flags if f.config is None})
     except MslidarError as exc:
         print(f"error[{exc.category}]: {exc}", file=sys.stderr)
         return exc.exit_code

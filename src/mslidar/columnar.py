@@ -61,7 +61,10 @@ def write_columnar(cloud: PointCloud, path) -> None:
 
 
 def read_columnar(path) -> PointCloud:
-    """Read an MST1 file; bit-exact inverse of :func:`write_columnar`."""
+    """Read an MST1 file; bit-exact inverse of :func:`write_columnar`.
+
+    The cloud must pass :meth:`PointCloud.validate`; DataError otherwise.
+    """
     path = Path(path)
     try:
         raw = path.read_bytes()
@@ -103,7 +106,12 @@ def read_columnar(path) -> PointCloud:
         if OPTIONAL_COLUMNS.get(name) == np.dtype(bool):
             arr = arr.astype(bool)
         cols[name] = arr
-    return PointCloud(crs_note=note, **cols)
+    cloud = PointCloud(crs_note=note, **cols)
+    try:
+        cloud.validate()
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    return cloud
 
 
 def read_labels(path, expected_count: int | None = None) -> np.ndarray:

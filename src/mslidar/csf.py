@@ -22,6 +22,7 @@ import numpy as np
 from scipy import ndimage
 
 from .cloud import PointCloud
+from .dtm import bilinear_cells
 from .errors import DataError
 
 logger = logging.getLogger(__name__)
@@ -64,22 +65,6 @@ def _neighbor_mean(c: np.ndarray) -> np.ndarray:
     acc[:, :-1] += c[:, 1:]
     cnt[:, :-1] += 1.0
     return acc / cnt
-
-
-def _bilinear(grid: np.ndarray, gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
-    """Sample grid[i, j] at fractional (gy, gx), clamped to the borders."""
-    h, w = grid.shape
-    gx = np.clip(gx, 0.0, w - 1.0)
-    gy = np.clip(gy, 0.0, h - 1.0)
-    j0 = np.minimum(gx.astype(np.int64), w - 2) if w > 1 else np.zeros_like(gx, dtype=np.int64)
-    i0 = np.minimum(gy.astype(np.int64), h - 2) if h > 1 else np.zeros_like(gy, dtype=np.int64)
-    j1 = np.minimum(j0 + 1, w - 1)
-    i1 = np.minimum(i0 + 1, h - 1)
-    fx = gx - j0
-    fy = gy - i0
-    top = grid[i0, j0] * (1 - fx) + grid[i0, j1] * fx
-    bot = grid[i1, j0] * (1 - fx) + grid[i1, j1] * fx
-    return top * (1 - fy) + bot * fy
 
 
 def simulate_cloth(cloud: PointCloud, params: CsfParams) -> tuple[np.ndarray, tuple]:
@@ -147,9 +132,12 @@ def csf_ground(
 ) -> np.ndarray:
     """Boolean ground flag per point: within class_threshold of the cloth."""
     cloth, (x0, y0, res) = simulate_cloth(cloud, params)
-    gx = (cloud.x - x0) / res
-    gy = (cloud.y - y0) / res
-    cloth_at = _bilinear(cloth, gx, gy)
+    i0, i1, j0, j1, fy, fx = bilinear_cells(
+        (cloud.x - x0) / res, (cloud.y - y0) / res, cloth.shape
+    )
+    top = cloth[i0, j0] * (1 - fx) + cloth[i0, j1] * fx
+    bot = cloth[i1, j0] * (1 - fx) + cloth[i1, j1] * fx
+    cloth_at = top * (1 - fy) + bot * fy
     flag = np.abs(-cloud.z - cloth_at) <= params.class_threshold
     logger.info(
         "CSF flagged %d of %d points as ground", int(flag.sum()), cloud.count

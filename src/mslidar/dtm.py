@@ -86,6 +86,21 @@ def build_dtm(
     )
 
 
+def bilinear_cells(gx: np.ndarray, gy: np.ndarray, shape: tuple[int, int]) -> tuple:
+    """Bilinear stencil of fractional grid positions, clamped to the borders.
+
+    (gy, gx) are row and column positions in cell units on a grid of
+    `shape`. Returns (i0, i1, j0, j1, fy, fx): a value interpolates the
+    four nodes [i0|i1, j0|j1] with weights from the fractions fy and fx.
+    """
+    h, w = shape
+    gx = np.clip(gx, 0.0, w - 1.0)
+    gy = np.clip(gy, 0.0, h - 1.0)
+    j0 = np.minimum(gx.astype(np.int64), max(w - 2, 0))
+    i0 = np.minimum(gy.astype(np.int64), max(h - 2, 0))
+    return i0, np.minimum(i0 + 1, h - 1), j0, np.minimum(j0 + 1, w - 1), gy - i0, gx - j0
+
+
 def normalize_height(cloud: PointCloud, dtm: DtmGrid) -> PointCloud:
     """Attach h_norm = z - terrain height under the point.
 
@@ -98,15 +113,7 @@ def normalize_height(cloud: PointCloud, dtm: DtmGrid) -> PointCloud:
     h, w = dtm.shape
     gx = (cloud.x - dtm.origin[0]) / dtm.cell - 0.5
     gy = (cloud.y - dtm.origin[1]) / dtm.cell - 0.5
-    gx = np.clip(gx, 0.0, w - 1.0)
-    gy = np.clip(gy, 0.0, h - 1.0)
-    j0 = np.minimum(gx.astype(np.int64), max(w - 2, 0))
-    i0 = np.minimum(gy.astype(np.int64), max(h - 2, 0))
-    j1 = np.minimum(j0 + 1, w - 1)
-    i1 = np.minimum(i0 + 1, h - 1)
-    fx = gx - j0
-    fy = gy - i0
-
+    i0, i1, j0, j1, fy, fx = bilinear_cells(gx, gy, dtm.shape)
     corners_ok = ~(
         dtm.nodata[i0, j0] | dtm.nodata[i0, j1]
         | dtm.nodata[i1, j0] | dtm.nodata[i1, j1]

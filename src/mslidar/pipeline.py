@@ -1,17 +1,26 @@
-"""Stage orchestration: effective configuration and run manifests.
+"""Stage orchestration: the stage table, effective configuration and run
+manifests.
 
 Every stage is a pure function of (input files, effective config, seed)
 and writes, beside its outputs, a manifest giving the tool version, the
 stage name, the seed, the effective config (defaults filled in), its
 hash, and the SHA-256 of every input file. Manifests contain no
 timestamps, so reruns of identical work are byte-identical.
+
+The :func:`stage` decorator enters each ``stage_*`` function in
+:data:`STAGES` with its name, help text and command-line flags; the CLI
+builds its parser, its config overrides and its dispatch from that
+table. The cloud-to-cloud stages are pure ``(cfg, cloud) -> (cloud,
+manifest extra)`` functions whose I/O :class:`CloudStage` does.
 """
 
 import copy
+import functools
 import hashlib
 import json
-import logging
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import yaml
@@ -21,43 +30,46 @@ from .cloud import Channel, PointCloud, concat
 from .columnar import read_columnar, write_columnar
 from .csf import CsfParams, csf_ground
 from .dtm import build_dtm, normalize_height
-from .errors import ConfigError, DataError
-from .features import FeatureConfig, add_pndvi, fit_config_normalization, assemble_features
+from .errors import ConfigError
+from .features import (
+    FeatureConfig, NormalizationParams, add_pndvi, assemble_features,
+    fit_config_normalization,
+)
 from .mlp import TrainConfig, train
 from .preprocess import SorParams, merge_channels, sor_filter, voxel_subsample
 from .split import SPLIT_NAMES, split_plots
-from .synth import SyntheticSceneConfig, generate_scene, scaled_config
+from .synth import generate_scene, scaled_config
 from . import classifier as clf
 from . import evaluation as ev
 
-logger = logging.getLogger(__name__)
+
+def _fields(cls, *names: str) -> dict:
+    """Defaults of the named fields of a parameter dataclass, with tuples
+    as lists, the form YAML and the manifests' JSON give them."""
+    obj = cls()
+    values = {n: getattr(obj, n) for n in names}
+    return {n: list(v) if isinstance(v, tuple) else v for n, v in values.items()}
+
 
 # Effective-config defaults; every stage knob lives here so manifests
 # can record the complete effective configuration.
 DEFAULTS: dict = {
     "seed": 0,
     "threads": 1,
-    "sor": {"k": 6, "n_sigma": 1.0},
+    "sor": _fields(SorParams, "k", "n_sigma"),
     "merge": {"radius": 1.0, "k": 7},
-    "csf": {
-        "cloth_resolution": 1.0,
-        "rigidness": 2,
-        "iterations": 500,
-        "class_threshold": 0.5,
-        "time_step": 0.65,
-    },
+    "csf": _fields(
+        CsfParams,
+        "cloth_resolution", "rigidness", "iterations", "class_threshold", "time_step",
+    ),
     "dtm": {"cell": 1.0},
     "voxel": {"grid": 0.1},
     "features": {"config": "XYZ_GREEN_NIR_PNDVI", "p_low": 1.0, "p_high": 99.0},
     "neighborhood": {"k": 16, "radius": 2.0},
-    "train": {
-        "epochs": 300,
-        "learning_rate": 0.001,
-        "weight_decay": 0.0001,
-        "batch_size": 8192,
-        "hidden": [64, 64],
-        "patience": None,
-    },
+    "train": _fields(
+        TrainConfig,
+        "epochs", "learning_rate", "weight_decay", "batch_size", "hidden", "patience",
+    ),
     "split": {"ratios": [0.6853, 0.1628, 0.1519], "tile_size": 20.0},
     "postprocess": {"threshold": 2.0},
     "evaluate": {"threshold": 2.0, "predicted_tree_only": False},
@@ -80,9 +92,10 @@ def _merge_into(base: dict, override: dict, path: str = "") -> dict:
 
 
 def load_config(path=None, overrides: dict | None = None) -> dict:
-    """Defaults, overlaid by the YAML file, overlaid by CLI overrides.
+    """Defaults, overlaid by the YAML file, overlaid by `overrides`, a
+    mapping of dotted keys such as ``"sor.k"`` to values.
 
-    Unknown keys anywhere raise ConfigError.
+    Unknown keys anywhere, and a thread count below 1, raise ConfigError.
     """
     cfg = copy.deepcopy(DEFAULTS)
     if path is not None:
@@ -97,8 +110,12 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
         if not isinstance(data, dict):
             raise ConfigError(f"config file {path} must hold a mapping")
         _merge_into(cfg, data)
-    if overrides:
-        _merge_into(cfg, overrides)
+    for key, value in (overrides or {}).items():
+        # "sor.k": 9 overrides as {"sor": {"k": 9}}
+        _merge_into(cfg, functools.reduce(lambda v, k: {k: v}, reversed(key.split(".")), value))
+    threads = cfg["threads"]
+    if not isinstance(threads, int) or threads < 1:
+        raise ConfigError(f"threads must be an integer >= 1, got {threads!r}")
     return cfg
 
 
@@ -142,18 +159,111 @@ def write_manifest(
     return path
 
 
+# ---------------------------------------------------------------- stage table
+
+
+class Flag:
+    """One command-line option of a stage.
+
+    A flag with a `config` key sets that dotted key of the effective
+    config; any other passes its value to the stage function as the
+    keyword argument `dest`. `kwargs` are the other add_argument keywords.
+    """
+
+    def __init__(self, option: str, config: str | None = None, help: str | None = None,
+                 dest: str | None = None, **kwargs):
+        self.option = option
+        self.config = config
+        self.help = help
+        self.dest = dest or option.lstrip("-").replace("-", "_")
+        self.kwargs = kwargs
+
+
+def config_value(cfg: dict, key: str):
+    """The value at a dotted config key such as ``"sor.k"``."""
+    return functools.reduce(dict.__getitem__, key.split("."), cfg)
+
+
+def setting(key: str, option: str | None = None, help: str | None = None) -> Flag:
+    """The option that sets config key `key`, typed by the key's default and
+    named after its last part unless `option` is given."""
+    default = config_value(DEFAULTS, key)
+    note = f"config key {key} (default {default})"
+    kwargs = {"type": type(default)}
+    if isinstance(default, bool):
+        kwargs = {"action": "store_true", "default": None}
+    elif isinstance(default, list):
+        kwargs = {"type": type(default[0]), "nargs": len(default)}
+    return Flag(option or "--" + key.split(".")[-1].replace("_", "-"), key,
+                f"{help}; {note}" if help else note, **kwargs)
+
+
+def path(option: str, dest: str | None = None, required: bool = True,
+         help: str | None = None) -> Flag:
+    """A file or directory the stage function reads or writes."""
+    return Flag(option, None, help, dest, type=Path, required=required)
+
+
+IN = path("--in", "inp")
+OUT = path("--out")
+OUT_DIR = path("--out-dir")
+
+
+@dataclass(frozen=True)
+class Stage:
+    """A row of the stage table; run(cfg, **flag values) runs the stage."""
+
+    name: str
+    help: str
+    flags: tuple[Flag, ...]
+    fn: Callable
+
+    def run(self, cfg: dict, **kwargs):
+        return self.fn(cfg, **kwargs)
+
+
+class CloudStage(Stage):
+    """A stage whose fn(cfg, cloud) -> (cloud, manifest extra) maps one
+    MST1 file to another; run reads --in, writes --out and its manifest."""
+
+    def run(self, cfg: dict, inp: Path, out: Path) -> PointCloud:
+        cloud = read_columnar(inp)
+        result, extra = self.fn(cfg, cloud)
+        write_columnar(result, out)
+        write_manifest(out, self.name, cfg, {"cloud": inp}, extra)
+        return result
+
+
+STAGES: dict[str, Stage] = {}
+
+
+def stage(name: str, help: str, *flags: Flag, kind: type[Stage] = Stage):
+    """Enter the decorated function in STAGES as the stage `name`."""
+
+    def register(fn):
+        STAGES[name] = kind(name, help, flags, fn)
+        return fn
+
+    return register
+
+
 # ---------------------------------------------------------------- stages
 
 
-def stage_synth(cfg: dict, out: Path, target_points: int | None = None) -> PointCloud:
-    n = target_points or cfg["synth"]["target_points"]
-    scene_cfg = scaled_config(int(n), seed=cfg["seed"])
+@stage("synth", "generate a labeled synthetic scene", OUT, setting("synth.target_points"))
+def stage_synth(cfg: dict, out: Path) -> PointCloud:
+    scene_cfg = scaled_config(int(cfg["synth"]["target_points"]), seed=cfg["seed"])
     cloud = generate_scene(scene_cfg)
     write_columnar(cloud, out)
     write_manifest(out, "synth", cfg, {}, extra={"points": cloud.count})
     return cloud
 
 
+@stage("ingest", "read a LAS file into the columnar format",
+       path("--las", "las_path"),
+       Flag("--channel", required=True, choices=["green", "nir", "scanner"]),
+       Flag("--reflectance-source", default="intensity"),
+       OUT)
 def stage_ingest(
     cfg: dict, las_path: Path, channel: str, reflectance_source: str, out: Path
 ) -> PointCloud:
@@ -166,107 +276,75 @@ def stage_ingest(
     return cloud
 
 
-def stage_denoise(cfg: dict, inp: Path, out: Path) -> PointCloud:
-    cloud = read_columnar(inp)
-    params = SorParams(k=cfg["sor"]["k"], n_sigma=cfg["sor"]["n_sigma"])
-    workers = cfg["threads"]
-    channels = np.unique(cloud.channel)
-    if channels.size > 1:
-        # channels are independent scans: denoise each against itself
-        parts = []
-        removed_total = 0
-        for chan in channels:
-            part = cloud.take(cloud.channel == chan)
-            kept, removed = sor_filter(part, params, workers=workers)
-            parts.append(kept)
-            removed_total += removed.size
-        result = concat(parts)
-    else:
-        result, removed = sor_filter(cloud, params, workers=workers)
-        removed_total = removed.size
-    write_columnar(result, out)
-    write_manifest(
-        out, "denoise", cfg, {"cloud": inp},
-        extra={"removed": int(removed_total), "kept": result.count},
-    )
-    return result
+@stage("denoise", "statistical outlier removal (per channel)",
+       IN, OUT, setting("sor.k"), setting("sor.n_sigma"), kind=CloudStage)
+def stage_denoise(cfg: dict, cloud: PointCloud) -> tuple[PointCloud, dict]:
+    params = SorParams(**cfg["sor"])
+    # channels are independent scans: denoise each against itself; an
+    # empty cloud goes to sor_filter as it is, to be rejected there
+    parts = [cloud.take(cloud.channel == c) for c in np.unique(cloud.channel)] or [cloud]
+    kept, removed = zip(*(sor_filter(p, params, workers=cfg["threads"]) for p in parts))
+    result = concat(kept)
+    return result, {"removed": sum(r.size for r in removed), "kept": result.count}
 
 
+@stage("merge", "fuse the two channels with cross-channel reflectance",
+       path("--in", "inp", required=False, help="combined dual-channel cloud"),
+       path("--green", required=False, help="green-channel cloud"),
+       path("--nir", required=False, help="NIR-channel cloud"),
+       OUT, setting("merge.radius"), setting("merge.k"))
 def stage_merge(
-    cfg: dict, out: Path, combined: Path | None = None,
+    cfg: dict, out: Path, inp: Path | None = None,
     green: Path | None = None, nir: Path | None = None,
 ) -> PointCloud:
-    inputs: dict[str, Path] = {}
-    if combined is not None:
-        inputs["cloud"] = combined
-        cloud = read_columnar(combined)
+    if inp is not None:
+        inputs = {"cloud": inp}
+        cloud = read_columnar(inp)
         g = cloud.take(cloud.channel == int(Channel.GREEN_532))
         n = cloud.take(cloud.channel == int(Channel.NIR_1064))
-    else:
-        if green is None or nir is None:
-            raise ConfigError("merge needs either one combined cloud or both channels")
-        inputs["green"] = green
-        inputs["nir"] = nir
+    elif green is not None and nir is not None:
+        inputs = {"green": green, "nir": nir}
         g = read_columnar(green)
         n = read_columnar(nir)
-    merged = merge_channels(
-        g, n, radius=cfg["merge"]["radius"], k=cfg["merge"]["k"],
-        workers=cfg["threads"],
-    )
+    else:
+        raise ConfigError("merge needs either one combined cloud or both channels")
+    merged = merge_channels(g, n, **cfg["merge"], workers=cfg["threads"])
     write_columnar(merged, out)
     write_manifest(out, "merge", cfg, inputs, extra={"points": merged.count})
     return merged
 
 
-def stage_ground(cfg: dict, inp: Path, out: Path) -> PointCloud:
-    cloud = read_columnar(inp)
-    params = CsfParams(
-        cloth_resolution=cfg["csf"]["cloth_resolution"],
-        rigidness=cfg["csf"]["rigidness"],
-        iterations=cfg["csf"]["iterations"],
-        class_threshold=cfg["csf"]["class_threshold"],
-        time_step=cfg["csf"]["time_step"],
-    )
-    flag = csf_ground(cloud, params)
-    result = cloud.with_column("ground_flag", flag)
-    write_columnar(result, out)
-    write_manifest(
-        out, "ground", cfg, {"cloud": inp}, extra={"ground_points": int(flag.sum())}
-    )
-    return result
+@stage("ground", "cloth-simulation ground flagging",
+       IN, OUT, setting("csf.cloth_resolution"), setting("csf.rigidness"),
+       setting("csf.iterations"), setting("csf.class_threshold"), kind=CloudStage)
+def stage_ground(cfg: dict, cloud: PointCloud) -> tuple[PointCloud, dict]:
+    ground = csf_ground(cloud, CsfParams(**cfg["csf"]))
+    return cloud.with_column("ground_flag", ground), {"ground_points": int(ground.sum())}
 
 
-def stage_normalize_height(cfg: dict, inp: Path, out: Path) -> PointCloud:
-    cloud = read_columnar(inp)
+@stage("normalize-height", "DTM construction and height normalization",
+       IN, OUT, setting("dtm.cell"), kind=CloudStage)
+def stage_normalize_height(cfg: dict, cloud: PointCloud) -> tuple[PointCloud, dict]:
     dtm = build_dtm(cloud, cell=cfg["dtm"]["cell"], workers=cfg["threads"])
-    result = normalize_height(cloud, dtm)
-    write_columnar(result, out)
-    write_manifest(
-        out, "normalize-height", cfg, {"cloud": inp},
-        extra={"dtm_shape": list(dtm.shape), "nodata_cells": int(dtm.nodata.sum())},
-    )
-    return result
+    extra = {"dtm_shape": list(dtm.shape), "nodata_cells": int(dtm.nodata.sum())}
+    return normalize_height(cloud, dtm), extra
 
 
-def stage_features(cfg: dict, inp: Path, out: Path) -> PointCloud:
-    cloud = read_columnar(inp)
-    result = add_pndvi(cloud)
-    write_columnar(result, out)
-    write_manifest(out, "features", cfg, {"cloud": inp})
-    return result
+@stage("features", "attach the spectral vegetation index column",
+       IN, OUT, kind=CloudStage)
+def stage_features(cfg: dict, cloud: PointCloud) -> tuple[PointCloud, None]:
+    return add_pndvi(cloud), None
 
 
-def stage_subsample(cfg: dict, inp: Path, out: Path) -> PointCloud:
-    cloud = read_columnar(inp)
+@stage("subsample", "voxel-grid subsampling with majority labels",
+       IN, OUT, setting("voxel.grid"), kind=CloudStage)
+def stage_subsample(cfg: dict, cloud: PointCloud) -> tuple[PointCloud, dict]:
     result = voxel_subsample(cloud, grid=cfg["voxel"]["grid"])
-    write_columnar(result, out)
-    write_manifest(
-        out, "subsample", cfg, {"cloud": inp},
-        extra={"before": cloud.count, "after": result.count},
-    )
-    return result
+    return result, {"before": cloud.count, "after": result.count}
 
 
+@stage("split", "tile-based train/val/test split",
+       IN, OUT_DIR, setting("split.ratios"), setting("split.tile_size"))
 def stage_split(cfg: dict, inp: Path, out_dir: Path) -> dict[str, Path]:
     cloud = read_columnar(inp)
     ratios = tuple(cfg["split"]["ratios"])
@@ -274,12 +352,9 @@ def stage_split(cfg: dict, inp: Path, out_dir: Path) -> dict[str, Path]:
         cloud, ratios, tile_size=cfg["split"]["tile_size"], seed=cfg["seed"]
     )
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths = {}
-    for name in SPLIT_NAMES:
-        idx = result.indices(name)
-        path = out_dir / f"{name}.mst"
-        write_columnar(cloud.take(idx), path)
-        paths[name] = path
+    paths = {name: out_dir / f"{name}.mst" for name in SPLIT_NAMES}
+    for name, split_path in paths.items():
+        write_columnar(cloud.take(result.indices(name)), split_path)
     write_manifest(
         out_dir, "split", cfg, {"cloud": inp},
         extra={
@@ -292,29 +367,20 @@ def stage_split(cfg: dict, inp: Path, out_dir: Path) -> dict[str, Path]:
     return paths
 
 
-def _train_config(cfg: dict) -> TrainConfig:
-    t = cfg["train"]
-    return TrainConfig(
-        epochs=t["epochs"],
-        learning_rate=t["learning_rate"],
-        weight_decay=t["weight_decay"],
-        batch_size=t["batch_size"],
-        hidden=tuple(t["hidden"]),
-        patience=t["patience"],
-        seed=cfg["seed"],
+def _assemble(cfg, cloud, fconfig, params):
+    graph = clf.neighborhood_graph(
+        cloud, k=cfg["neighborhood"]["k"], radius=cfg["neighborhood"]["radius"],
+        workers=cfg["threads"],
     )
-
-
-def _assemble(cfg, cloud, fconfig, params, graph=None):
-    if graph is None:
-        graph = clf.neighborhood_graph(
-            cloud, k=cfg["neighborhood"]["k"], radius=cfg["neighborhood"]["radius"],
-            workers=cfg["threads"],
-        )
     fm = assemble_features(cloud, fconfig, params)
     return clf.neighborhood_stats(fm, graph)
 
 
+@stage("train", "train the point classifier",
+       path("--train", "train_path"), OUT_DIR,
+       setting("features.config", "--feature-config"), setting("train.epochs"),
+       setting("train.learning_rate"), setting("train.weight_decay"),
+       setting("train.batch_size"))
 def stage_train(cfg: dict, train_path: Path, out_dir: Path) -> Path:
     cloud = read_columnar(train_path)
     cloud.require("label", "h_norm")
@@ -330,17 +396,14 @@ def stage_train(cfg: dict, train_path: Path, out_dir: Path) -> Path:
         params.save(out_dir / sidecar_name)
     fm = _assemble(cfg, cloud, fconfig, params)
     weights = clf.compute_class_weights(cloud.label)
-    result = train(fm.values, cloud.label, weights, _train_config(cfg))
+    result = train(fm.values, cloud.label, weights,
+                   TrainConfig(**cfg["train"], seed=cfg["seed"]))
     model_path = out_dir / "model.mstm"
     clf.save_checkpoint(
         model_path, result.model, fconfig, weights, cfg["seed"], sidecar_name
     )
-    curve_lines = ["epoch,loss"] + [
-        f"{i},{v!r}" for i, v in enumerate(result.loss_curve)
-    ]
-    (out_dir / "loss_curve.csv").write_text(
-        "\n".join(curve_lines) + "\n", encoding="utf-8"
-    )
+    curve = "".join(f"{i},{v!r}\n" for i, v in enumerate(result.loss_curve))
+    (out_dir / "loss_curve.csv").write_text("epoch,loss\n" + curve, encoding="utf-8")
     write_manifest(
         out_dir, "train", cfg, {"train": train_path},
         extra={
@@ -354,40 +417,43 @@ def stage_train(cfg: dict, train_path: Path, out_dir: Path) -> Path:
     return model_path
 
 
-def stage_predict(cfg: dict, cloud_path: Path, model_path: Path, out_dir: Path) -> Path:
-    cloud = read_columnar(cloud_path)
+def _write_predictions(out_dir: Path, labels: np.ndarray) -> Path:
+    """`<out_dir>/predictions.txt`: one 0/1 label per line, in point order."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    pred_path = out_dir / "predictions.txt"
+    pred_path.write_text("\n".join(str(int(v)) for v in labels) + "\n", encoding="utf-8")
+    return pred_path
+
+
+@stage("predict", "classify a cloud with a trained model",
+       IN, path("--model", "model_path"), OUT_DIR,
+       setting("postprocess.threshold", "--postprocess-threshold"))
+def stage_predict(cfg: dict, inp: Path, model_path: Path, out_dir: Path) -> Path:
+    cloud = read_columnar(inp)
     model, meta = clf.load_checkpoint(model_path)
     fconfig = meta["feature_config"]
     params = None
     if meta["norm_sidecar"]:
-        from .features import NormalizationParams
-
         params = NormalizationParams.load(model_path.parent / meta["norm_sidecar"])
     fm = _assemble(cfg, cloud, fconfig, params)
     pred = clf.predict(fm, model)
     threshold = cfg["postprocess"]["threshold"]
     if threshold is not None and cloud.has("h_norm"):
         pred = clf.height_threshold_postprocess(pred, cloud, t=threshold)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    pred_path = out_dir / "predictions.txt"
-    pred_path.write_text(
-        "\n".join(str(int(v)) for v in pred.labels) + "\n", encoding="utf-8"
-    )
+    pred_path = _write_predictions(out_dir, pred.labels)
     write_manifest(
-        out_dir, "predict", cfg, {"cloud": cloud_path, "model": model_path},
+        out_dir, "predict", cfg, {"cloud": inp, "model": model_path},
         extra={"feature_config": fconfig.name, "predicted_tree": int(pred.labels.sum())},
     )
     return pred_path
 
 
+@stage("import-pred", "validate external predictions for scoring",
+       path("--labels", "labels_path"), path("--cloud", "cloud_path"), OUT_DIR)
 def stage_import_pred(cfg: dict, labels_path: Path, cloud_path: Path, out_dir: Path) -> Path:
     cloud = read_columnar(cloud_path)
     pred = clf.import_predictions(labels_path, cloud)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    pred_path = out_dir / "predictions.txt"
-    pred_path.write_text(
-        "\n".join(str(int(v)) for v in pred.labels) + "\n", encoding="utf-8"
-    )
+    pred_path = _write_predictions(out_dir, pred.labels)
     write_manifest(
         out_dir, "import-pred", cfg,
         {"labels": labels_path, "cloud": cloud_path},
@@ -396,6 +462,16 @@ def stage_import_pred(cfg: dict, labels_path: Path, cloud_path: Path, out_dir: P
     return pred_path
 
 
+def _write_report(stem: Path, report) -> None:
+    """`<stem>.json` and `<stem>.csv` of an evaluation or ablation report."""
+    stem.with_suffix(".json").write_text(ev.report_to_json(report) + "\n", encoding="utf-8")
+    stem.with_suffix(".csv").write_text(ev.report_to_csv(report), encoding="utf-8")
+
+
+@stage("evaluate", "score predictions against ground truth",
+       path("--cloud", "cloud_path"), path("--pred", "pred_path"), OUT_DIR,
+       setting("evaluate.threshold"), setting("evaluate.predicted_tree_only"),
+       path("--las-out", required=False))
 def stage_evaluate(
     cfg: dict, cloud_path: Path, pred_path: Path, out_dir: Path,
     las_out: Path | None = None,
@@ -411,10 +487,7 @@ def stage_evaluate(
         manifest={"prediction_source": pred.source},
     )
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report.json").write_text(
-        ev.report_to_json(report) + "\n", encoding="utf-8"
-    )
-    (out_dir / "report.csv").write_text(ev.report_to_csv(report), encoding="utf-8")
+    _write_report(out_dir / "report", report)
     if las_out is not None:
         ev.export_error_las(cloud, pred.labels, las_out)
     write_manifest(
@@ -424,10 +497,19 @@ def stage_evaluate(
     return report
 
 
+@stage("ablate", "train/evaluate every feature configuration",
+       path("--train", "train_path"), path("--test", "test_path"), OUT_DIR,
+       Flag("--configs", help="subset of feature configs (default: all six)",
+            nargs="+", default=None),
+       setting("train.epochs"))
 def stage_ablate(
     cfg: dict, train_path: Path, test_path: Path, out_dir: Path,
-    configs: tuple[FeatureConfig, ...] | None = None,
+    configs: list[str] | None = None,
 ) -> ev.AblationResult:
+    fconfigs = (
+        tuple(FeatureConfig.from_name(n) for n in configs) if configs
+        else tuple(FeatureConfig)
+    )
     train_cloud = read_columnar(train_path)
     test_cloud = read_columnar(test_path)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -439,8 +521,8 @@ def stage_ablate(
 
     result = ev.run_ablation(
         train_cloud, test_cloud,
-        configs=configs or tuple(FeatureConfig),
-        train_config=_train_config(cfg),
+        configs=fconfigs,
+        train_config=TrainConfig(**cfg["train"], seed=cfg["seed"]),
         postprocess_threshold=cfg["postprocess"]["threshold"],
         eval_threshold=cfg["evaluate"]["threshold"],
         neighbor_k=cfg["neighborhood"]["k"],
@@ -450,10 +532,7 @@ def stage_ablate(
         p_low=cfg["features"]["p_low"],
         p_high=cfg["features"]["p_high"],
     )
-    (out_dir / "ablation.json").write_text(
-        ev.report_to_json(result) + "\n", encoding="utf-8"
-    )
-    (out_dir / "ablation.csv").write_text(ev.report_to_csv(result), encoding="utf-8")
+    _write_report(out_dir / "ablation", result)
     write_manifest(
         out_dir, "ablate", cfg, {"train": train_path, "test": test_path},
         extra={"best": {k: v.name for k, v in result.best.items()}},
@@ -461,6 +540,9 @@ def stage_ablate(
     return result
 
 
+@stage("export", "write a cloud (optionally with predictions) to LAS",
+       path("--cloud", "cloud_path"), path("--las", "las_out"),
+       path("--pred", "pred_path", required=False))
 def stage_export(
     cfg: dict, cloud_path: Path, las_out: Path, pred_path: Path | None = None
 ) -> None:

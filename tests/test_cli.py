@@ -1,12 +1,13 @@
+import dataclasses
 import json
 import shutil
 
 import numpy as np
 import pytest
 
-from mslidar.cli import build_parser, main
-from mslidar import evaluation
-from mslidar.columnar import read_columnar
+from mslidar.cli import build_parser, effective_config, main
+from mslidar import evaluation, pipeline
+from mslidar.columnar import read_columnar, write_columnar
 from mslidar.features import FeatureConfig, fit_config_normalization
 
 
@@ -272,6 +273,34 @@ class TestErrorPaths:
         assert rc == 3
         assert "error[data]" in capsys.readouterr().err
 
+    def test_zero_threads_is_config_error(self, chain, tmp_path, capsys):
+        rc = main(["features", "--in", str(chain["hnorm"]),
+                   "--out", str(tmp_path / "f.mst"), "--threads", "0"])
+        assert rc == 2
+        assert "error[config]: threads" in capsys.readouterr().err
+
+    def test_non_integer_seed_env_is_config_error(self, chain, tmp_path, capsys,
+                                                  monkeypatch):
+        monkeypatch.setenv("MSLIDAR_SEED", "abc")
+        rc = main(["features", "--in", str(chain["hnorm"]),
+                   "--out", str(tmp_path / "f.mst")])
+        assert rc == 2
+        assert "error[config]: MSLIDAR_SEED" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "stage", ["denoise", "merge", "ground", "normalize-height", "subsample"])
+    def test_nan_coordinate_in_input_is_data_error(self, chain, tmp_path, capsys,
+                                                   stage):
+        cloud = read_columnar(chain["hnorm"])
+        x = cloud.x.copy()
+        x[7] = np.nan
+        bad = tmp_path / "nan.mst"
+        write_columnar(dataclasses.replace(cloud, x=x), bad)
+        rc = main([stage, "--in", str(bad), "--out", str(tmp_path / "out.mst")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert f"error[data]: {bad}: non-finite values in coordinate column 'x'" in err
+
     def test_unknown_feature_config_rejected(self, chain, tmp_path, capsys):
         rc = main(["train", "--train", str(chain["splits"] / "train.mst"),
                    "--out-dir", str(tmp_path / "m"),
@@ -290,3 +319,61 @@ def test_version_flag(capsys):
         build_parser().parse_args(["--version"])
     assert exc.value.code == 0
     assert "mslidar" in capsys.readouterr().out
+
+
+# Every stage flag that sets a config key: (stage, option, value argv, key,
+# expected value). The required path arguments come from REQUIRED_PATHS.
+CONFIG_FLAGS = [
+    ("synth", "--target-points", ["1234"], "synth.target_points", 1234),
+    ("denoise", "--k", ["9"], "sor.k", 9),
+    ("denoise", "--n-sigma", ["2.5"], "sor.n_sigma", 2.5),
+    ("merge", "--radius", ["0.75"], "merge.radius", 0.75),
+    ("merge", "--k", ["3"], "merge.k", 3),
+    ("ground", "--cloth-resolution", ["0.5"], "csf.cloth_resolution", 0.5),
+    ("ground", "--rigidness", ["3"], "csf.rigidness", 3),
+    ("ground", "--iterations", ["40"], "csf.iterations", 40),
+    ("ground", "--class-threshold", ["0.25"], "csf.class_threshold", 0.25),
+    ("normalize-height", "--cell", ["2.0"], "dtm.cell", 2.0),
+    ("subsample", "--grid", ["0.3"], "voxel.grid", 0.3),
+    ("split", "--ratios", ["0.5", "0.25", "0.25"], "split.ratios", [0.5, 0.25, 0.25]),
+    ("split", "--tile-size", ["12.5"], "split.tile_size", 12.5),
+    ("train", "--feature-config", ["XYZ"], "features.config", "XYZ"),
+    ("train", "--epochs", ["7"], "train.epochs", 7),
+    ("train", "--learning-rate", ["0.01"], "train.learning_rate", 0.01),
+    ("train", "--weight-decay", ["0.5"], "train.weight_decay", 0.5),
+    ("train", "--batch-size", ["64"], "train.batch_size", 64),
+    ("predict", "--postprocess-threshold", ["1.5"], "postprocess.threshold", 1.5),
+    ("evaluate", "--threshold", ["3.5"], "evaluate.threshold", 3.5),
+    ("evaluate", "--predicted-tree-only", [], "evaluate.predicted_tree_only", True),
+    ("ablate", "--epochs", ["4"], "train.epochs", 4),
+]
+
+REQUIRED_PATHS = {
+    "synth": ["--out", "o"],
+    "denoise": ["--in", "i", "--out", "o"],
+    "merge": ["--out", "o"],
+    "ground": ["--in", "i", "--out", "o"],
+    "normalize-height": ["--in", "i", "--out", "o"],
+    "subsample": ["--in", "i", "--out", "o"],
+    "split": ["--in", "i", "--out-dir", "d"],
+    "train": ["--train", "t", "--out-dir", "d"],
+    "predict": ["--in", "i", "--model", "m", "--out-dir", "d"],
+    "evaluate": ["--cloud", "c", "--pred", "p", "--out-dir", "d"],
+    "ablate": ["--train", "t", "--test", "s", "--out-dir", "d"],
+}
+
+
+@pytest.mark.parametrize(
+    "stage, option, value, key, expected", CONFIG_FLAGS,
+    ids=[f"{c[0]}{c[1]}" for c in CONFIG_FLAGS])
+def test_flag_sets_its_config_key(stage, option, value, key, expected):
+    args = build_parser().parse_args([stage, *REQUIRED_PATHS[stage], option, *value])
+    assert pipeline.config_value(effective_config(args), key) == expected
+    default = pipeline.config_value(pipeline.DEFAULTS, key)
+    assert default != expected and not isinstance(default, dict)
+
+
+def test_every_config_flag_is_listed():
+    table = {(st.name, f.option, f.config)
+             for st in pipeline.STAGES.values() for f in st.flags if f.config}
+    assert table == {(c[0], c[1], c[3]) for c in CONFIG_FLAGS}
