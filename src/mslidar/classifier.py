@@ -46,14 +46,13 @@ def neighborhood_graph(
 ) -> np.ndarray:
     """Indices of the <=k nearest points within `radius`, self included.
 
-    Returns an (n, k) int64 array padded with -1. Row i always contains
-    i itself (distance zero), so every neighborhood has >= 1 member.
+    Returns an (n, k) int64 array padded with -1, rows ordered by
+    (distance, id). Row i starts with i itself, or with a lower-id point
+    at the same coordinates, so every neighborhood has >= 1 member.
     Depends only on the geometry, so one graph serves every feature
     config of the same cloud.
     """
-    index = build_index(cloud)
-    _, ids = index.knn_batch(cloud.xyz, k=k, radius=radius, workers=workers)
-    return ids
+    return build_index(cloud).knn_batch(cloud.xyz, k=k, radius=radius, workers=workers)
 
 
 def neighborhood_stats(fm: FeatureMatrix, graph: np.ndarray) -> FeatureMatrix:

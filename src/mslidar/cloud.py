@@ -6,10 +6,12 @@ either present for every point or absent entirely; missing *values*
 inside a present spectral column (e.g. no cross-channel neighbor during
 merging) are encoded as NaN.
 
-:class:`SpatialIndex` wraps a k-d tree and guarantees results identical
-to a brute-force scan, including deterministic tie-breaking by point id.
+:class:`SpatialIndex` wraps a k-d tree behind one batch query,
+:meth:`SpatialIndex.knn_batch`, whose every row is identical to a
+brute-force scan, ties broken by lower point id.
 """
 
+import itertools
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Iterable, Sequence
@@ -176,108 +178,74 @@ def concat(clouds: Sequence[PointCloud]) -> PointCloud:
     return PointCloud(crs_note=clouds[0].crs_note, **cols)
 
 
-# Relative slack applied when collecting tie candidates from the k-d tree.
-# Own-formula distances and the tree's internal distances agree to a few
-# ulps; 1e-9 is orders of magnitude above that.
+# Relative slack for deciding that two distances may tie: own-formula
+# distances and the k-d tree's internal ones agree to a few ulps, and
+# 1e-9 (plus 1e-12 absolute) is orders of magnitude above that.
 _TIE_SLACK = 1e-9
+
+
+def _near(a: np.ndarray, b) -> np.ndarray:
+    """Where finite distances a are not clearly below b."""
+    return np.isfinite(a) & (a * (1.0 + _TIE_SLACK) + 1e-12 >= b)
 
 
 @dataclass(frozen=True)
 class SpatialIndex:
-    """Immutable exact-neighbor index over a PointCloud snapshot.
-
-    Queries return original point ids of the indexed cloud, sorted by
-    ascending 3D Euclidean distance with ties broken by lower id, and are
-    bit-identical to a brute-force scan.
-    """
+    """Immutable exact-neighbor index over a PointCloud snapshot."""
 
     ids: np.ndarray            # original point ids of indexed points
     points: np.ndarray         # (m, 3) coordinates of indexed points
     tree: cKDTree = field(repr=False)
 
-    @property
-    def size(self) -> int:
-        return int(self.ids.shape[0])
-
-    def _exact_sorted(self, q: np.ndarray, cand: np.ndarray):
-        """Distances to candidate rows, sorted by (distance, id)."""
-        d = np.sqrt(np.sum((self.points[cand] - q) ** 2, axis=1))
-        order = np.lexsort((self.ids[cand], d))
-        return cand[order], d[order]
-
-    def radius_neighbors(
-        self, q, r: float, k_max: int | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """All indexed points within distance <= r of q.
-
-        Returns (ids, distances) sorted ascending by distance, ties by
-        lower id, truncated to the k_max nearest when k_max is given.
-        """
-        if not r > 0:
-            raise ValueError("radius must be positive")
-        if k_max is not None and k_max < 1:
-            raise ValueError("k_max must be >= 1")
-        q = np.asarray(q, dtype=np.float64).ravel()
-        cand = np.asarray(
-            self.tree.query_ball_point(q, r * (1.0 + _TIE_SLACK) + 1e-12),
-            dtype=np.int64,
-        )
-        if cand.size == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-        sub, d = self._exact_sorted(q, cand)
-        keep = d <= r
-        sub, d = sub[keep], d[keep]
-        if k_max is not None:
-            sub, d = sub[:k_max], d[:k_max]
-        return self.ids[sub], d
-
-    def knn(self, q, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """The k nearest indexed points to q (fewer if the index is smaller)."""
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        q = np.asarray(q, dtype=np.float64).ravel()
-        k_eff = min(k, self.size)
-        d_tree, _ = self.tree.query(q, k=k_eff)
-        dmax = float(np.max(np.atleast_1d(d_tree)))
-        cand = np.asarray(
-            self.tree.query_ball_point(q, dmax * (1.0 + _TIE_SLACK) + 1e-12),
-            dtype=np.int64,
-        )
-        sub, d = self._exact_sorted(q, cand)
-        sub, d = sub[:k_eff], d[:k_eff]
-        return self.ids[sub], d
-
     def knn_batch(
         self, qs: np.ndarray, k: int, radius: float | None = None, workers: int = 1
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized up-to-k-nearest query for many points at once.
+    ) -> np.ndarray:
+        """Ids of the up-to-k nearest indexed points of each query row.
 
-        Returns (distances, ids) of shape (n, k); entries beyond the number
-        of neighbors found (or outside `radius`, inclusive) hold inf and -1.
-        Tie ordering at the k-th rank follows the k-d tree traversal; use
-        :meth:`knn` where id tie-breaking must match the brute-force oracle.
+        Returns an (n, k) int64 array. Row i lists, nearest first, the k
+        indexed points with the smallest 3D Euclidean distance to qs[i]
+        (only those within `radius`, inclusive, when it is given); ties
+        go to the lower id, and distances are judged by the plain formula
+        sqrt(sum((p - q)**2)), so every row equals a brute-force scan.
+        Rows with fewer neighbors are padded with -1.
         """
         qs = np.asarray(qs, dtype=np.float64)
         if qs.ndim != 2:
             raise ValueError("knn_batch expects an (n, 3) query array")
-        k_eff = min(k, self.size)
-        bound = np.inf if radius is None else np.nextafter(radius, np.inf)
-        d, idx = self.tree.query(
-            qs, k=k_eff, distance_upper_bound=bound, workers=workers
-        )
-        if k_eff == 1:  # scipy squeezes the k axis for scalar k=1
-            d = d[:, None]
-            idx = idx[:, None]
-        missing = ~np.isfinite(d)
-        if radius is not None:
-            missing |= d > radius
-        out_ids = np.where(missing, -1, self.ids[np.where(missing, 0, idx)])
-        d = np.where(missing, np.inf, d)
-        if k_eff < k:
-            pad = ((0, 0), (0, k - k_eff))
-            d = np.pad(d, pad, constant_values=np.inf)
-            out_ids = np.pad(out_ids, pad, constant_values=-1)
-        return d, out_ids
+        # One neighbor beyond k shows whether rank k is tied; the tree
+        # returns the index size as the id of a neighbor it did not find.
+        kq = min(k + 1, self.ids.shape[0])
+        limit = np.inf if radius is None else radius
+        reach = limit * (1.0 + _TIE_SLACK) + 1e-12
+        d, idx = self.tree.query(qs, k=kq, distance_upper_bound=reach, workers=workers)
+        if kq == 1:  # scipy squeezes the k axis for scalar k=1
+            d, idx = d[:, None], idx[:, None]
+        out = np.append(self.ids, -1)[idx[:, :k]]
+        del idx  # free it before the tie scan, which peaks with a copy of d
+        if kq < k:
+            out = np.pad(out, ((0, 0), (0, k - kq)), constant_values=-1)
+
+        # Tree order is exact wherever no two listed distances, and no
+        # distance and the radius, lie within the slack of each other.
+        rows = np.nonzero(_near(d[:, :-1], d[:, 1:]).any(axis=1)
+                          | _near(d, limit).any(axis=1))[0]
+        if rows.size:
+            # Re-solve those rows from every point the tree puts within the
+            # k-th (or radius) distance plus slack, sorted by (distance, id).
+            last = np.minimum(d[rows, min(k, kq) - 1], reach)
+            balls = self.tree.query_ball_point(
+                qs[rows], last * (1.0 + _TIE_SLACK) + 1e-12, workers=workers)
+            counts = np.fromiter(map(len, balls), np.int64, rows.size)
+            cand = np.fromiter(itertools.chain.from_iterable(balls), np.int64, counts.sum())
+            owner = np.repeat(np.arange(rows.size), counts)
+            dist = np.sqrt(np.sum((self.points[cand] - qs[rows][owner]) ** 2, axis=1))
+            order = np.lexsort((cand, dist, owner))  # ids ascend with cand
+            cand, owner, dist = cand[order], owner[order], dist[order]
+            rank = np.arange(owner.size) - np.searchsorted(owner, owner)
+            take = (rank < k) & (dist <= limit)
+            out[rows] = -1
+            out[rows[owner[take]], rank[take]] = self.ids[cand[take]]
+        return out
 
 
 def build_index(

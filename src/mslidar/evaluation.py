@@ -10,7 +10,7 @@ import csv
 import io
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -165,12 +165,7 @@ def evaluate(
         rate = error_rate_above(
             pred, truth, h_norm, t=t, predicted_tree_only=predicted_tree_only
         )
-    return EvalReport(
-        iou_nontree=report.iou_nontree, iou_tree=report.iou_tree,
-        miou=report.miou, macc=report.macc, oa=report.oa,
-        counts=report.counts, error_rate_above=rate, threshold=t,
-        manifest=report.manifest,
-    )
+    return replace(report, error_rate_above=rate, threshold=t)
 
 
 @dataclass

@@ -77,6 +77,22 @@ DEFAULTS: dict = {
 }
 
 
+# Leaves that may also be null (off), with a value of their other type.
+_NULLABLE = {"postprocess.threshold": 0.0, "train.patience": 0}
+
+
+def _fits(value, default) -> bool:
+    """Whether a config value has the type of its default: an int may stand
+    for a float, bool and int never for each other, and a list needs the
+    default's length and element types."""
+    if isinstance(default, list):
+        return (isinstance(value, list) and len(value) == len(default)
+                and all(map(_fits, value, default)))
+    if isinstance(default, float) and not isinstance(value, bool):
+        return isinstance(value, (int, float))
+    return type(value) is type(default)
+
+
 def _merge_into(base: dict, override: dict, path: str = "") -> dict:
     for key, value in override.items():
         where = f"{path}.{key}" if path else str(key)
@@ -86,8 +102,15 @@ def _merge_into(base: dict, override: dict, path: str = "") -> dict:
             if not isinstance(value, dict):
                 raise ConfigError(f"config key {where} must be a mapping")
             _merge_into(base[key], value, where)
-        else:
-            base[key] = value
+            continue
+        like = _NULLABLE.get(where, config_value(DEFAULTS, where))
+        if where == "train.hidden" and isinstance(value, list) and value:
+            like = like[:1] * len(value)  # the network may have any depth
+        if not (_fits(value, like) or value is None and where in _NULLABLE):
+            null = " or null" if where in _NULLABLE else ""
+            raise ConfigError(
+                f"config key {where} must have the type of {like!r}{null}, got {value!r}")
+        base[key] = value
     return base
 
 
@@ -95,7 +118,8 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
     """Defaults, overlaid by the YAML file, overlaid by `overrides`, a
     mapping of dotted keys such as ``"sor.k"`` to values.
 
-    Unknown keys anywhere, and a thread count below 1, raise ConfigError.
+    Unknown keys, values of another type than their default (see
+    :func:`_fits`) and a thread count below 1 raise ConfigError.
     """
     cfg = copy.deepcopy(DEFAULTS)
     if path is not None:
@@ -113,9 +137,8 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
     for key, value in (overrides or {}).items():
         # "sor.k": 9 overrides as {"sor": {"k": 9}}
         _merge_into(cfg, functools.reduce(lambda v, k: {k: v}, reversed(key.split(".")), value))
-    threads = cfg["threads"]
-    if not isinstance(threads, int) or threads < 1:
-        raise ConfigError(f"threads must be an integer >= 1, got {threads!r}")
+    if cfg["threads"] < 1:
+        raise ConfigError(f"threads must be an integer >= 1, got {cfg['threads']!r}")
     return cfg
 
 

@@ -74,7 +74,7 @@ def _cross_channel_db(
     lies within the radius.
     """
     index = build_index(source)
-    d, ids = index.knn_batch(targets.xyz, k=k, radius=radius, workers=workers)
+    ids = index.knn_batch(targets.xyz, k=k, radius=radius, workers=workers)
     valid = ids >= 0
     source_lin = db_to_linear(source.reflectance_db.astype(np.float64))
     lin = np.where(valid, source_lin[np.where(valid, ids, 0)], 0.0)

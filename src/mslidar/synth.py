@@ -114,9 +114,10 @@ def _in_footprint(x, y, footprints, margin: float = 0.0):
 
 
 def _rejection_xy(rng, n: int, cfg, footprints, margin: float) -> np.ndarray:
-    """n uniform XY positions over the extent, outside all footprints."""
+    """n uniform XY positions over the extent, outside all footprints.
+    ConfigError when 100 draws in a row place none: no room is left."""
     out = np.empty((n, 2))
-    filled = 0
+    filled = empty = 0
     while filled < n:
         m = max(2 * (n - filled), 64)
         cand = rng.uniform(0.0, cfg.extent, size=(m, 2))
@@ -124,6 +125,10 @@ def _rejection_xy(rng, n: int, cfg, footprints, margin: float) -> np.ndarray:
         cand = cand[ok][: n - filled]
         out[filled : filled + cand.shape[0]] = cand
         filled += cand.shape[0]
+        empty = 0 if cand.shape[0] else empty + 1
+        if empty == 100:
+            raise ConfigError(f"a {cfg.extent:.1f} m scene has no room outside its "
+                              "building footprints; ask for more points")
     return out
 
 

@@ -4,6 +4,8 @@ The oracles here are deliberately naive O(n^2) scans; production code
 must match them exactly, including tie handling.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,19 @@ def random_cloud(rng, n=200, extent=10.0, with_label=True) -> PointCloud:
         reflectance_db=rng.normal(-10, 3, n).astype(np.float32),
         **cols,
     )
+
+
+def tied_cloud(rng, n=200, extent=10.0, step=0.05, with_label=True) -> PointCloud:
+    """random_cloud with distance ties: coordinates rounded to a `step`
+    lattice, as LAS ingest quantizes them (left continuous when step is
+    None), and about 5% of the points copied onto other points."""
+    cloud = random_cloud(rng, n=n, extent=extent, with_label=with_label)
+    xyz = cloud.xyz
+    if step is not None:
+        xyz = np.round(xyz / step) * step
+    twins = rng.integers(0, n, max(n // 20, 1))
+    xyz[twins] = xyz[rng.integers(0, n, twins.size)]
+    return dataclasses.replace(cloud, x=xyz[:, 0], y=xyz[:, 1], z=xyz[:, 2])
 
 
 @pytest.fixture(scope="session")

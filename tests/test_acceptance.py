@@ -31,7 +31,7 @@ from mslidar.preprocess import SorParams, sor_filter, voxel_subsample
 
 from conftest import (
     brute_confusion, brute_knn, brute_radius, brute_sor_removed, brute_voxel,
-    random_cloud,
+    random_cloud, tied_cloud,
 )
 
 TRIALS = 100
@@ -43,29 +43,49 @@ def _ok(name: str, detail: str = "") -> None:
 
 # --------------------------------------------------------------- criterion 1
 
+def _trial_cloud(rng, trial: int, n: int, extent: float):
+    """Trial clouds in turn continuous, with duplicated points, and 5 cm
+    quantized with duplicated points (at a quarter of the extent, so the
+    lattice distances tie often)."""
+    if trial % 3 == 0:
+        return random_cloud(rng, n=n, extent=extent)
+    if trial % 3 == 1:
+        return tied_cloud(rng, n=n, extent=extent, step=None)
+    return tied_cloud(rng, n=n, extent=extent / 4, step=0.05)
+
+
 def test_oracle_equivalence_against_brute_force():
-    """radius/k-NN/SOR/confusion/voxel match brute force, 100 trials each."""
+    """knn_batch (k-NN and radius)/SOR/confusion/voxel match brute force,
+    100 trials each; the neighbor and SOR clouds hold ties."""
     rng = np.random.default_rng(2024)
     t0 = time.perf_counter()
     mismatches = 0
 
-    for _ in range(TRIALS):
-        cloud = random_cloud(rng, n=int(rng.integers(50, 2001)), extent=12.0)
+    for trial in range(TRIALS):
+        n = int(rng.integers(50, 2001))
+        cloud = _trial_cloud(rng, trial, n, extent=12.0)
         index = build_index(cloud)
-        q = rng.uniform(0, 12.0, 3)
+        # production queries are the indexed points themselves
+        qs = np.vstack((
+            cloud.xyz[rng.choice(n, min(n, 150), replace=False)],
+            np.round(rng.uniform(0, 12.0, (50, 3)) / 0.05) * 0.05,
+        ))
         k = int(rng.integers(1, 17))
-        ids, _ = index.knn(q, k)
-        ref, _ = brute_knn(cloud.xyz, q, k)
-        if not np.array_equal(ids, ref):
-            mismatches += 1
-        r = float(rng.uniform(0.3, 3.0))
-        ids, _ = index.radius_neighbors(q, r)
-        ref, _ = brute_radius(cloud.xyz, q, r)
-        if not np.array_equal(ids, ref):
-            mismatches += 1
+        # a radius that some point lies exactly on, by the oracle's formula
+        _, near = brute_knn(cloud.xyz, qs[0], 2 * k)
+        near = near[near > 0]
+        r = float(rng.choice(near)) if near.size else 0.3
+        knn, within = index.knn_batch(qs, k), index.knn_batch(qs, k, radius=r)
+        for i, q in enumerate(qs):
+            ref, _ = brute_knn(cloud.xyz, q, k)
+            mismatches += not np.array_equal(knn[i], ref)
+            ref, _ = brute_radius(cloud.xyz, q, r, k_max=k)
+            row = within[i]
+            mismatches += not (np.array_equal(row[: ref.size], ref)
+                               and np.all(row[ref.size :] == -1))
 
-    for _ in range(TRIALS):
-        cloud = random_cloud(rng, n=int(rng.integers(50, 1501)), extent=10.0)
+    for trial in range(TRIALS):
+        cloud = _trial_cloud(rng, trial, int(rng.integers(50, 1501)), extent=10.0)
         params = SorParams(k=int(rng.integers(3, 9)),
                            n_sigma=float(rng.choice([0.5, 1.0, 2.0])))
         _, removed = sor_filter(cloud, params)

@@ -11,7 +11,7 @@ from mslidar.errors import DataError, NumericError
 from mslidar.features import FeatureConfig, FeatureMatrix
 from mslidar.mlp import Mlp, TrainConfig, train
 
-from conftest import brute_radius, random_cloud
+from conftest import brute_radius, random_cloud, tied_cloud
 
 
 class TestClassWeights:
@@ -200,6 +200,15 @@ class TestNeighborhood:
             ids, _ = brute_radius(cloud.xyz, cloud.xyz[i], 2.0, k_max=16)
             got = graph[i][graph[i] >= 0]
             np.testing.assert_array_equal(got, ids)
+
+    def test_graph_matches_brute_radius_on_quantized_cloud(self):
+        rng = np.random.default_rng(22)
+        cloud = tied_cloud(rng, n=500, extent=2.0)
+        graph = neighborhood_graph(cloud, k=16, radius=0.3)
+        for i, q in enumerate(cloud.xyz):
+            ids, _ = brute_radius(cloud.xyz, q, 0.3, k_max=16)
+            np.testing.assert_array_equal(graph[i, : ids.size], ids)
+            assert np.all(graph[i, ids.size :] == -1)
 
     def test_every_row_contains_self(self):
         rng = np.random.default_rng(20)

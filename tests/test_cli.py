@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import shutil
+import time
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from mslidar.cli import build_parser, effective_config, main
 from mslidar import evaluation, pipeline
 from mslidar.columnar import read_columnar, write_columnar
+from mslidar.errors import ConfigError
 from mslidar.features import FeatureConfig, fit_config_normalization
 
 
@@ -246,6 +248,27 @@ class TestErrorPaths:
         assert rc == 2
         assert "error[config]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stage, yaml_text", [
+        ("subsample", "voxel:\n  grid: x\n"),
+        ("denoise", "sor:\n  k: '6'\n"),
+    ])
+    def test_mistyped_config_value_is_config_error(self, chain, tmp_path, capsys,
+                                                   stage, yaml_text):
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(yaml_text)
+        rc = main([stage, "--in", str(chain["feat"]),
+                   "--out", str(tmp_path / "x.mst"), "--config", str(cfg)])
+        assert rc == 2
+        assert "error[config]: config key" in capsys.readouterr().err
+
+    def test_scene_without_room_for_trees_is_config_error(self, tmp_path, capsys):
+        t0 = time.perf_counter()
+        rc = main(["synth", "--out", str(tmp_path / "s.mst"),
+                   "--target-points", "3000"])
+        assert rc == 2
+        assert time.perf_counter() - t0 < 10.0
+        assert "no room outside its building footprints" in capsys.readouterr().err
+
     def test_merge_without_inputs_is_config_error(self, tmp_path, capsys):
         rc = main(["merge", "--out", str(tmp_path / "m.mst")])
         assert rc == 2
@@ -377,3 +400,35 @@ def test_every_config_flag_is_listed():
     table = {(st.name, f.option, f.config)
              for st in pipeline.STAGES.values() for f in st.flags if f.config}
     assert table == {(c[0], c[1], c[3]) for c in CONFIG_FLAGS}
+
+
+@pytest.mark.parametrize("yaml_text, ok", [
+    ("voxel: {grid: 1}", True),                     # an int for a float
+    ("voxel: {grid: true}", False),                 # bool is no number
+    ("sor: {k: 6.0}", False),                       # a float for an int
+    ("threads: true", False),
+    ("evaluate: {predicted_tree_only: 1}", False),  # int is no bool
+    ("features: {config: 7}", False),
+    ("split: {ratios: [0.5, 0.25, 0.25]}", True),
+    ("split: {ratios: [0.5, 0.5]}", False),         # default's length
+    ("split: {ratios: [1, 0, 0]}", True),
+    ("split: {ratios: 0.5}", False),
+    ("train: {hidden: [32, 16, 8]}", True),         # any depth
+    ("train: {hidden: [32.0]}", False),
+    ("train: {hidden: []}", False),
+    ("train: {patience: 5}", True),
+    ("train: {patience: null}", True),
+    ("train: {patience: 5.5}", False),
+    ("postprocess: {threshold: null}", True),
+    ("postprocess: {threshold: 3}", True),
+    ("postprocess: {threshold: '3'}", False),
+    ("dtm: {cell: null}", False),
+])
+def test_config_values_take_their_default_type(tmp_path, yaml_text, ok):
+    path = tmp_path / "c.yaml"
+    path.write_text(yaml_text + "\n")
+    if ok:
+        pipeline.load_config(path)
+    else:
+        with pytest.raises(ConfigError, match="must have the type of"):
+            pipeline.load_config(path)

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from mslidar.cloud import Channel, Label, PointCloud, build_index, concat
 from mslidar.errors import DataError
 
-from conftest import brute_knn, brute_radius, random_cloud
+from conftest import brute_knn, brute_radius, random_cloud, tied_cloud
 
 
 def make_cloud(n=5, **extra):
@@ -77,31 +77,41 @@ class TestPointCloud:
             make_cloud(3).require("h_norm")
 
 
+def oracle_rows(index, cloud, qs, k, radius=None):
+    """Rows of index.knn_batch for cloud, as brute_knn/brute_radius give them."""
+    rows = np.full((len(qs), k), -1, dtype=np.int64)
+    for i, q in enumerate(qs):
+        if radius is None:
+            ids, _ = brute_knn(cloud.xyz, q, k)
+        else:
+            ids, _ = brute_radius(cloud.xyz, q, radius, k_max=k)
+        rows[i, : len(ids)] = ids
+    return rows
+
+
 class TestSpatialIndex:
     def test_knn_matches_brute_force_randomized(self):
         rng = np.random.default_rng(7)
         for trial in range(30):
-            cloud = random_cloud(rng, n=int(rng.integers(5, 300)))
+            make = tied_cloud if trial % 2 else random_cloud
+            cloud = make(rng, n=int(rng.integers(5, 300)))
             index = build_index(cloud)
-            q = rng.uniform(0, 10, 3)
+            qs = np.vstack((rng.uniform(0, 10, (5, 3)), cloud.xyz[:20]))
             k = int(rng.integers(1, 10))
-            ids, d = index.knn(q, k)
-            bids, bd = brute_knn(cloud.xyz, q, k)
-            np.testing.assert_array_equal(ids, bids)
-            np.testing.assert_allclose(d, bd, rtol=0, atol=0)
+            np.testing.assert_array_equal(
+                index.knn_batch(qs, k), oracle_rows(index, cloud, qs, k))
 
     def test_radius_matches_brute_force_randomized(self):
         rng = np.random.default_rng(8)
         for trial in range(30):
-            cloud = random_cloud(rng, n=int(rng.integers(5, 300)))
+            make = tied_cloud if trial % 2 else random_cloud
+            cloud = make(rng, n=int(rng.integers(5, 300)))
             index = build_index(cloud)
-            q = rng.uniform(0, 10, 3)
+            qs = np.vstack((rng.uniform(0, 10, (5, 3)), cloud.xyz[:20]))
             r = float(rng.uniform(0.5, 6.0))
-            k_max = int(rng.integers(1, 12)) if trial % 2 else None
-            ids, d = index.radius_neighbors(q, r, k_max=k_max)
-            bids, bd = brute_radius(cloud.xyz, q, r, k_max=k_max)
-            np.testing.assert_array_equal(ids, bids)
-            np.testing.assert_allclose(d, bd, rtol=0, atol=0)
+            k = int(rng.integers(1, 12)) if trial % 3 else cloud.count
+            np.testing.assert_array_equal(
+                index.knn_batch(qs, k, radius=r), oracle_rows(index, cloud, qs, k, r))
 
     def test_boundary_distance_is_inclusive(self):
         cloud = PointCloud(
@@ -109,9 +119,8 @@ class TestSpatialIndex:
             channel=np.zeros(3, np.uint8),
         )
         index = build_index(cloud)
-        ids, d = index.radius_neighbors(np.zeros(3), 1.0)
-        assert ids.tolist() == [0, 1]
-        assert d[1] == 1.0
+        ids = index.knn_batch(np.zeros((1, 3)), 3, radius=1.0)
+        assert ids.tolist() == [[0, 1, -1]]
 
     def test_distance_ties_break_by_lower_id(self):
         # four points at identical distance from the origin
@@ -122,29 +131,28 @@ class TestSpatialIndex:
             channel=np.zeros(4, np.uint8),
         )
         index = build_index(cloud)
-        ids, _ = index.knn(np.zeros(3), 2)
-        assert ids.tolist() == [0, 1]
-        ids, _ = index.radius_neighbors(np.zeros(3), 1.0, k_max=3)
-        assert ids.tolist() == [0, 1, 2]
+        assert index.knn_batch(np.zeros((1, 3)), 2).tolist() == [[0, 1]]
+        ids = index.knn_batch(np.zeros((1, 3)), 3, radius=1.0)
+        assert ids.tolist() == [[0, 1, 2]]
 
     def test_channel_filter_restricts_and_keeps_original_ids(self):
         rng = np.random.default_rng(9)
         cloud = random_cloud(rng, n=50)
         index = build_index(cloud, channel_filter=Channel.NIR_1064)
-        ids, _ = index.knn(np.array([5.0, 5.0, 2.0]), 5)
+        ids = index.knn_batch(np.array([[5.0, 5.0, 2.0]]), 5)[0]
         assert np.all(cloud.channel[ids] == int(Channel.NIR_1064))
+        nir = np.nonzero(cloud.channel == int(Channel.NIR_1064))[0]
+        ref, _ = brute_knn(cloud.xyz[nir], np.array([5.0, 5.0, 2.0]), 5)
+        np.testing.assert_array_equal(ids, nir[ref])
 
     def test_knn_batch_matches_single_queries(self):
         rng = np.random.default_rng(10)
-        cloud = random_cloud(rng, n=120)
+        cloud = tied_cloud(rng, n=120)
         index = build_index(cloud)
-        qs = rng.uniform(0, 10, (15, 3))
-        d, ids = index.knn_batch(qs, k=4, radius=2.0)
-        for row, q in enumerate(qs):
-            bids, bd = brute_radius(cloud.xyz, q, 2.0, k_max=4)
-            got = ids[row][ids[row] >= 0]
-            np.testing.assert_array_equal(np.sort(got), np.sort(bids))
-            np.testing.assert_allclose(np.sort(d[row][ids[row] >= 0]), bd)
+        qs = np.vstack((rng.uniform(0, 10, (15, 3)), cloud.xyz))
+        np.testing.assert_array_equal(
+            index.knn_batch(qs, k=4, radius=0.8),
+            oracle_rows(index, cloud, qs, 4, 0.8))
 
     def test_empty_cloud_rejected(self):
         empty = PointCloud(
@@ -163,11 +171,14 @@ class TestSpatialIndex:
         rng = np.random.default_rng(seed)
         cloud = random_cloud(rng, n=n, with_label=False)
         index = build_index(cloud)
-        q = rng.uniform(0, 10, 3)
-        ids, d = index.radius_neighbors(q, r)
+        q = rng.uniform(0, 10, (1, 3))
+        ids = index.knn_batch(q, n, radius=r)[0]
+        ids = ids[ids >= 0]
+        d = np.sqrt(((cloud.xyz[ids] - q) ** 2).sum(axis=1))
         assert np.all(np.diff(d) >= 0)            # sorted by distance
         assert np.all(d <= r)                     # all within the radius
         assert len(set(ids.tolist())) == len(ids)  # unique
-        kids, kd = index.knn(q, k)
-        assert len(kids) == min(k, n)
+        kids = index.knn_batch(q, k)[0]
+        assert np.all(kids[: min(k, n)] >= 0) and np.all(kids[min(k, n):] == -1)
+        kd = np.sqrt(((cloud.xyz[kids[kids >= 0]] - q) ** 2).sum(axis=1))
         assert np.all(np.diff(kd) >= 0)

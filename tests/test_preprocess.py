@@ -10,7 +10,9 @@ from mslidar.preprocess import (
     SorParams, merge_channels, sor_filter, voxel_subsample,
 )
 
-from conftest import brute_sor_removed, brute_voxel, random_cloud
+from conftest import (
+    brute_radius, brute_sor_removed, brute_voxel, random_cloud, tied_cloud,
+)
 
 
 def channel_cloud(xyz, refl, channel):
@@ -141,6 +143,25 @@ class TestMergeChannels:
         lin = 10.0 ** (refl[:7].astype(np.float64) / 10.0)
         expected = 10.0 * math.log10(lin.mean())
         assert nir_rows.refl_green_db[0] == pytest.approx(expected, abs=1e-6)
+
+    def test_quantized_clouds_match_oracle_mean(self):
+        # on a 5 cm lattice with duplicated points, with ties at rank k
+        rng = np.random.default_rng(13)
+        g = tied_cloud(rng, n=400, extent=1.5)
+        g.channel[:] = int(Channel.GREEN_532)
+        n = tied_cloud(rng, n=400, extent=1.5)
+        n.channel[:] = int(Channel.NIR_1064)
+        merged = merge_channels(g, n, radius=0.2, k=7)
+        crossed = ((g, n, merged.refl_nir_db[: g.count]),
+                   (n, g, merged.refl_green_db[g.count :]))
+        for target, source, got in crossed:
+            lin = 10.0 ** (source.reflectance_db.astype(np.float64) / 10.0)
+            expected = np.full(target.count, np.nan, dtype=np.float32)
+            for i, q in enumerate(target.xyz):
+                ids, _ = brute_radius(source.xyz, q, 0.2, k_max=7)
+                if ids.size:
+                    expected[i] = 10.0 * np.log10(lin[ids].sum() / ids.size)
+            np.testing.assert_array_equal(got, expected)
 
     def test_own_channel_reflectance_never_altered(self):
         rng = np.random.default_rng(11)
