@@ -5,6 +5,10 @@ aggregates (means/stds of the spectral columns, height range and point
 count over the <=16 nearest neighbors within 2 m). The aggregates hand
 the point-wise learner the spatial context a point-cloud network gets
 architecturally, which is all the ablation logic needs.
+
+The feature recipe lives here once: :func:`fit` and :func:`classify` take
+the neighbourhood, normalization and post-process settings from the
+effective config, and both the stepwise stages and the ablation run them.
 """
 
 import struct
@@ -16,8 +20,11 @@ import numpy as np
 from .cloud import Label, PointCloud, build_index
 from .columnar import read_labels
 from .errors import DataError
-from .features import FeatureConfig, FeatureMatrix
-from .mlp import Mlp
+from .features import (
+    FeatureConfig, FeatureMatrix, NormalizationParams, assemble_features,
+    fit_config_normalization,
+)
+from .mlp import Mlp, TrainConfig, TrainResult, train
 
 CHECKPOINT_MAGIC = b"MSTM"
 CHECKPOINT_VERSION = 1
@@ -154,6 +161,53 @@ def height_threshold_postprocess(
         probabilities=prediction.probabilities, labels=labels,
         source=prediction.source,
     )
+
+
+def config_graph(cloud: PointCloud, cfg: dict) -> np.ndarray:
+    """The neighborhood graph of the effective config's neighborhood.k/radius."""
+    return neighborhood_graph(cloud, **cfg["neighborhood"], workers=cfg["threads"])
+
+
+def _features(cloud, fconfig, params, cfg, graph) -> FeatureMatrix:
+    if graph is None:
+        graph = config_graph(cloud, cfg)
+    return neighborhood_stats(assemble_features(cloud, fconfig, params), graph)
+
+
+def fit(
+    cloud: PointCloud, fconfig: FeatureConfig, cfg: dict, graph: np.ndarray | None = None
+) -> tuple[TrainResult, NormalizationParams | None, np.ndarray]:
+    """Train a model on a labelled cloud with the effective config `cfg`.
+
+    Spectral columns are scaled at the features.p_low/p_high percentiles
+    of this cloud; `graph` is its neighborhood graph, built from cfg when
+    None. Returns the training result, the normalization (None for a
+    config without spectral columns) and the class weights.
+    """
+    cloud.require("label", "h_norm")
+    params = None
+    if fconfig.spectral_columns:
+        params = fit_config_normalization(
+            cloud, fconfig, p_low=cfg["features"]["p_low"], p_high=cfg["features"]["p_high"]
+        )
+    fm = _features(cloud, fconfig, params, cfg, graph)
+    weights = compute_class_weights(cloud.label)
+    result = train(fm.values, cloud.label, weights,
+                   TrainConfig(**cfg["train"], seed=cfg["seed"]))
+    return result, params, weights
+
+
+def classify(
+    cloud: PointCloud, model: Mlp, fconfig: FeatureConfig,
+    params: NormalizationParams | None, cfg: dict, graph: np.ndarray | None = None,
+) -> Prediction:
+    """Predict a cloud with a model fitted by :func:`fit`, then relabel
+    predicted trees below postprocess.threshold (null: keep them)."""
+    pred = predict(_features(cloud, fconfig, params, cfg, graph), model)
+    threshold = cfg["postprocess"]["threshold"]
+    if threshold is not None:
+        pred = height_threshold_postprocess(pred, cloud, t=threshold)
+    return pred
 
 
 def save_checkpoint(

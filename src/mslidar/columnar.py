@@ -82,7 +82,10 @@ def read_columnar(path) -> PointCloud:
     offset = _HEADER.size
     if len(raw) < offset + note_len:
         raise DataError(f"{path}: truncated CRS note")
-    note = raw[offset : offset + note_len].decode("utf-8")
+    try:
+        note = raw[offset : offset + note_len].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: CRS note is not UTF-8 ({exc})") from None
     offset += note_len
 
     names = ["x", "y", "z", "channel"]
@@ -123,25 +126,24 @@ def read_labels(path, expected_count: int | None = None) -> np.ndarray:
     path = Path(path)
     values = []
     try:
-        fh = path.open("r", encoding="utf-8")
-    except OSError as exc:
+        lines = path.read_text(encoding="utf-8").split("\n")
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read labels from {path}: {exc}") from exc
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                value = int(line)
-            except ValueError:
-                raise DataError(
-                    f"{path}:{lineno}: expected an integer label, got {line!r}"
-                ) from None
-            if not 0 <= value <= 255:
-                raise DataError(
-                    f"{path}:{lineno}: label {value} outside the u8 range"
-                )
-            values.append(value)
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            value = int(line)
+        except ValueError:
+            raise DataError(
+                f"{path}:{lineno}: expected an integer label, got {line!r}"
+            ) from None
+        if not 0 <= value <= 255:
+            raise DataError(
+                f"{path}:{lineno}: label {value} outside the u8 range"
+            )
+        values.append(value)
     labels = np.asarray(values, dtype=np.uint8)
     if expected_count is not None and labels.shape[0] != expected_count:
         raise DataError(

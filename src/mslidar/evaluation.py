@@ -4,25 +4,23 @@ Tree is the positive class throughout. Reports carry both per-class
 IoUs, their mean, overall accuracy, and mean per-class recall, plus the
 misclassification rate restricted to points above a normalized-height
 threshold. Percentages are reported to two decimals in exported tables.
+
+:func:`score` is the last step of the model path whose first two,
+``classifier.fit`` and ``classifier.classify``, the ablation shares with
+the train, predict and evaluate stages.
 """
 
 import csv
 import io
 import json
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .cloud import Label, PointCloud
 from .errors import DataError
-from .features import (
-    ALL_CONFIGS,
-    FeatureConfig,
-    assemble_features,
-    fit_config_normalization,
-)
-from .mlp import TrainConfig, train
+from .features import FeatureConfig
 from . import classifier as clf
 
 logger = logging.getLogger(__name__)
@@ -191,102 +189,69 @@ class AblationResult:
         return rows
 
 
+def score(labels: np.ndarray, cloud: PointCloud, cfg: dict,
+          manifest: dict | None = None) -> EvalReport:
+    """Report of predicted labels against the cloud's ground truth, with
+    the effective config's evaluate.threshold and predicted_tree_only;
+    the above-threshold error rate needs the cloud's h_norm."""
+    cloud.require("label")
+    return evaluate(
+        labels, cloud.label, cloud.h_norm if cloud.has("h_norm") else None,
+        t=cfg["evaluate"]["threshold"],
+        predicted_tree_only=cfg["evaluate"]["predicted_tree_only"],
+        manifest=manifest,
+    )
+
+
 def run_ablation(
     train_cloud: PointCloud,
     test_cloud: PointCloud,
-    configs: tuple[FeatureConfig, ...] = ALL_CONFIGS,
-    train_config: TrainConfig = TrainConfig(),
-    postprocess_threshold: float | None = 2.0,
-    eval_threshold: float = 2.0,
-    neighbor_k: int = 16,
-    neighbor_radius: float = 2.0,
-    workers: int = 1,
+    configs: tuple[FeatureConfig, ...],
+    cfg: dict,
     on_report=None,
-    p_low: float = 1.0,
-    p_high: float = 99.0,
 ) -> AblationResult:
-    """Train and evaluate one model per feature config, same seed for all.
+    """Fit, classify and score one model per feature config with the
+    effective config `cfg`, same seed for all.
 
     The geometric neighbor graphs depend only on the coordinates, so
-    they are computed once per cloud and reused across configs. Spectral
-    columns are scaled at the p_low/p_high percentiles of the train
-    split, as in the train stage. Raises
+    they are computed once per cloud and reused across configs. Raises
     after saving partial results via `on_report` if one config fails.
     """
     for name, cloud in (("train", train_cloud), ("test", test_cloud)):
         cloud.require("label", "h_norm")
         if cloud.count == 0:
             raise DataError(f"{name} cloud is empty")
-    graph_train = clf.neighborhood_graph(
-        train_cloud, k=neighbor_k, radius=neighbor_radius, workers=workers
-    )
-    graph_test = clf.neighborhood_graph(
-        test_cloud, k=neighbor_k, radius=neighbor_radius, workers=workers
-    )
-    class_weights = clf.compute_class_weights(train_cloud.label)
+    graph_train = clf.config_graph(train_cloud, cfg)
+    graph_test = clf.config_graph(test_cloud, cfg)
 
     reports: dict[FeatureConfig, EvalReport] = {}
-    for cfg in configs:
-        params = None
-        if cfg.spectral_columns:
-            params = fit_config_normalization(
-                train_cloud, cfg, p_low=p_low, p_high=p_high
-            )
-        fm_train = clf.neighborhood_stats(
-            assemble_features(train_cloud, cfg, params), graph_train
-        )
-        fm_test = clf.neighborhood_stats(
-            assemble_features(test_cloud, cfg, params), graph_test
-        )
-        result = train(
-            fm_train.values, train_cloud.label, class_weights, train_config
-        )
-        pred = clf.predict(fm_test, result.model)
-        if postprocess_threshold is not None:
-            pred = clf.height_threshold_postprocess(
-                pred, test_cloud, t=postprocess_threshold
-            )
-        report = evaluate(
-            pred.labels, test_cloud.label, test_cloud.h_norm, t=eval_threshold,
-            manifest={
-                "feature_config": cfg.name,
-                "seed": train_config.seed,
-                "epochs": train_config.epochs,
-                "final_train_loss": result.loss_curve[-1],
-                "class_weights": [float(w) for w in class_weights],
-                "postprocess_threshold": postprocess_threshold,
-            },
-        )
-        reports[cfg] = report
-        logger.info("ablation %s: mIoU=%.2f OA=%.2f", cfg.name, report.miou, report.oa)
+    for fconfig in configs:
+        result, params, weights = clf.fit(train_cloud, fconfig, cfg, graph_train)
+        pred = clf.classify(test_cloud, result.model, fconfig, params, cfg, graph_test)
+        report = score(pred.labels, test_cloud, cfg, manifest={
+            "feature_config": fconfig.name,
+            "seed": cfg["seed"],
+            "epochs": cfg["train"]["epochs"],
+            "final_train_loss": result.loss_curve[-1],
+            "class_weights": [float(w) for w in weights],
+            "postprocess_threshold": cfg["postprocess"]["threshold"],
+        })
+        reports[fconfig] = report
+        logger.info("ablation %s: mIoU=%.2f OA=%.2f", fconfig.name, report.miou, report.oa)
         if on_report is not None:
-            on_report(cfg, report)
+            on_report(fconfig, report)
     return AblationResult(reports=reports)
 
 
 def report_to_json(obj: EvalReport | AblationResult) -> str:
     if isinstance(obj, EvalReport):
-        payload = _report_payload(obj)
+        payload = asdict(obj)
     else:
         payload = {
-            "reports": {c.name: _report_payload(r) for c, r in obj.reports.items()},
+            "reports": {c.name: asdict(r) for c, r in obj.reports.items()},
             "best": {k: v.name for k, v in obj.best.items()},
         }
     return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def _report_payload(r: EvalReport) -> dict:
-    return {
-        "iou_nontree": r.iou_nontree,
-        "iou_tree": r.iou_tree,
-        "miou": r.miou,
-        "macc": r.macc,
-        "oa": r.oa,
-        "error_rate_above": r.error_rate_above,
-        "threshold": r.threshold,
-        "counts": {"tp": r.counts.tp, "fp": r.counts.fp, "fn": r.counts.fn, "tn": r.counts.tn},
-        "manifest": r.manifest,
-    }
 
 
 def report_to_csv(obj: EvalReport | AblationResult) -> str:

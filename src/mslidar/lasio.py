@@ -137,16 +137,15 @@ def read_las(
             extra_defs = _parse_extra_defs(raw[off : off + rec_len])
         off += rec_len
 
-    base = np.dtype(_POINT_DTYPES[point_format])
-    fields = list(_POINT_DTYPES[point_format])
-    for name, dtype in extra_defs:
-        fields.append((name, dtype))
-    rec = np.dtype(fields)
+    fields = _POINT_DTYPES[point_format] + extra_defs
+    try:
+        rec = np.dtype(fields)
+        if rec.itemsize < point_len:  # unknown trailing bytes: skip them
+            rec = np.dtype(fields + [("_pad", "V%d" % (point_len - rec.itemsize))])
+    except ValueError as exc:  # a name given twice, e.g. an extra-bytes "X"
+        raise DataError(f"{path}: bad extra-bytes attribute names ({exc})") from None
     if rec.itemsize > point_len:
         raise DataError(f"{path}: point record length {point_len} too small")
-    if rec.itemsize < point_len:  # unknown trailing bytes: skip them
-        fields.append(("_pad", "V%d" % (point_len - rec.itemsize)))
-        rec = np.dtype(fields)
     if len(raw) < point_offset + count * point_len:
         raise DataError(
             f"{path}: truncated point data ({count} records declared)"

@@ -117,24 +117,18 @@ class Mlp:
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         logits, _ = self.forward(np.asarray(x, dtype=self.dtype))
-        proba = softmax(logits.astype(np.float64))
+        _, _, e, s = _shifted_exp(logits)
         self._workspace.clear()   # a prediction set is not a batch to keep
-        return proba
+        return e / s[:, None]
 
     def _weighted_ce(self, logits, y, class_weights):
         """Weighted cross-entropy plus the pieces the softmax gradient reuses.
 
-        Returns (loss, e, s, w) with e = exp(logits - row max), s its row
-        sums and w the per-row weights normalized to sum to 1.
+        Returns (loss, e, s, w) with e and s as :func:`_shifted_exp` gives
+        them and w the per-row weights normalized to sum to 1.
         """
         cw = np.asarray(class_weights, dtype=self.dtype)
-        logits64 = logits.astype(np.float64)
-        if logits64.shape[1] == 2:
-            peak = np.maximum(logits64[:, 0], logits64[:, 1])
-        else:
-            peak = logits64.max(axis=1)
-        e = np.exp(logits64 - peak[:, None])
-        s = e.sum(axis=1)
+        logits64, peak, e, s = _shifted_exp(logits)
         ce = np.log(s) + peak - logits64[np.arange(y.shape[0]), y]
         w = cw[y].astype(np.float64)
         w_sum = w.sum()
@@ -194,10 +188,13 @@ class Mlp:
         return loss, grads
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    shift = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shift)
-    return e / e.sum(axis=1, keepdims=True)
+def _shifted_exp(logits: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The softmax in pieces, in float64: (logits, row max, e = exp(logits
+    - row max), row sums of e). e / s is the softmax."""
+    z = logits.astype(np.float64)
+    peak = np.maximum(z[:, 0], z[:, 1]) if z.shape[1] == 2 else z.max(axis=1)
+    e = np.exp(z - peak[:, None])
+    return z, peak, e, e.sum(axis=1)
 
 
 @dataclass

@@ -31,11 +31,8 @@ from .columnar import read_columnar, write_columnar
 from .csf import CsfParams, csf_ground
 from .dtm import build_dtm, normalize_height
 from .errors import ConfigError
-from .features import (
-    FeatureConfig, NormalizationParams, add_pndvi, assemble_features,
-    fit_config_normalization,
-)
-from .mlp import TrainConfig, train
+from .features import ALL_CONFIGS, FeatureConfig, NormalizationParams, add_pndvi
+from .mlp import TrainConfig
 from .preprocess import SorParams, merge_channels, sor_filter, voxel_subsample
 from .split import SPLIT_NAMES, split_plots
 from .synth import generate_scene, scaled_config
@@ -390,15 +387,6 @@ def stage_split(cfg: dict, inp: Path, out_dir: Path) -> dict[str, Path]:
     return paths
 
 
-def _assemble(cfg, cloud, fconfig, params):
-    graph = clf.neighborhood_graph(
-        cloud, k=cfg["neighborhood"]["k"], radius=cfg["neighborhood"]["radius"],
-        workers=cfg["threads"],
-    )
-    fm = assemble_features(cloud, fconfig, params)
-    return clf.neighborhood_stats(fm, graph)
-
-
 @stage("train", "train the point classifier",
        path("--train", "train_path"), OUT_DIR,
        setting("features.config", "--feature-config"), setting("train.epochs"),
@@ -406,21 +394,13 @@ def _assemble(cfg, cloud, fconfig, params):
        setting("train.batch_size"))
 def stage_train(cfg: dict, train_path: Path, out_dir: Path) -> Path:
     cloud = read_columnar(train_path)
-    cloud.require("label", "h_norm")
     fconfig = FeatureConfig.from_name(cfg["features"]["config"])
-    params = None
-    sidecar_name = ""
+    result, params, weights = clf.fit(cloud, fconfig, cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if fconfig.spectral_columns:
-        params = fit_config_normalization(
-            cloud, fconfig, p_low=cfg["features"]["p_low"], p_high=cfg["features"]["p_high"]
-        )
+    sidecar_name = ""
+    if params is not None:
         sidecar_name = "normalization.json"
         params.save(out_dir / sidecar_name)
-    fm = _assemble(cfg, cloud, fconfig, params)
-    weights = clf.compute_class_weights(cloud.label)
-    result = train(fm.values, cloud.label, weights,
-                   TrainConfig(**cfg["train"], seed=cfg["seed"]))
     model_path = out_dir / "model.mstm"
     clf.save_checkpoint(
         model_path, result.model, fconfig, weights, cfg["seed"], sidecar_name
@@ -458,11 +438,7 @@ def stage_predict(cfg: dict, inp: Path, model_path: Path, out_dir: Path) -> Path
     params = None
     if meta["norm_sidecar"]:
         params = NormalizationParams.load(model_path.parent / meta["norm_sidecar"])
-    fm = _assemble(cfg, cloud, fconfig, params)
-    pred = clf.predict(fm, model)
-    threshold = cfg["postprocess"]["threshold"]
-    if threshold is not None and cloud.has("h_norm"):
-        pred = clf.height_threshold_postprocess(pred, cloud, t=threshold)
+    pred = clf.classify(cloud, model, fconfig, params, cfg)
     pred_path = _write_predictions(out_dir, pred.labels)
     write_manifest(
         out_dir, "predict", cfg, {"cloud": inp, "model": model_path},
@@ -500,15 +476,8 @@ def stage_evaluate(
     las_out: Path | None = None,
 ) -> ev.EvalReport:
     cloud = read_columnar(cloud_path)
-    cloud.require("label")
     pred = clf.import_predictions(pred_path, cloud)
-    report = ev.evaluate(
-        pred.labels, cloud.label,
-        cloud.h_norm if cloud.has("h_norm") else None,
-        t=cfg["evaluate"]["threshold"],
-        predicted_tree_only=cfg["evaluate"]["predicted_tree_only"],
-        manifest={"prediction_source": pred.source},
-    )
+    report = ev.score(pred.labels, cloud, cfg, {"prediction_source": pred.source})
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_report(out_dir / "report", report)
     if las_out is not None:
@@ -530,8 +499,7 @@ def stage_ablate(
     configs: list[str] | None = None,
 ) -> ev.AblationResult:
     fconfigs = (
-        tuple(FeatureConfig.from_name(n) for n in configs) if configs
-        else tuple(FeatureConfig)
+        tuple(FeatureConfig.from_name(n) for n in configs) if configs else ALL_CONFIGS
     )
     train_cloud = read_columnar(train_path)
     test_cloud = read_columnar(test_path)
@@ -542,19 +510,7 @@ def stage_ablate(
             ev.report_to_json(report) + "\n", encoding="utf-8"
         )
 
-    result = ev.run_ablation(
-        train_cloud, test_cloud,
-        configs=fconfigs,
-        train_config=TrainConfig(**cfg["train"], seed=cfg["seed"]),
-        postprocess_threshold=cfg["postprocess"]["threshold"],
-        eval_threshold=cfg["evaluate"]["threshold"],
-        neighbor_k=cfg["neighborhood"]["k"],
-        neighbor_radius=cfg["neighborhood"]["radius"],
-        workers=cfg["threads"],
-        on_report=save_partial,
-        p_low=cfg["features"]["p_low"],
-        p_high=cfg["features"]["p_high"],
-    )
+    result = ev.run_ablation(train_cloud, test_cloud, fconfigs, cfg, on_report=save_partial)
     _write_report(out_dir / "ablation", result)
     write_manifest(
         out_dir, "ablate", cfg, {"train": train_path, "test": test_path},

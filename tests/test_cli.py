@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from mslidar.cli import build_parser, effective_config, main
-from mslidar import evaluation, pipeline
+from mslidar import classifier, pipeline
 from mslidar.columnar import read_columnar, write_columnar
 from mslidar.errors import ConfigError
 from mslidar.features import FeatureConfig, fit_config_normalization
+from mslidar.lasio import write_las
 
 
 @pytest.fixture(scope="module")
@@ -154,34 +155,40 @@ def test_seed_env_var_fallback(chain, tmp_path, monkeypatch):
 
 
 def test_ablate_small_and_stagewise_equivalence(chain, tmp_path):
-    out_dir = tmp_path / "ablation"
-    rc = main(["ablate", "--train", str(chain["splits"] / "train.mst"),
-               "--test", str(chain["splits"] / "test.mst"),
-               "--out-dir", str(out_dir), "--configs", "XYZ", "XYZ_PNDVI",
-               "--epochs", "2"])
-    assert rc == 0
-    ablation = json.loads((out_dir / "ablation.json").read_text())
-    assert set(ablation["reports"]) == {"XYZ", "XYZ_PNDVI"}
-    assert (out_dir / "report_XYZ.json").exists()
-    assert (out_dir / "ablation.csv").read_text().startswith("config,")
+    train, test = (str(chain["splits"] / f"{name}.mst") for name in ("train", "test"))
+    tree_only = tmp_path / "tree_only.yaml"
+    # The second pass scores only the points predicted tree. A 2-epoch model
+    # predicts trees on this scene only near the ground, so it keeps them
+    # (no postprocess) and scores every height above 0 m.
+    tree_only.write_text("evaluate: {predicted_tree_only: true, threshold: 0.0}\n"
+                         "postprocess: {threshold: null}\n")
+    for i, extra in enumerate([[], ["--config", str(tree_only)]]):
+        out_dir = tmp_path / f"ablation{i}"
+        rc = main(["ablate", "--train", train, "--test", test,
+                   "--out-dir", str(out_dir), "--configs", "XYZ", "XYZ_PNDVI",
+                   "--epochs", "2", *extra])
+        assert rc == 0
+        ablation = json.loads((out_dir / "ablation.json").read_text())
+        assert set(ablation["reports"]) == {"XYZ", "XYZ_PNDVI"}
+        assert (out_dir / "report_XYZ.json").exists()
+        assert (out_dir / "ablation.csv").read_text().startswith("config,")
 
-    # the ablation runner must equal the scripted stage sequence
-    model_dir = tmp_path / "xyz_model"
-    pred_dir = tmp_path / "xyz_pred"
-    eval_dir = tmp_path / "xyz_eval"
-    assert main(["train", "--train", str(chain["splits"] / "train.mst"),
-                 "--out-dir", str(model_dir), "--epochs", "2",
-                 "--feature-config", "XYZ"]) == 0
-    assert main(["predict", "--in", str(chain["splits"] / "test.mst"),
-                 "--model", str(model_dir / "model.mstm"),
-                 "--out-dir", str(pred_dir)]) == 0
-    assert main(["evaluate", "--cloud", str(chain["splits"] / "test.mst"),
-                 "--pred", str(pred_dir / "predictions.txt"),
-                 "--out-dir", str(eval_dir)]) == 0
-    stagewise = json.loads((eval_dir / "report.json").read_text())
-    assert stagewise["miou"] == pytest.approx(
-        ablation["reports"]["XYZ"]["miou"], abs=1e-9)
-    assert stagewise["counts"] == ablation["reports"]["XYZ"]["counts"]
+        # the ablation runner must equal the scripted stage sequence
+        model_dir = tmp_path / f"xyz_model{i}"
+        pred_dir = tmp_path / f"xyz_pred{i}"
+        eval_dir = tmp_path / f"xyz_eval{i}"
+        assert main(["train", "--train", train, "--out-dir", str(model_dir),
+                     "--epochs", "2", "--feature-config", "XYZ", *extra]) == 0
+        assert main(["predict", "--in", test, "--model", str(model_dir / "model.mstm"),
+                     "--out-dir", str(pred_dir), *extra]) == 0
+        assert main(["evaluate", "--cloud", test,
+                     "--pred", str(pred_dir / "predictions.txt"),
+                     "--out-dir", str(eval_dir), *extra]) == 0
+        stagewise = json.loads((eval_dir / "report.json").read_text())
+        for key in ("miou", "error_rate_above"):
+            assert stagewise[key] == pytest.approx(
+                ablation["reports"]["XYZ"][key], abs=1e-9), key
+        assert stagewise["counts"] == ablation["reports"]["XYZ"]["counts"]
 
 
 def test_ablate_fits_normalization_at_configured_percentiles(chain, tmp_path,
@@ -193,7 +200,7 @@ def test_ablate_fits_normalization_at_configured_percentiles(chain, tmp_path,
         fitted.append(params)
         return params
 
-    monkeypatch.setattr(evaluation, "fit_config_normalization", recording_fit)
+    monkeypatch.setattr(classifier, "fit_config_normalization", recording_fit)
     cfg = tmp_path / "p10.yaml"
     cfg.write_text("features:\n  p_low: 10.0\n  p_high: 90.0\n")
     rc = main(["ablate", "--train", str(chain["splits"] / "train.mst"),
@@ -323,6 +330,27 @@ class TestErrorPaths:
         assert rc == 3
         err = capsys.readouterr().err
         assert f"error[data]: {bad}: non-finite values in coordinate column 'x'" in err
+
+    @pytest.mark.parametrize("case", ["labels", "crs-note", "las-extra-name"])
+    def test_undecodable_input_is_data_error(self, chain, tmp_path, capsys, case):
+        cloud = read_columnar(chain["hnorm"])
+        bad = tmp_path / "bad"
+        if case == "labels":
+            bad.write_bytes(b"0\n\xff\n")
+            argv = ["evaluate", "--cloud", str(chain["hnorm"]), "--pred", str(bad),
+                    "--out-dir", str(tmp_path / "e")]
+        elif case == "crs-note":
+            write_columnar(dataclasses.replace(cloud, crs_note="EPSG:31256"), bad)
+            bad.write_bytes(bad.read_bytes().replace(b"EPSG:31256", b"EPSG:\xff1256", 1))
+            argv = ["features", "--in", str(bad), "--out", str(tmp_path / "f.mst")]
+        else:
+            write_las(cloud, bad, extra={"qqqq": np.zeros(cloud.count, np.float32)})
+            raw = bad.read_bytes()
+            bad.write_bytes(raw.replace(b"qqqq".ljust(32, b"\0"), b"X".ljust(32, b"\0")))
+            argv = ["ingest", "--las", str(bad), "--channel", "green",
+                    "--out", str(tmp_path / "i.mst")]
+        assert main(argv) == 3
+        assert "error[data]: " in capsys.readouterr().err
 
     def test_unknown_feature_config_rejected(self, chain, tmp_path, capsys):
         rc = main(["train", "--train", str(chain["splits"] / "train.mst"),

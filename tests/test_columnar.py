@@ -101,9 +101,21 @@ def test_read_labels_rejects_bad_tokens(tmp_path):
     path.write_text("0\n300\n")
     with pytest.raises(DataError, match="u8 range"):
         read_labels(path)
+    path.write_bytes(b"0\n\xff\n")   # not UTF-8
+    with pytest.raises(DataError, match="cannot read labels"):
+        read_labels(path)
     missing = tmp_path / "nope.txt"
     with pytest.raises(DataError, match="cannot read"):
         read_labels(missing)
+
+
+def test_non_utf8_crs_note_rejected(tmp_path):
+    rng = np.random.default_rng(7)
+    path = tmp_path / "note.mst"
+    write_columnar(dataclasses.replace(random_cloud(rng, n=4), crs_note="EPSG:31256"), path)
+    path.write_bytes(path.read_bytes().replace(b"EPSG:31256", b"EPSG:\xff1256"))
+    with pytest.raises(DataError, match="CRS note is not UTF-8"):
+        read_columnar(path)
 
 
 @settings(max_examples=25, deadline=None)

@@ -120,3 +120,15 @@ def test_caller_supplied_extra_attribute(tmp_path):
     write_las(cloud, path, extra={"error": flag})
     back = read_las(path, reflectance_source="error", channel="scanner")
     np.testing.assert_array_equal(back.reflectance_db, flag)
+
+
+@pytest.mark.parametrize("name", [b"X", b"reflectance"])
+def test_extra_attribute_name_given_twice_rejected(tmp_path, name):
+    # "X" repeats a point-record field, "reflectance" another extra-bytes name
+    cloud = las_cloud(n=6)
+    path = tmp_path / "dup.las"
+    write_las(cloud, path, extra={"qqqq": np.zeros(6, np.float32)})
+    raw = path.read_bytes()
+    path.write_bytes(raw.replace(b"qqqq".ljust(32, b"\0"), name.ljust(32, b"\0")))
+    with pytest.raises(DataError, match="occurs more than once"):
+        read_las(path, reflectance_source="intensity", channel="scanner")
