@@ -8,38 +8,3 @@ runs the six-configuration spectral ablation.
 """
 
 __version__ = "0.1.0"
-
-from .cloud import Channel, Label, PointCloud, SpatialIndex, build_index, concat
-from .columnar import read_columnar, write_columnar
-from .csf import CsfParams, csf_ground
-from .dtm import DtmGrid, build_dtm, normalize_height
-from .errors import ConfigError, DataError, MslidarError, NumericError
-from .features import (
-    FeatureConfig,
-    FeatureMatrix,
-    NormalizationParams,
-    add_pndvi,
-    apply_normalization,
-    assemble_features,
-    db_to_linear,
-    fit_normalization,
-    linear_to_db,
-    pndvi,
-)
-from .preprocess import SorParams, merge_channels, sor_filter, voxel_subsample
-from .split import PlotSplit, split_plots
-from .synth import ClassSpectrum, SyntheticSceneConfig, generate_scene
-
-__all__ = [
-    "Channel", "Label", "PointCloud", "SpatialIndex", "build_index", "concat",
-    "read_columnar", "write_columnar",
-    "CsfParams", "csf_ground", "DtmGrid", "build_dtm", "normalize_height",
-    "ConfigError", "DataError", "MslidarError", "NumericError",
-    "FeatureConfig", "FeatureMatrix", "NormalizationParams", "add_pndvi",
-    "apply_normalization", "assemble_features", "db_to_linear",
-    "fit_normalization", "linear_to_db", "pndvi",
-    "SorParams", "merge_channels", "sor_filter", "voxel_subsample",
-    "PlotSplit", "split_plots",
-    "ClassSpectrum", "SyntheticSceneConfig", "generate_scene",
-    "__version__",
-]

@@ -2,9 +2,10 @@
 
 A point-wise MLP over the assembled features plus local neighborhood
 aggregates (means/stds of the spectral columns, height range and point
-count over the <=16 nearest neighbors within 2 m). The aggregates hand
-the point-wise learner the spatial context a point-cloud network gets
-architecturally, which is all the ablation logic needs.
+count over the <=k nearest neighbors within a radius, whose defaults
+:func:`neighborhood_graph` declares). The aggregates hand the point-wise
+learner the spatial context a point-cloud network gets architecturally,
+which is all the ablation logic needs.
 
 The feature recipe lives here once: :func:`fit` and :func:`classify` take
 the neighbourhood, normalization and post-process settings from the
@@ -92,10 +93,7 @@ def neighborhood_stats(fm: FeatureMatrix, graph: np.ndarray) -> FeatureMatrix:
     hmin = np.where(valid, h, np.inf).min(axis=1)
     cols.append(np.column_stack((hmax - hmin, counts)))
     names += ["h_norm_range", "n_count"]
-    return FeatureMatrix(
-        values=np.column_stack(cols), columns=tuple(names),
-        config=fm.config, center=fm.center, params=fm.params,
-    )
+    return FeatureMatrix(np.column_stack(cols), tuple(names), center=fm.center)
 
 
 @dataclass(frozen=True)

@@ -47,10 +47,6 @@ OPTIONAL_COLUMNS: dict[str, np.dtype] = {
     "pndvi": np.dtype(np.float32),
 }
 
-# Spectral columns where NaN marks a missing value (no cross-channel
-# neighbor within the merge radius).
-NAN_OK_COLUMNS = ("refl_green_db", "refl_nir_db", "pndvi")
-
 
 def _as_column(name: str, values, dtype: np.dtype, n: int) -> np.ndarray:
     arr = np.ascontiguousarray(values, dtype=dtype)
@@ -191,10 +187,10 @@ def _near(a: np.ndarray, b) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpatialIndex:
-    """Immutable exact-neighbor index over a PointCloud snapshot."""
+    """Immutable exact-neighbor index over a PointCloud snapshot; a
+    point's id is its row in the cloud."""
 
-    ids: np.ndarray            # original point ids of indexed points
-    points: np.ndarray         # (m, 3) coordinates of indexed points
+    points: np.ndarray         # (m, 3) coordinates
     tree: cKDTree = field(repr=False)
 
     def knn_batch(
@@ -214,13 +210,14 @@ class SpatialIndex:
             raise ValueError("knn_batch expects an (n, 3) query array")
         # One neighbor beyond k shows whether rank k is tied; the tree
         # returns the index size as the id of a neighbor it did not find.
-        kq = min(k + 1, self.ids.shape[0])
+        m = self.points.shape[0]
+        kq = min(k + 1, m)
         limit = np.inf if radius is None else radius
         reach = limit * (1.0 + _TIE_SLACK) + 1e-12
         d, idx = self.tree.query(qs, k=kq, distance_upper_bound=reach, workers=workers)
         if kq == 1:  # scipy squeezes the k axis for scalar k=1
             d, idx = d[:, None], idx[:, None]
-        out = np.append(self.ids, -1)[idx[:, :k]]
+        out = np.where(idx[:, :k] < m, idx[:, :k], -1)
         del idx  # free it before the tie scan, which peaks with a copy of d
         if kq < k:
             out = np.pad(out, ((0, 0), (0, k - kq)), constant_values=-1)
@@ -244,23 +241,13 @@ class SpatialIndex:
             rank = np.arange(owner.size) - np.searchsorted(owner, owner)
             take = (rank < k) & (dist <= limit)
             out[rows] = -1
-            out[rows[owner[take]], rank[take]] = self.ids[cand[take]]
+            out[rows[owner[take]], rank[take]] = cand[take]
         return out
 
 
-def build_index(
-    cloud: PointCloud, channel_filter: Channel | int | None = None
-) -> SpatialIndex:
-    """Build an exact spatial index, optionally over one channel only."""
+def build_index(cloud: PointCloud) -> SpatialIndex:
+    """Build an exact spatial index over every point of the cloud."""
     if cloud.count == 0:
         raise DataError("cannot index an empty point cloud")
-    if channel_filter is None:
-        ids = np.arange(cloud.count, dtype=np.int64)
-    else:
-        ids = np.nonzero(cloud.channel == int(channel_filter))[0].astype(np.int64)
-        if ids.size == 0:
-            raise DataError(
-                f"no points with channel {int(channel_filter)} to index"
-            )
-    pts = cloud.xyz[ids]
-    return SpatialIndex(ids=ids, points=pts, tree=cKDTree(pts))
+    pts = cloud.xyz
+    return SpatialIndex(points=pts, tree=cKDTree(pts))

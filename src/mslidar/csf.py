@@ -1,14 +1,17 @@
 """Cloth-simulation ground filtering.
 
 The cloud is turned upside down and a simulated cloth falls onto it: a
-grid of particles at `cloth_resolution` spacing integrates gravity
-(Verlet, damped), collides with the inverted surface (per-cell maximum
-of inverted height, i.e. the formerly lowest returns: bare earth, also
-under canopy), and is smoothed by `rigidness` constraint passes per
-iteration that pull each free particle toward the mean of its grid
-neighbors. Particles pin permanently on floor contact. Points whose
+grid of particles at `cloth_resolution` spacing settles quasi-statically,
+each free particle dropping by a fixed gravity step per iteration and
+carrying no momentum. It collides with the inverted surface (per-cell
+maximum of inverted height, i.e. the formerly lowest returns: bare
+earth, also under canopy), and is smoothed by `rigidness` constraint
+passes per iteration that pull each free particle toward the mean of its
+grid neighbors. Particles pin permanently on floor contact. Points whose
 inverted height lies within class_threshold of the settled cloth are
-ground.
+ground. As in Zhang et al.'s cloth simulation filter (Remote Sensing
+2016), gravity and the convergence tolerance are fixed constants, not
+settings.
 
 Over building footprints the floor is the inverted roof, far below
 ground level; pinned particles at the footprint edge hold the cloth up
@@ -27,6 +30,13 @@ from .errors import DataError
 
 logger = logging.getLogger(__name__)
 
+# Gravity; a free particle drops GRAVITY * time_step**2 per iteration.
+# The cloth is overdamped (quasi-static settling): carrying momentum lets
+# the cloth overshoot its equilibrium over building footprints and pin on
+# the inverted roof, which silently flags roofs as ground.
+GRAVITY = 0.065
+CONVERGENCE = 0.005   # stop once no particle moved further in an iteration
+
 
 @dataclass(frozen=True)
 class CsfParams:
@@ -35,12 +45,6 @@ class CsfParams:
     iterations: int = 500
     class_threshold: float = 0.5
     time_step: float = 0.65
-    gravity: float = 0.065
-    # 1.0 = overdamped, quasi-static settling. Carrying momentum lets the
-    # cloth overshoot its equilibrium over building footprints and pin on
-    # the inverted roof, which silently flags roofs as ground.
-    damping: float = 1.0
-    convergence: float = 0.005   # stop once no particle moved further
 
     def __post_init__(self):
         if not self.cloth_resolution > 0:
@@ -99,18 +103,14 @@ def simulate_cloth(cloud: PointCloud, params: CsfParams) -> tuple[np.ndarray, tu
         floor = floor[ni, nj]
 
     # Start barely above the highest inverted point: cells with ground
-    # beneath them pin within the first iterations, before free-falling
-    # cells over buildings can build up momentum.
+    # beneath them pin within the first iterations.
     c = np.full((h, w), floor.max() + 0.05)
-    prev = c.copy()
     movable = np.ones((h, w), dtype=bool)
-    g_disp = params.gravity * params.time_step**2
+    g_disp = GRAVITY * params.time_step**2
 
     for it in range(params.iterations):
         snapshot = c.copy()
-        vel = (c - prev) * (1.0 - params.damping)
-        prev = c.copy()
-        c = np.where(movable, c + vel - g_disp, c)
+        c = np.where(movable, c - g_disp, c)
         hit = movable & (c <= floor)
         c = np.where(hit, floor, c)
         movable &= ~hit
@@ -120,7 +120,7 @@ def simulate_cloth(cloud: PointCloud, params: CsfParams) -> tuple[np.ndarray, tu
             hit = movable & (c <= floor)
             c = np.where(hit, floor, c)
             movable &= ~hit
-        if np.max(np.abs(c - snapshot)) < params.convergence:
+        if np.max(np.abs(c - snapshot)) < CONVERGENCE:
             logger.info("cloth converged after %d iterations", it + 1)
             break
 

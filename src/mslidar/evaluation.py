@@ -152,11 +152,13 @@ def evaluate(
     pred: np.ndarray,
     truth: np.ndarray,
     h_norm: np.ndarray | None = None,
-    t: float = 2.0,
-    predicted_tree_only: bool = False,
+    *,
+    t: float,
+    predicted_tree_only: bool,
     manifest: dict | None = None,
 ) -> EvalReport:
-    """Full report: confusion metrics plus the above-threshold error rate."""
+    """Full report: confusion metrics plus the :func:`error_rate_above`
+    of `h_norm` (None: no rate)."""
     report = metrics(confusion(pred, truth), manifest=manifest)
     rate = None
     if h_norm is not None:

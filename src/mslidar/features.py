@@ -21,9 +21,6 @@ from .errors import DataError, NumericError
 
 logger = logging.getLogger(__name__)
 
-# Fixed ordering of spectral columns everywhere: green, NIR, index.
-SPECTRAL_ORDER = ("refl_green_db", "refl_nir_db", "pndvi")
-
 
 def db_to_linear(r_db):
     """Convert reflectance from decibels to linear units: 10^(r/10).
@@ -225,13 +222,11 @@ def apply_normalization(features: np.ndarray, params: NormalizationParams) -> np
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Finite n x d matrix plus the provenance needed to rebuild it."""
+    """Finite n x d matrix, its column names and the x/y centre it used."""
 
     values: np.ndarray
     columns: tuple[str, ...]
-    config: FeatureConfig
     center: tuple[float, float]
-    params: NormalizationParams | None
 
     @property
     def dimension(self) -> int:
@@ -254,8 +249,7 @@ def spectral_matrix(cloud: PointCloud, config: FeatureConfig) -> np.ndarray:
 
 
 def fit_config_normalization(
-    train_cloud: PointCloud, config: FeatureConfig,
-    p_low: float = 1.0, p_high: float = 99.0,
+    train_cloud: PointCloud, config: FeatureConfig, p_low: float, p_high: float
 ) -> NormalizationParams:
     """Fit spectral-column normalization on the training split."""
     return fit_normalization(
@@ -297,6 +291,4 @@ def assemble_features(
     if not np.all(np.isfinite(values)):
         raise NumericError("feature matrix contains non-finite values")
     columns = ("x_centered", "y_centered", "h_norm") + config.spectral_columns
-    return FeatureMatrix(
-        values=values, columns=columns, config=config, center=center, params=params
-    )
+    return FeatureMatrix(values=values, columns=columns, center=center)

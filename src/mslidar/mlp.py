@@ -59,7 +59,7 @@ class TrainConfig:
 class Mlp:
     """d_in -> hidden... -> 2 with ReLU activations."""
 
-    def __init__(self, d_in: int, hidden: tuple[int, ...] = (64, 64),
+    def __init__(self, d_in: int, hidden: tuple[int, ...],
                  n_out: int = 2, seed: int = 0, dtype=np.float32):
         self.sizes = (int(d_in),) + tuple(int(h) for h in hidden) + (int(n_out),)
         self.dtype = np.dtype(dtype)

@@ -17,6 +17,7 @@ manifest extra)`` functions whose I/O :class:`CloudStage` does.
 import copy
 import functools
 import hashlib
+import inspect
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,7 +32,9 @@ from .columnar import read_columnar, write_columnar
 from .csf import CsfParams, csf_ground
 from .dtm import build_dtm, normalize_height
 from .errors import ConfigError
-from .features import ALL_CONFIGS, FeatureConfig, NormalizationParams, add_pndvi
+from .features import (
+    ALL_CONFIGS, FeatureConfig, NormalizationParams, add_pndvi, fit_normalization,
+)
 from .mlp import TrainConfig
 from .preprocess import SorParams, merge_channels, sor_filter, voxel_subsample
 from .split import SPLIT_NAMES, split_plots
@@ -40,36 +43,40 @@ from . import classifier as clf
 from . import evaluation as ev
 
 
-def _fields(cls, *names: str) -> dict:
-    """Defaults of the named fields of a parameter dataclass, with tuples
-    as lists, the form YAML and the manifests' JSON give them."""
-    obj = cls()
-    values = {n: getattr(obj, n) for n in names}
-    return {n: list(v) if isinstance(v, tuple) else v for n, v in values.items()}
+def _defaults(owner: Callable, *names: str, **renamed: str) -> dict:
+    """Defaults of the named parameters of a function or parameter
+    dataclass, with tuples as lists, the form YAML and the manifests' JSON
+    give them; `renamed` maps a config key to a parameter of another name."""
+    params = inspect.signature(owner).parameters
+    keys = dict(zip(names, names), **renamed)
+    values = {key: params[name].default for key, name in keys.items()}
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in values.items()}
 
 
 # Effective-config defaults; every stage knob lives here so manifests
-# can record the complete effective configuration.
+# can record the complete effective configuration. Each knob's default
+# is written once, in the function or dataclass that owns it.
 DEFAULTS: dict = {
     "seed": 0,
     "threads": 1,
-    "sor": _fields(SorParams, "k", "n_sigma"),
-    "merge": {"radius": 1.0, "k": 7},
-    "csf": _fields(
+    "sor": _defaults(SorParams, "k", "n_sigma"),
+    "merge": _defaults(merge_channels, "radius", "k"),
+    "csf": _defaults(
         CsfParams,
         "cloth_resolution", "rigidness", "iterations", "class_threshold", "time_step",
     ),
-    "dtm": {"cell": 1.0},
-    "voxel": {"grid": 0.1},
-    "features": {"config": "XYZ_GREEN_NIR_PNDVI", "p_low": 1.0, "p_high": 99.0},
-    "neighborhood": {"k": 16, "radius": 2.0},
-    "train": _fields(
+    "dtm": _defaults(build_dtm, "cell"),
+    "voxel": _defaults(voxel_subsample, "grid"),
+    "features": {"config": "XYZ_GREEN_NIR_PNDVI",
+                 **_defaults(fit_normalization, "p_low", "p_high")},
+    "neighborhood": _defaults(clf.neighborhood_graph, "k", "radius"),
+    "train": _defaults(
         TrainConfig,
         "epochs", "learning_rate", "weight_decay", "batch_size", "hidden", "patience",
     ),
     "split": {"ratios": [0.6853, 0.1628, 0.1519], "tile_size": 20.0},
-    "postprocess": {"threshold": 2.0},
-    "evaluate": {"threshold": 2.0, "predicted_tree_only": False},
+    "postprocess": _defaults(clf.height_threshold_postprocess, threshold="t"),
+    "evaluate": _defaults(ev.error_rate_above, "predicted_tree_only", threshold="t"),
     "synth": {"target_points": 500_000},
 }
 
@@ -420,14 +427,6 @@ def stage_train(cfg: dict, train_path: Path, out_dir: Path) -> Path:
     return model_path
 
 
-def _write_predictions(out_dir: Path, labels: np.ndarray) -> Path:
-    """`<out_dir>/predictions.txt`: one 0/1 label per line, in point order."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    pred_path = out_dir / "predictions.txt"
-    pred_path.write_text("\n".join(str(int(v)) for v in labels) + "\n", encoding="utf-8")
-    return pred_path
-
-
 @stage("predict", "classify a cloud with a trained model",
        IN, path("--model", "model_path"), OUT_DIR,
        setting("postprocess.threshold", "--postprocess-threshold"))
@@ -439,24 +438,12 @@ def stage_predict(cfg: dict, inp: Path, model_path: Path, out_dir: Path) -> Path
     if meta["norm_sidecar"]:
         params = NormalizationParams.load(model_path.parent / meta["norm_sidecar"])
     pred = clf.classify(cloud, model, fconfig, params, cfg)
-    pred_path = _write_predictions(out_dir, pred.labels)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    pred_path = out_dir / "predictions.txt"  # one 0/1 label per line, in point order
+    pred_path.write_text("\n".join(str(int(v)) for v in pred.labels) + "\n", encoding="utf-8")
     write_manifest(
         out_dir, "predict", cfg, {"cloud": inp, "model": model_path},
         extra={"feature_config": fconfig.name, "predicted_tree": int(pred.labels.sum())},
-    )
-    return pred_path
-
-
-@stage("import-pred", "validate external predictions for scoring",
-       path("--labels", "labels_path"), path("--cloud", "cloud_path"), OUT_DIR)
-def stage_import_pred(cfg: dict, labels_path: Path, cloud_path: Path, out_dir: Path) -> Path:
-    cloud = read_columnar(cloud_path)
-    pred = clf.import_predictions(labels_path, cloud)
-    pred_path = _write_predictions(out_dir, pred.labels)
-    write_manifest(
-        out_dir, "import-pred", cfg,
-        {"labels": labels_path, "cloud": cloud_path},
-        extra={"source": pred.source},
     )
     return pred_path
 

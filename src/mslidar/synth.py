@@ -353,7 +353,7 @@ def generate_scene(
     return cloud
 
 
-def scaled_config(target_points: int, seed: int = 0, **overrides) -> SyntheticSceneConfig:
+def scaled_config(target_points: int, seed: int = 0) -> SyntheticSceneConfig:
     """Config whose total point count is approximately target_points.
 
     Keeps the default per-channel density and scales extent and object
@@ -363,7 +363,7 @@ def scaled_config(target_points: int, seed: int = 0, **overrides) -> SyntheticSc
     area = target_points / (2.0 * base.density)
     extent = math.sqrt(area)
     ratio = area / (base.extent * base.extent)
-    cfg = replace(
+    return replace(
         base,
         extent=extent,
         n_trees=max(int(round(base.n_trees * ratio)), 1),
@@ -373,6 +373,3 @@ def scaled_config(target_points: int, seed: int = 0, **overrides) -> SyntheticSc
         n_crown_decoys=max(int(round(base.n_crown_decoys * ratio)), 1),
         seed=seed,
     )
-    for key, value in overrides.items():
-        setattr(cfg, key, value)
-    return cfg

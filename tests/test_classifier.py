@@ -227,7 +227,7 @@ class TestNeighborhood:
             values=values,
             columns=("x_centered", "y_centered", "h_norm",
                      "refl_green_db", "refl_nir_db"),
-            config=FeatureConfig.XYZ_GREEN_NIR, center=(0.0, 0.0), params=None,
+            center=(0.0, 0.0),
         )
         graph = np.full((n, 4), -1, dtype=np.int64)
         for i in range(n):
@@ -252,7 +252,7 @@ class TestNeighborhood:
     def test_stats_point_count_mismatch_rejected(self):
         fm = FeatureMatrix(
             values=np.zeros((5, 3)), columns=("x_centered", "y_centered", "h_norm"),
-            config=FeatureConfig.XYZ, center=(0.0, 0.0), params=None,
+            center=(0.0, 0.0),
         )
         with pytest.raises(DataError, match="disagree"):
             neighborhood_stats(fm, np.zeros((4, 2), np.int64))

@@ -211,7 +211,8 @@ def test_ablate_fits_normalization_at_configured_percentiles(chain, tmp_path,
     (params,) = fitted
     assert (params.p_low, params.p_high) == (10.0, 90.0)
     default = fit_config_normalization(
-        read_columnar(chain["splits"] / "train.mst"), FeatureConfig.XYZ_PNDVI
+        read_columnar(chain["splits"] / "train.mst"), FeatureConfig.XYZ_PNDVI,
+        p_low=1.0, p_high=99.0,
     )
     assert np.all(params.lo > default.lo) and np.all(params.hi < default.hi)
 
@@ -227,14 +228,9 @@ def test_import_pred_scores_ground_truth_perfectly(chain, tmp_path):
     cloud = read_columnar(chain["splits"] / "test.mst")
     labels = tmp_path / "external.txt"
     labels.write_text("\n".join(str(int(v)) for v in cloud.label) + "\n")
-    imp_dir = tmp_path / "imported"
-    assert main(["import-pred", "--labels", str(labels),
-                 "--cloud", str(chain["splits"] / "test.mst"),
-                 "--out-dir", str(imp_dir)]) == 0
     eval_dir = tmp_path / "eval100"
     assert main(["evaluate", "--cloud", str(chain["splits"] / "test.mst"),
-                 "--pred", str(imp_dir / "predictions.txt"),
-                 "--out-dir", str(eval_dir)]) == 0
+                 "--pred", str(labels), "--out-dir", str(eval_dir)]) == 0
     report = json.loads((eval_dir / "report.json").read_text())
     assert report["oa"] == 100.0 and report["miou"] == 100.0
 
@@ -428,6 +424,35 @@ def test_every_config_flag_is_listed():
     table = {(st.name, f.option, f.config)
              for st in pipeline.STAGES.values() for f in st.flags if f.config}
     assert table == {(c[0], c[1], c[3]) for c in CONFIG_FLAGS}
+
+
+# Every default leaf of the effective config, as JSON: 1.0 and 1 differ
+# (an int default would reject a float value), and so do false and 0.
+EFFECTIVE_DEFAULTS = """{
+  "seed": 0, "threads": 1,
+  "sor": {"k": 6, "n_sigma": 1.0},
+  "merge": {"radius": 1.0, "k": 7},
+  "csf": {"cloth_resolution": 1.0, "rigidness": 2, "iterations": 500,
+          "class_threshold": 0.5, "time_step": 0.65},
+  "dtm": {"cell": 1.0},
+  "voxel": {"grid": 0.1},
+  "features": {"config": "XYZ_GREEN_NIR_PNDVI", "p_low": 1.0, "p_high": 99.0},
+  "neighborhood": {"k": 16, "radius": 2.0},
+  "train": {"epochs": 300, "learning_rate": 0.001, "weight_decay": 0.0001,
+            "batch_size": 8192, "hidden": [64, 64], "patience": null},
+  "split": {"ratios": [0.6853, 0.1628, 0.1519], "tile_size": 20.0},
+  "postprocess": {"threshold": 2.0},
+  "evaluate": {"threshold": 2.0, "predicted_tree_only": false},
+  "synth": {"target_points": 500000}
+}"""
+
+
+def test_defaults_are_the_effective_defaults():
+    # DEFAULTS reads most sections off the signatures of the functions and
+    # dataclasses that own them; a section read off the wrong parameter
+    # shows here as a changed value or type
+    expected = json.dumps(json.loads(EFFECTIVE_DEFAULTS), sort_keys=True)
+    assert json.dumps(pipeline.load_config(), sort_keys=True) == expected
 
 
 @pytest.mark.parametrize("yaml_text, ok", [

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mslidar.cloud import Channel, Label, PointCloud, build_index, concat
+from mslidar.cloud import Label, PointCloud, build_index, concat
 from mslidar.errors import DataError
 
 from conftest import brute_knn, brute_radius, random_cloud, tied_cloud
@@ -134,16 +134,6 @@ class TestSpatialIndex:
         assert index.knn_batch(np.zeros((1, 3)), 2).tolist() == [[0, 1]]
         ids = index.knn_batch(np.zeros((1, 3)), 3, radius=1.0)
         assert ids.tolist() == [[0, 1, 2]]
-
-    def test_channel_filter_restricts_and_keeps_original_ids(self):
-        rng = np.random.default_rng(9)
-        cloud = random_cloud(rng, n=50)
-        index = build_index(cloud, channel_filter=Channel.NIR_1064)
-        ids = index.knn_batch(np.array([[5.0, 5.0, 2.0]]), 5)[0]
-        assert np.all(cloud.channel[ids] == int(Channel.NIR_1064))
-        nir = np.nonzero(cloud.channel == int(Channel.NIR_1064))[0]
-        ref, _ = brute_knn(cloud.xyz[nir], np.array([5.0, 5.0, 2.0]), 5)
-        np.testing.assert_array_equal(ids, nir[ref])
 
     def test_knn_batch_matches_single_queries(self):
         rng = np.random.default_rng(10)

@@ -149,7 +149,7 @@ class TestEvaluateAndExport:
         pred = truth.copy()
         pred[rng.random(300) < 0.1] ^= 1
         h = rng.uniform(0, 6, 300)
-        return evaluate(pred, truth, h, t=2.0,
+        return evaluate(pred, truth, h, t=2.0, predicted_tree_only=False,
                         manifest={"feature_config": "XYZ", "seed": 0})
 
     def test_evaluate_bundles_error_rate(self):

@@ -205,7 +205,7 @@ class TestAssembleFeatures:
     def test_full_config_dimension(self):
         cloud = add_pndvi(spectral_cloud())
         cfg = FeatureConfig.XYZ_GREEN_NIR_PNDVI
-        params = fit_config_normalization(cloud, cfg)
+        params = fit_config_normalization(cloud, cfg, p_low=1.0, p_high=99.0)
         fm = assemble_features(cloud, cfg, params)
         assert fm.dimension == 6
 
@@ -216,7 +216,7 @@ class TestAssembleFeatures:
         cloud = spectral_cloud()
         cfg = FeatureConfig.XYZ_PNDVI
         with pytest.raises(DataError, match="pndvi"):
-            fit_config_normalization(cloud, cfg)
+            fit_config_normalization(cloud, cfg, p_low=1.0, p_high=99.0)
 
     def test_xy_centered_on_cloud_mean(self):
         cloud = spectral_cloud()
@@ -229,14 +229,15 @@ class TestAssembleFeatures:
     def test_spectral_columns_normalized(self):
         cloud = spectral_cloud()
         cfg = FeatureConfig.XYZ_GREEN_NIR
-        params = fit_config_normalization(cloud, cfg)
+        params = fit_config_normalization(cloud, cfg, p_low=1.0, p_high=99.0)
         fm = assemble_features(cloud, cfg, params)
         assert fm.values[:, 3:].min() >= 0.0
         assert fm.values[:, 3:].max() <= 1.0
 
     def test_params_column_mismatch_rejected(self):
         cloud = spectral_cloud()
-        params = fit_config_normalization(cloud, FeatureConfig.XYZ_GREEN)
+        params = fit_config_normalization(
+            cloud, FeatureConfig.XYZ_GREEN, p_low=1.0, p_high=99.0)
         with pytest.raises(DataError, match="params"):
             assemble_features(cloud, FeatureConfig.XYZ_NIR, params)
 
@@ -257,7 +258,7 @@ class TestAssembleFeatures:
         refl[:5] = np.nan
         cloud = cloud.with_column("refl_green_db", refl)
         cfg = FeatureConfig.XYZ_GREEN
-        params = fit_config_normalization(cloud, cfg)
+        params = fit_config_normalization(cloud, cfg, p_low=1.0, p_high=99.0)
         fm = assemble_features(cloud, cfg, params)
         assert np.isfinite(fm.values).all()
 
