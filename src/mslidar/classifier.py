@@ -5,11 +5,15 @@ aggregates (means/stds of the spectral columns, height range and point
 count over the <=k nearest neighbors within a radius, whose defaults
 :func:`neighborhood_graph` declares). The aggregates hand the point-wise
 learner the spatial context a point-cloud network gets architecturally,
-which is all the ablation logic needs.
+which is all the ablation logic needs. Like those networks, the model
+sees geometry only relative to a point's surroundings, never as an
+absolute location.
 
 The feature recipe lives here once: :func:`fit` and :func:`classify` take
 the neighbourhood, normalization and post-process settings from the
 effective config, and both the stepwise stages and the ablation run them.
+An MSTM v2 checkpoint stores that recipe beside the weights, so a model
+file is all prediction needs.
 """
 
 import struct
@@ -22,13 +26,12 @@ from .cloud import Label, PointCloud, build_index
 from .columnar import read_labels
 from .errors import DataError
 from .features import (
-    FeatureConfig, FeatureMatrix, NormalizationParams, assemble_features,
-    fit_config_normalization,
+    FeatureConfig, NormalizationParams, assemble_features, fit_config_normalization,
 )
 from .mlp import Mlp, TrainConfig, TrainResult, train
 
 CHECKPOINT_MAGIC = b"MSTM"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def compute_class_weights(labels: np.ndarray) -> np.ndarray:
@@ -60,40 +63,47 @@ def neighborhood_graph(
     Depends only on the geometry, so one graph serves every feature
     config of the same cloud.
     """
+    _check_neighborhood(k, radius)
     return build_index(cloud).knn_batch(cloud.xyz, k=k, radius=radius, workers=workers)
 
 
-def neighborhood_stats(fm: FeatureMatrix, graph: np.ndarray) -> FeatureMatrix:
-    """Append per-point neighborhood aggregates to a feature matrix.
+def _check_neighborhood(k: int, radius: float) -> None:
+    """Raise DataError unless k >= 1 and 0 < radius < inf."""
+    if k < 1:
+        raise DataError(f"neighborhood k must be >= 1, got {k!r}")
+    if not 0.0 < radius < np.inf:
+        raise DataError(f"neighborhood radius must be positive and finite, got {radius!r}")
+
+
+def neighborhood_stats(features: np.ndarray, graph: np.ndarray) -> np.ndarray:
+    """Append per-point neighborhood aggregates to an assembled feature
+    matrix [h_norm, spectral...].
 
     For each spectral column: mean and population std over the
     neighborhood. Always: local h_norm range (max - min) and neighbor
     count. Statistics are computed on the normalized feature values, so
     every appended column is already scale-comparable.
     """
-    if graph.shape[0] != fm.values.shape[0]:
+    if graph.shape[0] != features.shape[0]:
         raise DataError("neighborhood graph and features disagree on point count")
     valid = graph >= 0
     safe = np.where(valid, graph, 0)
     counts = valid.sum(axis=1).astype(np.float64)
 
-    cols = [fm.values]
-    names = list(fm.columns)
-    for ci in range(3, fm.values.shape[1]):
-        vals = fm.values[:, ci][safe]
+    cols = [features]
+    for ci in range(1, features.shape[1]):
+        vals = features[:, ci][safe]
         vals = np.where(valid, vals, 0.0)
         mean = vals.sum(axis=1) / counts
-        sq = np.where(valid, np.square(fm.values[:, ci][safe]), 0.0)
+        sq = np.where(valid, np.square(features[:, ci][safe]), 0.0)
         var = np.maximum(sq.sum(axis=1) / counts - np.square(mean), 0.0)
         cols.append(np.column_stack((mean, np.sqrt(var))))
-        names += [f"{fm.columns[ci]}_nmean", f"{fm.columns[ci]}_nstd"]
 
-    h = fm.values[:, 2][safe]
+    h = features[:, 0][safe]
     hmax = np.where(valid, h, -np.inf).max(axis=1)
     hmin = np.where(valid, h, np.inf).min(axis=1)
     cols.append(np.column_stack((hmax - hmin, counts)))
-    names += ["h_norm_range", "n_count"]
-    return FeatureMatrix(np.column_stack(cols), tuple(names), center=fm.center)
+    return np.column_stack(cols)
 
 
 @dataclass(frozen=True)
@@ -113,9 +123,9 @@ class Prediction:
         return int(self.labels.shape[0])
 
 
-def predict(features: FeatureMatrix | np.ndarray, model: Mlp) -> Prediction:
+def predict(features: np.ndarray, model: Mlp) -> Prediction:
     """Deterministic softmax prediction; probability ties go to non-tree."""
-    values = features.values if isinstance(features, FeatureMatrix) else np.asarray(features)
+    values = np.asarray(features)
     if values.ndim != 2 or values.shape[1] != model.d_in:
         raise DataError(
             f"model expects {model.d_in} features, got "
@@ -166,7 +176,7 @@ def config_graph(cloud: PointCloud, cfg: dict) -> np.ndarray:
     return neighborhood_graph(cloud, **cfg["neighborhood"], workers=cfg["threads"])
 
 
-def _features(cloud, fconfig, params, cfg, graph) -> FeatureMatrix:
+def _features(cloud, fconfig, params, cfg, graph) -> np.ndarray:
     if graph is None:
         graph = config_graph(cloud, cfg)
     return neighborhood_stats(assemble_features(cloud, fconfig, params), graph)
@@ -188,9 +198,9 @@ def fit(
         params = fit_config_normalization(
             cloud, fconfig, p_low=cfg["features"]["p_low"], p_high=cfg["features"]["p_high"]
         )
-    fm = _features(cloud, fconfig, params, cfg, graph)
+    features = _features(cloud, fconfig, params, cfg, graph)
     weights = compute_class_weights(cloud.label)
-    result = train(fm.values, cloud.label, weights,
+    result = train(features, cloud.label, weights,
                    TrainConfig(**cfg["train"], seed=cfg["seed"]))
     return result, params, weights
 
@@ -210,24 +220,29 @@ def classify(
 
 def save_checkpoint(
     path, model: Mlp, config: FeatureConfig, class_weights, seed: int,
-    norm_sidecar: str = "",
+    neighborhood: dict, params: NormalizationParams | None = None,
 ) -> None:
-    """Write a versioned binary checkpoint (weights in f32).
+    """Write an MSTM v2 checkpoint: the model and the recipe that built
+    its features.
 
-    Contents are a pure function of the arguments: reruns produce
-    identical bytes.
+    Sections in order: magic, version, seed and feature config name;
+    class weights; neighborhood k and radius; for a config with spectral
+    columns, `params`' percentiles and its lo, hi and impute rows (one
+    value per column); layer sizes; f32 weights and biases. Contents are
+    a pure function of the arguments: reruns produce identical bytes.
     """
     path = Path(path)
     cfg_name = config.name.encode("ascii")
-    sidecar = norm_sidecar.encode("utf-8")
     cw = np.asarray(class_weights, dtype=np.float64)
     with path.open("wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<HqH", CHECKPOINT_VERSION, seed, len(cfg_name)))
         fh.write(cfg_name)
-        fh.write(struct.pack("<H", len(sidecar)))
-        fh.write(sidecar)
         fh.write(struct.pack("<2d", float(cw[0]), float(cw[1])))
+        fh.write(struct.pack("<Id", neighborhood["k"], neighborhood["radius"]))
+        if config.spectral_columns:
+            fh.write(struct.pack("<2d", params.p_low, params.p_high))
+            fh.write(np.stack((params.lo, params.hi, params.impute)).astype("<f8").tobytes())
         fh.write(struct.pack("<H", len(model.sizes)))
         fh.write(struct.pack(f"<{len(model.sizes)}I", *model.sizes))
         for w, b in zip(model.weights, model.biases):
@@ -236,10 +251,14 @@ def save_checkpoint(
 
 
 def load_checkpoint(path) -> tuple[Mlp, dict]:
-    """Inverse of save_checkpoint: model plus metadata.
+    """Inverse of save_checkpoint: the model plus its metadata, with the
+    recipe as ``neighborhood`` ({"k", "radius"}) and ``normalization``
+    (None for a config without spectral columns).
 
-    Every section is length-checked: a truncated file, trailing bytes or
-    an undecodable field raise DataError.
+    Every section is length-checked: a truncated file, trailing bytes, an
+    undecodable field, another version, non-finite parameters or a recipe
+    value :func:`neighborhood_graph` or NormalizationParams would reject
+    raise DataError.
     """
     path = Path(path)
     raw = path.read_bytes()
@@ -262,30 +281,41 @@ def load_checkpoint(path) -> tuple[Mlp, dict]:
 
     version, seed, n_cfg = unpack("<HqH", "header")
     if version != CHECKPOINT_VERSION:
-        raise DataError(f"{path}: unsupported checkpoint version {version}")
+        raise DataError(
+            f"{path}: checkpoint version {version} is not supported (this mslidar "
+            f"reads version {CHECKPOINT_VERSION}); retrain the model"
+        )
     cfg_raw = take(n_cfg, "feature config name")
-    (n_side,) = unpack("<H", "sidecar length")
-    side_raw = take(n_side, "sidecar name")
+    try:
+        fconfig = FeatureConfig[cfg_raw.decode("ascii")]
+    except (UnicodeDecodeError, KeyError) as exc:
+        raise DataError(f"{path}: bad checkpoint metadata ({exc})") from exc
     cw = unpack("<2d", "class weights")
+    k, radius = unpack("<Id", "neighborhood")
+    n_cols = len(fconfig.spectral_columns)
+    if n_cols:
+        p_low, p_high = unpack("<2d", "normalization percentiles")
+        table = take(3 * 8 * n_cols, "normalization values")
+        lo, hi, impute = np.frombuffer(table, dtype="<f8").reshape(3, n_cols)
+    try:
+        _check_neighborhood(k, radius)
+        params = NormalizationParams(
+            fconfig.spectral_columns, p_low, p_high, lo, hi, impute
+        ) if n_cols else None
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
     (n_sizes,) = unpack("<H", "layer count")
     sizes = unpack(f"<{n_sizes}I", "layer sizes")
     if n_sizes < 2 or min(sizes) < 1:
         raise DataError(f"{path}: invalid layer sizes {sizes}")
-    try:
-        cfg_name = cfg_raw.decode("ascii")
-        sidecar = side_raw.decode("utf-8")
-        fconfig = FeatureConfig[cfg_name]
-    except (UnicodeDecodeError, KeyError) as exc:
-        raise DataError(f"{path}: bad checkpoint metadata ({exc})") from exc
-    if Path(sidecar).name != sidecar:
-        # predict joins it to the model's directory: a path would escape it
-        raise DataError(f"{path}: sidecar reference {sidecar!r} is not a file name")
 
     # parameters in file order (W0, b0, W1, b1, ...), sized before allocating
     n_params = sum(a * b + b for a, b in zip(sizes[:-1], sizes[1:]))
     payload = np.frombuffer(take(4 * n_params, "parameters"), dtype="<f4")
     if off != len(raw):
         raise DataError(f"{path}: {len(raw) - off} trailing bytes after the checkpoint")
+    if not np.all(np.isfinite(payload)):
+        raise DataError(f"{path}: checkpoint holds non-finite parameters")
     model = Mlp(sizes[0], tuple(sizes[1:-1]), sizes[-1], seed=seed)
     pos = 0
     for p in model.parameters():
@@ -295,6 +325,7 @@ def load_checkpoint(path) -> tuple[Mlp, dict]:
         "feature_config": fconfig,
         "class_weights": np.asarray(cw),
         "seed": seed,
-        "norm_sidecar": sidecar,
+        "neighborhood": {"k": k, "radius": radius},
+        "normalization": params,
     }
     return model, meta

@@ -4,15 +4,14 @@ Reflectance arrives in decibels; the vegetation index is computed in
 linear units (conversion 10^(dB/10)), so a common dB offset on both
 channels cancels. Spectral columns are then made comparable by robust
 scaling: clip to the training split's [p1, p99] and min-max to [0, 1].
-Coordinate columns are not normalized: XY is recentered per assembled
-cloud and z is replaced by height above terrain.
+Absolute position is not a feature: geometry enters as height above
+terrain, so a model does not depend on where its cloud lies, and the
+classifier adds relative geometry from each point's neighborhood.
 """
 
-import json
 import logging
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
@@ -75,7 +74,11 @@ def add_pndvi(cloud: PointCloud) -> PointCloud:
 
 
 class FeatureConfig(Enum):
-    """The six ablation feature sets: coordinates plus spectral subsets."""
+    """The six ablation feature sets: geometry plus spectral subsets.
+
+    XYZ is geometry alone: height above terrain, plus the neighborhood
+    aggregates the classifier appends, and no absolute x/y.
+    """
 
     XYZ = ()
     XYZ_GREEN = ("refl_green_db",)
@@ -87,10 +90,6 @@ class FeatureConfig(Enum):
     @property
     def spectral_columns(self) -> tuple[str, ...]:
         return self.value
-
-    @property
-    def dimension(self) -> int:
-        return 3 + len(self.value)
 
     @classmethod
     def from_name(cls, name: str) -> "FeatureConfig":
@@ -120,48 +119,25 @@ class NormalizationParams:
     hi: np.ndarray       # value at p_high per column
     impute: np.ndarray   # training median per column, fills NaN
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "columns": list(self.columns),
-                "p_low": self.p_low,
-                "p_high": self.p_high,
-                "lo": [float(v) for v in self.lo],
-                "hi": [float(v) for v in self.hi],
-                "impute": [float(v) for v in self.impute],
-            },
-            indent=2,
+    def __post_init__(self):
+        """Reject values no fit produces: they would scale columns silently
+        wrong (a NaN bound makes a constant column)."""
+        _check_percentiles(self.p_low, self.p_high)
+        n = len(self.columns)
+        for name in ("lo", "hi", "impute"):
+            values = getattr(self, name)
+            if values.shape != (n,) or not np.all(np.isfinite(values)):
+                raise DataError(f"normalization {name} must hold {n} finite values")
+        if np.any(self.lo > self.hi):
+            raise DataError("normalization lo exceeds hi")
+
+
+def _check_percentiles(p_low: float, p_high: float) -> None:
+    if not 0.0 <= p_low < p_high <= 100.0:
+        raise DataError(
+            f"normalization percentiles need 0 <= p_low < p_high <= 100, "
+            f"got p_low={p_low!r}, p_high={p_high!r}"
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "NormalizationParams":
-        """Parse to_json output; anything malformed raises DataError."""
-        try:
-            d = json.loads(text)
-            params = cls(
-                columns=tuple(d["columns"]),
-                p_low=float(d["p_low"]),
-                p_high=float(d["p_high"]),
-                lo=np.asarray(d["lo"], dtype=np.float64),
-                hi=np.asarray(d["hi"], dtype=np.float64),
-                impute=np.asarray(d["impute"], dtype=np.float64),
-            )
-        except (ValueError, KeyError, TypeError) as exc:
-            raise DataError(f"malformed normalization params ({exc!r})") from exc
-        n = len(params.columns)
-        if any(a.shape != (n,) for a in (params.lo, params.hi, params.impute)):
-            raise DataError(f"normalization params must hold {n} values per field")
-        return params
-
-    def save(self, path) -> None:
-        Path(path).write_text(self.to_json() + "\n", encoding="utf-8")
-
-    @classmethod
-    def load(cls, path) -> "NormalizationParams":
-        try:
-            return cls.from_json(Path(path).read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError, DataError) as exc:
-            raise DataError(f"normalization sidecar {path}: {exc}") from exc
 
 
 def fit_normalization(
@@ -179,8 +155,7 @@ def fit_normalization(
     feats = np.atleast_2d(np.asarray(features, dtype=np.float64))
     if feats.shape[0] < 2:
         raise DataError("need at least 2 rows to fit normalization")
-    if not p_low < p_high:
-        raise DataError("p_low must be below p_high")
+    _check_percentiles(p_low, p_high)
     if columns is None:
         columns = tuple(f"col{i}" for i in range(feats.shape[1]))
     if np.isnan(feats).all(axis=0).any():
@@ -220,19 +195,6 @@ def apply_normalization(features: np.ndarray, params: NormalizationParams) -> np
     return out
 
 
-@dataclass(frozen=True)
-class FeatureMatrix:
-    """Finite n x d matrix, its column names and the x/y centre it used."""
-
-    values: np.ndarray
-    columns: tuple[str, ...]
-    center: tuple[float, float]
-
-    @property
-    def dimension(self) -> int:
-        return int(self.values.shape[1])
-
-
 def spectral_matrix(cloud: PointCloud, config: FeatureConfig) -> np.ndarray:
     """Raw (possibly NaN-holding) spectral columns for a config, in order."""
     cols = []
@@ -262,9 +224,8 @@ def assemble_features(
     cloud: PointCloud,
     config: FeatureConfig,
     params: NormalizationParams | None = None,
-    center: tuple[float, float] | None = None,
-) -> FeatureMatrix:
-    """Build the feature matrix [x_centered, y_centered, h_norm, spectral...].
+) -> np.ndarray:
+    """Build the (n, d) feature matrix [h_norm, spectral...].
 
     Spectral columns are normalized with `params` (fitted on train);
     configs without spectral columns need no params. The result holds no
@@ -278,17 +239,10 @@ def assemble_features(
             f"params fitted for columns {params.columns}, "
             f"config {config.name} needs {config.spectral_columns}"
         )
-    if center is None:
-        center = (float(cloud.x.mean()), float(cloud.y.mean()))
-    base = np.column_stack(
-        (cloud.x - center[0], cloud.y - center[1], cloud.h_norm.astype(np.float64))
-    )
+    values = cloud.h_norm.astype(np.float64)[:, None]
     if config.spectral_columns:
         spec = apply_normalization(spectral_matrix(cloud, config), params)
-        values = np.column_stack((base, spec))
-    else:
-        values = base
+        values = np.column_stack((values, spec))
     if not np.all(np.isfinite(values)):
         raise NumericError("feature matrix contains non-finite values")
-    columns = ("x_centered", "y_centered", "h_norm") + config.spectral_columns
-    return FeatureMatrix(values=values, columns=columns, center=center)
+    return values

@@ -55,6 +55,19 @@ class TrainConfig:
     patience: int | None = None   # early stop on training loss; off by default
     dtype: type = np.float32
 
+    def __post_init__(self):
+        if self.epochs < 0:
+            raise DataError(f"epochs must be >= 0, got {self.epochs!r}")
+        for name in ("learning_rate", "weight_decay"):
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise DataError(f"{name} must be >= 0 and finite, got {getattr(self, name)!r}")
+        if self.patience is not None and self.patience < 1:
+            raise DataError(f"patience must be >= 1 or null, got {self.patience!r}")
+        if self.batch_size < 1:
+            raise DataError(f"batch_size must be >= 1, got {self.batch_size!r}")
+        if any(h < 1 for h in self.hidden):
+            raise DataError(f"hidden layer sizes must be >= 1, got {list(self.hidden)}")
+
 
 class Mlp:
     """d_in -> hidden... -> 2 with ReLU activations."""
@@ -251,7 +264,7 @@ def train(
     since_best = 0
     stopped = None
     n = x.shape[0]
-    bs = max(int(config.batch_size), 1)
+    bs = config.batch_size
     xs = np.empty_like(x)
     ys = np.empty_like(y)
     for epoch in range(config.epochs):

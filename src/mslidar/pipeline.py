@@ -32,9 +32,7 @@ from .columnar import read_columnar, write_columnar
 from .csf import CsfParams, csf_ground
 from .dtm import build_dtm, normalize_height
 from .errors import ConfigError
-from .features import (
-    ALL_CONFIGS, FeatureConfig, NormalizationParams, add_pndvi, fit_normalization,
-)
+from .features import ALL_CONFIGS, FeatureConfig, add_pndvi, fit_normalization
 from .mlp import TrainConfig
 from .preprocess import SorParams, merge_channels, sor_filter, voxel_subsample
 from .split import SPLIT_NAMES, split_plots
@@ -404,13 +402,9 @@ def stage_train(cfg: dict, train_path: Path, out_dir: Path) -> Path:
     fconfig = FeatureConfig.from_name(cfg["features"]["config"])
     result, params, weights = clf.fit(cloud, fconfig, cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
-    sidecar_name = ""
-    if params is not None:
-        sidecar_name = "normalization.json"
-        params.save(out_dir / sidecar_name)
     model_path = out_dir / "model.mstm"
     clf.save_checkpoint(
-        model_path, result.model, fconfig, weights, cfg["seed"], sidecar_name
+        model_path, result.model, fconfig, weights, cfg["seed"], cfg["neighborhood"], params
     )
     curve = "".join(f"{i},{v!r}\n" for i, v in enumerate(result.loss_curve))
     (out_dir / "loss_curve.csv").write_text("epoch,loss\n" + curve, encoding="utf-8")
@@ -431,13 +425,17 @@ def stage_train(cfg: dict, train_path: Path, out_dir: Path) -> Path:
        IN, path("--model", "model_path"), OUT_DIR,
        setting("postprocess.threshold", "--postprocess-threshold"))
 def stage_predict(cfg: dict, inp: Path, model_path: Path, out_dir: Path) -> Path:
-    cloud = read_columnar(inp)
     model, meta = clf.load_checkpoint(model_path)
+    if meta["neighborhood"] != cfg["neighborhood"]:
+        # features must be built as in training, and the manifest must
+        # record the neighborhood that ran
+        raise ConfigError(
+            f"{model_path} was trained with neighborhood {meta['neighborhood']}, "
+            f"but the config gives {cfg['neighborhood']}"
+        )
+    cloud = read_columnar(inp)
     fconfig = meta["feature_config"]
-    params = None
-    if meta["norm_sidecar"]:
-        params = NormalizationParams.load(model_path.parent / meta["norm_sidecar"])
-    pred = clf.classify(cloud, model, fconfig, params, cfg)
+    pred = clf.classify(cloud, model, fconfig, meta["normalization"], cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     pred_path = out_dir / "predictions.txt"  # one 0/1 label per line, in point order
     pred_path.write_text("\n".join(str(int(v)) for v in pred.labels) + "\n", encoding="utf-8")

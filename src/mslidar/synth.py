@@ -359,6 +359,8 @@ def scaled_config(target_points: int, seed: int = 0) -> SyntheticSceneConfig:
     Keeps the default per-channel density and scales extent and object
     counts together, so class balance stays roughly constant.
     """
+    if target_points < 1:
+        raise ConfigError(f"synth target_points must be >= 1, got {target_points}")
     base = SyntheticSceneConfig()
     area = target_points / (2.0 * base.density)
     extent = math.sqrt(area)

@@ -290,7 +290,7 @@ def test_stage_determinism_and_thread_independence(tmp_path):
     products = [
         "scene.mst", "den.mst", "merged.mst", "ground.mst", "hnorm.mst",
         "feat.mst", "sub.mst", "splits/train.mst", "splits/val.mst",
-        "splits/test.mst", "model/model.mstm", "model/normalization.json",
+        "splits/test.mst", "model/model.mstm",
         "model/loss_curve.csv", "pred/predictions.txt",
     ]
     for rel in products:

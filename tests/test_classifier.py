@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from mslidar.classifier import (
 )
 from mslidar.cloud import Label, PointCloud
 from mslidar.errors import DataError, NumericError
-from mslidar.features import FeatureConfig, FeatureMatrix
+from mslidar.features import FeatureConfig, fit_normalization
 from mslidar.mlp import Mlp, TrainConfig, train
 
 from conftest import brute_radius, random_cloud, tied_cloud
@@ -219,43 +221,29 @@ class TestNeighborhood:
     def test_stats_against_loop_oracle(self):
         rng = np.random.default_rng(21)
         n = 60
-        values = np.column_stack((
-            rng.normal(size=n), rng.normal(size=n), rng.uniform(0, 5, n),
-            rng.random(n), rng.random(n),
-        ))
-        fm = FeatureMatrix(
-            values=values,
-            columns=("x_centered", "y_centered", "h_norm",
-                     "refl_green_db", "refl_nir_db"),
-            center=(0.0, 0.0),
-        )
+        # [h_norm, green, nir]
+        values = np.column_stack((rng.uniform(0, 5, n), rng.random(n), rng.random(n)))
         graph = np.full((n, 4), -1, dtype=np.int64)
         for i in range(n):
             members = [(i + j) % n for j in range(rng.integers(1, 5))]
             graph[i, : len(members)] = members
-        out = neighborhood_stats(fm, graph)
-        assert out.columns == fm.columns + (
-            "refl_green_db_nmean", "refl_green_db_nstd",
-            "refl_nir_db_nmean", "refl_nir_db_nstd",
-            "h_norm_range", "n_count",
-        )
+        out = neighborhood_stats(values, graph)
+        # inputs, then mean/std per spectral column, h_norm range, count
+        assert out.shape == (n, 3 + 4 + 2)
+        np.testing.assert_array_equal(out[:, :3], values)
         for i in range(n):
             members = graph[i][graph[i] >= 0]
-            for off, ci in enumerate((3, 4)):
+            for off, ci in enumerate((1, 2)):
                 vals = values[members, ci]
-                assert out.values[i, 5 + 2 * off] == pytest.approx(vals.mean(), abs=1e-12)
-                assert out.values[i, 6 + 2 * off] == pytest.approx(vals.std(), abs=1e-9)
-            h = values[members, 2]
-            assert out.values[i, 9] == pytest.approx(h.max() - h.min(), abs=1e-12)
-            assert out.values[i, 10] == len(members)
+                assert out[i, 3 + 2 * off] == pytest.approx(vals.mean(), abs=1e-12)
+                assert out[i, 4 + 2 * off] == pytest.approx(vals.std(), abs=1e-9)
+            h = values[members, 0]
+            assert out[i, 7] == pytest.approx(h.max() - h.min(), abs=1e-12)
+            assert out[i, 8] == len(members)
 
     def test_stats_point_count_mismatch_rejected(self):
-        fm = FeatureMatrix(
-            values=np.zeros((5, 3)), columns=("x_centered", "y_centered", "h_norm"),
-            center=(0.0, 0.0),
-        )
         with pytest.raises(DataError, match="disagree"):
-            neighborhood_stats(fm, np.zeros((4, 2), np.int64))
+            neighborhood_stats(np.zeros((5, 1)), np.zeros((4, 2), np.int64))
 
 
 class TestImportAndPostprocess:
@@ -323,14 +311,23 @@ class TestImportAndPostprocess:
             height_threshold_postprocess(pred, cloud)
 
 
+NEIGHBORHOOD = {"k": 16, "radius": 2.0}
+
+
+def pndvi_params():
+    values = np.random.default_rng(4).normal(size=(100, 1))
+    return fit_normalization(values, ("pndvi",))
+
+
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         x, y = separable_toy(n=50, seed=8)
         result = train(x, y, (0.36, 1.64),
                        TrainConfig(epochs=2, hidden=(8, 4), seed=9))
         path = tmp_path / "model.mstm"
+        params = pndvi_params()
         save_checkpoint(path, result.model, FeatureConfig.XYZ_PNDVI,
-                        (0.36, 1.64), seed=9, norm_sidecar="normalization.json")
+                        (0.36, 1.64), 9, {"k": 8, "radius": 1.5}, params)
         model, meta = load_checkpoint(path)
         assert model.sizes == result.model.sizes
         for got, want in zip(model.parameters(), result.model.parameters()):
@@ -338,13 +335,25 @@ class TestCheckpoint:
         assert meta["feature_config"] is FeatureConfig.XYZ_PNDVI
         np.testing.assert_allclose(meta["class_weights"], [0.36, 1.64])
         assert meta["seed"] == 9
-        assert meta["norm_sidecar"] == "normalization.json"
+        assert meta["neighborhood"] == {"k": 8, "radius": 1.5}
+        back = meta["normalization"]
+        assert back.columns == ("pndvi",)
+        assert (back.p_low, back.p_high) == (params.p_low, params.p_high)
+        for field in ("lo", "hi", "impute"):
+            np.testing.assert_array_equal(getattr(back, field), getattr(params, field))
+
+    def test_geometry_only_config_has_no_normalization(self, tmp_path):
+        path = tmp_path / "model.mstm"
+        save_checkpoint(path, Mlp(3, (8,), 2, seed=0), FeatureConfig.XYZ,
+                        (1.0, 1.0), 0, NEIGHBORHOOD)
+        _, meta = load_checkpoint(path)
+        assert meta["normalization"] is None
 
     def test_bytes_deterministic(self, tmp_path):
         model = Mlp(4, (8,), 2, seed=0)
         p1, p2 = tmp_path / "a.mstm", tmp_path / "b.mstm"
-        save_checkpoint(p1, model, FeatureConfig.XYZ, (1.0, 1.0), seed=0)
-        save_checkpoint(p2, model, FeatureConfig.XYZ, (1.0, 1.0), seed=0)
+        save_checkpoint(p1, model, FeatureConfig.XYZ, (1.0, 1.0), 0, NEIGHBORHOOD)
+        save_checkpoint(p2, model, FeatureConfig.XYZ, (1.0, 1.0), 0, NEIGHBORHOOD)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_bad_magic_rejected(self, tmp_path):
@@ -358,12 +367,13 @@ class TestCheckpoint:
         model = Mlp(4, (8, 3), 2, seed=0)
         path = tmp_path / "model.mstm"
         save_checkpoint(path, model, FeatureConfig.XYZ_PNDVI, (0.36, 1.64),
-                        seed=0, norm_sidecar="normalization.json")
-        # section ends: magic, header, config name, sidecar length, sidecar
-        # name, class weights, layer count, layer sizes, then W/b per layer
+                        0, NEIGHBORHOOD, pndvi_params())
+        # section ends: magic, header, config name, class weights,
+        # neighborhood, normalization percentiles, normalization lo/hi/impute
+        # (one column), layer count, layer sizes, then W/b per layer
         ends = [4, 16, 16 + len("XYZ_PNDVI")]
-        ends += [ends[-1] + 2, ends[-1] + 2 + len("normalization.json")]
-        ends += [ends[-1] + 16, ends[-1] + 18, ends[-1] + 18 + 4 * 4]
+        ends += [ends[-1] + 16, ends[-1] + 28, ends[-1] + 44, ends[-1] + 68]
+        ends += [ends[-1] + 2, ends[-1] + 2 + 4 * 4]
         for w, b in zip(model.weights, model.biases):
             ends += [ends[-1] + 4 * w.size, ends[-1] + 4 * w.size + 4 * b.size]
         raw = path.read_bytes()
@@ -390,12 +400,55 @@ class TestCheckpoint:
         with pytest.raises(DataError, match="metadata"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("sidecar", ["../normalization.json", "/tmp/norm.json"])
-    def test_sidecar_reference_must_be_a_file_name(self, tmp_path, sidecar):
-        path = tmp_path / "model.mstm"
-        save_checkpoint(path, Mlp(4, (8,), 2, seed=0), FeatureConfig.XYZ_PNDVI,
-                        (1.0, 1.0), seed=0, norm_sidecar=sidecar)
-        with pytest.raises(DataError, match="not a file name"):
+    @pytest.mark.parametrize("version", [1, 3, 0xFFFF])
+    def test_other_version_is_data_error(self, tmp_path, version):
+        path, raw, _ = self.saved(tmp_path)
+        path.write_bytes(raw[:4] + struct.pack("<H", version) + raw[6:])
+        with pytest.raises(DataError, match=f"version {version} .*retrain"):
+            load_checkpoint(path)
+
+    def test_v1_file_is_data_error(self, tmp_path):
+        # an MSTM v1 checkpoint: a sidecar reference where v2 holds the recipe
+        path = tmp_path / "v1.mstm"
+        model = Mlp(3, (4,), 2, seed=0)
+        path.write_bytes(
+            b"MSTM" + struct.pack("<HqH", 1, 0, 3) + b"XYZ" + struct.pack("<H", 0)
+            + struct.pack("<2d", 1.0, 1.0) + struct.pack("<H3I", 3, 3, 4, 2)
+            + model.flat.astype("<f4").tobytes()
+        )
+        with pytest.raises(DataError, match="version 1 .*retrain"):
+            load_checkpoint(path)
+
+    # (field, struct format, value) of each value the loader must reject
+    BAD_VALUES = {
+        "k-zero": ("k", "<I", 0),
+        "radius-zero": ("radius", "<d", 0.0),
+        "radius-negative": ("radius", "<d", -1.0),
+        "radius-nan": ("radius", "<d", np.nan),
+        "p_low-negative": ("p_low", "<d", -1.0),
+        "p_high-above-100": ("p_high", "<d", 200.0),
+        "p_low-above-p_high": ("p_low", "<d", 99.5),
+        "lo-nan": ("lo", "<d", np.nan),
+        "hi-inf": ("hi", "<d", np.inf),
+        "impute-nan": ("impute", "<d", np.nan),
+        "lo-above-hi": ("lo", "<d", 1e9),
+        "weight-nan": ("weight", "<f", np.nan),
+        "bias-inf": ("bias", "<f", np.inf),
+    }
+
+    @pytest.mark.parametrize("case", BAD_VALUES, ids=list(BAD_VALUES))
+    def test_bad_value_is_data_error(self, tmp_path, case):
+        path, raw, ends = self.saved(tmp_path)
+        field, fmt, value = self.BAD_VALUES[case]
+        at = {
+            "k": ends[3], "radius": ends[3] + 4,
+            "p_low": ends[4], "p_high": ends[4] + 8,
+            "lo": ends[5], "hi": ends[5] + 8, "impute": ends[5] + 16,
+            "weight": ends[8], "bias": ends[9],
+        }[field]
+        packed = struct.pack(fmt, value)
+        path.write_bytes(raw[:at] + packed + raw[at + len(packed):])
+        with pytest.raises(DataError, match="model.mstm: "):
             load_checkpoint(path)
 
     def test_loaded_parameters_are_views_of_the_flat_vector(self, tmp_path):

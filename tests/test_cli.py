@@ -1,6 +1,6 @@
 import dataclasses
 import json
-import shutil
+import struct
 import time
 
 import numpy as np
@@ -8,6 +8,7 @@ import pytest
 
 from mslidar.cli import build_parser, effective_config, main
 from mslidar import classifier, pipeline
+from mslidar.cloud import concat
 from mslidar.columnar import read_columnar, write_columnar
 from mslidar.errors import ConfigError
 from mslidar.features import FeatureConfig, fit_config_normalization
@@ -64,7 +65,6 @@ def test_chain_products_exist(chain):
     for name in ("train", "val", "test"):
         assert (chain["splits"] / f"{name}.mst").exists()
     assert (chain["model"] / "model.mstm").exists()
-    assert (chain["model"] / "normalization.json").exists()
     assert (chain["model"] / "loss_curve.csv").exists()
     assert (chain["pred"] / "predictions.txt").exists()
     assert (chain["eval"] / "report.json").exists()
@@ -217,6 +217,24 @@ def test_ablate_fits_normalization_at_configured_percentiles(chain, tmp_path,
     assert np.all(params.lo > default.lo) and np.all(params.hi < default.hi)
 
 
+def test_prediction_does_not_depend_on_far_points(chain, tmp_path):
+    """Points farther than neighborhood.radius from every test point move
+    the cloud's mean but leave the labels of the original points as they were."""
+    test_path = chain["splits"] / "test.mst"
+    test = read_columnar(test_path)
+    far = dataclasses.replace(test, x=test.x + 1000.0)   # the scene spans about 32 m
+    extended = tmp_path / "extended.mst"
+    write_columnar(concat([test, far]), extended)
+    for inp, out in ((test_path, "p0"), (extended, "p1")):
+        assert main(["predict", "--in", str(inp),
+                     "--model", str(chain["model"] / "model.mstm"),
+                     "--out-dir", str(tmp_path / out)]) == 0
+    labels = [(tmp_path / out / "predictions.txt").read_text().split()
+              for out in ("p0", "p1")]
+    assert len(labels[1]) == 2 * test.count
+    assert labels[1][: test.count] == labels[0]
+
+
 def test_export_roundtrip(chain, tmp_path):
     las = tmp_path / "cloud.las"
     assert main(["export", "--cloud", str(chain["sub"]), "--las", str(las)]) == 0
@@ -286,18 +304,58 @@ class TestErrorPaths:
     @pytest.mark.parametrize("damage", ["delete", "corrupt"])
     def test_bad_normalization_sidecar_is_data_error(self, chain, tmp_path, capsys,
                                                      damage):
-        model_dir = tmp_path / "model"
-        shutil.copytree(chain["model"], model_dir)
-        sidecar = model_dir / "normalization.json"
+        # the normalization is the section of model.mstm after the
+        # neighborhood: two percentiles, then lo, hi, impute for 3 columns
+        raw = (chain["model"] / "model.mstm").read_bytes()
+        start = 16 + len("XYZ_GREEN_NIR_PNDVI") + 16 + 12
         if damage == "delete":
-            sidecar.unlink()
-        else:
-            sidecar.write_text(sidecar.read_text()[:40])
+            raw = raw[:start] + raw[start + 16 + 3 * 3 * 8:]
+        else:  # the first column's lo becomes NaN
+            raw = raw[:start + 16] + struct.pack("<d", np.nan) + raw[start + 24:]
+        model = tmp_path / "model.mstm"
+        model.write_bytes(raw)
         rc = main(["predict", "--in", str(chain["splits"] / "test.mst"),
-                   "--model", str(model_dir / "model.mstm"),
-                   "--out-dir", str(tmp_path / "p")])
+                   "--model", str(model), "--out-dir", str(tmp_path / "p")])
         assert rc == 3
         assert "error[data]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage, setting, code, message", [
+        ("synth", ["--target-points", "-5"], 2, "target_points must be >= 1"),
+        ("train", "neighborhood: {k: 0}", 3, "neighborhood k must be >= 1"),
+        ("train", "neighborhood: {radius: -1.0}", 3, "neighborhood radius must be positive"),
+        ("train", "features: {p_high: 200.0}", 3, "p_low < p_high <= 100"),
+        ("train", "train: {batch_size: 0}", 3, "batch_size must be >= 1"),
+        ("train", "train: {hidden: [0]}", 3, "hidden layer sizes must be >= 1"),
+        ("train", "train: {learning_rate: -1.0}", 3, "learning_rate must be >= 0"),
+        ("train", "train: {epochs: -1}", 3, "epochs must be >= 0"),
+        ("train", "train: {weight_decay: -1.0}", 3, "weight_decay must be >= 0"),
+        ("train", "train: {patience: -3}", 3, "patience must be >= 1"),
+    ], ids=["target-points", "k", "radius", "p-high", "batch-size", "hidden",
+            "learning-rate", "epochs", "weight-decay", "patience"])
+    def test_out_of_range_config_value_is_rejected(self, chain, tmp_path, capsys,
+                                                   stage, setting, code, message):
+        if stage == "synth":
+            argv = ["synth", "--out", str(tmp_path / "s.mst"), *setting]
+        else:
+            cfg = tmp_path / "bad.yaml"
+            cfg.write_text(setting + "\n")
+            argv = ["train", "--train", str(chain["splits"] / "train.mst"),
+                    "--out-dir", str(tmp_path / "m"), "--config", str(cfg)]
+        assert main(argv) == code
+        assert message in capsys.readouterr().err
+
+    def test_predict_with_another_neighborhood_is_config_error(self, chain, tmp_path,
+                                                               capsys):
+        cfg = tmp_path / "k8.yaml"
+        cfg.write_text("neighborhood: {k: 8}\n")
+        assert main(["train", "--train", str(chain["splits"] / "train.mst"),
+                     "--out-dir", str(tmp_path / "m"), "--epochs", "1",
+                     "--config", str(cfg)]) == 0
+        rc = main(["predict", "--in", str(chain["splits"] / "test.mst"),
+                   "--model", str(tmp_path / "m" / "model.mstm"),
+                   "--out-dir", str(tmp_path / "p")])
+        assert rc == 2
+        assert "was trained with neighborhood {'k': 8" in capsys.readouterr().err
 
     def test_zero_threads_is_config_error(self, chain, tmp_path, capsys):
         rc = main(["features", "--in", str(chain["hnorm"]),

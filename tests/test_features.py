@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from mslidar.cloud import PointCloud
 from mslidar.errors import DataError, NumericError
 from mslidar.features import (
-    ALL_CONFIGS, FeatureConfig, NormalizationParams, add_pndvi,
+    ALL_CONFIGS, FeatureConfig, add_pndvi,
     apply_normalization, assemble_features, db_to_linear,
     fit_config_normalization, fit_normalization, linear_to_db, pndvi,
 )
@@ -153,32 +153,6 @@ class TestNormalization:
         with pytest.raises(DataError, match="no observed values"):
             fit_normalization(col)
 
-    def test_json_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(5)
-        params = fit_normalization(rng.normal(size=(100, 2)), columns=("a", "b"))
-        path = tmp_path / "norm.json"
-        params.save(path)
-        back = NormalizationParams.load(path)
-        assert back.columns == params.columns
-        np.testing.assert_array_equal(back.lo, params.lo)
-        np.testing.assert_array_equal(back.hi, params.hi)
-        np.testing.assert_array_equal(back.impute, params.impute)
-
-    @pytest.mark.parametrize("text", [
-        None,                                   # file missing
-        '{"columns": ["a"], "p_low": 1.0',      # truncated JSON
-        '{"columns": ["a"], "p_low": 1.0}',     # missing keys
-        '["a", "b"]',                           # not an object
-        '{"columns": ["a", "b"], "p_low": 1, "p_high": 99, '
-        '"lo": [0.0], "hi": [1.0, 2.0], "impute": [0.5, 0.5]}',  # short field
-    ], ids=["missing", "truncated", "missing-keys", "not-object", "short-field"])
-    def test_bad_sidecar_is_data_error(self, tmp_path, text):
-        path = tmp_path / "norm.json"
-        if text is not None:
-            path.write_text(text)
-        with pytest.raises(DataError, match="norm.json"):
-            NormalizationParams.load(path)
-
     def test_column_count_mismatch_rejected(self):
         params = fit_normalization(np.random.default_rng(6).normal(size=(50, 2)))
         with pytest.raises(DataError, match="does not match"):
@@ -198,19 +172,26 @@ def spectral_cloud(n=50, seed=0):
 
 class TestAssembleFeatures:
     def test_xyz_dimension(self):
-        fm = assemble_features(spectral_cloud(), FeatureConfig.XYZ)
-        assert fm.dimension == 3
-        assert fm.columns == ("x_centered", "y_centered", "h_norm")
+        # geometry alone is h_norm: no absolute position
+        cloud = spectral_cloud()
+        fm = assemble_features(cloud, FeatureConfig.XYZ)
+        np.testing.assert_array_equal(fm, cloud.h_norm.astype(np.float64)[:, None])
 
     def test_full_config_dimension(self):
         cloud = add_pndvi(spectral_cloud())
         cfg = FeatureConfig.XYZ_GREEN_NIR_PNDVI
         params = fit_config_normalization(cloud, cfg, p_low=1.0, p_high=99.0)
         fm = assemble_features(cloud, cfg, params)
-        assert fm.dimension == 6
+        assert fm.shape == (cloud.count, 4)
 
     def test_all_config_dimensions(self):
-        assert sorted(c.dimension for c in ALL_CONFIGS) == [3, 4, 4, 4, 5, 6]
+        cloud = add_pndvi(spectral_cloud())
+        widths = []
+        for cfg in ALL_CONFIGS:
+            params = (fit_config_normalization(cloud, cfg, p_low=1.0, p_high=99.0)
+                      if cfg.spectral_columns else None)
+            widths.append(assemble_features(cloud, cfg, params).shape[1])
+        assert sorted(widths) == [1, 2, 2, 2, 3, 4]
 
     def test_missing_pndvi_column_named_in_error(self):
         cloud = spectral_cloud()
@@ -218,21 +199,13 @@ class TestAssembleFeatures:
         with pytest.raises(DataError, match="pndvi"):
             fit_config_normalization(cloud, cfg, p_low=1.0, p_high=99.0)
 
-    def test_xy_centered_on_cloud_mean(self):
-        cloud = spectral_cloud()
-        fm = assemble_features(cloud, FeatureConfig.XYZ)
-        assert abs(fm.values[:, 0].mean()) < 1e-9
-        assert abs(fm.values[:, 1].mean()) < 1e-9
-        explicit = assemble_features(cloud, FeatureConfig.XYZ, center=(0.0, 0.0))
-        np.testing.assert_allclose(explicit.values[:, 0], cloud.x)
-
     def test_spectral_columns_normalized(self):
         cloud = spectral_cloud()
         cfg = FeatureConfig.XYZ_GREEN_NIR
         params = fit_config_normalization(cloud, cfg, p_low=1.0, p_high=99.0)
         fm = assemble_features(cloud, cfg, params)
-        assert fm.values[:, 3:].min() >= 0.0
-        assert fm.values[:, 3:].max() <= 1.0
+        assert fm[:, 1:].min() >= 0.0
+        assert fm[:, 1:].max() <= 1.0
 
     def test_params_column_mismatch_rejected(self):
         cloud = spectral_cloud()
@@ -260,7 +233,7 @@ class TestAssembleFeatures:
         cfg = FeatureConfig.XYZ_GREEN
         params = fit_config_normalization(cloud, cfg, p_low=1.0, p_high=99.0)
         fm = assemble_features(cloud, cfg, params)
-        assert np.isfinite(fm.values).all()
+        assert np.isfinite(fm).all()
 
     def test_config_from_name(self):
         assert FeatureConfig.from_name("xyz") is FeatureConfig.XYZ
