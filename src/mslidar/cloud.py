@@ -14,12 +14,14 @@ brute-force scan, ties broken by lower point id.
 import itertools
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import DataError
+
+if TYPE_CHECKING:  # imported where an index is built: most stages never need scipy
+    from scipy.spatial import cKDTree
 
 
 class Channel(IntEnum):
@@ -191,7 +193,7 @@ class SpatialIndex:
     point's id is its row in the cloud."""
 
     points: np.ndarray         # (m, 3) coordinates
-    tree: cKDTree = field(repr=False)
+    tree: "cKDTree" = field(repr=False)
 
     def knn_batch(
         self, qs: np.ndarray, k: int, radius: float | None = None, workers: int = 1
@@ -247,6 +249,8 @@ class SpatialIndex:
 
 def build_index(cloud: PointCloud) -> SpatialIndex:
     """Build an exact spatial index over every point of the cloud."""
+    from scipy.spatial import cKDTree
+
     if cloud.count == 0:
         raise DataError("cannot index an empty point cloud")
     pts = cloud.xyz

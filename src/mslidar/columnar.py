@@ -79,6 +79,8 @@ def read_columnar(path) -> PointCloud:
         raise DataError(
             f"{path}: unsupported MST1 version {version} (reader supports {VERSION})"
         )
+    if bitmap >> len(_CANONICAL):
+        raise DataError(f"{path}: column bitmap {bitmap:#06x} sets unknown columns")
     offset = _HEADER.size
     if len(raw) < offset + note_len:
         raise DataError(f"{path}: truncated CRS note")

@@ -22,7 +22,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .cloud import PointCloud
 from .dtm import bilinear_cells
@@ -99,6 +98,8 @@ def simulate_cloth(cloud: PointCloud, params: CsfParams) -> tuple[np.ndarray, tu
     floor = floor.reshape(h, w)
     empty = ~np.isfinite(floor)
     if empty.any():  # cells with no points inherit the nearest occupied floor
+        from scipy import ndimage
+
         _, (ni, nj) = ndimage.distance_transform_edt(empty, return_indices=True)
         floor = floor[ni, nj]
 

@@ -4,8 +4,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
-from scipy.spatial import cKDTree
 
 from .cloud import PointCloud
 from .errors import DataError
@@ -41,6 +39,8 @@ def build_dtm(
     XY extent, so later height normalization finds a cell under every
     point.
     """
+    from scipy.spatial import cKDTree
+
     if not cell > 0:
         raise DataError("DTM cell size must be positive")
     cloud.require("ground_flag")
@@ -126,6 +126,8 @@ def normalize_height(cloud: PointCloud, dtm: DtmGrid) -> PointCloud:
         + vals[i1, j1] * fx * fy
     )
     if not corners_ok.all():
+        from scipy import ndimage
+
         _, (ni, nj) = ndimage.distance_transform_edt(
             dtm.nodata, return_indices=True
         )

@@ -61,14 +61,14 @@ def _cstr(raw: bytes) -> str:
     return raw.split(b"\x00", 1)[0].decode("ascii", errors="replace")
 
 
-def _parse_extra_defs(payload: bytes) -> list[tuple[str, np.dtype]]:
+def _parse_extra_defs(path: Path, payload: bytes) -> list[tuple[str, np.dtype]]:
     if len(payload) % _EXTRA_RECORD.size != 0:
-        raise DataError("extra-bytes VLR payload is not a multiple of 192 bytes")
+        raise DataError(f"{path}: extra-bytes VLR payload is not a multiple of 192 bytes")
     defs = []
     for off in range(0, len(payload), _EXTRA_RECORD.size):
         (_, data_type, _, name, *_rest) = _EXTRA_RECORD.unpack_from(payload, off)
         if data_type not in _EXTRA_DTYPES:
-            raise DataError(f"unsupported extra-bytes data type {data_type}")
+            raise DataError(f"{path}: unsupported extra-bytes data type {data_type}")
         defs.append((_cstr(name), _EXTRA_DTYPES[data_type]))
     return defs
 
@@ -93,8 +93,11 @@ def read_las(
             into the label column, or None to leave labels absent.
 
     Raises:
-        DataError: malformed or truncated header, zero points, missing
-            reflectance field; each with a distinct message.
+        DataError: malformed or truncated header, a zero or non-finite
+            scale or a non-finite offset, zero points, missing reflectance
+            field, or a cloud that breaks a PointCloud invariant (so
+            ingest never writes an MST1 file its reader rejects); each
+            with a distinct message naming the file.
     """
     path = Path(path)
     try:
@@ -113,6 +116,11 @@ def read_las(
     offsets = struct.unpack_from("<3d", raw, 155)
     if len(raw) < header_size or header_size < _HEADER_SIZES[ver]:
         raise DataError(f"{path}: malformed LAS header (truncated)")
+    if not (np.isfinite(scales + offsets).all() and all(scales)):
+        raise DataError(
+            f"{path}: bad LAS header scale {scales} or offset {offsets} "
+            "(scales must be finite and non-zero, offsets finite)"
+        )
     count = legacy_count
     if ver >= (1, 4):
         count = struct.unpack_from("<Q", raw, 247)[0]
@@ -134,7 +142,7 @@ def read_las(
         _, user_id, record_id, rec_len, _ = _VLR_HEADER.unpack_from(raw, off)
         off += _VLR_HEADER.size
         if _cstr(user_id) == "LASF_Spec" and record_id == 4:
-            extra_defs = _parse_extra_defs(raw[off : off + rec_len])
+            extra_defs = _parse_extra_defs(path, raw[off : off + rec_len])
         off += rec_len
 
     fields = _POINT_DTYPES[point_format] + extra_defs
@@ -152,9 +160,10 @@ def read_las(
         )
     pts = np.frombuffer(raw, dtype=rec, count=count, offset=point_offset)
 
-    x = pts["X"] * scales[0] + offsets[0]
-    y = pts["Y"] * scales[1] + offsets[1]
-    z = pts["Z"] * scales[2] + offsets[2]
+    with np.errstate(over="ignore"):  # an overflow is reported by validate below
+        x = pts["X"] * scales[0] + offsets[0]
+        y = pts["Y"] * scales[1] + offsets[1]
+        z = pts["Z"] * scales[2] + offsets[2]
 
     if reflectance_source == "intensity":
         refl = pts["intensity"].astype(np.float32)
@@ -188,9 +197,12 @@ def read_las(
             cols[attr] = pts[attr].astype(np.float32)
     if label_source == "classification":
         cols["label"] = pts["classification"].copy()
-    return PointCloud(
-        x=x, y=y, z=z, channel=chan, reflectance_db=refl, **cols
-    )
+    cloud = PointCloud(x=x, y=y, z=z, channel=chan, reflectance_db=refl, **cols)
+    try:
+        cloud.validate()  # e.g. coordinates that overflow, an ASPRS class code
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    return cloud
 
 
 def _extra_record(name: str) -> bytes:

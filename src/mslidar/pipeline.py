@@ -24,7 +24,6 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-import yaml
 
 from . import __version__
 from .cloud import Channel, PointCloud, concat
@@ -121,7 +120,9 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
     mapping of dotted keys such as ``"sor.k"`` to values.
 
     Unknown keys, values of another type than their default (see
-    :func:`_fits`) and a thread count below 1 raise ConfigError.
+    :func:`_fits`), a thread count below 1 and a seed outside
+    ``0 <= seed < 2**63`` (what the RNG and the checkpoint's i64 take)
+    raise ConfigError.
     """
     cfg = copy.deepcopy(DEFAULTS)
     if path is not None:
@@ -129,6 +130,8 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
             text = Path(path).read_text(encoding="utf-8")
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        import yaml
+
         try:
             data = yaml.safe_load(text) or {}
         except yaml.YAMLError as exc:
@@ -141,6 +144,8 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
         _merge_into(cfg, functools.reduce(lambda v, k: {k: v}, reversed(key.split(".")), value))
     if cfg["threads"] < 1:
         raise ConfigError(f"threads must be an integer >= 1, got {cfg['threads']!r}")
+    if not 0 <= cfg["seed"] < 2**63:
+        raise ConfigError(f"seed must be an integer in [0, 2**63), got {cfg['seed']!r}")
     return cfg
 
 
@@ -288,14 +293,18 @@ def stage_synth(cfg: dict, out: Path) -> PointCloud:
        path("--las", "las_path"),
        Flag("--channel", required=True, choices=["green", "nir", "scanner"]),
        Flag("--reflectance-source", default="intensity"),
+       Flag("--label-source", choices=["classification"], default=None,
+            help="copy the classification byte into the label column"),
        OUT)
 def stage_ingest(
-    cfg: dict, las_path: Path, channel: str, reflectance_source: str, out: Path
+    cfg: dict, las_path: Path, channel: str, reflectance_source: str, out: Path,
+    label_source: str | None = None,
 ) -> PointCloud:
     from .lasio import read_las
 
     chan = {"green": Channel.GREEN_532, "nir": Channel.NIR_1064}.get(channel, channel)
-    cloud = read_las(las_path, reflectance_source=reflectance_source, channel=chan)
+    cloud = read_las(las_path, reflectance_source=reflectance_source, channel=chan,
+                     label_source=label_source)
     write_columnar(cloud, out)
     write_manifest(out, "ingest", cfg, {"las": las_path}, extra={"points": cloud.count})
     return cloud

@@ -1,12 +1,17 @@
 import dataclasses
 import json
+import os
 import struct
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mslidar.cli import build_parser, effective_config, main
+import mslidar
 from mslidar import classifier, pipeline
 from mslidar.cloud import concat
 from mslidar.columnar import read_columnar, write_columnar
@@ -242,6 +247,68 @@ def test_export_roundtrip(chain, tmp_path):
     assert las.with_name(las.name + ".manifest.json").exists()
 
 
+def test_ingest_label_source_roundtrip(chain, tmp_path):
+    cloud = read_columnar(chain["splits"] / "test.mst")
+    las = tmp_path / "labelled.las"
+    write_las(cloud, las)
+    for extra, out in (([], "plain.mst"), (["--label-source", "classification"], "l.mst")):
+        assert main(["ingest", "--las", str(las), "--channel", "scanner",
+                     "--out", str(tmp_path / out), *extra]) == 0
+    assert not read_columnar(tmp_path / "plain.mst").has("label")
+    np.testing.assert_array_equal(read_columnar(tmp_path / "l.mst").label, cloud.label)
+
+
+# Run in a fresh interpreter with the package importable: prints the
+# scipy and yaml modules loaded after each named step.
+LOADED = """
+import json, sys
+from mslidar.cli import main
+
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "yaml"))
+
+report = {"import": loaded()}
+for name, argv in json.loads(sys.argv[1]):
+    report[name] = (main(argv), loaded())
+print(json.dumps(report))
+"""
+
+
+def _loaded_modules(steps) -> dict:
+    src = str(Path(mslidar.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    run = subprocess.run([sys.executable, "-c", LOADED, json.dumps(steps)], env=env,
+                         capture_output=True, text=True, timeout=300, check=True)
+    return json.loads(run.stdout.splitlines()[-1])
+
+
+def test_importing_the_cli_loads_neither_scipy_nor_yaml():
+    assert _loaded_modules([]) == {"import": []}
+
+
+def test_stages_without_neighbor_search_or_gridding_never_import_scipy(chain, tmp_path):
+    splits, pred = chain["splits"], chain["pred"] / "predictions.txt"
+    light = [
+        ["ingest", "--las", str(chain["eval"] / "errors.las"), "--channel", "scanner",
+         "--out", str(tmp_path / "i.mst")],
+        ["features", "--in", str(chain["hnorm"]), "--out", str(tmp_path / "f.mst")],
+        ["subsample", "--in", str(chain["feat"]), "--out", str(tmp_path / "s.mst")],
+        ["split", "--in", str(chain["sub"]), "--out-dir", str(tmp_path / "splits")],
+        ["export", "--cloud", str(splits / "test.mst"), "--pred", str(pred),
+         "--las", str(tmp_path / "e.las")],
+        ["evaluate", "--cloud", str(splits / "test.mst"), "--pred", str(pred),
+         "--out-dir", str(tmp_path / "eval")],
+    ]
+    # control: denoise builds a k-d tree, so scipy.spatial must load then
+    denoise = ["denoise", "--in", str(chain["scene"]), "--out", str(tmp_path / "d.mst")]
+    report = _loaded_modules([(argv[0], argv) for argv in light] + [("denoise", denoise)])
+    for argv in light:
+        assert report[argv[0]] == [0, []], argv[0]
+    code, modules = report["denoise"]
+    assert code == 0 and "scipy.spatial" in modules
+
+
 def test_import_pred_scores_ground_truth_perfectly(chain, tmp_path):
     cloud = read_columnar(chain["splits"] / "test.mst")
     labels = tmp_path / "external.txt"
@@ -370,6 +437,26 @@ class TestErrorPaths:
                    "--out", str(tmp_path / "f.mst")])
         assert rc == 2
         assert "error[config]: MSLIDAR_SEED" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("route, seed", [
+        ("flag", -1), ("yaml", -1), ("env", -1), ("flag", 2**63), ("yaml", 2**64),
+        ("env", 2**63),
+    ])
+    def test_out_of_range_seed_is_config_error(self, chain, tmp_path, capsys,
+                                               monkeypatch, route, seed):
+        argv = ["split", "--in", str(chain["sub"]), "--out-dir", str(tmp_path / "s")]
+        if route == "flag":
+            argv += ["--seed", str(seed)]
+        elif route == "yaml":
+            cfg = tmp_path / "seed.yaml"
+            cfg.write_text(f"seed: {seed}\n")
+            argv += ["--config", str(cfg)]
+        else:
+            monkeypatch.setenv("MSLIDAR_SEED", str(seed))
+        assert main(argv) == 2
+        assert f"error[config]: seed must be an integer in [0, 2**63), got {seed}" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
 
     @pytest.mark.parametrize(
         "stage", ["denoise", "merge", "ground", "normalize-height", "subsample"])
