@@ -16,6 +16,9 @@ from .features import db_to_linear, linear_to_db
 
 logger = logging.getLogger(__name__)
 
+# Query rows per neighbor search in channel merging.
+_QUERY_ROWS = 1 << 15
+
 
 @dataclass(frozen=True)
 class SorParams:
@@ -71,17 +74,24 @@ def _cross_channel_db(
     """Mean reflectance of up to k nearest source points within radius.
 
     Averaged in linear units, returned in dB; NaN where no source point
-    lies within the radius.
+    lies within the radius. Targets are queried _QUERY_ROWS at a time:
+    every row is independent, so the result is the same, and the (rows,
+    k) temporaries stay a few MB instead of growing with the cloud.
     """
     index = build_index(source)
-    ids = index.knn_batch(targets.xyz, k=k, radius=radius, workers=workers)
-    valid = ids >= 0
     source_lin = db_to_linear(source.reflectance_db.astype(np.float64))
-    lin = np.where(valid, source_lin[np.where(valid, ids, 0)], 0.0)
-    counts = valid.sum(axis=1)
+    xyz = targets.xyz
+    total = np.empty(targets.count, dtype=np.float64)
+    counts = np.empty(targets.count, dtype=np.int64)
+    for lo in range(0, targets.count, _QUERY_ROWS):
+        rows = slice(lo, lo + _QUERY_ROWS)
+        ids = index.knn_batch(xyz[rows], k=k, radius=radius, workers=workers)
+        valid = ids >= 0
+        total[rows] = np.where(valid, source_lin[np.where(valid, ids, 0)], 0.0).sum(axis=1)
+        counts[rows] = valid.sum(axis=1)
     out = np.full(targets.count, np.nan, dtype=np.float64)
     have = counts > 0
-    out[have] = linear_to_db(lin[have].sum(axis=1) / counts[have])
+    out[have] = linear_to_db(total[have] / counts[have])
     return out.astype(np.float32)
 
 

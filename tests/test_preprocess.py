@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mslidar.cloud import Channel, Label, PointCloud, concat
+from mslidar import preprocess
 from mslidar.errors import DataError
 from mslidar.preprocess import (
     SorParams, merge_channels, sor_filter, voxel_subsample,
@@ -162,6 +163,20 @@ class TestMergeChannels:
                 if ids.size:
                     expected[i] = 10.0 * np.log10(lin[ids].sum() / ids.size)
             np.testing.assert_array_equal(got, expected)
+
+    def test_query_chunking_does_not_change_the_result(self, monkeypatch):
+        # 400 targets in chunks of 7 rows, the last one partial
+        rng = np.random.default_rng(17)
+        g = tied_cloud(rng, n=400, extent=1.5)
+        g.channel[:] = int(Channel.GREEN_532)
+        n = tied_cloud(rng, n=400, extent=1.5)
+        n.channel[:] = int(Channel.NIR_1064)
+        whole = merge_channels(g, n, radius=0.2, k=7)
+        monkeypatch.setattr(preprocess, "_QUERY_ROWS", 7)
+        chunked = merge_channels(g, n, radius=0.2, k=7)
+        for col in ("refl_green_db", "refl_nir_db"):
+            np.testing.assert_array_equal(
+                getattr(chunked, col).view(np.uint32), getattr(whole, col).view(np.uint32))
 
     def test_own_channel_reflectance_never_altered(self):
         rng = np.random.default_rng(11)
