@@ -306,7 +306,7 @@ def load_checkpoint(path) -> tuple[Mlp, dict]:
         raise DataError(f"{path}: {exc}") from exc
     (n_sizes,) = unpack("<H", "layer count")
     sizes = unpack(f"<{n_sizes}I", "layer sizes")
-    if n_sizes < 2 or min(sizes) < 1:
+    if n_sizes < 2 or min(sizes) < 1 or sizes[-1] != 2:
         raise DataError(f"{path}: invalid layer sizes {sizes}")
 
     # parameters in file order (W0, b0, W1, b1, ...), sized before allocating

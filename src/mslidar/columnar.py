@@ -19,7 +19,6 @@ The format is bit-exact: read(write(c)) reproduces every array byte
 for byte, including NaN payloads.
 """
 
-import io
 import struct
 from pathlib import Path
 
@@ -48,16 +47,16 @@ def write_columnar(cloud: PointCloud, path) -> None:
         if cloud.has(name):
             bitmap |= 1 << i
     note = cloud.crs_note.encode("utf-8")
-    buf = io.BytesIO()
-    buf.write(_HEADER.pack(MAGIC, VERSION, bitmap, cloud.count, len(note)))
-    buf.write(note)
-    for name in ("x", "y", "z", "channel"):
-        buf.write(np.ascontiguousarray(getattr(cloud, name)).tobytes())
-    for name in _CANONICAL:
-        if cloud.has(name):
-            col = getattr(cloud, name).astype(_storage_dtype(name), copy=False)
-            buf.write(np.ascontiguousarray(col).tobytes())
-    path.write_bytes(buf.getvalue())
+    # header, note and columns go straight to the file, one column at a time
+    with path.open("wb") as fh:
+        fh.write(_HEADER.pack(MAGIC, VERSION, bitmap, cloud.count, len(note)))
+        fh.write(note)
+        for name in ("x", "y", "z", "channel"):
+            fh.write(np.ascontiguousarray(getattr(cloud, name)))
+        for name in _CANONICAL:
+            if cloud.has(name):
+                col = getattr(cloud, name).astype(_storage_dtype(name), copy=False)
+                fh.write(np.ascontiguousarray(col))
 
 
 def read_columnar(path) -> PointCloud:

@@ -3,42 +3,50 @@
 Plain numpy, no autograd: the backward pass is written out so the
 gradient can be checked against finite differences. Everything is
 deterministic given the seed: Glorot-uniform init from a seeded
-generator, seeded permutation shuffling, and fixed-order batch sums.
+generator, seeded permutation shuffling, and fixed-order sums.
+
+The two output units enter the loss only through their logit margin
+z = h.(w1 - w0) + (b1 - b0): the softmax cross-entropy of a point of
+class 1 is softplus(-z), of class 0 softplus(z). Loss and gradient are
+computed from z in the model dtype. The per-row logit gradient g reaches
+the output columns as -h.T@g and +h.T@g and the last hidden layer as the
+rank-1 product outer(g, w1 - w0). The checkpoint stores both columns.
 
 The two output units are initialized with identical weight rows. Class
 gradients split them from the first step on, and the symmetry makes
 label flipping an exact mirror: training on 1-y with swapped class
-weights yields exactly swapped output units.
+weights yields exactly swapped output units. Flipping the labels negates
+z, g and w1 - w0, and floating-point negation is exact.
 
-A training step allocates no (batch x hidden) temporaries. Each model
-keeps a workspace of activation, backward-delta and ReLU-mask buffers
-sized to the largest batch seen; shorter batches use row slices of it.
-The arrays `forward` returns are views of that workspace and are valid
-until the next `forward`, `loss`, `loss_and_grads` or `predict_proba`
-call on the same model. Gradients are fresh arrays on every call.
+Every pass (a training batch, the initial full-set loss, a prediction)
+runs in row shards of SHARD_ROWS, a constant. Shard losses and gradients
+are summed in shard order, and numpy's BLAS is pinned to one thread while
+the shards run, so trained bits do not depend on OPENBLAS_NUM_THREADS.
+The model keeps one workspace of activation, backward-delta and ReLU-mask
+buffers of SHARD_ROWS rows, so a pass allocates no (rows x hidden)
+temporaries and its memory does not grow with its row count. The arrays
+`forward` returns are views of the workspace and are valid until the next
+pass on the same model.
 
 All parameters live in one flat vector, weight matrices first and then
-the biases, and `weights`/`biases` are views of it, so AdamW is a few
-whole-vector in-place operations and weight decay covers a prefix.
-
-None of this changes a trained bit: every BLAS call keeps the shapes
-and operand order of the plain allocating loop, each element-wise step
-does the same rounded operations in the same order, and the batch sums
-keep their reduction order. `tests/conftest.py` holds that loop as a
-reference, and the tests check parameters and loss curves against it
-bit for bit.
-
-loss_curve[0] is one forward over the full training set, without the
-backward pass that a gradient call would add. It stays one full-size
-call: a row-chunked matrix product rounds differently, so chunking it
-would change the reported loss.
+the biases, and `weights`/`biases` are views of it; gradients use the
+same layout. AdamW is a few whole-vector in-place operations and weight
+decay covers a prefix.
 """
 
+import ctypes
+import functools
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError, NumericError
+
+# Rows per shard. A constant, never derived from a thread count: the
+# shard boundaries fix the rounding of every sum, so they fix the bits.
+SHARD_ROWS = 2048
 
 
 @dataclass
@@ -69,145 +77,240 @@ class TrainConfig:
             raise DataError(f"hidden layer sizes must be >= 1, got {list(self.hidden)}")
 
 
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS bundled with numpy, or
+    None when numpy links another BLAS. numpy 2 wheels bundle scipy-openblas
+    (scipy_openblas_*_num_threads64_), numpy 1.x wheels an OpenBLAS with
+    openblas_*_num_threads64_ (no 64_ on 32-bit builds). Loaded on first use."""
+    pkg = Path(np.__file__).parent
+    for lib in sorted((*pkg.parent.glob("numpy.libs/*openblas*"),
+                       *pkg.glob(".dylibs/*openblas*"))):
+        try:
+            handle = ctypes.CDLL(str(lib))
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                try:
+                    get = getattr(handle, f"{prefix}_get_num_threads{suffix}")
+                    set_ = getattr(handle, f"{prefix}_set_num_threads{suffix}")
+                except AttributeError:
+                    continue
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextmanager
+def one_blas_thread():
+    """numpy's BLAS on one thread for the duration, then as it was."""
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, set_ = threads
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
+class _Workspace:
+    """The buffers of a shard: post-ReLU activations and the margin of
+    `forward`, backward deltas and ReLU masks, and a row of ones that sums
+    a delta's columns as one BLAS call."""
+
+    def __init__(self, widths, dtype):
+        self.acts = [np.empty((SHARD_ROWS, w), dtype) for w in widths]
+        self.deltas = [np.empty((SHARD_ROWS, w), dtype) for w in widths]
+        self.masks = [np.empty((SHARD_ROWS, w), bool) for w in widths]
+        self.z = np.empty(SHARD_ROWS, dtype)
+        self.ones = np.ones(SHARD_ROWS, dtype)
+
+
 class Mlp:
     """d_in -> hidden... -> 2 with ReLU activations."""
 
     def __init__(self, d_in: int, hidden: tuple[int, ...],
                  n_out: int = 2, seed: int = 0, dtype=np.float32):
-        self.sizes = (int(d_in),) + tuple(int(h) for h in hidden) + (int(n_out),)
+        if n_out != 2:
+            raise DataError(f"the network has two output units, got {n_out}")
+        self.sizes = (int(d_in),) + tuple(int(h) for h in hidden) + (2,)
         self.dtype = np.dtype(dtype)
         self.seed = seed
-        shapes = list(zip(self.sizes[:-1], self.sizes[1:]))
-        self.n_weights = sum(a * b for a, b in shapes)
+        self.n_weights = sum(a * b for a, b in zip(self.sizes[:-1], self.sizes[1:]))
         self.flat = np.zeros(self.n_weights + sum(self.sizes[1:]), dtype=self.dtype)
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
+        self.weights, self.biases = self._views(self.flat)
         rng = np.random.default_rng(seed)
-        w_off, b_off = 0, self.n_weights
-        for li, (fan_in, fan_out) in enumerate(shapes):
-            w = self.flat[w_off : w_off + fan_in * fan_out].reshape(fan_in, fan_out)
+        for li, w in enumerate(self.weights):
+            fan_in, fan_out = w.shape
             bound = np.sqrt(6.0 / (fan_in + fan_out))
             # the output layer draws one column and repeats it per class
-            cols = 1 if li == len(shapes) - 1 else fan_out
+            cols = 1 if li == len(self.weights) - 1 else fan_out
             w[...] = rng.uniform(-bound, bound, size=(fan_in, cols))
-            self.weights.append(w)
-            self.biases.append(self.flat[b_off : b_off + fan_out])
-            w_off += fan_in * fan_out
-            b_off += fan_out
-        self._workspace: dict[str, list[np.ndarray]] = {}
+        self._ws: _Workspace | None = None
 
     @property
     def d_in(self) -> int:
         return self.sizes[0]
 
+    def _views(self, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Weight matrices and bias vectors as views of a flat vector."""
+        weights, biases = [], []
+        w_off, b_off = 0, self.n_weights
+        for fan_in, fan_out in zip(self.sizes[:-1], self.sizes[1:]):
+            weights.append(flat[w_off : w_off + fan_in * fan_out].reshape(fan_in, fan_out))
+            biases.append(flat[b_off : b_off + fan_out])
+            w_off += fan_in * fan_out
+            b_off += fan_out
+        return weights, biases
+
     def parameters(self) -> list[np.ndarray]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend((w, b))
-        return out
+        return _interleave(self.weights, self.biases)
 
-    def _buffers(self, name: str, rows: int, widths, dtype=None) -> list[np.ndarray]:
-        """Row views of the named workspace buffers; grown, never shrunk."""
-        bufs = self._workspace.get(name)
-        if bufs is None or (bufs and bufs[0].shape[0] < rows):
-            bufs = [np.empty((rows, w), dtype or self.dtype) for w in widths]
-            self._workspace[name] = bufs
-        return [b[:rows] for b in bufs]
+    def _head(self) -> tuple[np.ndarray, np.generic]:
+        """The margin's weight vector w1 - w0 and bias b1 - b0."""
+        w, b = self.weights[-1], self.biases[-1]
+        return w[:, 1] - w[:, 0], b[1] - b[0]
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Logits plus the post-ReLU activations needed for backward."""
-        *hidden, logits = self._buffers("forward", x.shape[0], self.sizes[1:])
+    def forward(self, x: np.ndarray):
+        """Margin z and the post-ReLU activations (x first) of one shard of
+        at most SHARD_ROWS rows, in the model's workspace."""
+        if self._ws is None:
+            self._ws = _Workspace(self.sizes[1:-1], self.dtype)
+        ws = self._ws
+        rows = x.shape[0]
         acts = [x]
         h = x
-        for w, b, out in zip(self.weights, self.biases, hidden):
+        for w, b, out in zip(self.weights, self.biases, ws.acts):
+            out = out[:rows]
             np.matmul(h, w, out=out)
             out += b
             h = np.maximum(out, 0.0, out=out)
             acts.append(h)
-        np.matmul(h, self.weights[-1], out=logits)
-        logits += self.biases[-1]
-        return logits, acts
+        v, c = self._head()
+        z = np.matmul(h, v, out=ws.z[:rows])
+        z += c
+        return z, acts
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        logits, _ = self.forward(np.asarray(x, dtype=self.dtype))
-        _, _, e, s = _shifted_exp(logits)
-        self._workspace.clear()   # a prediction set is not a batch to keep
-        return e / s[:, None]
+        """(n, 2) float64 class probabilities: the sigmoid of -z and of z."""
+        x = np.asarray(x)
+        proba = np.empty((x.shape[0], 2))
+        with one_blas_thread():
+            for lo in range(0, x.shape[0], SHARD_ROWS):
+                shard = slice(lo, lo + SHARD_ROWS)
+                z, _ = self.forward(np.asarray(x[shard], dtype=self.dtype))
+                _sigmoids(z, proba[shard])
+        return proba
 
-    def _weighted_ce(self, logits, y, class_weights):
-        """Weighted cross-entropy plus the pieces the softmax gradient reuses.
+    def _row_weights(self, y: np.ndarray, class_weights) -> np.ndarray:
+        """The two class weights divided by the rows' summed weight, so that
+        the loss sum_i w_{y_i} ce_i / sum_i w_{y_i} is a plain weighted sum."""
+        cw = np.asarray(class_weights, dtype=np.float64)
+        n1 = int(np.count_nonzero(y))
+        return (cw / ((y.shape[0] - n1) * cw[0] + n1 * cw[1])).astype(self.dtype)
 
-        Returns (loss, e, s, w) with e and s as :func:`_shifted_exp` gives
-        them and w the per-row weights normalized to sum to 1.
-        """
-        cw = np.asarray(class_weights, dtype=self.dtype)
-        logits64, peak, e, s = _shifted_exp(logits)
-        ce = np.log(s) + peak - logits64[np.arange(y.shape[0]), y]
-        w = cw[y].astype(np.float64)
-        w_sum = w.sum()
-        loss = float((w * ce).sum() / w_sum)
-        return loss, e, s, w / w_sum
+    def _pass(self, x, y, class_weights, grad=None) -> float:
+        """The loss over all rows of (x, y) and, into the flat vector `grad`
+        when one is given, its gradient, each summed over the shards in
+        shard order."""
+        x = np.asarray(x)
+        y = np.asarray(y)
+        scale = self._row_weights(y, class_weights)
+        part = None if grad is None else np.empty_like(grad)
+        total = 0.0
+        with one_blas_thread():
+            for lo in range(0, x.shape[0], SHARD_ROWS):
+                shard = slice(lo, lo + SHARD_ROWS)
+                z, acts = self.forward(np.asarray(x[shard], dtype=self.dtype))
+                loss, g = _margin_loss(z, y[shard], scale)
+                total += loss
+                if grad is None:
+                    continue
+                # the first shard's gradient starts the sum; later ones add to it
+                self._backward(acts, g, part if lo else grad)
+                if lo:
+                    grad += part
+        return total
 
     def loss(self, x, y, class_weights) -> float:
-        """The weighted cross-entropy of loss_and_grads, forward pass only."""
-        x = np.asarray(x, dtype=self.dtype)
-        logits, _ = self.forward(x)
-        return self._weighted_ce(logits, np.asarray(y), class_weights)[0]
+        """The weighted cross-entropy of loss_and_grads, forward passes only."""
+        return self._pass(x, y, class_weights)
 
-    def loss_and_grads(self, x, y, class_weights):
+    def loss_and_grads(self, x, y, class_weights, out=None):
         """Weighted cross-entropy and its gradients.
 
         loss = sum_i w_{y_i} * ce_i / sum_i w_{y_i}, so with unit class
-        weights it reduces to the plain mean cross-entropy exactly.
+        weights it reduces to the plain mean cross-entropy exactly. The
+        gradients are views, in `parameters()` order, of `out` (a flat
+        vector in `flat`'s layout) or else of a fresh one.
         """
-        x = np.asarray(x, dtype=self.dtype)
-        y = np.asarray(y)
-        logits, acts = self.forward(x)
-        loss, p, s, w = self._weighted_ce(logits, y, class_weights)
-        p /= s[:, None]
-        p[np.arange(y.shape[0]), y] -= 1.0
-        p *= w[:, None]
-        delta = p.astype(self.dtype)
+        if out is None:
+            out = np.empty_like(self.flat)
+        loss = self._pass(x, y, class_weights, out)
+        return loss, _interleave(*self._views(out))
 
-        rows = x.shape[0]
-        widths = self.sizes[1:-1]
-        deltas = self._buffers("delta", rows, widths)
-        masks = self._buffers("mask", rows, widths, bool)
-        grads_w = [None] * len(self.weights)
-        grads_b = [None] * len(self.biases)
+    def _backward(self, acts, g: np.ndarray, grad: np.ndarray) -> None:
+        """One shard's gradient into the flat vector `grad`, from its
+        activations and its per-row margin gradient g."""
+        ws = self._ws
+        grads_w, grads_b = self._views(grad)
+        rows = g.shape[0]
         last = len(self.weights) - 1
-        for i in range(last, -1, -1):
-            grads_w[i] = acts[i].T @ delta
-            grads_b[i] = delta.sum(axis=0)
+        col = acts[last].T @ g
+        np.negative(col, out=grads_w[last][:, 0])
+        grads_w[last][:, 1] = col
+        grads_b[last][1] = g.sum()
+        grads_b[last][0] = -grads_b[last][1]
+        if last == 0:
+            return
+        delta = ws.deltas[last - 1][:rows]
+        np.multiply(g[:, None], self._head()[0], out=delta)
+        for i in range(last - 1, -1, -1):
+            mask = ws.masks[i][:rows]
+            np.greater(acts[i + 1], 0, out=mask)
+            delta *= mask
+            np.matmul(acts[i].T, delta, out=grads_w[i])
+            np.matmul(ws.ones[:rows], delta, out=grads_b[i])
             if i > 0:
-                back = deltas[i - 1]
-                if i == last and delta.shape[1] == 2:
-                    # summed per class as rounded products, not via BLAS:
-                    # its fused multiply-add makes the 2-term dot depend on
-                    # class order and would break the label-flip mirror
-                    w = self.weights[i]
-                    (tmp,) = self._buffers("tmp", rows, widths[-1:])
-                    np.multiply(delta[:, :1], w[:, 0], out=back)
-                    np.multiply(delta[:, 1:], w[:, 1], out=tmp)
-                    back += tmp
-                else:
-                    np.matmul(delta, self.weights[i].T, out=back)
-                np.greater(acts[i], 0, out=masks[i - 1])
-                back *= masks[i - 1]
+                back = ws.deltas[i - 1][:rows]
+                np.matmul(delta, self.weights[i].T, out=back)
                 delta = back
-        grads = []
-        for gw, gb in zip(grads_w, grads_b):
-            grads.extend((gw, gb))
-        return loss, grads
 
 
-def _shifted_exp(logits: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The softmax in pieces, in float64: (logits, row max, e = exp(logits
-    - row max), row sums of e). e / s is the softmax."""
-    z = logits.astype(np.float64)
-    peak = np.maximum(z[:, 0], z[:, 1]) if z.shape[1] == 2 else z.max(axis=1)
-    e = np.exp(z - peak[:, None])
-    return z, peak, e, e.sum(axis=1)
+def _margin_loss(z: np.ndarray, y: np.ndarray, scale: np.ndarray) -> tuple[float, np.ndarray]:
+    """A shard's weighted loss sum_i scale[y_i] * softplus(t_i), t = z for
+    class 0 and -z for class 1, and its gradient g with respect to z."""
+    sign = np.where(y == 1, -1, 1).astype(z.dtype)
+    t = sign * z
+    e = np.exp(-np.abs(t))
+    ce = np.log1p(e)
+    ce += np.maximum(t, 0)
+    w = scale[y]
+    g = np.where(t >= 0, 1, e)   # sigmoid(t) = g / (1 + e)
+    g /= 1 + e
+    g *= sign * w
+    return float(np.dot(w, ce)), g
+
+
+def _sigmoids(z: np.ndarray, out: np.ndarray) -> None:
+    """out[:, 0] = sigmoid(-z) and out[:, 1] = sigmoid(z) in float64, with
+    no exp of a positive number."""
+    e = np.exp(-np.abs(z, dtype=np.float64))
+    big = 1.0 / (1.0 + e)
+    small = e * big
+    pos = z > 0
+    out[:, 1] = np.where(pos, big, small)
+    out[:, 0] = np.where(pos, small, big)
+
+
+def _interleave(weights, biases) -> list[np.ndarray]:
+    return [a for pair in zip(weights, biases) for a in pair]
 
 
 @dataclass
@@ -227,7 +330,8 @@ def train(
 
     loss_curve[0] is the pre-training loss over the full set; entry e+1
     is the running weighted mean over epoch e's batches. Bit-identical
-    results for identical inputs, seed, and dtype.
+    results for identical inputs, seed and dtype, whatever the BLAS thread
+    count.
     """
     x = np.ascontiguousarray(features, dtype=config.dtype)
     y = np.ascontiguousarray(labels).astype(np.int64)
@@ -255,16 +359,15 @@ def train(
     decay_t = config.dtype(lr * config.weight_decay)
     b1, b2, eps = config.beta1, config.beta2, config.eps
 
+    n = x.shape[0]
+    bs = config.batch_size
     loss0 = model.loss(x, y, class_weights)
-    model._workspace.clear()   # full-set sized; batches need far less
     curve = [loss0]
     rng = np.random.default_rng(config.seed)
     t = 0
     best = loss0
     since_best = 0
     stopped = None
-    n = x.shape[0]
-    bs = config.batch_size
     xs = np.empty_like(x)
     ys = np.empty_like(y)
     for epoch in range(config.epochs):
@@ -275,14 +378,13 @@ def train(
         epoch_weight = 0.0
         for start in range(0, n, bs):
             xb = xs[start : start + bs]
-            loss, grads = model.loss_and_grads(xb, ys[start : start + bs], class_weights)
+            loss, _ = model.loss_and_grads(xb, ys[start : start + bs], class_weights, out=g)
             if not np.isfinite(loss):
                 raise NumericError(
                     f"loss became non-finite at epoch {epoch}, batch "
                     f"{start // bs}; the learning rate is likely too high "
                     f"(lr={lr}, last finite loss {curve[-1]:.6g})"
                 )
-            np.concatenate([gi.ravel() for gi in grads[0::2] + grads[1::2]], out=g)
             t += 1
             bc1 = 1.0 - b1**t
             bc2 = 1.0 - b2**t
@@ -314,5 +416,4 @@ def train(
                 if since_best >= config.patience:
                     stopped = epoch
                     break
-    model._workspace.clear()
     return TrainResult(model=model, loss_curve=curve, stopped_epoch=stopped)

@@ -128,7 +128,7 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
     if path is not None:
         try:
             text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         import yaml
 

@@ -11,6 +11,7 @@ import pytest
 
 from mslidar.cloud import PointCloud
 from mslidar import csf, dtm, features, preprocess, synth
+from mslidar.mlp import SHARD_ROWS, one_blas_thread
 
 
 def brute_knn(points: np.ndarray, q: np.ndarray, k: int):
@@ -145,8 +146,9 @@ def prepared_scene(tiny_scene):
 
 class ReferenceMlp:
     """The plain allocating network the production Mlp must match bit for bit:
-    fresh arrays for every activation and delta, a one-hot softmax gradient
-    and a full backward pass for the initial loss."""
+    fresh arrays for every activation and delta, the same margin-head
+    arithmetic and row shards, and a full backward pass for the initial
+    loss."""
 
     def __init__(self, d_in, hidden=(64, 64), n_out=2, seed=0, dtype=np.float32):
         self.sizes = (int(d_in),) + tuple(int(h) for h in hidden) + (int(n_out),)
@@ -170,51 +172,62 @@ class ReferenceMlp:
             out.extend((w, b))
         return out
 
-    def forward(self, x):
+    def shard_loss_and_grads(self, x, y, scale):
+        """One shard's weighted loss sum and gradients, through the margin
+        z = h.(w1 - w0) + (b1 - b0); `scale` holds the two row weights."""
         acts = [x]
         h = x
         for i in range(len(self.weights) - 1):
             h = np.maximum(h @ self.weights[i] + self.biases[i], 0.0)
             acts.append(h)
-        return h @ self.weights[-1] + self.biases[-1], acts
+        w_out, b_out = self.weights[-1], self.biases[-1]
+        v = w_out[:, 1] - w_out[:, 0]
+        z = h @ v + (b_out[1] - b_out[0])
 
-    def loss_and_grads(self, x, y, class_weights):
-        x = np.asarray(x, dtype=self.dtype)
-        y = np.asarray(y)
-        cw = np.asarray(class_weights, dtype=self.dtype)
-        logits, acts = self.forward(x)
-        logits64 = logits.astype(np.float64)
-        shift = logits64 - logits64.max(axis=1, keepdims=True)
-        logsumexp = np.log(np.exp(shift).sum(axis=1)) + logits64.max(axis=1)
-        ce = logsumexp - logits64[np.arange(y.shape[0]), y]
-        w = cw[y].astype(np.float64)
-        w_sum = w.sum()
-        loss = float((w * ce).sum() / w_sum)
+        # class 1 costs softplus(-z), class 0 softplus(z)
+        sign = np.where(y == 1, -1, 1).astype(self.dtype)
+        t = sign * z
+        e = np.exp(-np.abs(t))
+        ce = np.log1p(e) + np.maximum(t, 0)
+        w = scale[y]
+        g = np.where(t >= 0, 1, e) / (1 + e) * (sign * w)
+        loss = float(np.dot(w, ce))
 
-        e = np.exp(logits64 - logits64.max(axis=1, keepdims=True))
-        p = e / e.sum(axis=1, keepdims=True)
-        onehot = np.zeros_like(p)
-        onehot[np.arange(y.shape[0]), y] = 1.0
-        dlogits = ((p - onehot) * (w / w_sum)[:, None]).astype(self.dtype)
-
+        last = len(self.weights) - 1
         grads_w = [None] * len(self.weights)
         grads_b = [None] * len(self.biases)
-        delta = dlogits
-        last = len(self.weights) - 1
-        for i in range(last, -1, -1):
+        col = acts[last].T @ g
+        grads_w[last] = np.stack((-col, col), axis=1)
+        total = g.sum()
+        grads_b[last] = np.array([-total, total])
+        delta = g[:, None] * v
+        for i in range(last - 1, -1, -1):
+            delta = delta * (acts[i + 1] > 0)
             grads_w[i] = acts[i].T @ delta
-            grads_b[i] = delta.sum(axis=0)
+            grads_b[i] = np.ones(len(x), self.dtype) @ delta
             if i > 0:
-                if i == last and delta.shape[1] == 2:
-                    w = self.weights[i]
-                    back = delta[:, :1] * w[:, 0] + delta[:, 1:] * w[:, 1]
-                else:
-                    back = delta @ self.weights[i].T
-                delta = back * (acts[i] > 0)
+                delta = delta @ self.weights[i].T
         grads = []
         for gw, gb in zip(grads_w, grads_b):
             grads.extend((gw, gb))
         return loss, grads
+
+    def loss_and_grads(self, x, y, class_weights):
+        """Shard losses and gradients summed in shard order; each row
+        weighted by its class weight over the batch's summed weight."""
+        x = np.asarray(x, dtype=self.dtype)
+        y = np.asarray(y)
+        cw = np.asarray(class_weights, dtype=np.float64)
+        n1 = int((y == 1).sum())
+        scale = (cw / ((len(y) - n1) * cw[0] + n1 * cw[1])).astype(self.dtype)
+        losses, total = [], None
+        with one_blas_thread():
+            for lo in range(0, len(x), SHARD_ROWS):
+                loss, grads = self.shard_loss_and_grads(
+                    x[lo : lo + SHARD_ROWS], y[lo : lo + SHARD_ROWS], scale)
+                losses.append(loss)
+                total = grads if total is None else [a + b for a, b in zip(total, grads)]
+        return sum(losses), total
 
 
 def reference_train(features, labels, class_weights, config):

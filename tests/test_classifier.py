@@ -92,8 +92,13 @@ class TestTraining:
     def test_unit_weights_equal_unweighted_cross_entropy(self):
         x, y = separable_toy(n=40, seed=4)
         model = Mlp(2, (8,), 2, seed=0, dtype=np.float64)
+        # split the two output units, so the logits differ per class
+        w0, b0, w1, b1 = model.parameters()
+        w1[:, 1] += np.linspace(-0.5, 0.5, 8)
+        b1[1] += 0.2
         loss, _ = model.loss_and_grads(x, y, (1.0, 1.0))
-        logits, _ = model.forward(x)
+        # both logit columns, straight from the parameters
+        logits = np.maximum(x @ w0 + b0, 0.0) @ w1 + b1
         shift = logits - logits.max(axis=1, keepdims=True)
         lse = np.log(np.exp(shift).sum(axis=1)) + logits.max(axis=1)
         plain = float((lse - logits[np.arange(len(y)), y]).mean())
@@ -185,6 +190,10 @@ class TestPredict:
         x = np.random.default_rng(1).normal(size=(50, 4)).astype(np.float32)
         pred = predict(x, model)
         np.testing.assert_allclose(pred.probabilities.sum(axis=1), 1.0, atol=1e-6)
+
+    def test_empty_input_gives_empty_prediction(self):
+        pred = predict(np.zeros((0, 3), np.float32), Mlp(3, (8,), 2, seed=0))
+        assert pred.probabilities.shape == (0, 2) and pred.count == 0
 
     def test_dimension_mismatch_rejected(self):
         model = Mlp(4, (8,), 2, seed=0)
@@ -387,6 +396,14 @@ class TestCheckpoint:
                 path.write_bytes(raw[:cut])
                 with pytest.raises(DataError, match="checkpoint"):
                     load_checkpoint(path)
+
+    def test_head_of_other_than_two_units_is_data_error(self, tmp_path):
+        # the last layer size (a u32 after the layer count) becomes 3
+        path, raw, ends = self.saved(tmp_path)
+        sizes_end = ends[8]
+        path.write_bytes(raw[:sizes_end - 4] + struct.pack("<I", 3) + raw[sizes_end:])
+        with pytest.raises(DataError, match="invalid layer sizes"):
+            load_checkpoint(path)
 
     def test_trailing_bytes_are_data_error(self, tmp_path):
         path, raw, _ = self.saved(tmp_path)

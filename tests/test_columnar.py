@@ -1,4 +1,5 @@
 import dataclasses
+import struct
 
 import numpy as np
 import pytest
@@ -27,6 +28,26 @@ def test_roundtrip_preserves_every_column_bit_exactly(tmp_path):
         a, b = cloud.column(name), back.column(name)
         assert a.dtype == b.dtype
         np.testing.assert_array_equal(a, b)
+
+
+def test_written_file_is_header_note_then_columns(tmp_path):
+    # the layout of the module docstring, assembled independently
+    rng = np.random.default_rng(6)
+    n = 33
+    cloud = random_cloud(rng, n=n)   # reflectance_db and label
+    cloud = cloud.with_column("ground_flag", rng.integers(0, 2, n).astype(bool))
+    cloud = cloud.with_column("pndvi", rng.uniform(-1, 1, n).astype(np.float32))
+    cloud = dataclasses.replace(cloud, crs_note="EPSG:31256 \u00b5m")
+    path = tmp_path / "c.mst"
+    write_columnar(cloud, path)
+    note = "EPSG:31256 \u00b5m".encode("utf-8")
+    bitmap = 0b1000111   # reflectance_db, label, ground_flag and pndvi
+    want = b"MST1" + struct.pack("<HHQI", 1, bitmap, n, len(note)) + note
+    want += cloud.x.astype("<f8").tobytes() + cloud.y.astype("<f8").tobytes()
+    want += cloud.z.astype("<f8").tobytes() + cloud.channel.astype("u1").tobytes()
+    want += cloud.reflectance_db.astype("<f4").tobytes() + cloud.label.astype("u1").tobytes()
+    want += cloud.ground_flag.astype("u1").tobytes() + cloud.pndvi.astype("<f4").tobytes()
+    assert path.read_bytes() == want
 
 
 def test_roundtrip_preserves_nan_payloads(tmp_path):

@@ -1,9 +1,11 @@
-"""Fault injection over the MST1 and LAS readers, through the CLI.
+"""Fault injection over the MST1, LAS and label readers and the YAML
+config, through the CLI.
 
 Every damaged input must exit with its category code, never with 1
-(internal): here each is a data error (exit 3) whose one
-``error[data]: <file>: ...`` line names the damaged file. MST1 files
-enter through `subsample`, LAS files through `ingest`.
+(internal). A damaged MST1, LAS or label file is a data error (exit 3)
+whose one ``error[data]: ...`` line names the damaged file; a damaged
+config is a config error (exit 2). MST1 files and configs enter through
+`subsample`, LAS files through `ingest`, label files through `evaluate`.
 """
 
 import dataclasses
@@ -124,3 +126,90 @@ def test_damaged_las(cloud, tmp_path, capsys, damage):
     path.write_bytes(LAS_DAMAGE[damage](path.read_bytes()))
     _rejects(path, capsys, "ingest", "--channel", "scanner",
              "--reflectance-source", "reflectance", "--label-source", "classification")
+
+
+# Label files enter through `evaluate --pred`: one integer per line, one
+# line per point of the cloud, every label 0 or 1.
+LABEL_DAMAGE = {
+    "truncated": lambda good: good[: len(good) // 2],
+    "last-line-cut": lambda good: good[:-2],
+    "empty": lambda good: b"",
+    "extra-line": lambda good: good + b"1\n",
+    "not-utf8": lambda good: b"\xff\xfe" + good,
+    "non-integer": lambda good: good.replace(b"1\n", b"1.0\n", 1),
+    "word": lambda good: good.replace(b"0\n", b"tree\n", 1),
+    "above-u8": lambda good: good.replace(b"1\n", b"256\n", 1),
+    "negative": lambda good: good.replace(b"0\n", b"-1\n", 1),
+    "not-binary": lambda good: good.replace(b"1\n", b"2\n", 1),
+}
+
+
+def _evaluate(cloud, tmp_path, pred) -> list:
+    path = tmp_path / "c.mst"
+    write_columnar(cloud, path)
+    return ["evaluate", "--cloud", str(path), "--pred", str(pred),
+            "--out-dir", str(tmp_path / "eval")]
+
+
+@pytest.mark.parametrize("damage", LABEL_DAMAGE)
+def test_damaged_label_file(cloud, tmp_path, capsys, damage):
+    good = "".join(f"{v}\n" for v in cloud.label).encode()
+    pred = tmp_path / "labels.txt"
+    pred.write_bytes(LABEL_DAMAGE[damage](good))
+    rc = main(_evaluate(cloud, tmp_path, pred))
+    err = capsys.readouterr().err
+    assert (rc, err.startswith("error[data]: "), str(pred) in err) == (3, True, True), err
+
+
+def test_label_file_that_is_a_directory(cloud, tmp_path, capsys):
+    pred = tmp_path / "labels"
+    pred.mkdir()
+    rc = main(_evaluate(cloud, tmp_path, pred))
+    err = capsys.readouterr().err
+    assert (rc, err.startswith("error[data]: "), str(pred) in err) == (3, True, True), err
+
+
+# YAML configs enter through any stage's --config; `subsample` is a cheap one.
+YAML_DAMAGE = {
+    "unterminated-mapping": b"train: {epochs: 3\n",
+    "unterminated-string": b'features: {config: "XYZ\n',
+    "bad-indent": b"sor:\n  k: 3\n n_sigma: 1.0\n",
+    "not-utf8": b"seed: 1\n# \xff\xfe\n",
+    "utf16": "seed: 1\n".encode("utf-16"),
+    "python-tag": b"seed: !!python/object/apply:os.getcwd []\n",
+    "a-list": b"- seed\n- 1\n",
+    "a-scalar": b"42\n",
+    "string-for-int": b"seed: abc\n",
+    "float-for-int": b"voxel: {grid: 0.1}\nsor: {k: 2.5}\n",
+    "bool-for-int": b"threads: true\n",
+    "scalar-for-section": b"sor: 3\n",
+    "section-for-scalar": b"seed: {a: 1}\n",
+    "short-list": b"split: {ratios: [0.5, 0.5]}\n",
+    "null-leaf": b"voxel: {grid: null}\n",
+    "unknown-key": b"sorr: {k: 3}\n",
+    "unknown-nested-key": b"sor: {kk: 3}\n",
+    "non-string-key": b"1: 2\n",
+    "huge-seed": b"seed: 99999999999999999999\n",
+}
+
+
+def _subsample(cloud, tmp_path, cfg) -> list:
+    path = tmp_path / "c.mst"
+    write_columnar(cloud, path)
+    return ["subsample", "--in", str(path), "--out", str(tmp_path / "o.mst"),
+            "--config", str(cfg)]
+
+
+@pytest.mark.parametrize("damage", YAML_DAMAGE)
+def test_damaged_yaml_config(cloud, tmp_path, capsys, damage):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_bytes(YAML_DAMAGE[damage])
+    rc = main(_subsample(cloud, tmp_path, cfg))
+    err = capsys.readouterr().err
+    assert (rc, err.startswith("error[config]: ")) == (2, True), err
+
+
+def test_yaml_config_that_is_a_directory(cloud, tmp_path, capsys):
+    rc = main(_subsample(cloud, tmp_path, tmp_path))
+    err = capsys.readouterr().err
+    assert (rc, err.startswith("error[config]: ")) == (2, True), err

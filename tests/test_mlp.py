@@ -1,9 +1,15 @@
-"""The workspace-based Mlp against the plain allocating reference loop."""
+"""The sharded, workspace-based Mlp against the plain allocating reference
+loop and an unsharded float64 softmax."""
+
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mslidar.mlp import Mlp, TrainConfig, train
+from mslidar.errors import DataError
+from mslidar.mlp import (SHARD_ROWS, Mlp, TrainConfig, _openblas_threads, one_blas_thread,
+                         train)
 
 from conftest import ReferenceMlp, reference_train
 
@@ -37,8 +43,28 @@ def test_train_matches_reference_bit_for_bit(dtype, class_weights, learning_rate
         np.testing.assert_array_equal(got, want)
 
 
+def test_train_with_multi_shard_batches_matches_reference():
+    # batches of 2.2 shards, the last batch of each epoch of one
+    x, y = toy(n=2 * SHARD_ROWS + 2 * SHARD_ROWS // 5 + 300, d=5, seed=6)
+    cfg = TrainConfig(epochs=3, learning_rate=1e-2, batch_size=2 * SHARD_ROWS + 400,
+                      hidden=(16, 8), seed=2)
+    result = train(x, y, (0.8, 1.2), cfg)
+    params, curve, _ = reference_train(x, y, (0.8, 1.2), cfg)
+    assert result.loss_curve == curve
+    for got, want in zip(result.model.parameters(), params):
+        np.testing.assert_array_equal(got, want)
+
+
 def test_loss_and_grads_match_reference():
-    x, y = toy(n=300)
+    _check_loss_and_grads_against_reference(300)
+
+
+def test_multi_shard_loss_and_grads_match_reference():
+    _check_loss_and_grads_against_reference(2 * SHARD_ROWS + 77)
+
+
+def _check_loss_and_grads_against_reference(n):
+    x, y = toy(n=n)
     model = Mlp(6, (64, 64), 2, seed=1)
     ref = ReferenceMlp(6, (64, 64), 2, seed=1)
     loss, grads = model.loss_and_grads(x, y, (0.36, 1.64))
@@ -87,3 +113,96 @@ def test_grads_do_not_alias_across_calls():
     for a, b, k in zip(first, second, kept):
         assert not np.shares_memory(a, b)
         np.testing.assert_array_equal(a, k)
+
+
+def test_numpys_bundled_openblas_is_pinned():
+    # numpy 2 wheels bundle scipy-openblas, numpy 1.x wheels their own
+    # OpenBLAS build: whichever ships with numpy, the pin must find it
+    pkg = Path(np.__file__).parent
+    bundled = [*pkg.parent.glob("numpy.libs/*openblas*"), *pkg.glob(".dylibs/*openblas*")]
+    threads = _openblas_threads()
+    if not bundled:
+        pytest.skip("numpy links a BLAS it does not bundle")
+    assert threads is not None, f"no thread-count calls found in {bundled}"
+    get, set_ = threads
+    before = get()
+    set_(2)
+    try:
+        with one_blas_thread():
+            assert get() == 1
+        assert get() == 2
+    finally:
+        set_(before)
+
+
+def softmax_loss_and_grads(model, x, y, class_weights):
+    """Weighted two-column softmax cross-entropy and its gradients over all
+    rows at once, in float64: the formulation the margin head replaces."""
+    acts = [x]
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+        acts.append(np.maximum(acts[-1] @ w + b, 0.0))
+    logits = acts[-1] @ model.weights[-1] + model.biases[-1]
+    peak = logits.max(axis=1, keepdims=True)
+    e = np.exp(logits - peak)
+    rows = np.arange(len(y))
+    ce = np.log(e.sum(axis=1)) + peak[:, 0] - logits[rows, y]
+    w = np.asarray(class_weights)[y]
+    w = w / w.sum()
+    delta = e / e.sum(axis=1, keepdims=True)
+    delta[rows, y] -= 1.0
+    delta *= w[:, None]
+    grads = []
+    for i in range(len(model.weights) - 1, -1, -1):
+        grads[:0] = [acts[i].T @ delta, delta.sum(axis=0)]
+        delta = (delta @ model.weights[i].T) * (acts[i] > 0)
+    return float((w * ce).sum()), grads
+
+
+def test_sharded_margin_head_equals_unsharded_softmax():
+    x, y = toy(n=2 * SHARD_ROWS + 301, seed=10)
+    model = Mlp(6, (16, 8), 2, seed=7, dtype=np.float64)
+    rng = np.random.default_rng(1)
+    model.weights[-1][...] = rng.normal(size=model.weights[-1].shape)
+    model.biases[-1][...] = (0.3, -0.2)
+    loss, grads = model.loss_and_grads(x, y, (0.36, 1.64))
+    want_loss, want = softmax_loss_and_grads(model, x, y, (0.36, 1.64))
+    assert loss == pytest.approx(want_loss, rel=1e-12)
+    for got, ref in zip(grads, want):
+        np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-15)
+
+
+def _peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - getattr(result, "nbytes", 0)
+
+
+@pytest.mark.parametrize("full_set_pass", ["predict_proba", "loss"])
+def test_full_set_passes_allocate_shard_sized_memory(full_set_pass):
+    """Besides its (n, 2) output, a pass over n rows allocates memory that
+    depends on the shard size, not on n."""
+    rng = np.random.default_rng(3)
+    peaks = []
+    for n in (4 * SHARD_ROWS, 32 * SHARD_ROWS):
+        model = Mlp(12, (64, 64), 2, seed=0)   # its workspace counts too
+        x = rng.normal(size=(n, 12))   # float64, converted shard by shard
+        y = rng.integers(0, 2, n)
+        if full_set_pass == "loss":
+            x = x.astype(np.float32)
+            peaks.append(_peak_bytes(lambda: model.loss(x, y, (0.7, 1.3))))
+        else:
+            peaks.append(_peak_bytes(lambda: model.predict_proba(x)))
+    # the workspace: activations, deltas and byte masks of two hidden
+    # layers of 64 units, about 4.5 shard-sized float32 buffers
+    shard_bytes = SHARD_ROWS * 64 * 4
+    assert max(peaks) <= 5 * shard_bytes
+    assert peaks[1] <= peaks[0] + shard_bytes // 8
+
+
+def test_only_a_two_unit_head():
+    with pytest.raises(DataError, match="two output units"):
+        Mlp(4, (8,), 3)
