@@ -13,17 +13,17 @@ The feature recipe lives here once: :func:`fit` and :func:`classify` take
 the neighbourhood, normalization and post-process settings from the
 effective config, and both the stepwise stages and the ablation run them.
 An MSTM v2 checkpoint stores that recipe beside the weights, so a model
-file is all prediction needs.
+file is all prediction needs. A prediction is a uint8 label array (1 tree,
+0 non-tree) taken from the sign of the model's margin; no class
+probabilities are formed.
 """
 
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .cloud import Label, PointCloud, build_index
-from .columnar import read_labels
 from .errors import DataError
 from .features import (
     FeatureConfig, NormalizationParams, assemble_features, fit_config_normalization,
@@ -106,69 +106,32 @@ def neighborhood_stats(features: np.ndarray, graph: np.ndarray) -> np.ndarray:
     return np.column_stack(cols)
 
 
-@dataclass(frozen=True)
-class Prediction:
-    """Per-point class probabilities and hard labels."""
-
-    probabilities: np.ndarray   # (n, 2), rows sum to 1
-    labels: np.ndarray          # (n,) uint8
-    source: str                 # "internal" | "imported:<path>"
-
-    def __post_init__(self):
-        if self.probabilities.shape != (self.labels.shape[0], 2):
-            raise DataError("probabilities must be (n, 2) matching labels")
-
-    @property
-    def count(self) -> int:
-        return int(self.labels.shape[0])
-
-
-def predict(features: np.ndarray, model: Mlp) -> Prediction:
-    """Deterministic softmax prediction; probability ties go to non-tree."""
+def predict(features: np.ndarray, model: Mlp) -> np.ndarray:
+    """Per-point uint8 labels: tree where the model's margin z > 0, so a
+    margin of exactly 0 goes to non-tree."""
     values = np.asarray(features)
     if values.ndim != 2 or values.shape[1] != model.d_in:
         raise DataError(
             f"model expects {model.d_in} features, got "
             f"{values.shape[1] if values.ndim == 2 else 'non-matrix input'}"
         )
-    proba = model.predict_proba(values)
-    labels = (proba[:, int(Label.TREE)] > proba[:, int(Label.NON_TREE)]).astype(np.uint8)
-    return Prediction(probabilities=proba, labels=labels, source="internal")
-
-
-def import_predictions(path, cloud: PointCloud) -> Prediction:
-    """Score-ready prediction from an external label file (one 0/1 per line,
-    row-aligned with the cloud's columnar file)."""
-    labels = read_labels(path, expected_count=cloud.count)
-    if not np.all((labels == 0) | (labels == 1)):
-        bad = labels[~((labels == 0) | (labels == 1))][0]
-        raise DataError(f"{path}: labels must be 0 or 1, found {bad}")
-    proba = np.zeros((labels.shape[0], 2), dtype=np.float64)
-    proba[np.arange(labels.shape[0]), labels] = 1.0
-    return Prediction(
-        probabilities=proba, labels=labels.astype(np.uint8),
-        source=f"imported:{Path(path).name}",
-    )
+    return (model.margins(values) > 0).astype(np.uint8)
 
 
 def height_threshold_postprocess(
-    prediction: Prediction, cloud: PointCloud, t: float = 2.0
-) -> Prediction:
-    """Relabel predicted trees below t meters of normalized height.
+    labels: np.ndarray, cloud: PointCloud, t: float = 2.0
+) -> np.ndarray:
+    """A copy of `labels` with predicted trees below t meters of normalized
+    height relabelled non-tree.
 
-    Low "trees" are overwhelmingly facade/fence/low-vegetation errors;
-    only the hard labels change, probabilities stay as the model said.
+    Low "trees" are overwhelmingly facade/fence/low-vegetation errors.
     """
     cloud.require("h_norm")
-    if prediction.count != cloud.count:
+    if len(labels) != cloud.count:
         raise DataError("prediction and cloud disagree on point count")
-    labels = prediction.labels.copy()
-    demote = (labels == int(Label.TREE)) & (cloud.h_norm < t)
-    labels[demote] = int(Label.NON_TREE)
-    return Prediction(
-        probabilities=prediction.probabilities, labels=labels,
-        source=prediction.source,
-    )
+    labels = labels.copy()
+    labels[(labels == int(Label.TREE)) & (cloud.h_norm < t)] = int(Label.NON_TREE)
+    return labels
 
 
 def config_graph(cloud: PointCloud, cfg: dict) -> np.ndarray:
@@ -208,14 +171,14 @@ def fit(
 def classify(
     cloud: PointCloud, model: Mlp, fconfig: FeatureConfig,
     params: NormalizationParams | None, cfg: dict, graph: np.ndarray | None = None,
-) -> Prediction:
-    """Predict a cloud with a model fitted by :func:`fit`, then relabel
-    predicted trees below postprocess.threshold (null: keep them)."""
-    pred = predict(_features(cloud, fconfig, params, cfg, graph), model)
+) -> np.ndarray:
+    """Labels of a cloud from a model fitted by :func:`fit`, with predicted
+    trees below postprocess.threshold relabelled (null: keep them)."""
+    labels = predict(_features(cloud, fconfig, params, cfg, graph), model)
     threshold = cfg["postprocess"]["threshold"]
     if threshold is not None:
-        pred = height_threshold_postprocess(pred, cloud, t=threshold)
-    return pred
+        labels = height_threshold_postprocess(labels, cloud, t=threshold)
+    return labels
 
 
 def save_checkpoint(
@@ -316,7 +279,7 @@ def load_checkpoint(path) -> tuple[Mlp, dict]:
         raise DataError(f"{path}: {len(raw) - off} trailing bytes after the checkpoint")
     if not np.all(np.isfinite(payload)):
         raise DataError(f"{path}: checkpoint holds non-finite parameters")
-    model = Mlp(sizes[0], tuple(sizes[1:-1]), sizes[-1], seed=seed)
+    model = Mlp(sizes[0], tuple(sizes[1:-1]))
     pos = 0
     for p in model.parameters():
         p[...] = payload[pos : pos + p.size].reshape(p.shape)

@@ -14,7 +14,7 @@ brute-force scan, ties broken by lower point id.
 import itertools
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 

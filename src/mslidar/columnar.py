@@ -118,11 +118,18 @@ def read_columnar(path) -> PointCloud:
     return cloud
 
 
+def write_labels(labels: np.ndarray, path) -> None:
+    """Write labels as :func:`read_labels` reads them: one per line, in
+    point order."""
+    Path(path).write_text("\n".join(map(str, labels.tolist())) + "\n", encoding="utf-8")
+
+
 def read_labels(path, expected_count: int | None = None) -> np.ndarray:
-    """Read externally produced labels: plain text, one integer per line.
+    """Read a label file: plain text, one 0 (non-tree) or 1 (tree) per line.
 
     Rows align with the points of a named columnar file, which lets
-    predictions from other tools be scored without conversion.
+    predictions from other tools be scored without conversion. Any other
+    value, and a count other than `expected_count`, is a DataError.
     """
     path = Path(path)
     values = []
@@ -140,10 +147,8 @@ def read_labels(path, expected_count: int | None = None) -> np.ndarray:
             raise DataError(
                 f"{path}:{lineno}: expected an integer label, got {line!r}"
             ) from None
-        if not 0 <= value <= 255:
-            raise DataError(
-                f"{path}:{lineno}: label {value} outside the u8 range"
-            )
+        if value not in (0, 1):
+            raise DataError(f"{path}:{lineno}: label {value} is not 0 or 1")
         values.append(value)
     labels = np.asarray(values, dtype=np.uint8)
     if expected_count is not None and labels.shape[0] != expected_count:

@@ -229,8 +229,8 @@ def run_ablation(
     reports: dict[FeatureConfig, EvalReport] = {}
     for fconfig in configs:
         result, params, weights = clf.fit(train_cloud, fconfig, cfg, graph_train)
-        pred = clf.classify(test_cloud, result.model, fconfig, params, cfg, graph_test)
-        report = score(pred.labels, test_cloud, cfg, manifest={
+        labels = clf.classify(test_cloud, result.model, fconfig, params, cfg, graph_test)
+        report = score(labels, test_cloud, cfg, manifest={
             "feature_config": fconfig.name,
             "seed": cfg["seed"],
             "epochs": cfg["train"]["epochs"],

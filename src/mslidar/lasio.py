@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cloud import Channel, PointCloud
+from .cloud import PointCloud
 from .errors import DataError
 
 _GENERATING_SOFTWARE = b"mslidar"

@@ -11,6 +11,8 @@ class 1 is softplus(-z), of class 0 softplus(z). Loss and gradient are
 computed from z in the model dtype. The per-row logit gradient g reaches
 the output columns as -h.T@g and +h.T@g and the last hidden layer as the
 rank-1 product outer(g, w1 - w0). The checkpoint stores both columns.
+A prediction needs only the sign of z: `margins` gives z for every row,
+and class 1 wins exactly where z > 0.
 
 The two output units are initialized with identical weight rows. Class
 gradients split them from the first step on, and the symmetry makes
@@ -18,10 +20,11 @@ label flipping an exact mirror: training on 1-y with swapped class
 weights yields exactly swapped output units. Flipping the labels negates
 z, g and w1 - w0, and floating-point negation is exact.
 
-Every pass (a training batch, the initial full-set loss, a prediction)
-runs in row shards of SHARD_ROWS, a constant. Shard losses and gradients
-are summed in shard order, and numpy's BLAS is pinned to one thread while
-the shards run, so trained bits do not depend on OPENBLAS_NUM_THREADS.
+Every pass (a training batch, the initial full-set loss, the margins a
+prediction reads) runs in row shards of SHARD_ROWS, a constant. Shard
+losses and gradients are summed in shard order, and numpy's BLAS is
+pinned to one thread while the shards run, so trained bits do not depend
+on OPENBLAS_NUM_THREADS.
 The model keeps one workspace of activation, backward-delta and ReLU-mask
 buffers of SHARD_ROWS rows, so a pass allocates no (rows x hidden)
 temporaries and its memory does not grow with its row count. The arrays
@@ -48,6 +51,11 @@ from .errors import DataError, NumericError
 # shard boundaries fix the rounding of every sum, so they fix the bits.
 SHARD_ROWS = 2048
 
+# AdamW's moment decay rates and denominator guard.
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 @dataclass
 class TrainConfig:
@@ -57,9 +65,6 @@ class TrainConfig:
     batch_size: int = 8192
     hidden: tuple[int, ...] = (64, 64)
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     patience: int | None = None   # early stop on training loss; off by default
     dtype: type = np.float32
 
@@ -135,13 +140,10 @@ class _Workspace:
 class Mlp:
     """d_in -> hidden... -> 2 with ReLU activations."""
 
-    def __init__(self, d_in: int, hidden: tuple[int, ...],
-                 n_out: int = 2, seed: int = 0, dtype=np.float32):
-        if n_out != 2:
-            raise DataError(f"the network has two output units, got {n_out}")
+    def __init__(self, d_in: int, hidden: tuple[int, ...], seed: int = 0,
+                 dtype=np.float32):
         self.sizes = (int(d_in),) + tuple(int(h) for h in hidden) + (2,)
         self.dtype = np.dtype(dtype)
-        self.seed = seed
         self.n_weights = sum(a * b for a, b in zip(self.sizes[:-1], self.sizes[1:]))
         self.flat = np.zeros(self.n_weights + sum(self.sizes[1:]), dtype=self.dtype)
         self.weights, self.biases = self._views(self.flat)
@@ -197,16 +199,16 @@ class Mlp:
         z += c
         return z, acts
 
-    def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        """(n, 2) float64 class probabilities: the sigmoid of -z and of z."""
+    def margins(self, x: np.ndarray) -> np.ndarray:
+        """The margin z of every row of x, in the model dtype: class 1 (tree)
+        scores higher than class 0 exactly where z > 0."""
         x = np.asarray(x)
-        proba = np.empty((x.shape[0], 2))
+        z = np.empty(x.shape[0], self.dtype)
         with one_blas_thread():
             for lo in range(0, x.shape[0], SHARD_ROWS):
                 shard = slice(lo, lo + SHARD_ROWS)
-                z, _ = self.forward(np.asarray(x[shard], dtype=self.dtype))
-                _sigmoids(z, proba[shard])
-        return proba
+                z[shard] = self.forward(np.asarray(x[shard], dtype=self.dtype))[0]
+        return z
 
     def _row_weights(self, y: np.ndarray, class_weights) -> np.ndarray:
         """The two class weights divided by the rows' summed weight, so that
@@ -298,17 +300,6 @@ def _margin_loss(z: np.ndarray, y: np.ndarray, scale: np.ndarray) -> tuple[float
     return float(np.dot(w, ce)), g
 
 
-def _sigmoids(z: np.ndarray, out: np.ndarray) -> None:
-    """out[:, 0] = sigmoid(-z) and out[:, 1] = sigmoid(z) in float64, with
-    no exp of a positive number."""
-    e = np.exp(-np.abs(z, dtype=np.float64))
-    big = 1.0 / (1.0 + e)
-    small = e * big
-    pos = z > 0
-    out[:, 1] = np.where(pos, big, small)
-    out[:, 0] = np.where(pos, small, big)
-
-
 def _interleave(weights, biases) -> list[np.ndarray]:
     return [a for pair in zip(weights, biases) for a in pair]
 
@@ -344,7 +335,7 @@ def train(
     if np.unique(y).size < 2:
         raise DataError("training set must contain both classes")
 
-    model = Mlp(x.shape[1], config.hidden, 2, seed=config.seed, dtype=config.dtype)
+    model = Mlp(x.shape[1], config.hidden, seed=config.seed, dtype=config.dtype)
     # AdamW on the flat parameter vector; decay covers the weight prefix
     params = model.flat
     decayed = params[: model.n_weights]
@@ -357,7 +348,6 @@ def train(
     lr = config.learning_rate
     lr_t = config.dtype(lr)
     decay_t = config.dtype(lr * config.weight_decay)
-    b1, b2, eps = config.beta1, config.beta2, config.eps
 
     n = x.shape[0]
     bs = config.batch_size
@@ -386,18 +376,18 @@ def train(
                     f"(lr={lr}, last finite loss {curve[-1]:.6g})"
                 )
             t += 1
-            bc1 = 1.0 - b1**t
-            bc2 = 1.0 - b2**t
-            m *= b1
-            np.multiply(g, 1 - b1, out=scratch)
+            bc1 = 1.0 - BETA1**t
+            bc2 = 1.0 - BETA2**t
+            m *= BETA1
+            np.multiply(g, 1 - BETA1, out=scratch)
             m += scratch
-            v *= b2
+            v *= BETA2
             np.square(g, out=scratch)
-            scratch *= 1 - b2
+            scratch *= 1 - BETA2
             v += scratch
             np.divide(v, bc2, out=scratch)
             np.sqrt(scratch, out=scratch)
-            scratch += eps
+            scratch += EPS
             np.divide(m, bc1, out=step)
             step /= scratch
             np.multiply(decayed, decay_t, out=scratch_w)

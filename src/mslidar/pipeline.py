@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .cloud import Channel, PointCloud, concat
-from .columnar import read_columnar, write_columnar
+from .columnar import read_columnar, read_labels, write_columnar, write_labels
 from .csf import CsfParams, csf_ground
 from .dtm import build_dtm, normalize_height
 from .errors import ConfigError
@@ -331,17 +331,20 @@ def stage_merge(
     cfg: dict, out: Path, inp: Path | None = None,
     green: Path | None = None, nir: Path | None = None,
 ) -> PointCloud:
-    if inp is not None:
+    if inp is not None and green is None and nir is None:
         inputs = {"cloud": inp}
         cloud = read_columnar(inp)
         g = cloud.take(cloud.channel == int(Channel.GREEN_532))
         n = cloud.take(cloud.channel == int(Channel.NIR_1064))
-    elif green is not None and nir is not None:
+    elif inp is None and green is not None and nir is not None:
         inputs = {"green": green, "nir": nir}
         g = read_columnar(green)
         n = read_columnar(nir)
     else:
-        raise ConfigError("merge needs either one combined cloud or both channels")
+        raise ConfigError(
+            "merge takes either one combined cloud (--in) alone or both channels "
+            "(--green and --nir)"
+        )
     merged = merge_channels(g, n, **cfg["merge"], workers=cfg["threads"])
     write_columnar(merged, out)
     write_manifest(out, "merge", cfg, inputs, extra={"points": merged.count})
@@ -444,13 +447,13 @@ def stage_predict(cfg: dict, inp: Path, model_path: Path, out_dir: Path) -> Path
         )
     cloud = read_columnar(inp)
     fconfig = meta["feature_config"]
-    pred = clf.classify(cloud, model, fconfig, meta["normalization"], cfg)
+    labels = clf.classify(cloud, model, fconfig, meta["normalization"], cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
-    pred_path = out_dir / "predictions.txt"  # one 0/1 label per line, in point order
-    pred_path.write_text("\n".join(str(int(v)) for v in pred.labels) + "\n", encoding="utf-8")
+    pred_path = out_dir / "predictions.txt"
+    write_labels(labels, pred_path)
     write_manifest(
         out_dir, "predict", cfg, {"cloud": inp, "model": model_path},
-        extra={"feature_config": fconfig.name, "predicted_tree": int(pred.labels.sum())},
+        extra={"feature_config": fconfig.name, "predicted_tree": int(labels.sum())},
     )
     return pred_path
 
@@ -470,12 +473,13 @@ def stage_evaluate(
     las_out: Path | None = None,
 ) -> ev.EvalReport:
     cloud = read_columnar(cloud_path)
-    pred = clf.import_predictions(pred_path, cloud)
-    report = ev.score(pred.labels, cloud, cfg, {"prediction_source": pred.source})
+    labels = read_labels(pred_path, cloud.count)
+    source = f"imported:{pred_path.name}"
+    report = ev.score(labels, cloud, cfg, {"prediction_source": source})
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_report(out_dir / "report", report)
     if las_out is not None:
-        ev.export_error_las(cloud, pred.labels, las_out)
+        ev.export_error_las(cloud, labels, las_out)
     write_manifest(
         out_dir, "evaluate", cfg, {"cloud": cloud_path, "predictions": pred_path},
         extra={"miou": report.miou, "oa": report.oa},
@@ -524,12 +528,12 @@ def stage_export(
     cloud = read_columnar(cloud_path)
     inputs = {"cloud": cloud_path}
     if pred_path is not None:
-        pred = clf.import_predictions(pred_path, cloud)
+        labels = read_labels(pred_path, cloud.count)
         inputs["predictions"] = pred_path
         if cloud.has("label"):
-            ev.export_error_las(cloud, pred.labels, las_out)
+            ev.export_error_las(cloud, labels, las_out)
         else:
-            write_las(cloud.with_column("label", pred.labels), las_out)
+            write_las(cloud.with_column("label", labels), las_out)
     else:
         write_las(cloud, las_out)
     write_manifest(las_out, "export", cfg, inputs)

@@ -11,7 +11,7 @@ import pytest
 
 from mslidar.cloud import PointCloud
 from mslidar import csf, dtm, features, preprocess, synth
-from mslidar.mlp import SHARD_ROWS, one_blas_thread
+from mslidar.mlp import BETA1, BETA2, EPS, SHARD_ROWS, one_blas_thread
 
 
 def brute_knn(points: np.ndarray, q: np.ndarray, k: int):
@@ -150,8 +150,8 @@ class ReferenceMlp:
     arithmetic and row shards, and a full backward pass for the initial
     loss."""
 
-    def __init__(self, d_in, hidden=(64, 64), n_out=2, seed=0, dtype=np.float32):
-        self.sizes = (int(d_in),) + tuple(int(h) for h in hidden) + (int(n_out),)
+    def __init__(self, d_in, hidden=(64, 64), seed=0, dtype=np.float32):
+        self.sizes = (int(d_in),) + tuple(int(h) for h in hidden) + (2,)
         self.dtype = np.dtype(dtype)
         rng = np.random.default_rng(seed)
         self.weights, self.biases = [], []
@@ -236,13 +236,12 @@ def reference_train(features, labels, class_weights, config):
     Returns (parameters, loss_curve, stopped_epoch)."""
     x = np.ascontiguousarray(features, dtype=config.dtype)
     y = np.ascontiguousarray(labels).astype(np.int64)
-    model = ReferenceMlp(x.shape[1], config.hidden, 2, seed=config.seed,
-                         dtype=config.dtype)
+    model = ReferenceMlp(x.shape[1], config.hidden, seed=config.seed, dtype=config.dtype)
     params = model.parameters()
     m = [np.zeros_like(p) for p in params]
     v = [np.zeros_like(p) for p in params]
     lr = config.learning_rate
-    b1, b2, eps = config.beta1, config.beta2, config.eps
+    b1, b2, eps = BETA1, BETA2, EPS
     decayed = [i % 2 == 0 for i in range(len(params))]
 
     loss0, _ = model.loss_and_grads(x, y, class_weights)

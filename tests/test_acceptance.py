@@ -175,7 +175,7 @@ def test_weighted_cross_entropy_gradient_check():
     x = rng.normal(size=(10, 5))
     y = rng.integers(0, 2, 10)
     weights = (0.36, 1.64)
-    model = Mlp(5, (8,), 2, seed=3, dtype=np.float64)
+    model = Mlp(5, (8,), seed=3, dtype=np.float64)
     _, g0 = model.loss_and_grads(x, y, weights)
     for p, g in zip(model.parameters(), g0):
         p -= 0.05 * g  # step off the symmetric init point

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from mslidar.classifier import (
-    compute_class_weights, height_threshold_postprocess, import_predictions,
-    load_checkpoint, neighborhood_graph, neighborhood_stats, predict,
-    save_checkpoint, Prediction,
+    compute_class_weights, height_threshold_postprocess, load_checkpoint,
+    neighborhood_graph, neighborhood_stats, predict, save_checkpoint,
 )
 from mslidar.cloud import Label, PointCloud
+from mslidar.columnar import read_labels
 from mslidar.errors import DataError, NumericError
 from mslidar.features import FeatureConfig, fit_normalization
 from mslidar.mlp import Mlp, TrainConfig, train
@@ -55,8 +55,7 @@ class TestTraining:
         cfg = TrainConfig(epochs=50, learning_rate=0.01, batch_size=32,
                           hidden=(16,), seed=0)
         result = train(x, y, (1.0, 1.0), cfg)
-        pred = predict(x.astype(np.float32), result.model)
-        assert (pred.labels == y).mean() == 1.0
+        assert (predict(x.astype(np.float32), result.model) == y).mean() == 1.0
         assert result.loss_curve[-1] <= result.loss_curve[0]
         assert len(result.loss_curve) == cfg.epochs + 1
 
@@ -73,7 +72,7 @@ class TestTraining:
         x, y = separable_toy()
         cfg = TrainConfig(epochs=0, hidden=(8,), seed=5)
         result = train(x, y, (1.0, 1.0), cfg)
-        fresh = Mlp(2, (8,), 2, seed=5, dtype=cfg.dtype)
+        fresh = Mlp(2, (8,), seed=5, dtype=cfg.dtype)
         for got, want in zip(result.model.parameters(), fresh.parameters()):
             np.testing.assert_array_equal(got, want)
         assert len(result.loss_curve) == 1
@@ -84,14 +83,14 @@ class TestTraining:
                           hidden=(8,), seed=1)
         base = train(x, y, (0.36, 1.64), cfg)
         flipped = train(x, (1 - y).astype(np.uint8), (1.64, 0.36), cfg)
-        pb = base.model.predict_proba(x.astype(np.float32))
-        pf = flipped.model.predict_proba(x.astype(np.float32))
-        np.testing.assert_array_equal(pf, pb[:, ::-1])
+        zb = base.model.margins(x.astype(np.float32))
+        zf = flipped.model.margins(x.astype(np.float32))
+        np.testing.assert_array_equal(zf, -zb)
         assert base.loss_curve == flipped.loss_curve
 
     def test_unit_weights_equal_unweighted_cross_entropy(self):
         x, y = separable_toy(n=40, seed=4)
-        model = Mlp(2, (8,), 2, seed=0, dtype=np.float64)
+        model = Mlp(2, (8,), seed=0, dtype=np.float64)
         # split the two output units, so the logits differ per class
         w0, b0, w1, b1 = model.parameters()
         w1[:, 1] += np.linspace(-0.5, 0.5, 8)
@@ -156,7 +155,7 @@ class TestGradientCheck:
         rng = np.random.default_rng(17)
         x = rng.normal(size=(10, 4))
         y = rng.integers(0, 2, 10)
-        model = Mlp(4, (8,), 2, seed=1, dtype=np.float64)
+        model = Mlp(4, (8,), seed=1, dtype=np.float64)
         # output rows start identical; one step breaks the symmetry so the
         # check covers a generic parameter point
         _, g0 = model.loss_and_grads(x, y, class_weights)
@@ -171,32 +170,39 @@ class TestGradientCheck:
 
 class TestPredict:
     def test_duplicate_rows_identical_outputs(self):
-        model = Mlp(3, (8,), 2, seed=0)
+        model = Mlp(3, (8,), seed=0)
         x = np.tile(np.array([[0.3, -1.0, 2.0]], np.float32), (5, 1))
-        pred = predict(x, model)
-        assert np.all(pred.probabilities == pred.probabilities[0])
-        assert np.all(pred.labels == pred.labels[0])
+        z = model.margins(x)
+        assert np.all(z == z[0])
+        labels = predict(x, model)
+        assert np.all(labels == labels[0])
 
     def test_zero_weight_model_ties_to_nontree(self):
-        model = Mlp(3, (4,), 2, seed=0)
+        model = Mlp(3, (4,), seed=0)
         for p in model.parameters():
             p[:] = 0
-        pred = predict(np.random.default_rng(0).normal(size=(6, 3)).astype(np.float32), model)
-        np.testing.assert_array_equal(pred.probabilities, 0.5)
-        assert np.all(pred.labels == int(Label.NON_TREE))
+        x = np.random.default_rng(0).normal(size=(6, 3)).astype(np.float32)
+        assert np.all(predict(x, model) == int(Label.NON_TREE))
 
-    def test_probabilities_sum_to_one(self):
-        model = Mlp(4, (8,), 2, seed=2)
+    def test_labels_are_the_margin_sign(self):
+        model = Mlp(4, (8,), seed=2)
         x = np.random.default_rng(1).normal(size=(50, 4)).astype(np.float32)
-        pred = predict(x, model)
-        np.testing.assert_allclose(pred.probabilities.sum(axis=1), 1.0, atol=1e-6)
+        # split the two output units, then centre the margins so that both
+        # classes occur
+        model.weights[-1][:, 1] += np.linspace(-1.0, 1.0, 8, dtype=np.float32)
+        model.biases[-1][1] -= np.median(model.margins(x))
+        z = model.margins(x)
+        labels = predict(x, model)
+        assert labels.dtype == np.uint8
+        assert 0 < labels.sum() < len(labels)
+        np.testing.assert_array_equal(labels, z > 0)
 
     def test_empty_input_gives_empty_prediction(self):
-        pred = predict(np.zeros((0, 3), np.float32), Mlp(3, (8,), 2, seed=0))
-        assert pred.probabilities.shape == (0, 2) and pred.count == 0
+        labels = predict(np.zeros((0, 3), np.float32), Mlp(3, (8,), seed=0))
+        assert labels.shape == (0,) and labels.dtype == np.uint8
 
     def test_dimension_mismatch_rejected(self):
-        model = Mlp(4, (8,), 2, seed=0)
+        model = Mlp(4, (8,), seed=0)
         with pytest.raises(DataError, match="expects 4 features"):
             predict(np.zeros((3, 5), np.float32), model)
 
@@ -268,56 +274,44 @@ class TestImportAndPostprocess:
         cloud = self.make_cloud([1, 2, 3])
         path = tmp_path / "pred.txt"
         path.write_text("1\n1\n1\n")
-        pred = import_predictions(path, cloud)
-        assert np.all(pred.labels == int(Label.TREE))
-        np.testing.assert_array_equal(pred.probabilities[:, 1], 1.0)
-        assert pred.source.startswith("imported:")
+        labels = read_labels(path, cloud.count)
+        assert labels.dtype == np.uint8 and np.all(labels == int(Label.TREE))
 
     def test_import_count_mismatch(self, tmp_path):
         cloud = self.make_cloud([1, 2, 3])
         path = tmp_path / "pred.txt"
         path.write_text("1\n0\n")
         with pytest.raises(DataError, match="2 labels for 3 points"):
-            import_predictions(path, cloud)
+            read_labels(path, cloud.count)
 
     def test_import_rejects_non_binary(self, tmp_path):
         cloud = self.make_cloud([1, 2, 3])
         path = tmp_path / "pred.txt"
         path.write_text("1\n0\n2\n")
-        with pytest.raises(DataError, match="must be 0 or 1"):
-            import_predictions(path, cloud)
+        with pytest.raises(DataError, match="pred.txt:3: label 2 is not 0 or 1"):
+            read_labels(path, cloud.count)
 
     def test_postprocess_demotes_low_trees_only(self):
         cloud = self.make_cloud([0.5, 10.0, 0.5, 3.0])
-        pred = Prediction(
-            probabilities=np.full((4, 2), 0.5),
-            labels=np.array([1, 1, 0, 1], np.uint8), source="internal",
-        )
-        out = height_threshold_postprocess(pred, cloud, t=2.0)
-        assert out.labels.tolist() == [0, 1, 0, 1]
-        # probabilities and the untouched labels stay as they were
-        np.testing.assert_array_equal(out.probabilities, pred.probabilities)
+        labels = np.array([1, 1, 0, 1], np.uint8)
+        out = height_threshold_postprocess(labels, cloud, t=2.0)
+        assert out.tolist() == [0, 1, 0, 1]
+        # the input array stays as it was
+        assert labels.tolist() == [1, 1, 0, 1]
 
     def test_postprocess_t0_is_identity(self):
         cloud = self.make_cloud([0.0, 5.0])
-        pred = Prediction(
-            probabilities=np.full((2, 2), 0.5),
-            labels=np.array([1, 1], np.uint8), source="internal",
-        )
-        out = height_threshold_postprocess(pred, cloud, t=0.0)
-        np.testing.assert_array_equal(out.labels, pred.labels)
+        labels = np.array([1, 1], np.uint8)
+        out = height_threshold_postprocess(labels, cloud, t=0.0)
+        np.testing.assert_array_equal(out, labels)
 
     def test_postprocess_requires_h_norm(self):
         cloud = PointCloud(
             x=np.zeros(1), y=np.zeros(1), z=np.zeros(1),
             channel=np.zeros(1, np.uint8),
         )
-        pred = Prediction(
-            probabilities=np.full((1, 2), 0.5),
-            labels=np.zeros(1, np.uint8), source="internal",
-        )
         with pytest.raises(DataError, match="h_norm"):
-            height_threshold_postprocess(pred, cloud)
+            height_threshold_postprocess(np.zeros(1, np.uint8), cloud)
 
 
 NEIGHBORHOOD = {"k": 16, "radius": 2.0}
@@ -353,13 +347,13 @@ class TestCheckpoint:
 
     def test_geometry_only_config_has_no_normalization(self, tmp_path):
         path = tmp_path / "model.mstm"
-        save_checkpoint(path, Mlp(3, (8,), 2, seed=0), FeatureConfig.XYZ,
+        save_checkpoint(path, Mlp(3, (8,), seed=0), FeatureConfig.XYZ,
                         (1.0, 1.0), 0, NEIGHBORHOOD)
         _, meta = load_checkpoint(path)
         assert meta["normalization"] is None
 
     def test_bytes_deterministic(self, tmp_path):
-        model = Mlp(4, (8,), 2, seed=0)
+        model = Mlp(4, (8,), seed=0)
         p1, p2 = tmp_path / "a.mstm", tmp_path / "b.mstm"
         save_checkpoint(p1, model, FeatureConfig.XYZ, (1.0, 1.0), 0, NEIGHBORHOOD)
         save_checkpoint(p2, model, FeatureConfig.XYZ, (1.0, 1.0), 0, NEIGHBORHOOD)
@@ -373,7 +367,7 @@ class TestCheckpoint:
 
     @staticmethod
     def saved(tmp_path):
-        model = Mlp(4, (8, 3), 2, seed=0)
+        model = Mlp(4, (8, 3), seed=0)
         path = tmp_path / "model.mstm"
         save_checkpoint(path, model, FeatureConfig.XYZ_PNDVI, (0.36, 1.64),
                         0, NEIGHBORHOOD, pndvi_params())
@@ -427,7 +421,7 @@ class TestCheckpoint:
     def test_v1_file_is_data_error(self, tmp_path):
         # an MSTM v1 checkpoint: a sidecar reference where v2 holds the recipe
         path = tmp_path / "v1.mstm"
-        model = Mlp(3, (4,), 2, seed=0)
+        model = Mlp(3, (4,), seed=0)
         path.write_bytes(
             b"MSTM" + struct.pack("<HqH", 1, 0, 3) + b"XYZ" + struct.pack("<H", 0)
             + struct.pack("<2d", 1.0, 1.0) + struct.pack("<H3I", 3, 3, 4, 2)

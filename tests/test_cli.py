@@ -357,10 +357,20 @@ class TestErrorPaths:
         assert time.perf_counter() - t0 < 10.0
         assert "no room outside its building footprints" in capsys.readouterr().err
 
-    def test_merge_without_inputs_is_config_error(self, tmp_path, capsys):
-        rc = main(["merge", "--out", str(tmp_path / "m.mst")])
-        assert rc == 2
+    @pytest.mark.parametrize(
+        "options", [[], ["--in", "--green"], ["--in", "--nir"], ["--green"]],
+        ids=["no-inputs", "in-and-green", "in-and-nir", "green-alone"])
+    def test_merge_without_one_cloud_or_both_channels_is_config_error(
+            self, chain, tmp_path, capsys, options):
+        # --in names a real cloud, a channel option a file that does not exist
+        out = tmp_path / "m.mst"
+        argv = ["merge", "--out", str(out)]
+        for option in options:
+            path = chain["denoised"] if option == "--in" else tmp_path / "no.mst"
+            argv += [option, str(path)]
+        assert main(argv) == 2
         assert "error[config]" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_split_ratios_rejected(self, chain, tmp_path, capsys):
         rc = main(["split", "--in", str(chain["sub"]),

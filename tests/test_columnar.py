@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mslidar.cloud import PointCloud
-from mslidar.columnar import read_columnar, read_labels, write_columnar
+from mslidar.columnar import read_columnar, read_labels, write_columnar, write_labels
 from mslidar.errors import DataError
 
 from conftest import random_cloud
@@ -107,6 +107,16 @@ def test_read_labels(tmp_path):
     assert labels.tolist() == [0, 1, 1, 0]
 
 
+@pytest.mark.parametrize("labels", [[0, 1, 1, 0, 1], [1], []])
+def test_write_labels_read_labels_round_trip(tmp_path, labels):
+    labels = np.array(labels, np.uint8)
+    path = tmp_path / "labels.txt"
+    write_labels(labels, path)
+    back = read_labels(path, expected_count=len(labels))
+    assert back.dtype == np.uint8
+    np.testing.assert_array_equal(back, labels)
+
+
 def test_read_labels_count_mismatch(tmp_path):
     path = tmp_path / "labels.txt"
     path.write_text("0\n1\n")
@@ -119,9 +129,10 @@ def test_read_labels_rejects_bad_tokens(tmp_path):
     path.write_text("0\nspruce\n")
     with pytest.raises(DataError, match="spruce"):
         read_labels(path)
-    path.write_text("0\n300\n")
-    with pytest.raises(DataError, match="u8 range"):
-        read_labels(path)
+    for bad in ("300", "-1"):
+        path.write_text(f"0\n{bad}\n")
+        with pytest.raises(DataError, match=f"labels.txt:2: label {bad} is not 0 or 1"):
+            read_labels(path)
     path.write_bytes(b"0\n\xff\n")   # not UTF-8
     with pytest.raises(DataError, match="cannot read labels"):
         read_labels(path)

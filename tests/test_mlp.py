@@ -7,7 +7,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mslidar.errors import DataError
 from mslidar.mlp import (SHARD_ROWS, Mlp, TrainConfig, _openblas_threads, one_blas_thread,
                          train)
 
@@ -65,8 +64,8 @@ def test_multi_shard_loss_and_grads_match_reference():
 
 def _check_loss_and_grads_against_reference(n):
     x, y = toy(n=n)
-    model = Mlp(6, (64, 64), 2, seed=1)
-    ref = ReferenceMlp(6, (64, 64), 2, seed=1)
+    model = Mlp(6, (64, 64), seed=1)
+    ref = ReferenceMlp(6, (64, 64), seed=1)
     loss, grads = model.loss_and_grads(x, y, (0.36, 1.64))
     ref_loss, ref_grads = ref.loss_and_grads(x, y, (0.36, 1.64))
     assert loss == ref_loss
@@ -76,7 +75,7 @@ def _check_loss_and_grads_against_reference(n):
 
 
 def test_parameters_are_views_of_one_flat_vector():
-    model = Mlp(5, (8, 4), 2, seed=0)
+    model = Mlp(5, (8, 4), seed=0)
     assert model.flat.size == sum(p.size for p in model.parameters())
     for p in model.parameters():
         assert np.shares_memory(p, model.flat)
@@ -91,10 +90,10 @@ def test_parameters_are_views_of_one_flat_vector():
 def test_workspace_reuse_gives_fresh_model_outputs():
     x, y = toy(n=500)
     small_x, small_y = x[:37], y[:37]
-    used = Mlp(6, (64, 64), 2, seed=4)
+    used = Mlp(6, (64, 64), seed=4)
     used.loss_and_grads(x, y, (1.0, 1.0))          # large batch first
     loss, grads = used.loss_and_grads(small_x, small_y, (1.0, 1.0))
-    fresh = Mlp(6, (64, 64), 2, seed=4)
+    fresh = Mlp(6, (64, 64), seed=4)
     fresh_loss, fresh_grads = fresh.loss_and_grads(small_x, small_y, (1.0, 1.0))
     assert loss == fresh_loss
     for got, want in zip(grads, fresh_grads):
@@ -106,7 +105,7 @@ def test_workspace_reuse_gives_fresh_model_outputs():
 
 def test_grads_do_not_alias_across_calls():
     x, y = toy(n=200)
-    model = Mlp(6, (16, 16), 2, seed=2)
+    model = Mlp(6, (16, 16), seed=2)
     _, first = model.loss_and_grads(x, y, (1.0, 1.0))
     kept = [g.copy() for g in first]
     _, second = model.loss_and_grads(x[:50], y[:50], (0.5, 1.5))
@@ -160,7 +159,7 @@ def softmax_loss_and_grads(model, x, y, class_weights):
 
 def test_sharded_margin_head_equals_unsharded_softmax():
     x, y = toy(n=2 * SHARD_ROWS + 301, seed=10)
-    model = Mlp(6, (16, 8), 2, seed=7, dtype=np.float64)
+    model = Mlp(6, (16, 8), seed=7, dtype=np.float64)
     rng = np.random.default_rng(1)
     model.weights[-1][...] = rng.normal(size=model.weights[-1].shape)
     model.biases[-1][...] = (0.3, -0.2)
@@ -181,21 +180,21 @@ def _peak_bytes(fn) -> int:
     return peak - getattr(result, "nbytes", 0)
 
 
-@pytest.mark.parametrize("full_set_pass", ["predict_proba", "loss"])
+@pytest.mark.parametrize("full_set_pass", ["margins", "loss"])
 def test_full_set_passes_allocate_shard_sized_memory(full_set_pass):
-    """Besides its (n, 2) output, a pass over n rows allocates memory that
+    """Besides its output, a pass over n rows allocates memory that
     depends on the shard size, not on n."""
     rng = np.random.default_rng(3)
     peaks = []
     for n in (4 * SHARD_ROWS, 32 * SHARD_ROWS):
-        model = Mlp(12, (64, 64), 2, seed=0)   # its workspace counts too
+        model = Mlp(12, (64, 64), seed=0)   # its workspace counts too
         x = rng.normal(size=(n, 12))   # float64, converted shard by shard
         y = rng.integers(0, 2, n)
         if full_set_pass == "loss":
             x = x.astype(np.float32)
             peaks.append(_peak_bytes(lambda: model.loss(x, y, (0.7, 1.3))))
         else:
-            peaks.append(_peak_bytes(lambda: model.predict_proba(x)))
+            peaks.append(_peak_bytes(lambda: model.margins(x)))
     # the workspace: activations, deltas and byte masks of two hidden
     # layers of 64 units, about 4.5 shard-sized float32 buffers
     shard_bytes = SHARD_ROWS * 64 * 4
@@ -204,5 +203,7 @@ def test_full_set_passes_allocate_shard_sized_memory(full_set_pass):
 
 
 def test_only_a_two_unit_head():
-    with pytest.raises(DataError, match="two output units"):
-        Mlp(4, (8,), 3)
+    # two output units, initialized alike: the label-flip mirror needs both
+    w = Mlp(4, (8,)).weights[-1]
+    assert w.shape == (8, 2)
+    np.testing.assert_array_equal(w[:, 0], w[:, 1])
