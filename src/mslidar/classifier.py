@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cloud import Label, PointCloud, build_index
+from .cloud import Label, PointCloud, build_index, row_blocks
 from .errors import DataError
 from .features import (
     FeatureConfig, NormalizationParams, assemble_features, fit_config_normalization,
@@ -57,7 +57,7 @@ def neighborhood_graph(
 ) -> np.ndarray:
     """Indices of the <=k nearest points within `radius`, self included.
 
-    Returns an (n, k) int64 array padded with -1, rows ordered by
+    Returns an (n, k) int32 array padded with -1, rows ordered by
     (distance, id). Row i starts with i itself, or with a lower-id point
     at the same coordinates, so every neighborhood has >= 1 member.
     Depends only on the geometry, so one graph serves every feature
@@ -82,28 +82,38 @@ def neighborhood_stats(features: np.ndarray, graph: np.ndarray) -> np.ndarray:
     For each spectral column: mean and population std over the
     neighborhood. Always: local h_norm range (max - min) and neighbor
     count. Statistics are computed on the normalized feature values, so
-    every appended column is already scale-comparable.
+    every appended column is already scale-comparable. Rows are computed
+    in `row_blocks` into the one (n, 3d) float64 result.
     """
     if graph.shape[0] != features.shape[0]:
         raise DataError("neighborhood graph and features disagree on point count")
+    n, d = features.shape
+    out = np.empty((n, 3 * d), dtype=np.float64)
+    out[:, :d] = features
+    for rows in row_blocks(n):
+        _stats_block(features, graph[rows], out[rows, d:])
+    return out
+
+
+def _stats_block(features: np.ndarray, graph: np.ndarray, out: np.ndarray) -> None:
+    """neighborhood_stats' appended columns for the rows of one graph
+    block, written into `out`."""
     valid = graph >= 0
     safe = np.where(valid, graph, 0)
     counts = valid.sum(axis=1).astype(np.float64)
-
-    cols = [features]
     for ci in range(1, features.shape[1]):
-        vals = features[:, ci][safe]
-        vals = np.where(valid, vals, 0.0)
+        vals = np.where(valid, features[:, ci][safe], 0.0)
         mean = vals.sum(axis=1) / counts
-        sq = np.where(valid, np.square(features[:, ci][safe]), 0.0)
-        var = np.maximum(sq.sum(axis=1) / counts - np.square(mean), 0.0)
-        cols.append(np.column_stack((mean, np.sqrt(var))))
+        np.square(vals, out=vals)
+        var = np.maximum(vals.sum(axis=1) / counts - np.square(mean), 0.0)
+        out[:, 2 * ci - 2] = mean
+        out[:, 2 * ci - 1] = np.sqrt(var)
 
     h = features[:, 0][safe]
     hmax = np.where(valid, h, -np.inf).max(axis=1)
     hmin = np.where(valid, h, np.inf).min(axis=1)
-    cols.append(np.column_stack((hmax - hmin, counts)))
-    return np.column_stack(cols)
+    out[:, -2] = hmax - hmin
+    out[:, -1] = counts
 
 
 def predict(features: np.ndarray, model: Mlp) -> np.ndarray:

@@ -8,13 +8,14 @@ merging) are encoded as NaN.
 
 :class:`SpatialIndex` wraps a k-d tree behind one batch query,
 :meth:`SpatialIndex.knn_batch`, whose every row is identical to a
-brute-force scan, ties broken by lower point id.
+brute-force scan, ties broken by lower point id. Every neighbor search
+runs QUERY_ROWS query rows at a time.
 """
 
 import itertools
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
@@ -176,6 +177,16 @@ def concat(clouds: Sequence[PointCloud]) -> PointCloud:
     return PointCloud(crs_note=clouds[0].crs_note, **cols)
 
 
+# Query rows per block of every neighbor search. Rows are independent, so
+# blocking changes no result, and the (rows, k) temporaries stay a few MB
+# instead of growing with the cloud.
+QUERY_ROWS = 1 << 15
+
+
+def row_blocks(n: int) -> Iterator[slice]:
+    """Slices over rows 0..n-1, QUERY_ROWS at a time, the last one partial."""
+    return (slice(lo, lo + QUERY_ROWS) for lo in range(0, n, QUERY_ROWS))
+
 # Relative slack for deciding that two distances may tie: own-formula
 # distances and the k-d tree's internal ones agree to a few ulps, and
 # 1e-9 (plus 1e-12 absolute) is orders of magnitude above that.
@@ -200,29 +211,40 @@ class SpatialIndex:
     ) -> np.ndarray:
         """Ids of the up-to-k nearest indexed points of each query row.
 
-        Returns an (n, k) int64 array. Row i lists, nearest first, the k
+        Returns an (n, k) int32 array. Row i lists, nearest first, the k
         indexed points with the smallest 3D Euclidean distance to qs[i]
         (only those within `radius`, inclusive, when it is given); ties
         go to the lower id, and distances are judged by the plain formula
         sqrt(sum((p - q)**2)), so every row equals a brute-force scan.
-        Rows with fewer neighbors are padded with -1.
+        Rows with fewer neighbors are padded with -1. Queries run
+        QUERY_ROWS at a time into the one result array.
         """
         qs = np.asarray(qs, dtype=np.float64)
         if qs.ndim != 2:
             raise ValueError("knn_batch expects an (n, 3) query array")
-        # One neighbor beyond k shows whether rank k is tied; the tree
-        # returns the index size as the id of a neighbor it did not find.
+        # One neighbor beyond k shows whether rank k is tied.
+        kq = min(k + 1, self.points.shape[0])
+        out = np.empty((qs.shape[0], k), dtype=np.int32)
+        out[:, kq:] = -1
+        for rows in row_blocks(qs.shape[0]):
+            self._knn_block(qs[rows], k, kq, radius, workers, out[rows])
+        return out
+
+    def _knn_block(
+        self, qs: np.ndarray, k: int, kq: int, radius: float | None, workers: int,
+        out: np.ndarray,
+    ) -> None:
+        """knn_batch for one block of query rows, written into its rows of
+        the result; the tree is asked for kq neighbors."""
         m = self.points.shape[0]
-        kq = min(k + 1, m)
         limit = np.inf if radius is None else radius
         reach = limit * (1.0 + _TIE_SLACK) + 1e-12
         d, idx = self.tree.query(qs, k=kq, distance_upper_bound=reach, workers=workers)
         if kq == 1:  # scipy squeezes the k axis for scalar k=1
             d, idx = d[:, None], idx[:, None]
-        out = np.where(idx[:, :k] < m, idx[:, :k], -1)
+        # the tree returns the index size as the id of a neighbor it did not find
+        out[:, : min(k, kq)] = np.where(idx[:, :k] < m, idx[:, :k], -1)
         del idx  # free it before the tie scan, which peaks with a copy of d
-        if kq < k:
-            out = np.pad(out, ((0, 0), (0, k - kq)), constant_values=-1)
 
         # Tree order is exact wherever no two listed distances, and no
         # distance and the radius, lie within the slack of each other.
@@ -244,14 +266,19 @@ class SpatialIndex:
             take = (rank < k) & (dist <= limit)
             out[rows] = -1
             out[rows[owner[take]], rank[take]] = cand[take]
-        return out
 
 
 def build_index(cloud: PointCloud) -> SpatialIndex:
-    """Build an exact spatial index over every point of the cloud."""
+    """Build an exact spatial index over every point of the cloud; its
+    point ids must fit the int32 neighbor ids of knn_batch."""
     from scipy.spatial import cKDTree
 
     if cloud.count == 0:
         raise DataError("cannot index an empty point cloud")
+    if cloud.count > np.iinfo(np.int32).max:
+        raise DataError(
+            f"cannot index {cloud.count} points: neighbor ids are int32, "
+            f"so an index holds at most {np.iinfo(np.int32).max}"
+        )
     pts = cloud.xyz
     return SpatialIndex(points=pts, tree=cKDTree(pts))

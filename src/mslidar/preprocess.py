@@ -10,14 +10,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import Channel, Label, PointCloud, build_index, concat
+from .cloud import Channel, Label, PointCloud, build_index, concat, row_blocks
 from .errors import DataError
 from .features import db_to_linear, linear_to_db
 
 logger = logging.getLogger(__name__)
-
-# Query rows per neighbor search in channel merging.
-_QUERY_ROWS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -49,10 +46,12 @@ def sor_filter(
             f"SOR needs more than k={params.k} points, cloud has {cloud.count}"
         )
     index = build_index(cloud)
-    # k+1 because the nearest hit of each query is the point itself
-    # (or a coincident twin, which has the same distance, 0).
-    d, _ = index.tree.query(index.points, k=params.k + 1, workers=workers)
-    mean_d = d[:, 1:].mean(axis=1)
+    mean_d = np.empty(cloud.count, dtype=np.float64)
+    for rows in row_blocks(cloud.count):
+        # k+1 because the nearest hit of each query is the point itself
+        # (or a coincident twin, which has the same distance, 0).
+        d, _ = index.tree.query(index.points[rows], k=params.k + 1, workers=workers)
+        mean_d[rows] = d[:, 1:].mean(axis=1)
     threshold = mean_d.mean() + params.n_sigma * mean_d.std()
     removed = np.nonzero(mean_d > threshold)[0].astype(np.int64)
     kept_mask = np.ones(cloud.count, dtype=bool)
@@ -74,17 +73,15 @@ def _cross_channel_db(
     """Mean reflectance of up to k nearest source points within radius.
 
     Averaged in linear units, returned in dB; NaN where no source point
-    lies within the radius. Targets are queried _QUERY_ROWS at a time:
-    every row is independent, so the result is the same, and the (rows,
-    k) temporaries stay a few MB instead of growing with the cloud.
+    lies within the radius. Targets are queried and gathered in
+    `row_blocks`.
     """
     index = build_index(source)
     source_lin = db_to_linear(source.reflectance_db.astype(np.float64))
     xyz = targets.xyz
     total = np.empty(targets.count, dtype=np.float64)
     counts = np.empty(targets.count, dtype=np.int64)
-    for lo in range(0, targets.count, _QUERY_ROWS):
-        rows = slice(lo, lo + _QUERY_ROWS)
+    for rows in row_blocks(targets.count):
         ids = index.knn_batch(xyz[rows], k=k, radius=radius, workers=workers)
         valid = ids >= 0
         total[rows] = np.where(valid, source_lin[np.where(valid, ids, 0)], 0.0).sum(axis=1)

@@ -5,6 +5,7 @@ must match them exactly, including tie handling.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +42,17 @@ def brute_sor_removed(points: np.ndarray, k: int, n_sigma: float) -> np.ndarray:
     mean_d = np.sort(d, axis=1)[:, :k].mean(axis=1)
     thr = mean_d.mean() + n_sigma * mean_d.std()
     return np.nonzero(mean_d > thr)[0]
+
+
+def peak_traced_bytes(fn) -> int:
+    """Peak bytes tracemalloc sees while fn() runs, less its result's nbytes."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - getattr(result, "nbytes", 0)
 
 
 def brute_confusion(pred: np.ndarray, truth: np.ndarray):

@@ -3,17 +3,18 @@ import struct
 import numpy as np
 import pytest
 
+from mslidar import cloud as cloud_module
 from mslidar.classifier import (
     compute_class_weights, height_threshold_postprocess, load_checkpoint,
     neighborhood_graph, neighborhood_stats, predict, save_checkpoint,
 )
-from mslidar.cloud import Label, PointCloud
+from mslidar.cloud import QUERY_ROWS, Label, PointCloud, build_index
 from mslidar.columnar import read_labels
 from mslidar.errors import DataError, NumericError
 from mslidar.features import FeatureConfig, fit_normalization
 from mslidar.mlp import Mlp, TrainConfig, train
 
-from conftest import brute_radius, random_cloud, tied_cloud
+from conftest import brute_radius, peak_traced_bytes, random_cloud, tied_cloud
 
 
 class TestClassWeights:
@@ -255,6 +256,41 @@ class TestNeighborhood:
             h = values[members, 0]
             assert out[i, 7] == pytest.approx(h.max() - h.min(), abs=1e-12)
             assert out[i, 8] == len(members)
+
+    def test_blocked_stats_equal_one_block_bit_for_bit(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        n = 103
+        cloud = random_cloud(rng, n=n, extent=4.0)
+        graph = neighborhood_graph(cloud, k=8, radius=1.5)
+        values = np.column_stack((rng.uniform(0, 5, n), rng.random(n), rng.random(n)))
+        whole = neighborhood_stats(values, graph)
+        # every row differs, so a block written to other rows shows
+        assert np.unique(whole, axis=0).shape[0] == n
+        monkeypatch.setattr(cloud_module, "QUERY_ROWS", 5)
+        blocked = neighborhood_stats(values, graph)
+        np.testing.assert_array_equal(blocked.view(np.uint64), whole.view(np.uint64))
+
+    @pytest.mark.parametrize("neighbor_pass", ["knn_batch", "neighborhood_stats"])
+    def test_passes_allocate_block_sized_memory(self, neighbor_pass):
+        """Besides its output, a pass over n = 4 blocks allocates less than
+        five (block, k) float64 arrays; one (n, k) array is four of them."""
+        k = 16
+        n = 4 * QUERY_ROWS
+        rng = np.random.default_rng(24)
+        side = (n / 4.0) ** (1 / 3)  # about 4 points per cubic meter
+        cloud = PointCloud(
+            x=rng.uniform(0, side, n), y=rng.uniform(0, side, n),
+            z=rng.uniform(0, side, n), channel=np.zeros(n, np.uint8),
+        )
+        index = build_index(cloud)
+        xyz = cloud.xyz
+        if neighbor_pass == "knn_batch":
+            extra = peak_traced_bytes(lambda: index.knn_batch(xyz, k, radius=2.0))
+        else:
+            graph = index.knn_batch(xyz, k, radius=2.0)
+            values = np.column_stack((rng.uniform(0, 5, n), rng.random(n), rng.random(n)))
+            extra = peak_traced_bytes(lambda: neighborhood_stats(values, graph))
+        assert extra < 5 * QUERY_ROWS * k * 8
 
     def test_stats_point_count_mismatch_rejected(self):
         with pytest.raises(DataError, match="disagree"):

@@ -1,7 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mslidar import cloud as cloud_module
 from mslidar.cloud import Label, PointCloud, build_index, concat
 from mslidar.errors import DataError
 
@@ -143,6 +146,24 @@ class TestSpatialIndex:
         np.testing.assert_array_equal(
             index.knn_batch(qs, k=4, radius=0.8),
             oracle_rows(index, cloud, qs, 4, 0.8))
+
+    def test_query_blocks_do_not_change_the_result(self, monkeypatch):
+        # 127 query rows in blocks of 5, the last one partial
+        monkeypatch.setattr(cloud_module, "QUERY_ROWS", 5)
+        rng = np.random.default_rng(11)
+        for make in (random_cloud, tied_cloud):
+            cloud = make(rng, n=123, extent=3.0)
+            index = build_index(cloud)
+            qs = np.vstack((rng.uniform(0, 3, (4, 3)), cloud.xyz))
+            for k, r in ((5, None), (6, 0.6), (cloud.count + 2, None)):
+                got = index.knn_batch(qs, k, radius=r)
+                assert got.dtype == np.int32
+                np.testing.assert_array_equal(got, oracle_rows(index, cloud, qs, k, r))
+
+    def test_more_points_than_int32_ids_rejected(self):
+        too_many = SimpleNamespace(count=np.iinfo(np.int32).max + 1)
+        with pytest.raises(DataError, match="int32"):
+            build_index(too_many)
 
     def test_empty_cloud_rejected(self):
         empty = PointCloud(

@@ -1,7 +1,6 @@
 """The sharded, workspace-based Mlp against the plain allocating reference
 loop and an unsharded float64 softmax."""
 
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +9,7 @@ import pytest
 from mslidar.mlp import (SHARD_ROWS, Mlp, TrainConfig, _openblas_threads, one_blas_thread,
                          train)
 
-from conftest import ReferenceMlp, reference_train
+from conftest import ReferenceMlp, peak_traced_bytes, reference_train
 
 
 def toy(n=1000, d=6, seed=0):
@@ -170,16 +169,6 @@ def test_sharded_margin_head_equals_unsharded_softmax():
         np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-15)
 
 
-def _peak_bytes(fn) -> int:
-    tracemalloc.start()
-    try:
-        result = fn()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return peak - getattr(result, "nbytes", 0)
-
-
 @pytest.mark.parametrize("full_set_pass", ["margins", "loss"])
 def test_full_set_passes_allocate_shard_sized_memory(full_set_pass):
     """Besides its output, a pass over n rows allocates memory that
@@ -192,9 +181,9 @@ def test_full_set_passes_allocate_shard_sized_memory(full_set_pass):
         y = rng.integers(0, 2, n)
         if full_set_pass == "loss":
             x = x.astype(np.float32)
-            peaks.append(_peak_bytes(lambda: model.loss(x, y, (0.7, 1.3))))
+            peaks.append(peak_traced_bytes(lambda: model.loss(x, y, (0.7, 1.3))))
         else:
-            peaks.append(_peak_bytes(lambda: model.margins(x)))
+            peaks.append(peak_traced_bytes(lambda: model.margins(x)))
     # the workspace: activations, deltas and byte masks of two hidden
     # layers of 64 units, about 4.5 shard-sized float32 buffers
     shard_bytes = SHARD_ROWS * 64 * 4

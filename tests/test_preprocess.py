@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mslidar import cloud as cloud_module
 from mslidar.cloud import Channel, Label, PointCloud, concat
-from mslidar import preprocess
 from mslidar.errors import DataError
 from mslidar.preprocess import (
     SorParams, merge_channels, sor_filter, voxel_subsample,
@@ -74,6 +74,16 @@ class TestSor:
         cloud = random_cloud(rng, n=100)
         kept, removed = sor_filter(cloud, SorParams())
         assert kept.count + removed.size == cloud.count
+
+    def test_query_blocks_do_not_change_the_removed_ids(self, monkeypatch):
+        # 401 points in blocks of 5, the last one partial
+        rng = np.random.default_rng(10)
+        cloud = tied_cloud(rng, n=401, extent=4.0)
+        _, whole = sor_filter(cloud, SorParams(k=6, n_sigma=1.0))
+        monkeypatch.setattr(cloud_module, "QUERY_ROWS", 5)
+        _, blocked = sor_filter(cloud, SorParams(k=6, n_sigma=1.0))
+        assert whole.size > 0
+        np.testing.assert_array_equal(blocked, whole)
 
     def test_too_small_cloud_rejected(self):
         rng = np.random.default_rng(8)
@@ -172,7 +182,7 @@ class TestMergeChannels:
         n = tied_cloud(rng, n=400, extent=1.5)
         n.channel[:] = int(Channel.NIR_1064)
         whole = merge_channels(g, n, radius=0.2, k=7)
-        monkeypatch.setattr(preprocess, "_QUERY_ROWS", 7)
+        monkeypatch.setattr(cloud_module, "QUERY_ROWS", 7)
         chunked = merge_channels(g, n, radius=0.2, k=7)
         for col in ("refl_green_db", "refl_nir_db"):
             np.testing.assert_array_equal(
