@@ -10,8 +10,8 @@ passes per iteration that pull each free particle toward the mean of its
 grid neighbors. Particles pin permanently on floor contact. Points whose
 inverted height lies within class_threshold of the settled cloth are
 ground. As in Zhang et al.'s cloth simulation filter (Remote Sensing
-2016), gravity and the convergence tolerance are fixed constants, not
-settings.
+2016), gravity, the time step and the convergence tolerance are fixed
+constants, not settings.
 
 Over building footprints the floor is the inverted roof, far below
 ground level; pinned particles at the footprint edge hold the cloth up
@@ -29,11 +29,13 @@ from .errors import DataError
 
 logger = logging.getLogger(__name__)
 
-# Gravity; a free particle drops GRAVITY * time_step**2 per iteration.
-# The cloth is overdamped (quasi-static settling): carrying momentum lets
-# the cloth overshoot its equilibrium over building footprints and pin on
-# the inverted roof, which silently flags roofs as ground.
+# Gravity and the time step; a free particle drops GRAVITY * TIME_STEP**2
+# per iteration. The cloth is overdamped (quasi-static settling): carrying
+# momentum lets the cloth overshoot its equilibrium over building
+# footprints and pin on the inverted roof, which silently flags roofs as
+# ground.
 GRAVITY = 0.065
+TIME_STEP = 0.65
 CONVERGENCE = 0.005   # stop once no particle moved further in an iteration
 
 
@@ -43,7 +45,6 @@ class CsfParams:
     rigidness: int = 2
     iterations: int = 500
     class_threshold: float = 0.5
-    time_step: float = 0.65
 
     def __post_init__(self):
         if not self.cloth_resolution > 0:
@@ -107,7 +108,7 @@ def simulate_cloth(cloud: PointCloud, params: CsfParams) -> tuple[np.ndarray, tu
     # beneath them pin within the first iterations.
     c = np.full((h, w), floor.max() + 0.05)
     movable = np.ones((h, w), dtype=bool)
-    g_disp = GRAVITY * params.time_step**2
+    g_disp = GRAVITY * TIME_STEP**2
 
     for it in range(params.iterations):
         snapshot = c.copy()

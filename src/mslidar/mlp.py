@@ -40,7 +40,7 @@ decay covers a prefix.
 import ctypes
 import functools
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -65,7 +65,6 @@ class TrainConfig:
     batch_size: int = 8192
     hidden: tuple[int, ...] = (64, 64)
     seed: int = 0
-    patience: int | None = None   # early stop on training loss; off by default
     dtype: type = np.float32
 
     def __post_init__(self):
@@ -74,8 +73,6 @@ class TrainConfig:
         for name in ("learning_rate", "weight_decay"):
             if not 0.0 <= getattr(self, name) < np.inf:
                 raise DataError(f"{name} must be >= 0 and finite, got {getattr(self, name)!r}")
-        if self.patience is not None and self.patience < 1:
-            raise DataError(f"patience must be >= 1 or null, got {self.patience!r}")
         if self.batch_size < 1:
             raise DataError(f"batch_size must be >= 1, got {self.batch_size!r}")
         if any(h < 1 for h in self.hidden):
@@ -307,8 +304,7 @@ def _interleave(weights, biases) -> list[np.ndarray]:
 @dataclass
 class TrainResult:
     model: Mlp
-    loss_curve: list[float] = field(default_factory=list)
-    stopped_epoch: int | None = None
+    loss_curve: list[float]
 
 
 def train(
@@ -351,13 +347,9 @@ def train(
 
     n = x.shape[0]
     bs = config.batch_size
-    loss0 = model.loss(x, y, class_weights)
-    curve = [loss0]
+    curve = [model.loss(x, y, class_weights)]
     rng = np.random.default_rng(config.seed)
     t = 0
-    best = loss0
-    since_best = 0
-    stopped = None
     xs = np.empty_like(x)
     ys = np.empty_like(y)
     for epoch in range(config.epochs):
@@ -397,13 +389,4 @@ def train(
             epoch_loss += loss * xb.shape[0]
             epoch_weight += xb.shape[0]
         curve.append(epoch_loss / epoch_weight)
-        if config.patience is not None:
-            if curve[-1] < best - 1e-12:
-                best = curve[-1]
-                since_best = 0
-            else:
-                since_best += 1
-                if since_best >= config.patience:
-                    stopped = epoch
-                    break
-    return TrainResult(model=model, loss_curve=curve, stopped_epoch=stopped)
+    return TrainResult(model=model, loss_curve=curve)

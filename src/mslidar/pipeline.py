@@ -58,19 +58,15 @@ DEFAULTS: dict = {
     "threads": 1,
     "sor": _defaults(SorParams, "k", "n_sigma"),
     "merge": _defaults(merge_channels, "radius", "k"),
-    "csf": _defaults(
-        CsfParams,
-        "cloth_resolution", "rigidness", "iterations", "class_threshold", "time_step",
-    ),
+    "csf": _defaults(CsfParams, "cloth_resolution", "rigidness", "iterations",
+                     "class_threshold"),
     "dtm": _defaults(build_dtm, "cell"),
     "voxel": _defaults(voxel_subsample, "grid"),
     "features": {"config": "XYZ_GREEN_NIR_PNDVI",
                  **_defaults(fit_normalization, "p_low", "p_high")},
     "neighborhood": _defaults(clf.neighborhood_graph, "k", "radius"),
-    "train": _defaults(
-        TrainConfig,
-        "epochs", "learning_rate", "weight_decay", "batch_size", "hidden", "patience",
-    ),
+    "train": _defaults(TrainConfig, "epochs", "learning_rate", "weight_decay",
+                       "batch_size", "hidden"),
     "split": {"ratios": [0.6853, 0.1628, 0.1519], "tile_size": 20.0},
     "postprocess": _defaults(clf.height_threshold_postprocess, threshold="t"),
     "evaluate": _defaults(ev.error_rate_above, "predicted_tree_only", threshold="t"),
@@ -79,7 +75,7 @@ DEFAULTS: dict = {
 
 
 # Leaves that may also be null (off), with a value of their other type.
-_NULLABLE = {"postprocess.threshold": 0.0, "train.patience": 0}
+_NULLABLE = {"postprocess.threshold": 0.0}
 
 
 def _fits(value, default) -> bool:
@@ -111,6 +107,9 @@ def _merge_into(base: dict, override: dict, path: str = "") -> dict:
             null = " or null" if where in _NULLABLE else ""
             raise ConfigError(
                 f"config key {where} must have the type of {like!r}{null}, got {value!r}")
+        leaves = value if isinstance(value, list) else [value]
+        if any(isinstance(v, float) and not np.isfinite(v) for v in leaves):
+            raise ConfigError(f"config key {where} must be finite, got {value!r}")
         base[key] = value
     return base
 
@@ -120,9 +119,9 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
     mapping of dotted keys such as ``"sor.k"`` to values.
 
     Unknown keys, values of another type than their default (see
-    :func:`_fits`), a thread count below 1 and a seed outside
-    ``0 <= seed < 2**63`` (what the RNG and the checkpoint's i64 take)
-    raise ConfigError.
+    :func:`_fits`), a non-finite float, a thread count below 1 and a seed
+    outside ``0 <= seed < 2**63`` (what the RNG and the checkpoint's i64
+    take) raise ConfigError.
     """
     cfg = copy.deepcopy(DEFAULTS)
     if path is not None:
@@ -427,7 +426,6 @@ def stage_train(cfg: dict, train_path: Path, out_dir: Path) -> Path:
             "class_weights": [float(w) for w in weights],
             "final_loss": result.loss_curve[-1],
             "initial_loss": result.loss_curve[0],
-            "stopped_epoch": result.stopped_epoch,
         },
     )
     return model_path
@@ -446,8 +444,13 @@ def stage_predict(cfg: dict, inp: Path, model_path: Path, out_dir: Path) -> Path
             f"but the config gives {cfg['neighborhood']}"
         )
     cloud = read_columnar(inp)
-    fconfig = meta["feature_config"]
-    labels = clf.classify(cloud, model, fconfig, meta["normalization"], cfg)
+    fconfig, params = meta["feature_config"], meta["normalization"]
+    labels = clf.classify(cloud, model, fconfig, params, cfg)
+    # the manifest records the feature recipe that ran: the checkpoint's
+    features = {**cfg["features"], "config": fconfig.name}
+    if params is not None:
+        features.update(p_low=params.p_low, p_high=params.p_high)
+    cfg = {**cfg, "features": features}
     out_dir.mkdir(parents=True, exist_ok=True)
     pred_path = out_dir / "predictions.txt"
     write_labels(labels, pred_path)

@@ -245,7 +245,7 @@ class ReferenceMlp:
 def reference_train(features, labels, class_weights, config):
     """The per-parameter AdamW loop over fancy-indexed batches.
 
-    Returns (parameters, loss_curve, stopped_epoch)."""
+    Returns (parameters, loss_curve)."""
     x = np.ascontiguousarray(features, dtype=config.dtype)
     y = np.ascontiguousarray(labels).astype(np.int64)
     model = ReferenceMlp(x.shape[1], config.hidden, seed=config.seed, dtype=config.dtype)
@@ -260,9 +260,6 @@ def reference_train(features, labels, class_weights, config):
     curve = [loss0]
     rng = np.random.default_rng(config.seed)
     t = 0
-    best = loss0
-    since_best = 0
-    stopped = None
     n = x.shape[0]
     bs = max(int(config.batch_size), 1)
     for epoch in range(config.epochs):
@@ -285,13 +282,4 @@ def reference_train(features, labels, class_weights, config):
             epoch_loss += loss * sel.shape[0]
             epoch_weight += sel.shape[0]
         curve.append(epoch_loss / epoch_weight)
-        if config.patience is not None:
-            if curve[-1] < best - 1e-12:
-                best = curve[-1]
-                since_best = 0
-            else:
-                since_best += 1
-                if since_best >= config.patience:
-                    stopped = epoch
-                    break
-    return params, curve, stopped
+    return params, curve

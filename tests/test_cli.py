@@ -222,6 +222,25 @@ def test_ablate_fits_normalization_at_configured_percentiles(chain, tmp_path,
     assert np.all(params.lo > default.lo) and np.all(params.hi < default.hi)
 
 
+def test_predict_manifest_records_the_checkpoint_recipe(chain, tmp_path):
+    # predict builds features from the checkpoint, not from its own config,
+    # and its manifest must record the recipe that ran
+    cfg = tmp_path / "p5.yaml"
+    cfg.write_text("features: {p_low: 5.0}\n")
+    model_dir = tmp_path / "m"
+    assert main(["train", "--train", str(chain["splits"] / "train.mst"),
+                 "--out-dir", str(model_dir), "--epochs", "1",
+                 "--feature-config", "XYZ_PNDVI", "--config", str(cfg)]) == 0
+    assert main(["predict", "--in", str(chain["splits"] / "test.mst"),
+                 "--model", str(model_dir / "model.mstm"),
+                 "--out-dir", str(tmp_path / "p")]) == 0
+    manifest = json.loads((tmp_path / "p" / "manifest.json").read_text())
+    assert manifest["config"]["features"] == {
+        "config": "XYZ_PNDVI", "p_low": 5.0, "p_high": 99.0}
+    assert manifest["extra"]["feature_config"] == "XYZ_PNDVI"
+    assert manifest["config_hash"] == pipeline.config_hash(manifest["config"])
+
+
 def test_prediction_does_not_depend_on_far_points(chain, tmp_path):
     """Points farther than neighborhood.radius from every test point move
     the cloud's mean but leave the labels of the original points as they were."""
@@ -406,9 +425,8 @@ class TestErrorPaths:
         ("train", "train: {learning_rate: -1.0}", 3, "learning_rate must be >= 0"),
         ("train", "train: {epochs: -1}", 3, "epochs must be >= 0"),
         ("train", "train: {weight_decay: -1.0}", 3, "weight_decay must be >= 0"),
-        ("train", "train: {patience: -3}", 3, "patience must be >= 1"),
     ], ids=["target-points", "k", "radius", "p-high", "batch-size", "hidden",
-            "learning-rate", "epochs", "weight-decay", "patience"])
+            "learning-rate", "epochs", "weight-decay"])
     def test_out_of_range_config_value_is_rejected(self, chain, tmp_path, capsys,
                                                    stage, setting, code, message):
         if stage == "synth":
@@ -588,13 +606,13 @@ EFFECTIVE_DEFAULTS = """{
   "sor": {"k": 6, "n_sigma": 1.0},
   "merge": {"radius": 1.0, "k": 7},
   "csf": {"cloth_resolution": 1.0, "rigidness": 2, "iterations": 500,
-          "class_threshold": 0.5, "time_step": 0.65},
+          "class_threshold": 0.5},
   "dtm": {"cell": 1.0},
   "voxel": {"grid": 0.1},
   "features": {"config": "XYZ_GREEN_NIR_PNDVI", "p_low": 1.0, "p_high": 99.0},
   "neighborhood": {"k": 16, "radius": 2.0},
   "train": {"epochs": 300, "learning_rate": 0.001, "weight_decay": 0.0001,
-            "batch_size": 8192, "hidden": [64, 64], "patience": null},
+            "batch_size": 8192, "hidden": [64, 64]},
   "split": {"ratios": [0.6853, 0.1628, 0.1519], "tile_size": 20.0},
   "postprocess": {"threshold": 2.0},
   "evaluate": {"threshold": 2.0, "predicted_tree_only": false},
@@ -624,9 +642,6 @@ def test_defaults_are_the_effective_defaults():
     ("train: {hidden: [32, 16, 8]}", True),         # any depth
     ("train: {hidden: [32.0]}", False),
     ("train: {hidden: []}", False),
-    ("train: {patience: 5}", True),
-    ("train: {patience: null}", True),
-    ("train: {patience: 5.5}", False),
     ("postprocess: {threshold: null}", True),
     ("postprocess: {threshold: 3}", True),
     ("postprocess: {threshold: '3'}", False),
@@ -640,3 +655,33 @@ def test_config_values_take_their_default_type(tmp_path, yaml_text, ok):
     else:
         with pytest.raises(ConfigError, match="must have the type of"):
             pipeline.load_config(path)
+
+
+@pytest.mark.parametrize("yaml_text, key", [
+    ("train: {patience: 5}", "train.patience"),     # training runs all epochs
+    ("csf: {time_step: 0.65}", "csf.time_step"),    # csf.TIME_STEP is a constant
+])
+def test_removed_config_keys_are_unknown(tmp_path, capsys, yaml_text, key):
+    path = tmp_path / "c.yaml"
+    path.write_text(yaml_text + "\n")
+    assert main(["synth", "--out", str(tmp_path / "s.mst"), "--config", str(path)]) == 2
+    assert f"unknown config key: {key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stage, yaml_text, flags, key", [
+    ("split", "split: {ratios: [.nan, 0.5, 0.5]}", [], "split.ratios"),
+    ("merge", "", ["--radius", "inf"], "merge.radius"),
+    ("predict", "postprocess: {threshold: .nan}", [], "postprocess.threshold"),
+    ("ground", "csf: {class_threshold: -.inf}", [], "csf.class_threshold"),
+], ids=["ratios-nan", "radius-inf-flag", "threshold-nan", "class-threshold-neg-inf"])
+def test_non_finite_config_value_is_config_error(tmp_path, monkeypatch, capsys,
+                                                 stage, yaml_text, flags, key):
+    monkeypatch.chdir(tmp_path)
+    Path("c.yaml").write_text(yaml_text + "\n")
+    assert main([stage, *REQUIRED_PATHS[stage], "--config", "c.yaml", *flags]) == 2
+    assert f"config key {key} must be finite" in capsys.readouterr().err
+
+
+def test_every_nullable_key_is_a_default_leaf():
+    for key in pipeline._NULLABLE:
+        assert not isinstance(pipeline.config_value(pipeline.DEFAULTS, key), dict), key
