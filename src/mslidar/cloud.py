@@ -10,6 +10,15 @@ merging) are encoded as NaN.
 :meth:`SpatialIndex.knn_batch`, whose every row is identical to a
 brute-force scan, ties broken by lower point id. Every neighbor search
 runs QUERY_ROWS query rows at a time.
+
+:func:`group_cells` groups points by integer cell (voxel, tile, query
+cell) with one np.lexsort: cells come out in lexicographic key order,
+each cell's rows by ascending id. A neighbor pass may visit its query
+rows in a spatial order, so that consecutive queries walk the same tree
+nodes: :func:`ordered_blocks` yields the row ids of each block in that
+order, and the pass gathers their coordinates and writes their results
+back to those rows. A row's result depends on that row alone, so the
+visiting order changes no bit of the output.
 """
 
 import itertools
@@ -186,6 +195,35 @@ QUERY_ROWS = 1 << 15
 def row_blocks(n: int) -> Iterator[slice]:
     """Slices over rows 0..n-1, QUERY_ROWS at a time, the last one partial."""
     return (slice(lo, lo + QUERY_ROWS) for lo in range(0, n, QUERY_ROWS))
+
+
+def ordered_blocks(order: np.ndarray) -> Iterator[np.ndarray]:
+    """Row ids of each QUERY_ROWS block when rows are visited in `order`;
+    a pass writes each block's results back to the rows it names."""
+    return (order[rows] for rows in row_blocks(order.shape[0]))
+
+
+def group_cells(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group rows by integer cell, given one key column per axis.
+
+    Returns (order, starts, inverse). `order` sorts the rows by cell,
+    cells in lexicographic key order and each cell's rows by ascending
+    id; cell g occupies order[starts[g]:starts[g + 1]], and inverse[i] is
+    the cell of row i. One np.lexsort; the cells, their order and the
+    inverse are those of a row-wise unique over the stacked keys.
+    """
+    order = np.lexsort(keys[::-1])  # lexsort's last key is its primary one
+    new = np.zeros(order.shape[0], dtype=bool)  # row starts a new cell
+    new[:1] = True
+    for key in keys:
+        ranked = key[order]
+        new[1:] |= ranked[1:] != ranked[:-1]
+    del ranked  # freed before the cumsum: a lower peak
+    starts = np.flatnonzero(new)
+    inverse = np.empty(order.shape[0], dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return order, starts, inverse
+
 
 # Relative slack for deciding that two distances may tie: own-formula
 # distances and the k-d tree's internal ones agree to a few ulps, and

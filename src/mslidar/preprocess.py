@@ -10,7 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import Channel, Label, PointCloud, build_index, concat, row_blocks
+from .cloud import (
+    Channel, Label, PointCloud, build_index, concat, group_cells, ordered_blocks,
+)
 from .errors import DataError
 from .features import db_to_linear, linear_to_db
 
@@ -47,11 +49,13 @@ def sor_filter(
         )
     index = build_index(cloud)
     mean_d = np.empty(cloud.count, dtype=np.float64)
-    for rows in row_blocks(cloud.count):
+    # Points are visited in the tree's leaf order, so neighbouring queries
+    # walk the same nodes; each row's distances depend on that row alone.
+    for ids in ordered_blocks(index.tree.indices):
         # k+1 because the nearest hit of each query is the point itself
         # (or a coincident twin, which has the same distance, 0).
-        d, _ = index.tree.query(index.points[rows], k=params.k + 1, workers=workers)
-        mean_d[rows] = d[:, 1:].mean(axis=1)
+        d, _ = index.tree.query(index.points[ids], k=params.k + 1, workers=workers)
+        mean_d[ids] = d[:, 1:].mean(axis=1)
     threshold = mean_d.mean() + params.n_sigma * mean_d.std()
     removed = np.nonzero(mean_d > threshold)[0].astype(np.int64)
     kept_mask = np.ones(cloud.count, dtype=bool)
@@ -61,6 +65,13 @@ def sor_filter(
         removed.size, cloud.count, params.k, params.n_sigma,
     )
     return cloud.take(kept_mask), removed
+
+
+def _cubic_cells(cloud: PointCloud, side: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """group_cells over cubes of the given side, anchored at the origin."""
+    return group_cells(
+        *(np.floor(c / side).astype(np.int64) for c in (cloud.x, cloud.y, cloud.z))
+    )
 
 
 def _cross_channel_db(
@@ -73,16 +84,18 @@ def _cross_channel_db(
     """Mean reflectance of up to k nearest source points within radius.
 
     Averaged in linear units, returned in dB; NaN where no source point
-    lies within the radius. Targets are queried and gathered in
-    `row_blocks`.
+    lies within the radius. Targets are visited a block at a time in the
+    order of their radius-sized cells, and each block's coordinates are
+    gathered only for that block.
     """
+    order = _cubic_cells(targets, radius)[0]  # before the index: a lower peak
     index = build_index(source)
     source_lin = db_to_linear(source.reflectance_db.astype(np.float64))
-    xyz = targets.xyz
     total = np.empty(targets.count, dtype=np.float64)
     counts = np.empty(targets.count, dtype=np.int64)
-    for rows in row_blocks(targets.count):
-        ids = index.knn_batch(xyz[rows], k=k, radius=radius, workers=workers)
+    for rows in ordered_blocks(order):
+        qs = np.column_stack((targets.x[rows], targets.y[rows], targets.z[rows]))
+        ids = index.knn_batch(qs, k=k, radius=radius, workers=workers)
         valid = ids >= 0
         total[rows] = np.where(valid, source_lin[np.where(valid, ids, 0)], 0.0).sum(axis=1)
         counts[rows] = valid.sum(axis=1)
@@ -154,17 +167,9 @@ def voxel_subsample(cloud: PointCloud, grid: float = 0.1) -> PointCloud:
         raise DataError("voxel grid size must be positive")
     if cloud.count == 0:
         return cloud
-    keys = np.column_stack(
-        (
-            np.floor(cloud.x / grid).astype(np.int64),
-            np.floor(cloud.y / grid).astype(np.int64),
-            np.floor(cloud.z / grid).astype(np.int64),
-        )
-    )
-    _, inverse, counts = np.unique(
-        keys, axis=0, return_inverse=True, return_counts=True
-    )
-    n_voxels = counts.shape[0]
+    order, starts, inverse = _cubic_cells(cloud, grid)
+    n_voxels = starts.shape[0]
+    counts = np.diff(starts, append=cloud.count)
 
     cx = np.bincount(inverse, weights=cloud.x, minlength=n_voxels) / counts
     cy = np.bincount(inverse, weights=cloud.y, minlength=n_voxels) / counts
@@ -173,11 +178,11 @@ def voxel_subsample(cloud: PointCloud, grid: float = 0.1) -> PointCloud:
         (cloud.x - cx[inverse]) ** 2
         + (cloud.y - cy[inverse]) ** 2
         + (cloud.z - cz[inverse]) ** 2
-    )
-    ids = np.arange(cloud.count, dtype=np.int64)
-    order = np.lexsort((ids, dist, inverse))
-    first = np.unique(inverse[order], return_index=True)[1]
-    keep = order[first]
+    )[order]
+    # Each voxel's rows run in ascending id, so its first row at the
+    # voxel's smallest distance is the lowest-id survivor.
+    hits = np.flatnonzero(dist == np.repeat(np.minimum.reduceat(dist, starts), counts))
+    keep = order[hits[np.searchsorted(hits, starts)]]
 
     out = cloud.take(keep)
     if cloud.has("label"):
@@ -187,12 +192,10 @@ def voxel_subsample(cloud: PointCloud, grid: float = 0.1) -> PointCloud:
         nontree_votes = np.bincount(
             inverse, weights=(cloud.label == int(Label.NON_TREE)), minlength=n_voxels
         )
+        # out holds one row per voxel, in voxel order
         vote = out.label.copy()  # all-unlabeled voxels keep the survivor's label
-        voxel_of_kept = inverse[keep]
-        t = tree_votes[voxel_of_kept]
-        nt = nontree_votes[voxel_of_kept]
-        vote[t >= np.maximum(nt, 1)] = int(Label.TREE)
-        vote[nt > t] = int(Label.NON_TREE)
+        vote[tree_votes >= np.maximum(nontree_votes, 1)] = int(Label.TREE)
+        vote[nontree_votes > tree_votes] = int(Label.NON_TREE)
         out = out.with_column("label", vote)
     logger.info(
         "voxel subsample grid=%g: %d -> %d points", grid, cloud.count, out.count

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import PointCloud
+from .cloud import PointCloud, group_cells
 from .errors import ConfigError
 
 logger = logging.getLogger(__name__)
@@ -70,9 +70,10 @@ def split_plots(
     x0, y0 = float(cloud.x.min()), float(cloud.y.min())
     ix = np.floor((cloud.x - x0) / tile_size).astype(np.int64)
     iy = np.floor((cloud.y - y0) / tile_size).astype(np.int64)
-    tile_ids, inverse, counts = np.unique(
-        np.column_stack((ix, iy)), axis=0, return_inverse=True, return_counts=True
-    )
+    order, starts, inverse = group_cells(ix, iy)
+    first = order[starts]
+    tile_ids = np.column_stack((ix[first], iy[first]))
+    counts = np.diff(starts, append=cloud.count)
     n_tiles = tile_ids.shape[0]
 
     if n_tiles == 1:

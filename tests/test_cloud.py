@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mslidar import cloud as cloud_module
-from mslidar.cloud import Label, PointCloud, build_index, concat
+from mslidar.cloud import (
+    Label, PointCloud, build_index, concat, group_cells, ordered_blocks,
+)
 from mslidar.errors import DataError
 
 from conftest import brute_knn, brute_radius, random_cloud, tied_cloud
@@ -160,6 +162,29 @@ class TestSpatialIndex:
                 assert got.dtype == np.int32
                 np.testing.assert_array_equal(got, oracle_rows(index, cloud, qs, k, r))
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_visiting_order_does_not_change_any_row(self, monkeypatch, workers):
+        # A 0.25 m lattice (exact in binary) with twins: many rows have
+        # distance ties and neighbors exactly on the 0.5 m radius.
+        monkeypatch.setattr(cloud_module, "QUERY_ROWS", 6)
+        rng = np.random.default_rng(12)
+        cloud = tied_cloud(rng, n=150, extent=2.0, step=0.25)
+        index = build_index(cloud)
+        qs = np.vstack((cloud.xyz, np.round(rng.uniform(0, 2, (20, 3)) * 8) / 8))
+        cells = np.floor(qs / 0.5).astype(np.int64).T
+        orders = (rng.permutation(len(qs)), group_cells(*cells)[0],
+                  np.arange(len(qs))[::-1])
+        for k, r in ((4, 0.5), (7, None), (cloud.count, 0.5)):
+            plain = index.knn_batch(qs, k, radius=r, workers=workers)
+            for order in orders:
+                got = np.full_like(plain, -2)
+                for ids in ordered_blocks(order):
+                    got[ids] = index.knn_batch(qs[ids], k, radius=r, workers=workers)
+                np.testing.assert_array_equal(got, plain)
+        # the last plain call: every radius neighbor, as brute force lists them
+        np.testing.assert_array_equal(
+            plain, oracle_rows(index, cloud, qs, cloud.count, 0.5))
+
     def test_more_points_than_int32_ids_rejected(self):
         too_many = SimpleNamespace(count=np.iinfo(np.int32).max + 1)
         with pytest.raises(DataError, match="int32"):
@@ -193,3 +218,38 @@ class TestSpatialIndex:
         assert np.all(kids[: min(k, n)] >= 0) and np.all(kids[min(k, n):] == -1)
         kd = np.sqrt(((cloud.xyz[kids[kids >= 0]] - q) ** 2).sum(axis=1))
         assert np.all(np.diff(kd) >= 0)
+
+
+def unique_cells(*keys):
+    """group_cells' (order, starts, inverse) from np.unique over the key
+    rows, each cell's rows in a stable argsort of the inverse."""
+    _, inverse, counts = np.unique(
+        np.column_stack(keys), axis=0, return_inverse=True, return_counts=True)
+    inverse = inverse.reshape(-1)
+    return np.argsort(inverse, kind="stable"), np.cumsum(counts) - counts, inverse
+
+
+class TestGroupCells:
+    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    def test_matches_unique_rows_randomized(self, ndim):
+        rng = np.random.default_rng(ndim)
+        for n in (1, 2, 7, 300, 2000):
+            # few distinct values per axis, negative ones included, so
+            # cells repeat and share leading keys
+            keys = [rng.integers(-4, 4, n).astype(np.int64) for _ in range(ndim)]
+            got = group_cells(*keys)
+            for a, b in zip(got, unique_cells(*keys)):
+                assert a.dtype == np.intp
+                np.testing.assert_array_equal(a, b)
+
+    def test_signed_lexicographic_cell_order(self):
+        ix = np.array([3, -2, -2, 0, 3, -2], dtype=np.int64)
+        iy = np.array([-1, 5, -7, 0, -1, 5], dtype=np.int64)
+        order, starts, inverse = group_cells(ix, iy)
+        assert order.tolist() == [2, 1, 5, 3, 0, 4]
+        assert starts.tolist() == [0, 1, 3, 4]
+        assert inverse.tolist() == [3, 1, 0, 2, 3, 1]
+
+    def test_empty_keys_give_no_cells(self):
+        order, starts, inverse = group_cells(np.empty(0, np.int64), np.empty(0, np.int64))
+        assert order.size == starts.size == inverse.size == 0

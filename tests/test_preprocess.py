@@ -5,15 +5,41 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mslidar import cloud as cloud_module
-from mslidar.cloud import Channel, Label, PointCloud, concat
+from mslidar.cloud import Channel, Label, PointCloud, build_index, concat
 from mslidar.errors import DataError
 from mslidar.preprocess import (
     SorParams, merge_channels, sor_filter, voxel_subsample,
 )
 
 from conftest import (
-    brute_radius, brute_sor_removed, brute_voxel, random_cloud, tied_cloud,
+    brute_radius, brute_sor_removed, brute_voxel, peak_traced_bytes, random_cloud,
+    tied_cloud,
 )
+
+
+def brute_cross_db(target, source, radius, k):
+    """Cross-channel dB of every target row from a brute-force radius scan."""
+    lin = 10.0 ** (source.reflectance_db.astype(np.float64) / 10.0)
+    expected = np.full(target.count, np.nan, dtype=np.float32)
+    for i, q in enumerate(target.xyz):
+        ids, _ = brute_radius(source.xyz, q, radius, k_max=k)
+        if ids.size:
+            expected[i] = 10.0 * np.log10(lin[ids].sum() / ids.size)
+    return expected
+
+
+def traced_bytes_beyond_output(fn):
+    """(peak bytes tracemalloc sees while fn() runs, less the columns of
+    the cloud it returns, that cloud)."""
+    out = []
+    peak = peak_traced_bytes(lambda: out.append(fn()))
+    return peak - sum(col.nbytes for col in out[0]._column_dict().values()), out[0]
+
+
+def spread_cloud(n, seed):
+    """n random points at about 4 per cubic meter."""
+    side = (n / 4.0) ** (1 / 3)
+    return random_cloud(np.random.default_rng(seed), n=n, extent=side)
 
 
 def channel_cloud(xyz, refl, channel):
@@ -84,6 +110,11 @@ class TestSor:
         _, blocked = sor_filter(cloud, SorParams(k=6, n_sigma=1.0))
         assert whole.size > 0
         np.testing.assert_array_equal(blocked, whole)
+        # the blocks follow the tree's leaf order, not the file order, and
+        # each point's distances still land in its own row
+        leaf_order = build_index(cloud).tree.indices
+        assert not np.array_equal(leaf_order[:5], np.arange(5))
+        np.testing.assert_array_equal(blocked, brute_sor_removed(cloud.xyz, k=6, n_sigma=1.0))
 
     def test_too_small_cloud_rejected(self):
         rng = np.random.default_rng(8)
@@ -163,16 +194,8 @@ class TestMergeChannels:
         n = tied_cloud(rng, n=400, extent=1.5)
         n.channel[:] = int(Channel.NIR_1064)
         merged = merge_channels(g, n, radius=0.2, k=7)
-        crossed = ((g, n, merged.refl_nir_db[: g.count]),
-                   (n, g, merged.refl_green_db[g.count :]))
-        for target, source, got in crossed:
-            lin = 10.0 ** (source.reflectance_db.astype(np.float64) / 10.0)
-            expected = np.full(target.count, np.nan, dtype=np.float32)
-            for i, q in enumerate(target.xyz):
-                ids, _ = brute_radius(source.xyz, q, 0.2, k_max=7)
-                if ids.size:
-                    expected[i] = 10.0 * np.log10(lin[ids].sum() / ids.size)
-            np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(merged.refl_nir_db[: g.count], brute_cross_db(g, n, 0.2, 7))
+        np.testing.assert_array_equal(merged.refl_green_db[g.count :], brute_cross_db(n, g, 0.2, 7))
 
     def test_query_chunking_does_not_change_the_result(self, monkeypatch):
         # 400 targets in chunks of 7 rows, the last one partial
@@ -187,6 +210,10 @@ class TestMergeChannels:
         for col in ("refl_green_db", "refl_nir_db"):
             np.testing.assert_array_equal(
                 getattr(chunked, col).view(np.uint32), getattr(whole, col).view(np.uint32))
+        # each 7-row block is visited in cell order and scattered back to
+        # the targets' own rows
+        np.testing.assert_array_equal(chunked.refl_nir_db[: g.count], brute_cross_db(g, n, 0.2, 7))
+        np.testing.assert_array_equal(chunked.refl_green_db[g.count :], brute_cross_db(n, g, 0.2, 7))
 
     def test_own_channel_reflectance_never_altered(self):
         rng = np.random.default_rng(11)
@@ -210,6 +237,22 @@ class TestMergeChannels:
         with pytest.raises(DataError, match="other channel"):
             merge_channels(mixed, nir)
 
+    def test_allocates_little_beyond_the_merged_cloud(self, monkeypatch):
+        """Besides the merged cloud it returns, merging two halves of n
+        points allocates less than 14 bytes per point: the target rows'
+        coordinates are gathered one block at a time, never as a full
+        (n, 3) copy (12 more bytes per point), and the visiting order is
+        sorted before the source index is built."""
+        monkeypatch.setattr(cloud_module, "QUERY_ROWS", 1024)  # blocks << n
+        n = 1 << 17
+        cloud = spread_cloud(n, 25)
+        g, nir = cloud.take(np.arange(0, n, 2)), cloud.take(np.arange(1, n, 2))
+        g.channel[:], nir.channel[:] = int(Channel.GREEN_532), int(Channel.NIR_1064)
+        merge_channels(g.take(range(50)), nir.take(range(50)))  # imports scipy untraced
+        extra, merged = traced_bytes_beyond_output(lambda: merge_channels(g, nir, 1.0, 7))
+        assert merged.count == n
+        assert extra < 14 * n
+
     def test_empty_cloud_rejected(self):
         empty = PointCloud(
             x=np.empty(0), y=np.empty(0), z=np.empty(0),
@@ -219,6 +262,20 @@ class TestMergeChannels:
         nir = channel_cloud([[0, 0, 0]], [-5.0], Channel.NIR_1064)
         with pytest.raises(DataError, match="non-empty"):
             merge_channels(empty, nir)
+
+
+def unique_voxel_keep(cloud, grid):
+    """Survivor ids of voxel_subsample in output row order, as np.unique
+    over the key rows and a lexsort by (voxel, distance, id) choose them."""
+    keys = np.column_stack(
+        [np.floor(c / grid).astype(np.int64) for c in (cloud.x, cloud.y, cloud.z)])
+    _, inverse, counts = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
+    inverse = inverse.reshape(-1)
+    centroid = [np.bincount(inverse, weights=c) / counts for c in (cloud.x, cloud.y, cloud.z)]
+    dist = ((cloud.x - centroid[0][inverse]) ** 2 + (cloud.y - centroid[1][inverse]) ** 2
+            + (cloud.z - centroid[2][inverse]) ** 2)
+    order = np.lexsort((np.arange(cloud.count), dist, inverse))
+    return order[np.unique(inverse[order], return_index=True)[1]]
 
 
 class TestVoxelSubsample:
@@ -266,6 +323,57 @@ class TestVoxelSubsample:
             np.testing.assert_array_equal(out.xyz[po], ref.xyz[ro])
             np.testing.assert_array_equal(out.label[po], votes[ro])
 
+    def assert_rows_match_unique_oracle(self, cloud, grid):
+        """Output rows, in order, are the oracle's survivors with every
+        column intact except the label, which is brute_voxel's vote."""
+        out = voxel_subsample(cloud, grid=grid)
+        keep = unique_voxel_keep(cloud, grid)
+        ref = cloud.take(keep)
+        for name in ("x", "y", "z", "channel", "reflectance_db"):
+            np.testing.assert_array_equal(getattr(out, name), getattr(ref, name))
+        if cloud.has("label"):
+            kept, votes = brute_voxel(cloud, grid)
+            np.testing.assert_array_equal(np.sort(keep), kept)
+            vote_of = dict(zip(kept.tolist(), votes.tolist()))
+            assert out.label.tolist() == [vote_of[i] for i in keep.tolist()]
+        return out
+
+    def test_row_order_matches_unique_oracle_randomized(self):
+        rng = np.random.default_rng(18)
+        for trial in range(16):
+            make = tied_cloud if trial % 2 else random_cloud
+            cloud = make(rng, n=int(rng.integers(50, 600)), extent=3.0)
+            # negative origins: the lattice spans floor() of both signs
+            cloud.x -= 1.5
+            cloud.z -= 0.75
+            cloud.label[rng.random(cloud.count) < 0.2] = int(Label.UNLABELED)
+            grid = float(rng.choice([0.05, 0.1, 0.25, 0.4]))
+            self.assert_rows_match_unique_oracle(cloud, grid)
+
+    def test_equidistant_survivors_go_to_the_lowest_id(self):
+        # Voxel (0, 0, 0): four corners of a square about its centroid
+        # (0.5, 0.5, 0.5). Voxel (-1, 2, 0), first in voxel order: two
+        # points about (-0.375, 2.375, 0.5). All at the same distance.
+        xyz = np.array([[0.25, 0.25, 0.5], [0.75, 0.25, 0.5], [0.25, 0.75, 0.5],
+                        [0.75, 0.75, 0.5], [-0.5, 2.5, 0.5], [-0.25, 2.25, 0.5]])
+        rng = np.random.default_rng(19)
+        for _ in range(8):
+            perm = rng.permutation(len(xyz))
+            cloud = channel_cloud(xyz[perm], np.arange(len(xyz)), 0)
+            out = self.assert_rows_match_unique_oracle(cloud, 1.0)
+            lowest = [np.flatnonzero(perm >= 4)[0], np.flatnonzero(perm < 4)[0]]
+            np.testing.assert_array_equal(out.xyz, cloud.xyz[lowest])
+
+    def test_single_point_and_single_voxel(self):
+        one = channel_cloud([[-0.35, -7.05, 2.0]], [3.0], 0)
+        out = self.assert_rows_match_unique_oracle(one, 0.1)
+        assert out.count == 1 and out.x[0] == -0.35
+        rng = np.random.default_rng(20)
+        cloud = channel_cloud(rng.uniform(-0.99, -0.01, (40, 3)), rng.normal(size=40), 0)
+        cloud = cloud.with_column("label", rng.integers(0, 2, 40).astype(np.uint8))
+        out = self.assert_rows_match_unique_oracle(cloud, 1.0)
+        assert out.count == 1
+
     def test_idempotent(self):
         rng = np.random.default_rng(14)
         cloud = random_cloud(rng, n=500, extent=3.0)
@@ -284,6 +392,15 @@ class TestVoxelSubsample:
             np.floor(out.x / grid), np.floor(out.y / grid), np.floor(out.z / grid),
         ))
         assert len(np.unique(keys, axis=0)) == out.count
+
+    def test_allocates_less_than_twelve_columns(self):
+        """Besides the thinned cloud it returns, voxel_subsample over n
+        points allocates less than twelve float64 columns of n."""
+        n = 1 << 17
+        cloud = spread_cloud(n, 26)
+        extra, out = traced_bytes_beyond_output(lambda: voxel_subsample(cloud, 0.5))
+        assert n // 2 < out.count < n
+        assert extra < 12 * 8 * n
 
     def test_invalid_grid_rejected(self):
         rng = np.random.default_rng(16)

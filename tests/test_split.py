@@ -7,7 +7,7 @@ from mslidar.cloud import PointCloud
 from mslidar.errors import ConfigError
 from mslidar.split import split_plots
 
-from conftest import random_cloud
+from conftest import peak_traced_bytes, random_cloud
 
 
 def grid_cloud(n=6000, extent=100.0, seed=0):
@@ -48,6 +48,45 @@ def test_deterministic_for_fixed_seed():
     np.testing.assert_array_equal(a.point_split, b.point_split)
 
 
+def unique_split(cloud, ratios, tile_size, seed):
+    """(tile_ids, tile_split, point_split, achieved) of split_plots, as
+    np.unique over the (ix, iy) rows numbers the tiles."""
+    x0, y0 = cloud.x.min(), cloud.y.min()
+    ix = np.floor((cloud.x - x0) / tile_size).astype(np.int64)
+    iy = np.floor((cloud.y - y0) / tile_size).astype(np.int64)
+    tile_ids, inverse, counts = np.unique(
+        np.column_stack((ix, iy)), axis=0, return_inverse=True, return_counts=True)
+    shuffled = np.random.default_rng(seed).permutation(len(counts))
+    order = shuffled[np.argsort(counts[shuffled], kind="stable")[::-1]]
+    assigned = np.zeros(3)
+    tile_split = np.zeros(len(counts), dtype=np.int64)
+    for t in order:
+        s = int(np.argmax(np.asarray(ratios) * cloud.count - assigned))
+        tile_split[t] = s
+        assigned[s] += counts[t]
+    achieved = tuple(float(a / cloud.count) for a in assigned)
+    return tile_ids, tile_split, tile_split[inverse.reshape(-1)], achieved
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5, 13])
+def test_tile_numbering_matches_unique_oracle(seed):
+    # negative origins, and tiles a few points wide so counts tie often
+    rng = np.random.default_rng(seed)
+    cloud = random_cloud(rng, n=int(rng.integers(500, 4000)), extent=60.0)
+    cloud.x -= rng.uniform(0, 500)
+    cloud.y -= rng.uniform(-50, 500)
+    ratios = (0.6853, 0.1628, 0.1519)
+    for tile_size in (3.0, 7.5, 20.0):
+        split = split_plots(cloud, ratios, tile_size=tile_size, seed=seed)
+        tile_ids, tile_split, point_split, achieved = unique_split(
+            cloud, ratios, tile_size, seed)
+        assert split.tile_ids.dtype == np.int64
+        np.testing.assert_array_equal(split.tile_ids, tile_ids)
+        np.testing.assert_array_equal(split.tile_split, tile_split)
+        np.testing.assert_array_equal(split.point_split, point_split)
+        assert split.achieved_ratios == achieved
+
+
 def test_ratios_must_sum_to_one():
     cloud = grid_cloud(n=100)
     with pytest.raises(ConfigError, match="sum"):
@@ -71,3 +110,13 @@ def test_summary_reports_counts():
     text = split.summary()
     for name in ("train", "val", "test"):
         assert name in text
+
+
+def test_allocates_less_than_eight_columns():
+    """split_plots over n points allocates less than eight int64 columns
+    of n, its (n,) point_split included."""
+    n = 1 << 17
+    cloud = grid_cloud(n=n, extent=300.0)
+    extra = peak_traced_bytes(
+        lambda: split_plots(cloud, target_ratios=(0.7, 0.2, 0.1), tile_size=20.0))
+    assert extra < 8 * 8 * n
