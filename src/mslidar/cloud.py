@@ -203,6 +203,12 @@ def ordered_blocks(order: np.ndarray) -> Iterator[np.ndarray]:
     return (order[rows] for rows in row_blocks(order.shape[0]))
 
 
+# Cell numbers are int64: a coordinate over the cell size (from the cells'
+# origin) at or beyond this in magnitude does not fit, and numpy's cast would
+# silently merge such cells.
+CELL_LIMIT = 2.0 ** 63
+
+
 def group_cells(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Group rows by integer cell, given one key column per axis.
 

@@ -16,6 +16,12 @@ constants, not settings.
 Over building footprints the floor is the inverted roof, far below
 ground level; pinned particles at the footprint edge hold the cloth up
 so it bridges the "pit" with bounded sag, keeping roofs non-ground.
+
+The per-point passes (the cloth floor and the ground flags) run one
+`cloud.row_blocks` block of points at a time, so their temporaries stay
+block-sized whatever the cloud's size. The floor is a maximum, which
+blocking does not reorder, and each flag depends on its own point alone,
+so the blocks change no bit of the output.
 """
 
 import logging
@@ -23,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import PointCloud
+from .cloud import PointCloud, row_blocks
 from .dtm import bilinear_cells
 from .errors import DataError
 
@@ -90,12 +96,11 @@ def simulate_cloth(cloud: PointCloud, params: CsfParams) -> tuple[np.ndarray, tu
     w = int(np.ceil((x1 - x0) / res)) + 2
     h = int(np.ceil((y1 - y0) / res)) + 2
 
-    inv = -cloud.z
-    j = np.clip(((cloud.x - x0) / res).astype(np.int64), 0, w - 1)
-    i = np.clip(((cloud.y - y0) / res).astype(np.int64), 0, h - 1)
-    flat = i * w + j
     floor = np.full(h * w, -np.inf)
-    np.maximum.at(floor, flat, inv)
+    for rows in row_blocks(cloud.count):  # floor: highest inverted z per cell
+        j = np.clip(((cloud.x[rows] - x0) / res).astype(np.int64), 0, w - 1)
+        i = np.clip(((cloud.y[rows] - y0) / res).astype(np.int64), 0, h - 1)
+        np.maximum.at(floor, i * w + j, -cloud.z[rows])
     floor = floor.reshape(h, w)
     empty = ~np.isfinite(floor)
     if empty.any():  # cells with no points inherit the nearest occupied floor
@@ -134,13 +139,15 @@ def csf_ground(
 ) -> np.ndarray:
     """Boolean ground flag per point: within class_threshold of the cloth."""
     cloth, (x0, y0, res) = simulate_cloth(cloud, params)
-    i0, i1, j0, j1, fy, fx = bilinear_cells(
-        (cloud.x - x0) / res, (cloud.y - y0) / res, cloth.shape
-    )
-    top = cloth[i0, j0] * (1 - fx) + cloth[i0, j1] * fx
-    bot = cloth[i1, j0] * (1 - fx) + cloth[i1, j1] * fx
-    cloth_at = top * (1 - fy) + bot * fy
-    flag = np.abs(-cloud.z - cloth_at) <= params.class_threshold
+    flag = np.empty(cloud.count, dtype=bool)
+    for rows in row_blocks(cloud.count):
+        i0, i1, j0, j1, fy, fx = bilinear_cells(
+            (cloud.x[rows] - x0) / res, (cloud.y[rows] - y0) / res, cloth.shape
+        )
+        top = cloth[i0, j0] * (1 - fx) + cloth[i0, j1] * fx
+        bot = cloth[i1, j0] * (1 - fx) + cloth[i1, j1] * fx
+        cloth_at = top * (1 - fy) + bot * fy
+        flag[rows] = np.abs(-cloud.z[rows] - cloth_at) <= params.class_threshold
     logger.info(
         "CSF flagged %d of %d points as ground", int(flag.sum()), cloud.count
     )

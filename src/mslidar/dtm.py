@@ -1,11 +1,18 @@
-"""Digital terrain model rasterization and height normalization."""
+"""Digital terrain model rasterization and height normalization.
+
+Height normalization runs one `cloud.row_blocks` block of points at a
+time into the one float32 result, so its temporaries stay block-sized
+whatever the cloud's size; each point's height depends on that point
+alone, so the blocks change no bit of the output. The DTM build holds
+the ground points' XY once, as the array its k-d tree is built on.
+"""
 
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import PointCloud
+from .cloud import PointCloud, row_blocks
 from .errors import DataError
 
 logger = logging.getLogger(__name__)
@@ -44,12 +51,12 @@ def build_dtm(
     if not cell > 0:
         raise DataError("DTM cell size must be positive")
     cloud.require("ground_flag")
-    ground = np.nonzero(cloud.ground_flag)[0]
-    if ground.size == 0:
+    gz = cloud.z[cloud.ground_flag]
+    if gz.size == 0:
         raise DataError("cannot build a DTM without ground points")
-    gx = cloud.x[ground]
-    gy = cloud.y[ground]
-    gz = cloud.z[ground]
+    gxy = np.empty((gz.size, 2))  # the tree's own points: no other XY copy
+    gxy[:, 0] = cloud.x[cloud.ground_flag]
+    gxy[:, 1] = cloud.y[cloud.ground_flag]
 
     x0, y0 = float(cloud.x.min()), float(cloud.y.min())
     w = max(int(np.ceil((float(cloud.x.max()) - x0) / cell)), 1)
@@ -60,8 +67,8 @@ def build_dtm(
         (np.tile(cx, h), np.repeat(cy, w))
     )
 
-    tree = cKDTree(np.column_stack((gx, gy)))
-    k_eff = min(k, ground.size)
+    tree = cKDTree(gxy)
+    k_eff = min(k, gz.size)
     d, idx = tree.query(centers, k=k_eff, workers=workers)
     if k_eff == 1:
         d = d[:, None]
@@ -78,7 +85,7 @@ def build_dtm(
 
     logger.info(
         "DTM %dx%d cells at %g m from %d ground points (%d nodata)",
-        h, w, cell, ground.size, int(nodata.sum()),
+        h, w, cell, gz.size, int(nodata.sum()),
     )
     return DtmGrid(
         origin=(x0, y0), cell=cell,
@@ -101,40 +108,47 @@ def bilinear_cells(gx: np.ndarray, gy: np.ndarray, shape: tuple[int, int]) -> tu
     return i0, np.minimum(i0 + 1, h - 1), j0, np.minimum(j0 + 1, w - 1), gy - i0, gx - j0
 
 
+def _nearest_valid(dtm: DtmGrid) -> np.ndarray:
+    """The DTM's values with each nodata cell taking its nearest valid cell's."""
+    from scipy import ndimage
+
+    _, (ni, nj) = ndimage.distance_transform_edt(dtm.nodata, return_indices=True)
+    return dtm.values[ni, nj]
+
+
 def normalize_height(cloud: PointCloud, dtm: DtmGrid) -> PointCloud:
     """Attach h_norm = z - terrain height under the point.
 
     Terrain height comes from bilinear interpolation over the four
     surrounding cell centers; where any of those is nodata, the value of
-    the nearest non-nodata cell is used instead.
+    the nearest non-nodata cell is used instead. That nearest-valid grid
+    is built once, when the first block needs it.
     """
     if dtm.nodata.all():
         raise DataError("DTM is entirely nodata; cannot normalize heights")
     h, w = dtm.shape
-    gx = (cloud.x - dtm.origin[0]) / dtm.cell - 0.5
-    gy = (cloud.y - dtm.origin[1]) / dtm.cell - 0.5
-    i0, i1, j0, j1, fy, fx = bilinear_cells(gx, gy, dtm.shape)
-    corners_ok = ~(
-        dtm.nodata[i0, j0] | dtm.nodata[i0, j1]
-        | dtm.nodata[i1, j0] | dtm.nodata[i1, j1]
-    )
     vals = dtm.values
-    terrain = (
-        vals[i0, j0] * (1 - fx) * (1 - fy)
-        + vals[i0, j1] * fx * (1 - fy)
-        + vals[i1, j0] * (1 - fx) * fy
-        + vals[i1, j1] * fx * fy
-    )
-    if not corners_ok.all():
-        from scipy import ndimage
-
-        _, (ni, nj) = ndimage.distance_transform_edt(
-            dtm.nodata, return_indices=True
+    filled = None
+    h_norm = np.empty(cloud.count, dtype=np.float32)
+    for rows in row_blocks(cloud.count):
+        gx = (cloud.x[rows] - dtm.origin[0]) / dtm.cell - 0.5
+        gy = (cloud.y[rows] - dtm.origin[1]) / dtm.cell - 0.5
+        i0, i1, j0, j1, fy, fx = bilinear_cells(gx, gy, dtm.shape)
+        corners_ok = ~(
+            dtm.nodata[i0, j0] | dtm.nodata[i0, j1]
+            | dtm.nodata[i1, j0] | dtm.nodata[i1, j1]
         )
-        filled = vals[ni, nj]
-        ci = np.clip(np.round(gy).astype(np.int64), 0, h - 1)
-        cj = np.clip(np.round(gx).astype(np.int64), 0, w - 1)
-        terrain = np.where(corners_ok, terrain, filled[ci, cj])
-
-    h_norm = (cloud.z - terrain).astype(np.float32)
+        terrain = (
+            vals[i0, j0] * (1 - fx) * (1 - fy)
+            + vals[i0, j1] * fx * (1 - fy)
+            + vals[i1, j0] * (1 - fx) * fy
+            + vals[i1, j1] * fx * fy
+        )
+        if not corners_ok.all():
+            if filled is None:
+                filled = _nearest_valid(dtm)
+            ci = np.clip(np.round(gy).astype(np.int64), 0, h - 1)
+            cj = np.clip(np.round(gx).astype(np.int64), 0, w - 1)
+            terrain = np.where(corners_ok, terrain, filled[ci, cj])
+        h_norm[rows] = cloud.z[rows] - terrain
     return cloud.with_column("h_norm", h_norm)

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import (
-    Channel, Label, PointCloud, build_index, concat, group_cells, ordered_blocks,
+    CELL_LIMIT, Channel, Label, PointCloud, build_index, concat, group_cells,
+    ordered_blocks,
 )
 from .errors import DataError
 from .features import db_to_linear, linear_to_db
@@ -67,8 +68,14 @@ def sor_filter(
     return cloud.take(kept_mask), removed
 
 
+def _reach(cloud: PointCloud) -> float:
+    """Largest coordinate magnitude of a non-empty cloud."""
+    return max(max(float(c.max()), -float(c.min())) for c in (cloud.x, cloud.y, cloud.z))
+
+
 def _cubic_cells(cloud: PointCloud, side: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """group_cells over cubes of the given side, anchored at the origin."""
+    """group_cells over cubes of the given side, anchored at the origin;
+    the caller keeps _reach(cloud) / side below CELL_LIMIT."""
     return group_cells(
         *(np.floor(c / side).astype(np.int64) for c in (cloud.x, cloud.y, cloud.z))
     )
@@ -88,7 +95,10 @@ def _cross_channel_db(
     order of their radius-sized cells, and each block's coordinates are
     gathered only for that block.
     """
-    order = _cubic_cells(targets, radius)[0]  # before the index: a lower peak
+    # Any visiting order gives the same result, so the cells may be coarser
+    # than the radius where radius-sized cell numbers would overflow.
+    side = max(radius, 2.0 * _reach(targets) / CELL_LIMIT)
+    order = _cubic_cells(targets, side)[0]  # before the index: a lower peak
     index = build_index(source)
     source_lin = db_to_linear(source.reflectance_db.astype(np.float64))
     total = np.empty(targets.count, dtype=np.float64)
@@ -167,6 +177,12 @@ def voxel_subsample(cloud: PointCloud, grid: float = 0.1) -> PointCloud:
         raise DataError("voxel grid size must be positive")
     if cloud.count == 0:
         return cloud
+    reach = _reach(cloud)
+    if reach / grid >= CELL_LIMIT:
+        raise DataError(
+            f"voxel grid size {grid!r} is too small for coordinates up to "
+            f"{reach:g}: voxel numbers overflow int64"
+        )
     order, starts, inverse = _cubic_cells(cloud, grid)
     n_voxels = starts.shape[0]
     counts = np.diff(starts, append=cloud.count)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import PointCloud, group_cells
+from .cloud import CELL_LIMIT, PointCloud, group_cells
 from .errors import ConfigError
 
 logger = logging.getLogger(__name__)
@@ -68,6 +68,12 @@ def split_plots(
         raise ConfigError("cannot split an empty cloud")
 
     x0, y0 = float(cloud.x.min()), float(cloud.y.min())
+    span = max(float(cloud.x.max()) - x0, float(cloud.y.max()) - y0)
+    if span / tile_size >= CELL_LIMIT:
+        raise ConfigError(
+            f"tile_size {tile_size!r} is too small for a cloud spanning {span:g}: "
+            "tile numbers overflow int64"
+        )
     ix = np.floor((cloud.x - x0) / tile_size).astype(np.int64)
     iy = np.floor((cloud.y - y0) / tile_size).astype(np.int64)
     order, starts, inverse = group_cells(ix, iy)

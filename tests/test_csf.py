@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from mslidar.cloud import PointCloud
+from mslidar import cloud as cloud_module
+from mslidar.cloud import QUERY_ROWS, PointCloud
 from mslidar.csf import CsfParams, csf_ground, simulate_cloth
 from mslidar.errors import DataError
+
+from conftest import peak_traced_bytes
 
 
 def plane_cloud(extent=40.0, spacing=0.5, slope=0.0, hole=None):
@@ -82,6 +85,36 @@ def test_deterministic():
     a = csf_ground(cloud, CsfParams())
     b = csf_ground(cloud, CsfParams())
     np.testing.assert_array_equal(a, b)
+
+
+def test_blocked_passes_equal_one_block_bit_for_bit(monkeypatch):
+    # a bare 8 m square (empty cloth cells) and a roof elsewhere, rows
+    # shuffled so that a block written to other rows would show
+    ground = plane_cloud(extent=30.0, slope=0.03, hole=(4.0, 4.0, 12.0, 12.0))
+    cloud, roof = add_roof(ground, 18.0, 18.0, 26.0, 26.0, height=6.0)
+    perm = np.random.default_rng(3).permutation(cloud.count)
+    cloud, roof = cloud.take(perm), roof[perm]
+    cloth, spec = simulate_cloth(cloud, CsfParams())
+    flag = csf_ground(cloud, CsfParams())
+    assert flag[~roof].all() and not flag[roof].any()
+    monkeypatch.setattr(cloud_module, "QUERY_ROWS", 7)
+    blocked_cloth, blocked_spec = simulate_cloth(cloud, CsfParams())
+    np.testing.assert_array_equal(blocked_cloth.view(np.uint64), cloth.view(np.uint64))
+    assert blocked_spec == spec
+    np.testing.assert_array_equal(csf_ground(cloud, CsfParams()), flag)
+
+
+def test_ground_flagging_allocates_block_sized_memory():
+    """Besides its flags, csf_ground over n = 4 blocks allocates less than
+    24 (block,) float64 arrays; the whole-cloud passes took about 44."""
+    n = 4 * QUERY_ROWS
+    rng = np.random.default_rng(5)
+    x, y = rng.uniform(0, 60.0, n), rng.uniform(0, 60.0, n)
+    cloud = PointCloud(x=x, y=y, z=0.05 * x + rng.normal(0, 0.05, n),
+                       channel=np.zeros(n, np.uint8))
+    csf_ground(plane_cloud(extent=5.0), CsfParams())  # imports scipy untraced
+    extra = peak_traced_bytes(lambda: csf_ground(cloud, CsfParams()))
+    assert extra < 24 * QUERY_ROWS * 8
 
 
 def test_degenerate_extent_rejected():

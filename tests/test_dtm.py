@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
-from mslidar.cloud import PointCloud
+from mslidar import cloud as cloud_module
+from mslidar import dtm as dtm_module
+from mslidar.cloud import QUERY_ROWS, PointCloud
 from mslidar.dtm import build_dtm, normalize_height
 from mslidar.errors import DataError
+
+from conftest import peak_traced_bytes
 
 
 def ground_plane(extent=30.0, spacing=0.4, fn=None):
@@ -132,3 +136,66 @@ def test_h_norm_dtype_is_f32():
     grid = build_dtm(ground, cell=1.0)
     out = normalize_height(ground, grid)
     assert out.h_norm.dtype == np.float32
+
+
+def test_blocked_heights_equal_one_block_bit_for_bit(monkeypatch):
+    # ground along the left edge only: cells far to the right are nodata.
+    # Probes sorted by x put the first blocks of 5 over valid cells and
+    # the last ones over nodata, where the nearest-valid fallback applies.
+    rng = np.random.default_rng(7)
+    gy = rng.uniform(0, 40, 300)
+    ground = PointCloud(
+        x=rng.uniform(0, 2, 300), y=gy, z=0.05 * gy, channel=np.zeros(300, np.uint8),
+        ground_flag=np.ones(300, dtype=bool))
+    px = np.sort(rng.uniform(0, 40, 203))
+    probes = PointCloud(
+        x=px, y=rng.uniform(0, 40, 203), z=rng.uniform(0, 10, 203),
+        channel=np.zeros(203, np.uint8))
+    grid = build_dtm(cloud_module.concat([ground, probes.with_column(
+        "ground_flag", np.zeros(203, dtype=bool))]), cell=1.0)
+    assert not grid.nodata[:, :3].any() and grid.nodata[:, -3:].all()
+    whole = normalize_height(probes, grid).h_norm
+
+    fills = []
+
+    def counted(dtm):
+        fills.append(dtm)
+        return nearest_valid(dtm)
+
+    nearest_valid = dtm_module._nearest_valid
+    monkeypatch.setattr(dtm_module, "_nearest_valid", counted)
+    monkeypatch.setattr(cloud_module, "QUERY_ROWS", 5)
+    blocked = normalize_height(probes, grid).h_norm
+    np.testing.assert_array_equal(blocked.view(np.uint32), whole.view(np.uint32))
+    assert len(fills) == 1  # the fill grid is built once, for the first block needing it
+
+
+def _dense_ground(n, seed):
+    """n ground points over a 60 m square, a gentle slope plus noise."""
+    rng = np.random.default_rng(seed)
+    x, y = rng.uniform(0, 60.0, n), rng.uniform(0, 60.0, n)
+    return PointCloud(x=x, y=y, z=0.05 * x + rng.normal(0, 0.05, n),
+                      channel=np.zeros(n, np.uint8), ground_flag=np.ones(n, dtype=bool))
+
+
+def test_dtm_build_holds_ground_xy_once():
+    """build_dtm over g ground points allocates less than 48 bytes per
+    point: the ground z, the tree's XY and its index array (32) plus one
+    transient column; copies of the ground ids, x and y took about 66."""
+    n = 4 * QUERY_ROWS
+    cloud = _dense_ground(n, 8)
+    build_dtm(cloud.take(np.arange(100)))  # imports scipy untraced
+    extra = peak_traced_bytes(lambda: build_dtm(cloud))
+    assert extra < 48 * n
+
+
+def test_normalization_allocates_block_sized_memory():
+    """Besides the h_norm column, normalize_height over n = 4 blocks
+    allocates less than 24 (block,) float64 arrays; the whole-cloud pass
+    took about 42."""
+    n = 4 * QUERY_ROWS
+    cloud = _dense_ground(n, 9)
+    grid = build_dtm(cloud)
+    out = []
+    peak = peak_traced_bytes(lambda: out.append(normalize_height(cloud, grid)))
+    assert peak - out[0].h_norm.nbytes < 24 * QUERY_ROWS * 8

@@ -253,6 +253,15 @@ class TestMergeChannels:
         assert merged.count == n
         assert extra < 14 * n
 
+    def test_tiny_radius_is_accepted(self):
+        # radius-sized query cells would number far beyond int64 here;
+        # only the coincident source point lies within the radius
+        nir = channel_cloud([[0, 0, 0], [1.0, 0, 0]], [-5.0, -6.0], Channel.NIR_1064)
+        green = channel_cloud([[0, 0, 0], [2.0, 0, 0]], [-10.0, -11.0], Channel.GREEN_532)
+        merged = merge_channels(green, nir, radius=1e-300)
+        np.testing.assert_array_equal(merged.refl_nir_db[:2], [-5.0, np.nan])
+        np.testing.assert_array_equal(merged.refl_green_db[2:], [-10.0, np.nan])
+
     def test_empty_cloud_rejected(self):
         empty = PointCloud(
             x=np.empty(0), y=np.empty(0), z=np.empty(0),
@@ -406,6 +415,13 @@ class TestVoxelSubsample:
         rng = np.random.default_rng(16)
         with pytest.raises(DataError, match="grid"):
             voxel_subsample(random_cloud(rng, n=10), grid=0.0)
+
+    def test_grid_whose_voxel_numbers_overflow_int64_rejected(self):
+        # x / grid reaches 2**63 at x = 1 and 2, which would share a voxel
+        cloud = channel_cloud([[0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]], np.zeros(3), 0)
+        with pytest.raises(DataError, match="1e-300"):
+            voxel_subsample(cloud, grid=1e-300)
+        assert voxel_subsample(cloud, grid=1e-18).count == 3  # 2e18 fits
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(10, 200), st.integers(0, 2**31 - 1),

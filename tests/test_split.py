@@ -93,6 +93,16 @@ def test_ratios_must_sum_to_one():
         split_plots(cloud, target_ratios=(0.5, 0.2, 0.2), tile_size=20.0)
 
 
+def test_tile_size_whose_tile_numbers_overflow_int64_rejected():
+    # (x - x0) / tile_size reaches 2**63 at x = 1 and 2, which would share a tile
+    cloud = PointCloud(x=np.array([0.0, 1.0, 2.0]), y=np.zeros(3), z=np.zeros(3),
+                       channel=np.zeros(3, np.uint8))
+    with pytest.raises(ConfigError, match="1e-300"):
+        split_plots(cloud, target_ratios=(0.7, 0.2, 0.1), tile_size=1e-300)
+    split = split_plots(cloud, target_ratios=(0.7, 0.2, 0.1), tile_size=1e-18)
+    assert split.tile_ids.shape[0] == 3  # 2e18 fits
+
+
 def test_single_tile_falls_back_to_train(caplog):
     rng = np.random.default_rng(1)
     cloud = random_cloud(rng, n=50, extent=5.0)
