@@ -12,7 +12,7 @@ absolute location.
 The feature recipe lives here once: :func:`fit` and :func:`classify` take
 the neighbourhood, normalization and post-process settings from the
 effective config, and both the stepwise stages and the ablation run them.
-An MSTM v2 checkpoint stores that recipe beside the weights, so a model
+An MSTM v3 checkpoint stores that recipe beside the weights, so a model
 file is all prediction needs. A prediction is a uint8 label array (1 tree,
 0 non-tree) taken from the sign of the model's margin; no class
 probabilities are formed.
@@ -31,7 +31,7 @@ from .features import (
 from .mlp import Mlp, TrainConfig, TrainResult, train
 
 CHECKPOINT_MAGIC = b"MSTM"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 def compute_class_weights(labels: np.ndarray) -> np.ndarray:
@@ -195,14 +195,15 @@ def save_checkpoint(
     path, model: Mlp, config: FeatureConfig, class_weights, seed: int,
     neighborhood: dict, params: NormalizationParams | None = None,
 ) -> None:
-    """Write an MSTM v2 checkpoint: the model and the recipe that built
+    """Write an MSTM v3 checkpoint: the model and the recipe that built
     its features.
 
     Sections in order: magic, version, seed and feature config name;
     class weights; neighborhood k and radius; for a config with spectral
     columns, `params`' percentiles and its lo, hi and impute rows (one
-    value per column); layer sizes; f32 weights and biases. Contents are
-    a pure function of the arguments: reruns produce identical bytes.
+    value per column); layer sizes, the last 1 (the margin head); f32
+    weights and biases. Contents are a pure function of the arguments:
+    reruns produce identical bytes.
     """
     path = Path(path)
     cfg_name = config.name.encode("ascii")
@@ -279,7 +280,7 @@ def load_checkpoint(path) -> tuple[Mlp, dict]:
         raise DataError(f"{path}: {exc}") from exc
     (n_sizes,) = unpack("<H", "layer count")
     sizes = unpack(f"<{n_sizes}I", "layer sizes")
-    if n_sizes < 2 or min(sizes) < 1 or sizes[-1] != 2:
+    if n_sizes < 2 or min(sizes) < 1 or sizes[-1] != 1:
         raise DataError(f"{path}: invalid layer sizes {sizes}")
 
     # parameters in file order (W0, b0, W1, b1, ...), sized before allocating

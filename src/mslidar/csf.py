@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import PointCloud, row_blocks
-from .dtm import bilinear_cells
+from .dtm import bilinear_cells, nearest_valid
 from .errors import DataError
 
 logger = logging.getLogger(__name__)
@@ -104,10 +104,7 @@ def simulate_cloth(cloud: PointCloud, params: CsfParams) -> tuple[np.ndarray, tu
     floor = floor.reshape(h, w)
     empty = ~np.isfinite(floor)
     if empty.any():  # cells with no points inherit the nearest occupied floor
-        from scipy import ndimage
-
-        _, (ni, nj) = ndimage.distance_transform_edt(empty, return_indices=True)
-        floor = floor[ni, nj]
+        floor = nearest_valid(floor, empty)
 
     # Start barely above the highest inverted point: cells with ground
     # beneath them pin within the first iterations.

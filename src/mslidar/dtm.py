@@ -108,12 +108,14 @@ def bilinear_cells(gx: np.ndarray, gy: np.ndarray, shape: tuple[int, int]) -> tu
     return i0, np.minimum(i0 + 1, h - 1), j0, np.minimum(j0 + 1, w - 1), gy - i0, gx - j0
 
 
-def _nearest_valid(dtm: DtmGrid) -> np.ndarray:
-    """The DTM's values with each nodata cell taking its nearest valid cell's."""
+def nearest_valid(grid: np.ndarray, invalid: np.ndarray) -> np.ndarray:
+    """A copy of `grid` with each `invalid` cell taking the value of its
+    nearest valid cell (Euclidean, in cells)."""
     from scipy import ndimage
 
-    _, (ni, nj) = ndimage.distance_transform_edt(dtm.nodata, return_indices=True)
-    return dtm.values[ni, nj]
+    ni, nj = ndimage.distance_transform_edt(invalid, return_distances=False,
+                                            return_indices=True)
+    return grid[ni, nj]
 
 
 def normalize_height(cloud: PointCloud, dtm: DtmGrid) -> PointCloud:
@@ -146,7 +148,7 @@ def normalize_height(cloud: PointCloud, dtm: DtmGrid) -> PointCloud:
         )
         if not corners_ok.all():
             if filled is None:
-                filled = _nearest_valid(dtm)
+                filled = nearest_valid(vals, dtm.nodata)
             ci = np.clip(np.round(gy).astype(np.int64), 0, h - 1)
             cj = np.clip(np.round(gx).astype(np.int64), 0, w - 1)
             terrain = np.where(corners_ok, terrain, filled[ci, cj])

@@ -5,20 +5,21 @@ gradient can be checked against finite differences. Everything is
 deterministic given the seed: Glorot-uniform init from a seeded
 generator, seeded permutation shuffling, and fixed-order sums.
 
-The two output units enter the loss only through their logit margin
-z = h.(w1 - w0) + (b1 - b0): the softmax cross-entropy of a point of
-class 1 is softplus(-z), of class 0 softplus(z). Loss and gradient are
-computed from z in the model dtype. The per-row logit gradient g reaches
-the output columns as -h.T@g and +h.T@g and the last hidden layer as the
-rank-1 product outer(g, w1 - w0). The checkpoint stores both columns.
-A prediction needs only the sign of z: `margins` gives z for every row,
-and class 1 wins exactly where z > 0.
+The head is one weight vector v and one bias c (the one-unit output
+layer, `weights[-1][:, 0]` and `biases[-1][0]`). The margin z = h.v + c
+is the tree-vs-non-tree logit difference: the two-class softmax
+cross-entropy of a point of class 1 is softplus(-z), of class 0
+softplus(z). Loss and gradient are computed from z in the model dtype.
+The per-row margin gradient g reaches the head as h.T@g and sum(g) and
+the last hidden layer as the rank-1 product outer(g, v). A prediction
+needs only the sign of z: `margins` gives z for every row, and class 1
+wins exactly where z > 0.
 
-The two output units are initialized with identical weight rows. Class
-gradients split them from the first step on, and the symmetry makes
-label flipping an exact mirror: training on 1-y with swapped class
-weights yields exactly swapped output units. Flipping the labels negates
-z, g and w1 - w0, and floating-point negation is exact.
+The head starts at exactly zero and draws nothing from the generator,
+so the first margin is 0 on every row. Label flipping is an exact
+mirror: training on 1-y with swapped class weights negates z, g, v and
+c exactly and leaves the hidden layers bit for bit as they were, since
+floating-point negation is exact.
 
 Every pass (a training batch, the initial full-set loss, the margins a
 prediction reads) runs in row shards of SHARD_ROWS, a constant. Shard
@@ -135,22 +136,21 @@ class _Workspace:
 
 
 class Mlp:
-    """d_in -> hidden... -> 2 with ReLU activations."""
+    """d_in -> hidden... -> 1 with ReLU activations; the one output is the
+    margin z."""
 
     def __init__(self, d_in: int, hidden: tuple[int, ...], seed: int = 0,
                  dtype=np.float32):
-        self.sizes = (int(d_in),) + tuple(int(h) for h in hidden) + (2,)
+        self.sizes = (int(d_in),) + tuple(int(h) for h in hidden) + (1,)
         self.dtype = np.dtype(dtype)
         self.n_weights = sum(a * b for a, b in zip(self.sizes[:-1], self.sizes[1:]))
         self.flat = np.zeros(self.n_weights + sum(self.sizes[1:]), dtype=self.dtype)
         self.weights, self.biases = self._views(self.flat)
         rng = np.random.default_rng(seed)
-        for li, w in enumerate(self.weights):
+        for w in self.weights[:-1]:   # the head stays at zero
             fan_in, fan_out = w.shape
             bound = np.sqrt(6.0 / (fan_in + fan_out))
-            # the output layer draws one column and repeats it per class
-            cols = 1 if li == len(self.weights) - 1 else fan_out
-            w[...] = rng.uniform(-bound, bound, size=(fan_in, cols))
+            w[...] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
         self._ws: _Workspace | None = None
 
     @property
@@ -171,11 +171,6 @@ class Mlp:
     def parameters(self) -> list[np.ndarray]:
         return _interleave(self.weights, self.biases)
 
-    def _head(self) -> tuple[np.ndarray, np.generic]:
-        """The margin's weight vector w1 - w0 and bias b1 - b0."""
-        w, b = self.weights[-1], self.biases[-1]
-        return w[:, 1] - w[:, 0], b[1] - b[0]
-
     def forward(self, x: np.ndarray):
         """Margin z and the post-ReLU activations (x first) of one shard of
         at most SHARD_ROWS rows, in the model's workspace."""
@@ -191,9 +186,8 @@ class Mlp:
             out += b
             h = np.maximum(out, 0.0, out=out)
             acts.append(h)
-        v, c = self._head()
-        z = np.matmul(h, v, out=ws.z[:rows])
-        z += c
+        z = np.matmul(h, self.weights[-1][:, 0], out=ws.z[:rows])
+        z += self.biases[-1][0]
         return z, acts
 
     def margins(self, x: np.ndarray) -> np.ndarray:
@@ -261,15 +255,12 @@ class Mlp:
         grads_w, grads_b = self._views(grad)
         rows = g.shape[0]
         last = len(self.weights) - 1
-        col = acts[last].T @ g
-        np.negative(col, out=grads_w[last][:, 0])
-        grads_w[last][:, 1] = col
-        grads_b[last][1] = g.sum()
-        grads_b[last][0] = -grads_b[last][1]
+        np.matmul(acts[last].T, g, out=grads_w[last][:, 0])
+        grads_b[last][0] = g.sum()
         if last == 0:
             return
         delta = ws.deltas[last - 1][:rows]
-        np.multiply(g[:, None], self._head()[0], out=delta)
+        np.multiply(g[:, None], self.weights[last][:, 0], out=delta)
         for i in range(last - 1, -1, -1):
             mask = ws.masks[i][:rows]
             np.greater(acts[i + 1], 0, out=mask)

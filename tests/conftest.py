@@ -5,6 +5,7 @@ must match them exactly, including tie handling.
 """
 
 import dataclasses
+import struct
 import tracemalloc
 
 import numpy as np
@@ -156,6 +157,20 @@ def prepared_scene(tiny_scene):
     return preprocess.voxel_subsample(merged)
 
 
+def as_v2_checkpoint(raw: bytes, sizes: tuple) -> bytes:
+    """An MSTM v3 file's model as MSTM v2 stored it: version 2 and a
+    two-unit head whose columns are (0, v) and biases (0, c), the same
+    margins."""
+    n_params = sum(a * b + b for a, b in zip(sizes[:-1], sizes[1:]))
+    params_at = len(raw) - 4 * n_params
+    head_at = len(raw) - 4 * (sizes[-2] + 1)
+    head = np.frombuffer(raw[head_at:], "<f4")
+    w = np.zeros((sizes[-2], 2), "<f4")
+    w[:, 1] = head[:-1]
+    return (raw[:4] + struct.pack("<H", 2) + raw[6 : params_at - 4] + struct.pack("<I", 2)
+            + raw[params_at:head_at] + w.tobytes() + np.array([0.0, head[-1]], "<f4").tobytes())
+
+
 class ReferenceMlp:
     """The plain allocating network the production Mlp must match bit for bit:
     fresh arrays for every activation and delta, the same margin-head
@@ -163,20 +178,18 @@ class ReferenceMlp:
     loss."""
 
     def __init__(self, d_in, hidden=(64, 64), seed=0, dtype=np.float32):
-        self.sizes = (int(d_in),) + tuple(int(h) for h in hidden) + (2,)
+        self.sizes = (int(d_in),) + tuple(int(h) for h in hidden) + (1,)
         self.dtype = np.dtype(dtype)
         rng = np.random.default_rng(seed)
         self.weights, self.biases = [], []
-        last = len(self.sizes) - 2
-        for li, (fan_in, fan_out) in enumerate(zip(self.sizes[:-1], self.sizes[1:])):
+        for fan_in, fan_out in zip(self.sizes[:-2], self.sizes[1:-1]):
             bound = np.sqrt(6.0 / (fan_in + fan_out))
-            if li == last:
-                row = rng.uniform(-bound, bound, size=(fan_in, 1))
-                w = np.repeat(row, fan_out, axis=1)
-            else:
-                w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
+            w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
             self.weights.append(w.astype(self.dtype))
             self.biases.append(np.zeros(fan_out, dtype=self.dtype))
+        # the head: one zero weight column and a zero bias, no draws
+        self.weights.append(np.zeros((self.sizes[-2], 1), dtype=self.dtype))
+        self.biases.append(np.zeros(1, dtype=self.dtype))
 
     def parameters(self):
         out = []
@@ -186,15 +199,14 @@ class ReferenceMlp:
 
     def shard_loss_and_grads(self, x, y, scale):
         """One shard's weighted loss sum and gradients, through the margin
-        z = h.(w1 - w0) + (b1 - b0); `scale` holds the two row weights."""
+        z = h.v + c; `scale` holds the two row weights."""
         acts = [x]
         h = x
         for i in range(len(self.weights) - 1):
             h = np.maximum(h @ self.weights[i] + self.biases[i], 0.0)
             acts.append(h)
-        w_out, b_out = self.weights[-1], self.biases[-1]
-        v = w_out[:, 1] - w_out[:, 0]
-        z = h @ v + (b_out[1] - b_out[0])
+        v, c = self.weights[-1][:, 0], self.biases[-1][0]
+        z = h @ v + c
 
         # class 1 costs softplus(-z), class 0 softplus(z)
         sign = np.where(y == 1, -1, 1).astype(self.dtype)
@@ -208,10 +220,8 @@ class ReferenceMlp:
         last = len(self.weights) - 1
         grads_w = [None] * len(self.weights)
         grads_b = [None] * len(self.biases)
-        col = acts[last].T @ g
-        grads_w[last] = np.stack((-col, col), axis=1)
-        total = g.sum()
-        grads_b[last] = np.array([-total, total])
+        grads_w[last] = (acts[last].T @ g)[:, None]
+        grads_b[last] = np.array([g.sum()])
         delta = g[:, None] * v
         for i in range(last - 1, -1, -1):
             delta = delta * (acts[i + 1] > 0)

@@ -178,7 +178,7 @@ def test_weighted_cross_entropy_gradient_check():
     model = Mlp(5, (8,), seed=3, dtype=np.float64)
     _, g0 = model.loss_and_grads(x, y, weights)
     for p, g in zip(model.parameters(), g0):
-        p -= 0.05 * g  # step off the symmetric init point
+        p -= 0.05 * g  # step off the zero head, where hidden gradients vanish
 
     _, analytic = model.loss_and_grads(x, y, weights)
     eps = 1e-6

@@ -14,7 +14,9 @@ from mslidar.errors import DataError, NumericError
 from mslidar.features import FeatureConfig, fit_normalization
 from mslidar.mlp import Mlp, TrainConfig, train
 
-from conftest import brute_radius, peak_traced_bytes, random_cloud, tied_cloud
+from conftest import (
+    as_v2_checkpoint, brute_radius, peak_traced_bytes, random_cloud, tied_cloud,
+)
 
 
 class TestClassWeights:
@@ -88,20 +90,27 @@ class TestTraining:
         zf = flipped.model.margins(x.astype(np.float32))
         np.testing.assert_array_equal(zf, -zb)
         assert base.loss_curve == flipped.loss_curve
+        # the head negates exactly; the hidden layers are the same bits
+        (*hidden_b, vb, cb), (*hidden_f, vf, cf) = (
+            r.model.parameters() for r in (base, flipped))
+        assert vb.any() and cb.any()
+        np.testing.assert_array_equal(vf.view(np.uint32), (-vb).view(np.uint32))
+        np.testing.assert_array_equal(cf.view(np.uint32), (-cb).view(np.uint32))
+        for a, b in zip(hidden_b, hidden_f):
+            np.testing.assert_array_equal(a.view(np.uint32), b.view(np.uint32))
 
     def test_unit_weights_equal_unweighted_cross_entropy(self):
         x, y = separable_toy(n=40, seed=4)
         model = Mlp(2, (8,), seed=0, dtype=np.float64)
-        # split the two output units, so the logits differ per class
-        w0, b0, w1, b1 = model.parameters()
-        w1[:, 1] += np.linspace(-0.5, 0.5, 8)
-        b1[1] += 0.2
+        # a nonzero head, so the margins differ per row
+        w0, b0, v, c = model.parameters()
+        v[:, 0] = np.linspace(-0.5, 0.5, 8)
+        c[0] = 0.2
         loss, _ = model.loss_and_grads(x, y, (1.0, 1.0))
-        # both logit columns, straight from the parameters
-        logits = np.maximum(x @ w0 + b0, 0.0) @ w1 + b1
-        shift = logits - logits.max(axis=1, keepdims=True)
-        lse = np.log(np.exp(shift).sum(axis=1)) + logits.max(axis=1)
-        plain = float((lse - logits[np.arange(len(y)), y]).mean())
+        # the logistic loss of the margin, straight from the parameters:
+        # softplus(-z) for class 1, softplus(z) for class 0
+        z = np.maximum(x @ w0 + b0, 0.0) @ v[:, 0] + c[0]
+        plain = float(np.where(y == 1, np.logaddexp(0.0, -z), np.logaddexp(0.0, z)).mean())
         assert loss == pytest.approx(plain, rel=1e-12)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
@@ -147,8 +156,8 @@ class TestGradientCheck:
         x = rng.normal(size=(10, 4))
         y = rng.integers(0, 2, 10)
         model = Mlp(4, (8,), seed=1, dtype=np.float64)
-        # output rows start identical; one step breaks the symmetry so the
-        # check covers a generic parameter point
+        # the head starts at zero, where the hidden gradients vanish; one
+        # step moves it off, so the check covers a generic parameter point
         _, g0 = model.loss_and_grads(x, y, class_weights)
         for p, g in zip(model.parameters(), g0):
             p -= 0.05 * g
@@ -178,10 +187,10 @@ class TestPredict:
     def test_labels_are_the_margin_sign(self):
         model = Mlp(4, (8,), seed=2)
         x = np.random.default_rng(1).normal(size=(50, 4)).astype(np.float32)
-        # split the two output units, then centre the margins so that both
-        # classes occur
-        model.weights[-1][:, 1] += np.linspace(-1.0, 1.0, 8, dtype=np.float32)
-        model.biases[-1][1] -= np.median(model.margins(x))
+        # give the zero head a weight vector, then centre the margins so
+        # that both classes occur
+        model.weights[-1][:, 0] = np.linspace(-1.0, 1.0, 8, dtype=np.float32)
+        model.biases[-1][0] -= np.median(model.margins(x))
         z = model.margins(x)
         labels = predict(x, model)
         assert labels.dtype == np.uint8
@@ -417,11 +426,11 @@ class TestCheckpoint:
                 with pytest.raises(DataError, match="checkpoint"):
                     load_checkpoint(path)
 
-    def test_head_of_other_than_two_units_is_data_error(self, tmp_path):
-        # the last layer size (a u32 after the layer count) becomes 3
+    def test_head_of_other_than_one_unit_is_data_error(self, tmp_path):
+        # the last layer size (a u32 after the layer count) becomes 2
         path, raw, ends = self.saved(tmp_path)
         sizes_end = ends[8]
-        path.write_bytes(raw[:sizes_end - 4] + struct.pack("<I", 3) + raw[sizes_end:])
+        path.write_bytes(raw[:sizes_end - 4] + struct.pack("<I", 2) + raw[sizes_end:])
         with pytest.raises(DataError, match="invalid layer sizes"):
             load_checkpoint(path)
 
@@ -437,23 +446,31 @@ class TestCheckpoint:
         with pytest.raises(DataError, match="metadata"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("version", [1, 3, 0xFFFF])
+    @pytest.mark.parametrize("version", [1, 2, 0xFFFF])
     def test_other_version_is_data_error(self, tmp_path, version):
         path, raw, _ = self.saved(tmp_path)
         path.write_bytes(raw[:4] + struct.pack("<H", version) + raw[6:])
         with pytest.raises(DataError, match=f"version {version} .*retrain"):
             load_checkpoint(path)
 
-    def test_v1_file_is_data_error(self, tmp_path):
-        # an MSTM v1 checkpoint: a sidecar reference where v2 holds the recipe
-        path = tmp_path / "v1.mstm"
-        model = Mlp(3, (4,), seed=0)
-        path.write_bytes(
-            b"MSTM" + struct.pack("<HqH", 1, 0, 3) + b"XYZ" + struct.pack("<H", 0)
-            + struct.pack("<2d", 1.0, 1.0) + struct.pack("<H3I", 3, 3, 4, 2)
-            + model.flat.astype("<f4").tobytes()
-        )
-        with pytest.raises(DataError, match="version 1 .*retrain"):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_old_version_file_is_data_error(self, tmp_path, version):
+        path = tmp_path / f"v{version}.mstm"
+        if version == 1:
+            # a sidecar reference where later versions hold the recipe,
+            # then a two-unit head of 3 -> 4 -> 2
+            path.write_bytes(
+                b"MSTM" + struct.pack("<HqH", 1, 0, 3) + b"XYZ" + struct.pack("<H", 0)
+                + struct.pack("<2d", 1.0, 1.0) + struct.pack("<H3I", 3, 3, 4, 2)
+                + np.zeros(3 * 4 + 4 + 4 * 2 + 2, "<f4").tobytes()
+            )
+        else:
+            model = Mlp(4, (8, 3), seed=0)
+            model.weights[-1][:, 0] = (0.5, -1.0, 2.0)
+            save_checkpoint(path, model, FeatureConfig.XYZ_PNDVI, (0.36, 1.64),
+                            0, NEIGHBORHOOD, pndvi_params())
+            path.write_bytes(as_v2_checkpoint(path.read_bytes(), model.sizes))
+        with pytest.raises(DataError, match=f"version {version} .*retrain"):
             load_checkpoint(path)
 
     # (field, struct format, value) of each value the loader must reject

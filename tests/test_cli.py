@@ -19,6 +19,8 @@ from mslidar.errors import ConfigError
 from mslidar.features import FeatureConfig, fit_config_normalization
 from mslidar.lasio import write_las
 
+from conftest import as_v2_checkpoint
+
 
 @pytest.fixture(scope="module")
 def chain(tmp_path_factory):
@@ -414,6 +416,17 @@ class TestErrorPaths:
                    "--model", str(model), "--out-dir", str(tmp_path / "p")])
         assert rc == 3
         assert "error[data]" in capsys.readouterr().err
+
+    def test_predict_with_a_v2_model_asks_for_retraining(self, chain, tmp_path, capsys):
+        model, _ = classifier.load_checkpoint(chain["model"] / "model.mstm")
+        old = tmp_path / "model.mstm"
+        old.write_bytes(as_v2_checkpoint(
+            (chain["model"] / "model.mstm").read_bytes(), model.sizes))
+        rc = main(["predict", "--in", str(chain["splits"] / "test.mst"),
+                   "--model", str(old), "--out-dir", str(tmp_path / "p")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "error[data]" in err and "version 2" in err and "retrain" in err
 
     @pytest.mark.parametrize("stage, setting, code, message", [
         ("synth", ["--target-points", "-5"], 2, "target_points must be >= 1"),

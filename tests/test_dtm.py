@@ -158,12 +158,12 @@ def test_blocked_heights_equal_one_block_bit_for_bit(monkeypatch):
 
     fills = []
 
-    def counted(dtm):
-        fills.append(dtm)
-        return nearest_valid(dtm)
+    def counted(values, invalid):
+        fills.append(invalid)
+        return nearest_valid(values, invalid)
 
-    nearest_valid = dtm_module._nearest_valid
-    monkeypatch.setattr(dtm_module, "_nearest_valid", counted)
+    nearest_valid = dtm_module.nearest_valid
+    monkeypatch.setattr(dtm_module, "nearest_valid", counted)
     monkeypatch.setattr(cloud_module, "QUERY_ROWS", 5)
     blocked = normalize_height(probes, grid).h_norm
     np.testing.assert_array_equal(blocked.view(np.uint32), whole.view(np.uint32))

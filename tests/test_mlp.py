@@ -1,5 +1,5 @@
 """The sharded, workspace-based Mlp against the plain allocating reference
-loop and an unsharded float64 softmax."""
+loop and an unsharded float64 logistic loss."""
 
 from pathlib import Path
 
@@ -130,22 +130,18 @@ def test_numpys_bundled_openblas_is_pinned():
         set_(before)
 
 
-def softmax_loss_and_grads(model, x, y, class_weights):
-    """Weighted two-column softmax cross-entropy and its gradients over all
-    rows at once, in float64: the formulation the margin head replaces."""
+def logistic_loss_and_grads(model, x, y, class_weights):
+    """Weighted two-class softmax cross-entropy and its gradients over all
+    rows at once, in float64, written directly as the logistic loss of the
+    margin z: softplus(-z) for class 1, softplus(z) for class 0."""
     acts = [x]
     for w, b in zip(model.weights[:-1], model.biases[:-1]):
         acts.append(np.maximum(acts[-1] @ w + b, 0.0))
-    logits = acts[-1] @ model.weights[-1] + model.biases[-1]
-    peak = logits.max(axis=1, keepdims=True)
-    e = np.exp(logits - peak)
-    rows = np.arange(len(y))
-    ce = np.log(e.sum(axis=1)) + peak[:, 0] - logits[rows, y]
+    z = acts[-1] @ model.weights[-1][:, 0] + model.biases[-1][0]
+    ce = np.where(y == 1, np.logaddexp(0.0, -z), np.logaddexp(0.0, z))
     w = np.asarray(class_weights)[y]
     w = w / w.sum()
-    delta = e / e.sum(axis=1, keepdims=True)
-    delta[rows, y] -= 1.0
-    delta *= w[:, None]
+    delta = (w * (np.exp(-np.logaddexp(0.0, -z)) - y))[:, None]   # sigmoid(z) - y
     grads = []
     for i in range(len(model.weights) - 1, -1, -1):
         grads[:0] = [acts[i].T @ delta, delta.sum(axis=0)]
@@ -158,9 +154,9 @@ def test_sharded_margin_head_equals_unsharded_softmax():
     model = Mlp(6, (16, 8), seed=7, dtype=np.float64)
     rng = np.random.default_rng(1)
     model.weights[-1][...] = rng.normal(size=model.weights[-1].shape)
-    model.biases[-1][...] = (0.3, -0.2)
+    model.biases[-1][...] = 0.3
     loss, grads = model.loss_and_grads(x, y, (0.36, 1.64))
-    want_loss, want = softmax_loss_and_grads(model, x, y, (0.36, 1.64))
+    want_loss, want = logistic_loss_and_grads(model, x, y, (0.36, 1.64))
     assert loss == pytest.approx(want_loss, rel=1e-12)
     for got, ref in zip(grads, want):
         np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-15)
@@ -188,8 +184,19 @@ def test_full_set_passes_allocate_shard_sized_memory(full_set_pass):
     assert peaks[1] <= peaks[0] + shard_bytes // 8
 
 
-def test_only_a_two_unit_head():
-    # two output units, initialized alike: the label-flip mirror needs both
-    w = Mlp(4, (8,)).weights[-1]
-    assert w.shape == (8, 2)
-    np.testing.assert_array_equal(w[:, 0], w[:, 1])
+def test_head_starts_at_zero_after_the_hidden_glorot_draws():
+    # the hidden layers are the generator's Glorot draws, in order; the
+    # head is exactly zero, so every first margin is 0
+    model = Mlp(4, (8, 5), seed=3)
+    rng = np.random.default_rng(3)
+    for w, (fan_in, fan_out) in zip(model.weights[:-1], [(4, 8), (8, 5)]):
+        bound = np.sqrt(6.0 / (fan_in + fan_out))
+        np.testing.assert_array_equal(
+            w, rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(np.float32))
+    assert model.sizes == (4, 8, 5, 1)
+    assert model.weights[-1].shape == (5, 1)
+    assert not model.weights[-1].any()
+    for b in model.biases:
+        assert not b.any()
+    z = model.margins(np.random.default_rng(0).normal(size=(50, 4)))
+    np.testing.assert_array_equal(z, np.zeros(50, np.float32))
