@@ -64,7 +64,8 @@ def neighborhood_graph(
     config of the same cloud.
     """
     _check_neighborhood(k, radius)
-    return build_index(cloud).knn_batch(cloud.xyz, k=k, radius=radius, workers=workers)
+    pts = cloud.xyz
+    return build_index(pts).knn_batch(pts, k=k, radius=radius, workers=workers)
 
 
 def _check_neighborhood(k: int, radius: float) -> None:

@@ -6,10 +6,13 @@ either present for every point or absent entirely; missing *values*
 inside a present spectral column (e.g. no cross-channel neighbor during
 merging) are encoded as NaN.
 
-:class:`SpatialIndex` wraps a k-d tree behind one batch query,
-:meth:`SpatialIndex.knn_batch`, whose every row is identical to a
-brute-force scan, ties broken by lower point id. Every neighbor search
-runs QUERY_ROWS query rows at a time.
+:class:`SpatialIndex` wraps a k-d tree over an (m, d) coordinate array
+behind one batch query, :meth:`SpatialIndex.knn_batch`, whose every row
+is identical to a brute-force scan, ties broken by lower point id. It is
+the one neighbor kernel: SOR, merge, the neighborhood graph and the DTM
+(in XY) all build it with :func:`build_index`, the only place a tree is
+built, so no result depends on how the tree is built. Every neighbor
+search runs QUERY_ROWS query rows at a time.
 
 :func:`group_cells` groups points by integer cell (voxel, tile, query
 cell) with one np.lexsort: cells come out in lexicographic key order,
@@ -153,12 +156,11 @@ class PointCloud:
         for name in ("x", "y", "z"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise DataError(f"non-finite values in coordinate column {name!r}")
-        bad = ~np.isin(self.channel, (int(Channel.GREEN_532), int(Channel.NIR_1064)))
-        if bad.any():
+        # comparisons, not np.isin, which allocates 12 bytes per point here
+        if self.channel.max(initial=0) > max(Channel):
             raise DataError("channel column contains values other than 532/1064 tags")
         if self.has("label"):
-            valid = (int(Label.NON_TREE), int(Label.TREE), int(Label.UNLABELED))
-            if not np.all(np.isin(self.label, valid)):
+            if not np.all((self.label <= Label.TREE) | (self.label == Label.UNLABELED)):
                 raise DataError("label column contains undefined class values")
         if self.has("h_norm") and not np.all(np.isfinite(self.h_norm)):
             raise DataError("h_norm column contains non-finite values")
@@ -244,10 +246,10 @@ def _near(a: np.ndarray, b) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpatialIndex:
-    """Immutable exact-neighbor index over a PointCloud snapshot; a
-    point's id is its row in the cloud."""
+    """Immutable exact-neighbor index over an (m, d) coordinate array;
+    a point's id is its row."""
 
-    points: np.ndarray         # (m, 3) coordinates
+    points: np.ndarray         # (m, d) float64 coordinates
     tree: "cKDTree" = field(repr=False)
 
     def knn_batch(
@@ -256,16 +258,17 @@ class SpatialIndex:
         """Ids of the up-to-k nearest indexed points of each query row.
 
         Returns an (n, k) int32 array. Row i lists, nearest first, the k
-        indexed points with the smallest 3D Euclidean distance to qs[i]
-        (only those within `radius`, inclusive, when it is given); ties
-        go to the lower id, and distances are judged by the plain formula
-        sqrt(sum((p - q)**2)), so every row equals a brute-force scan.
+        indexed points with the smallest Euclidean distance in the
+        index's dimensions to qs[i] (only those within `radius`,
+        inclusive, when it is given); ties go to the lower id, and
+        distances are judged by the plain formula sqrt(sum((p - q)**2)),
+        so every row equals a brute-force scan.
         Rows with fewer neighbors are padded with -1. Queries run
         QUERY_ROWS at a time into the one result array.
         """
         qs = np.asarray(qs, dtype=np.float64)
-        if qs.ndim != 2:
-            raise ValueError("knn_batch expects an (n, 3) query array")
+        if qs.shape[1:] != self.points.shape[1:]:
+            raise ValueError(f"knn_batch expects an (n, {self.points.shape[1]}) query array")
         # One neighbor beyond k shows whether rank k is tied.
         kq = min(k + 1, self.points.shape[0])
         out = np.empty((qs.shape[0], k), dtype=np.int32)
@@ -312,17 +315,19 @@ class SpatialIndex:
             out[rows[owner[take]], rank[take]] = cand[take]
 
 
-def build_index(cloud: PointCloud) -> SpatialIndex:
-    """Build an exact spatial index over every point of the cloud; its
-    point ids must fit the int32 neighbor ids of knn_batch."""
+def build_index(points: np.ndarray) -> SpatialIndex:
+    """Build an exact spatial index over the rows of an (m, d) coordinate
+    array, kept without a copy when it is contiguous float64; the row ids
+    must fit the int32 neighbor ids of knn_batch."""
     from scipy.spatial import cKDTree
 
-    if cloud.count == 0:
+    m = len(points)
+    if m == 0:
         raise DataError("cannot index an empty point cloud")
-    if cloud.count > np.iinfo(np.int32).max:
+    if m > np.iinfo(np.int32).max:
         raise DataError(
-            f"cannot index {cloud.count} points: neighbor ids are int32, "
+            f"cannot index {m} points: neighbor ids are int32, "
             f"so an index holds at most {np.iinfo(np.int32).max}"
         )
-    pts = cloud.xyz
+    pts = np.ascontiguousarray(points, dtype=np.float64)
     return SpatialIndex(points=pts, tree=cKDTree(pts))

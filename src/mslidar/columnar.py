@@ -19,6 +19,7 @@ The format is bit-exact: read(write(c)) reproduces every array byte
 for byte, including NaN payloads.
 """
 
+import os
 import struct
 from pathlib import Path
 
@@ -62,54 +63,53 @@ def write_columnar(cloud: PointCloud, path) -> None:
 def read_columnar(path) -> PointCloud:
     """Read an MST1 file; bit-exact inverse of :func:`write_columnar`.
 
-    The cloud must pass :meth:`PointCloud.validate`; DataError otherwise.
+    Each column is read straight from the file into its own array. The
+    cloud must pass :meth:`PointCloud.validate`; DataError otherwise.
     """
     path = Path(path)
     try:
-        raw = path.read_bytes()
+        with path.open("rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            if size < _HEADER.size:
+                raise DataError(f"{path}: file too short for an MST1 header")
+            magic, version, bitmap, count, note_len = _HEADER.unpack(fh.read(_HEADER.size))
+            if magic != MAGIC:
+                raise DataError(f"{path}: bad magic {magic!r}, not an MST1 file")
+            if version != VERSION:
+                raise DataError(
+                    f"{path}: unsupported MST1 version {version} (reader supports {VERSION})"
+                )
+            if bitmap >> len(_CANONICAL):
+                raise DataError(f"{path}: column bitmap {bitmap:#06x} sets unknown columns")
+            if size < _HEADER.size + note_len:
+                raise DataError(f"{path}: truncated CRS note")
+            try:
+                note = fh.read(note_len).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise DataError(f"{path}: CRS note is not UTF-8 ({exc})") from None
+
+            names = ["x", "y", "z", "channel"]
+            dtypes = [np.dtype("<f8")] * 3 + [np.dtype(np.uint8)]
+            for i, name in enumerate(_CANONICAL):
+                if bitmap & (1 << i):
+                    names.append(name)
+                    dtypes.append(_storage_dtype(name).newbyteorder("<"))
+            expected = _HEADER.size + note_len + count * sum(d.itemsize for d in dtypes)
+            if size != expected:
+                raise DataError(
+                    f"{path}: column length mismatch, header declares {count} points "
+                    f"({expected} bytes) but file holds {size} bytes"
+                )
+
+            cols = {}
+            for name, dtype in zip(names, dtypes):
+                cols[name] = np.empty(count, dtype=dtype)
+                if fh.readinto(cols[name]) != cols[name].nbytes:
+                    raise DataError(f"{path}: file shrank while it was read")
+                if OPTIONAL_COLUMNS.get(name) == np.dtype(bool):
+                    cols[name] = cols[name].astype(bool)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    if len(raw) < _HEADER.size:
-        raise DataError(f"{path}: file too short for an MST1 header")
-    magic, version, bitmap, count, note_len = _HEADER.unpack_from(raw, 0)
-    if magic != MAGIC:
-        raise DataError(f"{path}: bad magic {magic!r}, not an MST1 file")
-    if version != VERSION:
-        raise DataError(
-            f"{path}: unsupported MST1 version {version} (reader supports {VERSION})"
-        )
-    if bitmap >> len(_CANONICAL):
-        raise DataError(f"{path}: column bitmap {bitmap:#06x} sets unknown columns")
-    offset = _HEADER.size
-    if len(raw) < offset + note_len:
-        raise DataError(f"{path}: truncated CRS note")
-    try:
-        note = raw[offset : offset + note_len].decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: CRS note is not UTF-8 ({exc})") from None
-    offset += note_len
-
-    names = ["x", "y", "z", "channel"]
-    dtypes = [np.dtype("<f8")] * 3 + [np.dtype(np.uint8)]
-    for i, name in enumerate(_CANONICAL):
-        if bitmap & (1 << i):
-            names.append(name)
-            dtypes.append(_storage_dtype(name).newbyteorder("<"))
-    expected = offset + count * sum(d.itemsize for d in dtypes)
-    if len(raw) != expected:
-        raise DataError(
-            f"{path}: column length mismatch, header declares {count} points "
-            f"({expected} bytes) but file holds {len(raw)} bytes"
-        )
-
-    cols = {}
-    for name, dtype in zip(names, dtypes):
-        nbytes = count * dtype.itemsize
-        arr = np.frombuffer(raw, dtype=dtype, count=count, offset=offset).copy()
-        offset += nbytes
-        if OPTIONAL_COLUMNS.get(name) == np.dtype(bool):
-            arr = arr.astype(bool)
-        cols[name] = arr
     cloud = PointCloud(crs_note=note, **cols)
     try:
         cloud.validate()

@@ -4,7 +4,9 @@ Height normalization runs one `cloud.row_blocks` block of points at a
 time into the one float32 result, so its temporaries stay block-sized
 whatever the cloud's size; each point's height depends on that point
 alone, so the blocks change no bit of the output. The DTM build holds
-the ground points' XY once, as the array its k-d tree is built on.
+the ground points' XY once, as the array the one neighbor kernel,
+`cloud.build_index`, indexes in 2-D; each cell's neighbors come in
+(distance, id) order, so no cell depends on how the tree is built.
 """
 
 import logging
@@ -12,12 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import PointCloud, row_blocks
+from .cloud import PointCloud, build_index, row_blocks
 from .errors import DataError
 
 logger = logging.getLogger(__name__)
 
 NODATA_FACTOR = 10.0  # cells farther than this many cells from ground are nodata
+NEIGHBORS = 8  # ground points averaged per cell
 
 
 @dataclass(frozen=True)
@@ -35,26 +38,22 @@ class DtmGrid:
         return self.values.shape
 
 
-def build_dtm(
-    cloud: PointCloud, cell: float = 1.0, k: int = 8, workers: int = 1
-) -> DtmGrid:
+def build_dtm(cloud: PointCloud, cell: float = 1.0, workers: int = 1) -> DtmGrid:
     """Rasterize ground points to a terrain grid.
 
     Each cell center takes the inverse-distance-weighted (power 2) mean
-    z of the k nearest ground points in XY. Cells farther than 10*cell
-    from every ground point are nodata. The grid covers the full cloud
-    XY extent, so later height normalization finds a cell under every
-    point.
+    z of the NEIGHBORS nearest ground points in XY, ties to the lower
+    id, summed nearest first. Cells farther than NODATA_FACTOR*cell from
+    every ground point are nodata. The grid covers the full cloud XY
+    extent, so later height normalization finds a cell under every point.
     """
-    from scipy.spatial import cKDTree
-
     if not cell > 0:
         raise DataError("DTM cell size must be positive")
     cloud.require("ground_flag")
     gz = cloud.z[cloud.ground_flag]
     if gz.size == 0:
         raise DataError("cannot build a DTM without ground points")
-    gxy = np.empty((gz.size, 2))  # the tree's own points: no other XY copy
+    gxy = np.empty((gz.size, 2))  # the index's own points: no other XY copy
     gxy[:, 0] = cloud.x[cloud.ground_flag]
     gxy[:, 1] = cloud.y[cloud.ground_flag]
 
@@ -63,16 +62,10 @@ def build_dtm(
     h = max(int(np.ceil((float(cloud.y.max()) - y0) / cell)), 1)
     cx = x0 + (np.arange(w) + 0.5) * cell
     cy = y0 + (np.arange(h) + 0.5) * cell
-    centers = np.column_stack(
-        (np.tile(cx, h), np.repeat(cy, w))
-    )
+    centers = np.column_stack((np.tile(cx, h), np.repeat(cy, w)))
 
-    tree = cKDTree(gxy)
-    k_eff = min(k, gz.size)
-    d, idx = tree.query(centers, k=k_eff, workers=workers)
-    if k_eff == 1:
-        d = d[:, None]
-        idx = idx[:, None]
+    idx = build_index(gxy).knn_batch(centers, min(NEIGHBORS, gz.size), workers=workers)
+    d = np.sqrt(np.sum((gxy[idx] - centers[:, None, :]) ** 2, axis=2))  # the kernel's formula
 
     nodata = d[:, 0] > NODATA_FACTOR * cell
     values = np.full(h * w, np.nan)

@@ -48,7 +48,7 @@ def sor_filter(
         raise DataError(
             f"SOR needs more than k={params.k} points, cloud has {cloud.count}"
         )
-    index = build_index(cloud)
+    index = build_index(cloud.xyz)
     mean_d = np.empty(cloud.count, dtype=np.float64)
     # Points are visited in the tree's leaf order, so neighbouring queries
     # walk the same nodes; each row's distances depend on that row alone.
@@ -99,7 +99,7 @@ def _cross_channel_db(
     # than the radius where radius-sized cell numbers would overflow.
     side = max(radius, 2.0 * _reach(targets) / CELL_LIMIT)
     order = _cubic_cells(targets, side)[0]  # before the index: a lower peak
-    index = build_index(source)
+    index = build_index(source.xyz)
     source_lin = db_to_linear(source.reflectance_db.astype(np.float64))
     total = np.empty(targets.count, dtype=np.float64)
     counts = np.empty(targets.count, dtype=np.int64)

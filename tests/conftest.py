@@ -35,6 +35,22 @@ def brute_radius(points: np.ndarray, q: np.ndarray, r: float, k_max=None):
     return ids, dd
 
 
+def brute_idw(ground_xy: np.ndarray, gz: np.ndarray, centers: np.ndarray, k: int,
+              far: float) -> np.ndarray:
+    """Inverse-distance (power 2) heights at the centers from the k nearest
+    ground points by (distance, id), summed nearest first; a ground point
+    on a center gives its z directly, and NaN marks centers farther than
+    `far` from every ground point."""
+    ids, d = map(np.array, zip(*(brute_knn(ground_xy, c, k) for c in centers)))
+    values = np.full(len(centers), np.nan)
+    exact = d[:, 0] < 1e-12
+    values[exact] = gz[ids[exact, 0]]
+    rest = ~exact & (d[:, 0] <= far)
+    wgt = 1.0 / np.square(d[rest])
+    values[rest] = (wgt * gz[ids[rest]]).sum(axis=1) / wgt.sum(axis=1)
+    return values
+
+
 def brute_sor_removed(points: np.ndarray, k: int, n_sigma: float) -> np.ndarray:
     """Ids removed by the SOR rule, via full pairwise distances."""
     n = len(points)

@@ -64,7 +64,7 @@ def test_oracle_equivalence_against_brute_force():
     for trial in range(TRIALS):
         n = int(rng.integers(50, 2001))
         cloud = _trial_cloud(rng, trial, n, extent=12.0)
-        index = build_index(cloud)
+        index = build_index(cloud.xyz)
         # production queries are the indexed points themselves
         qs = np.vstack((
             cloud.xyz[rng.choice(n, min(n, 150), replace=False)],

@@ -1,15 +1,23 @@
-"""Output bytes do not depend on the query block size.
+"""Output bytes depend neither on the query block size nor on how the
+k-d tree is built.
 
 Every per-point pass (neighbour queries, SOR, merge, the cloth floor and
-ground flags, height normalization) walks `cloud.row_blocks`, so
-patching `cloud.QUERY_ROWS` re-blocks all of them at once. The 11
-geometry stages, per-channel LAS in and LAS out, must write the same
-bytes, manifests included, with blocks of 257 rows as with the default.
+ground flags, the DTM, height normalization) walks `cloud.row_blocks`,
+so patching `cloud.QUERY_ROWS` re-blocks all of them at once. Every
+neighbour query goes through `cloud.build_index`, the only place a tree
+is built, so patching the tree class it builds changes the tree under
+all of them. The 11 geometry stages, per-channel LAS in and LAS out,
+must write the same bytes, manifests included, with blocks of 257 rows
+and with sliding-midpoint trees (scipy's `balanced_tree=False`) as with
+the defaults.
 """
 
+import functools
 from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy import spatial
 
 from mslidar import cloud as cloud_module
 from mslidar.cli import main
@@ -56,10 +64,31 @@ def _geometry_chain(inputs: Path, out: Path) -> dict[str, bytes]:
             if p.is_file()}
 
 
-def test_geometry_chain_bytes_do_not_depend_on_the_block_size(channel_las, monkeypatch):
-    whole = _geometry_chain(channel_las, channel_las / "default")
+@pytest.fixture(scope="module")
+def default_chain(channel_las):
+    """The chain's output files with the default blocks and tree build."""
+    return _geometry_chain(channel_las, channel_las / "default")
+
+
+def query_rows_257(monkeypatch):
     monkeypatch.setattr(cloud_module, "QUERY_ROWS", 257)
-    blocked = _geometry_chain(channel_las, channel_las / "blocked")
-    assert sorted(blocked) == sorted(whole)
-    assert sum(name.endswith("manifest.json") for name in whole) == 11
-    assert [name for name in whole if blocked[name] != whole[name]] == []
+
+
+def sliding_midpoint_tree(monkeypatch):
+    balanced = spatial.cKDTree
+    monkeypatch.setattr(spatial, "cKDTree", functools.partial(balanced, balanced_tree=False))
+    # the patch reaches build_index, and its trees order the points otherwise
+    pts = np.random.default_rng(0).uniform(0.0, 1.0, (1000, 3))
+    assert not np.array_equal(cloud_module.build_index(pts).tree.indices, balanced(pts).indices)
+
+
+@pytest.mark.parametrize("variant", [query_rows_257, sliding_midpoint_tree],
+                         ids=lambda variant: variant.__name__)
+def test_geometry_chain_bytes_do_not_depend_on(variant, channel_las, default_chain,
+                                               monkeypatch):
+    variant(monkeypatch)
+    out = channel_las / variant.__name__
+    varied = _geometry_chain(channel_las, out)
+    assert sorted(varied) == sorted(default_chain)
+    assert sum(name.endswith("manifest.json") for name in default_chain) == 11
+    assert [name for name in default_chain if varied[name] != default_chain[name]] == []

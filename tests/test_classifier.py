@@ -281,7 +281,7 @@ class TestNeighborhood:
             x=rng.uniform(0, side, n), y=rng.uniform(0, side, n),
             z=rng.uniform(0, side, n), channel=np.zeros(n, np.uint8),
         )
-        index = build_index(cloud)
+        index = build_index(cloud.xyz)
         xyz = cloud.xyz
         if neighbor_pass == "knn_batch":
             extra = peak_traced_bytes(lambda: index.knn_batch(xyz, k, radius=2.0))

@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -63,6 +61,17 @@ class TestPointCloud:
         with pytest.raises(DataError, match="channel"):
             cloud.validate()
 
+    @pytest.mark.parametrize("column, valid", [("channel", {0, 1}), ("label", {0, 1, 255})])
+    def test_validate_accepts_exactly_the_defined_codes(self, column, valid):
+        for code in range(256):
+            cloud = make_cloud(3, label=np.zeros(3, np.uint8))
+            getattr(cloud, column)[1] = code
+            if code in valid:
+                cloud.validate()
+            else:
+                with pytest.raises(DataError, match=column if column == "channel" else "class"):
+                    cloud.validate()
+
     def test_validate_accepts_nan_in_spectral_columns(self):
         cloud = make_cloud(3, refl_green_db=np.array([1.0, np.nan, -2.0], np.float32))
         cloud.validate()
@@ -100,7 +109,7 @@ class TestSpatialIndex:
         for trial in range(30):
             make = tied_cloud if trial % 2 else random_cloud
             cloud = make(rng, n=int(rng.integers(5, 300)))
-            index = build_index(cloud)
+            index = build_index(cloud.xyz)
             qs = np.vstack((rng.uniform(0, 10, (5, 3)), cloud.xyz[:20]))
             k = int(rng.integers(1, 10))
             np.testing.assert_array_equal(
@@ -111,7 +120,7 @@ class TestSpatialIndex:
         for trial in range(30):
             make = tied_cloud if trial % 2 else random_cloud
             cloud = make(rng, n=int(rng.integers(5, 300)))
-            index = build_index(cloud)
+            index = build_index(cloud.xyz)
             qs = np.vstack((rng.uniform(0, 10, (5, 3)), cloud.xyz[:20]))
             r = float(rng.uniform(0.5, 6.0))
             k = int(rng.integers(1, 12)) if trial % 3 else cloud.count
@@ -123,7 +132,7 @@ class TestSpatialIndex:
             x=np.array([0.0, 1.0, 2.0]), y=np.zeros(3), z=np.zeros(3),
             channel=np.zeros(3, np.uint8),
         )
-        index = build_index(cloud)
+        index = build_index(cloud.xyz)
         ids = index.knn_batch(np.zeros((1, 3)), 3, radius=1.0)
         assert ids.tolist() == [[0, 1, -1]]
 
@@ -135,7 +144,7 @@ class TestSpatialIndex:
             z=np.zeros(4),
             channel=np.zeros(4, np.uint8),
         )
-        index = build_index(cloud)
+        index = build_index(cloud.xyz)
         assert index.knn_batch(np.zeros((1, 3)), 2).tolist() == [[0, 1]]
         ids = index.knn_batch(np.zeros((1, 3)), 3, radius=1.0)
         assert ids.tolist() == [[0, 1, 2]]
@@ -143,7 +152,7 @@ class TestSpatialIndex:
     def test_knn_batch_matches_single_queries(self):
         rng = np.random.default_rng(10)
         cloud = tied_cloud(rng, n=120)
-        index = build_index(cloud)
+        index = build_index(cloud.xyz)
         qs = np.vstack((rng.uniform(0, 10, (15, 3)), cloud.xyz))
         np.testing.assert_array_equal(
             index.knn_batch(qs, k=4, radius=0.8),
@@ -155,7 +164,7 @@ class TestSpatialIndex:
         rng = np.random.default_rng(11)
         for make in (random_cloud, tied_cloud):
             cloud = make(rng, n=123, extent=3.0)
-            index = build_index(cloud)
+            index = build_index(cloud.xyz)
             qs = np.vstack((rng.uniform(0, 3, (4, 3)), cloud.xyz))
             for k, r in ((5, None), (6, 0.6), (cloud.count + 2, None)):
                 got = index.knn_batch(qs, k, radius=r)
@@ -169,7 +178,7 @@ class TestSpatialIndex:
         monkeypatch.setattr(cloud_module, "QUERY_ROWS", 6)
         rng = np.random.default_rng(12)
         cloud = tied_cloud(rng, n=150, extent=2.0, step=0.25)
-        index = build_index(cloud)
+        index = build_index(cloud.xyz)
         qs = np.vstack((cloud.xyz, np.round(rng.uniform(0, 2, (20, 3)) * 8) / 8))
         cells = np.floor(qs / 0.5).astype(np.int64).T
         orders = (rng.permutation(len(qs)), group_cells(*cells)[0],
@@ -186,17 +195,41 @@ class TestSpatialIndex:
             plain, oracle_rows(index, cloud, qs, cloud.count, 0.5))
 
     def test_more_points_than_int32_ids_rejected(self):
-        too_many = SimpleNamespace(count=np.iinfo(np.int32).max + 1)
+        # a zero-stride view: the check must come before any copy
+        too_many = np.broadcast_to(np.zeros(3), (np.iinfo(np.int32).max + 1, 3))
         with pytest.raises(DataError, match="int32"):
             build_index(too_many)
 
     def test_empty_cloud_rejected(self):
-        empty = PointCloud(
-            x=np.empty(0), y=np.empty(0), z=np.empty(0),
-            channel=np.empty(0, np.uint8),
-        )
         with pytest.raises(DataError):
-            build_index(empty)
+            build_index(np.empty((0, 3)))
+
+    def test_contiguous_float64_coordinates_are_indexed_without_a_copy(self):
+        pts = np.random.default_rng(13).uniform(0, 5, (40, 2))
+        assert build_index(pts).points is pts
+        strided = np.asfortranarray(pts)
+        index = build_index(strided)
+        assert index.points.flags.c_contiguous and np.array_equal(index.points, pts)
+
+    def test_queries_must_have_the_index_dimensions(self):
+        index = build_index(np.zeros((4, 2)))
+        for qs in (np.zeros((1, 3)), np.zeros(2)):
+            with pytest.raises(ValueError, match=r"\(n, 2\)"):
+                index.knn_batch(qs, 1)
+
+    def test_planar_knn_matches_brute_force_on_a_lattice(self):
+        # a permuted integer lattice in 2-D: half-integer queries tie at rank k
+        rng = np.random.default_rng(14)
+        ij = np.stack(np.meshgrid(np.arange(12.0), np.arange(12.0)), -1).reshape(-1, 2)
+        pts = ij[rng.permutation(len(ij))]
+        qs = np.vstack((pts[:10], rng.integers(0, 22, (30, 2)) / 2.0))
+        index = build_index(pts)
+        for k, r in ((8, None), (6, 1.5), (12, None)):
+            want = np.full((len(qs), k), -1)
+            for i, q in enumerate(qs):
+                ids = brute_knn(pts, q, k)[0] if r is None else brute_radius(pts, q, r, k)[0]
+                want[i, : len(ids)] = ids
+            np.testing.assert_array_equal(index.knn_batch(qs, k, radius=r), want)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -206,7 +239,7 @@ class TestSpatialIndex:
     def test_query_properties(self, n, seed, r, k):
         rng = np.random.default_rng(seed)
         cloud = random_cloud(rng, n=n, with_label=False)
-        index = build_index(cloud)
+        index = build_index(cloud.xyz)
         q = rng.uniform(0, 10, (1, 3))
         ids = index.knn_batch(q, n, radius=r)[0]
         ids = ids[ids >= 0]

@@ -9,7 +9,7 @@ from mslidar.cloud import PointCloud
 from mslidar.columnar import read_columnar, read_labels, write_columnar, write_labels
 from mslidar.errors import DataError
 
-from conftest import random_cloud
+from conftest import peak_traced_bytes, random_cloud
 
 
 def test_roundtrip_preserves_every_column_bit_exactly(tmp_path):
@@ -69,6 +69,25 @@ def test_identical_write_is_byte_identical(tmp_path):
     write_columnar(cloud, p1)
     write_columnar(cloud, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_read_holds_each_column_once(tmp_path):
+    """Reading allocates at most 1.25 times the file's column bytes, the
+    returned columns included: each column is read straight into its own
+    array. Holding the whole file as bytes while copying the columns out
+    of it took about 2.3 times."""
+    n = 50_000
+    rng = np.random.default_rng(12)
+    cloud = random_cloud(rng, n=n)
+    for name in ("ground_flag", "h_norm", "refl_green_db", "refl_nir_db", "pndvi"):
+        values = rng.uniform(-1, 1, n)
+        cloud = cloud.with_column(name, values > 0 if name == "ground_flag" else values)
+    path = tmp_path / "c.mst"
+    write_columnar(cloud, path)
+    read_columnar(path)
+    column_bytes = path.stat().st_size - 20
+    assert column_bytes == 47 * n
+    assert peak_traced_bytes(lambda: read_columnar(path)) < 1.25 * column_bytes
 
 
 def test_bad_magic_rejected(tmp_path):

@@ -7,7 +7,7 @@ from mslidar.cloud import QUERY_ROWS, PointCloud
 from mslidar.dtm import build_dtm, normalize_height
 from mslidar.errors import DataError
 
-from conftest import peak_traced_bytes
+from conftest import brute_idw, peak_traced_bytes
 
 
 def ground_plane(extent=30.0, spacing=0.4, fn=None):
@@ -49,6 +49,24 @@ def test_single_ground_point_cell_takes_its_height():
     grid = build_dtm(cloud, cell=1.0)
     # the one ground point sits exactly on a cell center
     assert grid.values[2, 2] == 7.0
+
+
+def test_tied_lattice_equals_the_brute_force_idw_bit_for_bit():
+    """Ground on a permuted 30 x 30 integer lattice: every cell center but
+    the four corners is a half-integer point whose 8th and 9th nearest
+    ground points are equally far. Each cell must take the oracle's
+    neighbors, ties to the lower id, and sum them in its order."""
+    rng = np.random.default_rng(17)
+    ij = np.stack(np.meshgrid(np.arange(30.0), np.arange(30.0)), -1).reshape(-1, 2)
+    gxy = ij[rng.permutation(len(ij))]
+    gz = rng.uniform(0.0, 5.0, len(gxy))
+    cloud = PointCloud(x=gxy[:, 0], y=gxy[:, 1], z=gz, channel=np.zeros(len(gz), np.uint8),
+                       ground_flag=np.ones(len(gz), dtype=bool))
+    grid = build_dtm(cloud, cell=1.0)
+    assert grid.shape == (29, 29)
+    centers = np.column_stack((np.tile(np.arange(29) + 0.5, 29), np.repeat(np.arange(29) + 0.5, 29)))
+    want = brute_idw(gxy, gz, centers, dtm_module.NEIGHBORS, dtm_module.NODATA_FACTOR)
+    np.testing.assert_array_equal(grid.values.ravel().view(np.uint64), want.view(np.uint64))
 
 
 def test_cells_far_from_ground_are_nodata():

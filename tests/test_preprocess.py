@@ -112,7 +112,7 @@ class TestSor:
         np.testing.assert_array_equal(blocked, whole)
         # the blocks follow the tree's leaf order, not the file order, and
         # each point's distances still land in its own row
-        leaf_order = build_index(cloud).tree.indices
+        leaf_order = build_index(cloud.xyz).tree.indices
         assert not np.array_equal(leaf_order[:5], np.arange(5))
         np.testing.assert_array_equal(blocked, brute_sor_removed(cloud.xyz, k=6, n_sigma=1.0))
 
