@@ -17,6 +17,9 @@ Over building footprints the floor is the inverted roof, far below
 ground level; pinned particles at the footprint edge hold the cloth up
 so it bridges the "pit" with bounded sag, keeping roofs non-ground.
 
+The cloth is read and filled as the DTM is: a point's cloth height is
+`dtm.bilinear` of the cloth, and empty cells take `dtm.nearest_valid`.
+
 The per-point passes (the cloth floor and the ground flags) run one
 `cloud.row_blocks` block of points at a time, so their temporaries stay
 block-sized whatever the cloud's size. The floor is a maximum, which
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import PointCloud, row_blocks
-from .dtm import bilinear_cells, nearest_valid
+from .dtm import bilinear, nearest_valid
 from .errors import DataError
 
 logger = logging.getLogger(__name__)
@@ -138,12 +141,7 @@ def csf_ground(
     cloth, (x0, y0, res) = simulate_cloth(cloud, params)
     flag = np.empty(cloud.count, dtype=bool)
     for rows in row_blocks(cloud.count):
-        i0, i1, j0, j1, fy, fx = bilinear_cells(
-            (cloud.x[rows] - x0) / res, (cloud.y[rows] - y0) / res, cloth.shape
-        )
-        top = cloth[i0, j0] * (1 - fx) + cloth[i0, j1] * fx
-        bot = cloth[i1, j0] * (1 - fx) + cloth[i1, j1] * fx
-        cloth_at = top * (1 - fy) + bot * fy
+        cloth_at = bilinear(cloth, (cloud.x[rows] - x0) / res, (cloud.y[rows] - y0) / res)
         flag[rows] = np.abs(-cloud.z[rows] - cloth_at) <= params.class_threshold
     logger.info(
         "CSF flagged %d of %d points as ground", int(flag.sum()), cloud.count

@@ -7,6 +7,9 @@ alone, so the blocks change no bit of the output. The DTM build holds
 the ground points' XY once, as the array the one neighbor kernel,
 `cloud.build_index`, indexes in 2-D; each cell's neighbors come in
 (distance, id) order, so no cell depends on how the tree is built.
+A nodata cell holds NaN; `DtmGrid.nodata` is read off the values.
+`bilinear` and `nearest_valid` are the one grid sampler and the one fill
+of empty cells, for the terrain here and for the cloth in `csf`.
 """
 
 import logging
@@ -30,12 +33,16 @@ class DtmGrid:
 
     origin: tuple[float, float]
     cell: float
-    values: np.ndarray   # (h, w) float64, finite where not nodata
-    nodata: np.ndarray   # (h, w) bool
+    values: np.ndarray   # (h, w) float64, NaN where nodata, finite elsewhere
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.values.shape
+
+    @property
+    def nodata(self) -> np.ndarray:
+        """(h, w) bool: cells farther than NODATA_FACTOR cells from ground."""
+        return np.isnan(self.values)
 
 
 def build_dtm(cloud: PointCloud, cell: float = 1.0, workers: int = 1) -> DtmGrid:
@@ -80,25 +87,25 @@ def build_dtm(cloud: PointCloud, cell: float = 1.0, workers: int = 1) -> DtmGrid
         "DTM %dx%d cells at %g m from %d ground points (%d nodata)",
         h, w, cell, gz.size, int(nodata.sum()),
     )
-    return DtmGrid(
-        origin=(x0, y0), cell=cell,
-        values=values.reshape(h, w), nodata=nodata.reshape(h, w),
-    )
+    return DtmGrid(origin=(x0, y0), cell=cell, values=values.reshape(h, w))
 
 
-def bilinear_cells(gx: np.ndarray, gy: np.ndarray, shape: tuple[int, int]) -> tuple:
-    """Bilinear stencil of fractional grid positions, clamped to the borders.
+def bilinear(grid: np.ndarray, gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
+    """Bilinear values of `grid` at fractional positions, clamped to its borders.
 
-    (gy, gx) are row and column positions in cell units on a grid of
-    `shape`. Returns (i0, i1, j0, j1, fy, fx): a value interpolates the
-    four nodes [i0|i1, j0|j1] with weights from the fractions fy and fx.
+    (gy, gx) are row and column positions in node units. Each value
+    weights the four nodes around its position; a NaN node makes the
+    value NaN even where its weight is 0.
     """
-    h, w = shape
+    h, w = grid.shape
     gx = np.clip(gx, 0.0, w - 1.0)
     gy = np.clip(gy, 0.0, h - 1.0)
     j0 = np.minimum(gx.astype(np.int64), max(w - 2, 0))
     i0 = np.minimum(gy.astype(np.int64), max(h - 2, 0))
-    return i0, np.minimum(i0 + 1, h - 1), j0, np.minimum(j0 + 1, w - 1), gy - i0, gx - j0
+    i1, j1 = np.minimum(i0 + 1, h - 1), np.minimum(j0 + 1, w - 1)
+    fx, fy = gx - j0, gy - i0
+    return (grid[i0, j0] * (1 - fx) * (1 - fy) + grid[i0, j1] * fx * (1 - fy)
+            + grid[i1, j0] * (1 - fx) * fy + grid[i1, j1] * fx * fy)
 
 
 def nearest_valid(grid: np.ndarray, invalid: np.ndarray) -> np.ndarray:
@@ -115,35 +122,25 @@ def normalize_height(cloud: PointCloud, dtm: DtmGrid) -> PointCloud:
     """Attach h_norm = z - terrain height under the point.
 
     Terrain height comes from bilinear interpolation over the four
-    surrounding cell centers; where any of those is nodata, the value of
-    the nearest non-nodata cell is used instead. That nearest-valid grid
-    is built once, when the first block needs it.
+    surrounding cell centers; where one of those is nodata (NaN), the value
+    of the nearest non-nodata cell is used instead. That nearest-valid
+    grid is built once, when the first block needs it.
     """
     if dtm.nodata.all():
         raise DataError("DTM is entirely nodata; cannot normalize heights")
     h, w = dtm.shape
-    vals = dtm.values
     filled = None
     h_norm = np.empty(cloud.count, dtype=np.float32)
     for rows in row_blocks(cloud.count):
         gx = (cloud.x[rows] - dtm.origin[0]) / dtm.cell - 0.5
         gy = (cloud.y[rows] - dtm.origin[1]) / dtm.cell - 0.5
-        i0, i1, j0, j1, fy, fx = bilinear_cells(gx, gy, dtm.shape)
-        corners_ok = ~(
-            dtm.nodata[i0, j0] | dtm.nodata[i0, j1]
-            | dtm.nodata[i1, j0] | dtm.nodata[i1, j1]
-        )
-        terrain = (
-            vals[i0, j0] * (1 - fx) * (1 - fy)
-            + vals[i0, j1] * fx * (1 - fy)
-            + vals[i1, j0] * (1 - fx) * fy
-            + vals[i1, j1] * fx * fy
-        )
-        if not corners_ok.all():
+        terrain = bilinear(dtm.values, gx, gy)
+        missing = np.isnan(terrain)
+        if missing.any():
             if filled is None:
-                filled = nearest_valid(vals, dtm.nodata)
-            ci = np.clip(np.round(gy).astype(np.int64), 0, h - 1)
-            cj = np.clip(np.round(gx).astype(np.int64), 0, w - 1)
-            terrain = np.where(corners_ok, terrain, filled[ci, cj])
+                filled = nearest_valid(dtm.values, dtm.nodata)
+            ci = np.clip(np.round(gy[missing]).astype(np.int64), 0, h - 1)
+            cj = np.clip(np.round(gx[missing]).astype(np.int64), 0, w - 1)
+            terrain[missing] = filled[ci, cj]
         h_norm[rows] = cloud.z[rows] - terrain
     return cloud.with_column("h_norm", h_norm)

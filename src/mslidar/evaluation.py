@@ -212,8 +212,8 @@ def run_ablation(
     cfg: dict,
     on_report=None,
 ) -> AblationResult:
-    """Fit, classify and score one model per feature config with the
-    effective config `cfg`, same seed for all.
+    """Fit, classify and score one model per distinct feature config, in
+    first-seen order, with the effective config `cfg`, same seed for all.
 
     The geometric neighbor graphs depend only on the coordinates, so
     they are computed once per cloud and reused across configs. Raises
@@ -227,7 +227,7 @@ def run_ablation(
     graph_test = clf.config_graph(test_cloud, cfg)
 
     reports: dict[FeatureConfig, EvalReport] = {}
-    for fconfig in configs:
+    for fconfig in dict.fromkeys(configs):
         result, params, weights = clf.fit(train_cloud, fconfig, cfg, graph_train)
         labels = clf.classify(test_cloud, result.model, fconfig, params, cfg, graph_test)
         report = score(labels, test_cloud, cfg, manifest={

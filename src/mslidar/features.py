@@ -94,10 +94,8 @@ class FeatureConfig(Enum):
     @classmethod
     def from_name(cls, name: str) -> "FeatureConfig":
         key = name.strip().upper().replace("+", "_").replace("-", "_")
-        if key.startswith("XYZ_") or key == "XYZ":
-            pass
-        else:
-            key = "XYZ_" + key if key else "XYZ"
+        if key != "XYZ" and not key.startswith("XYZ_"):
+            key = "XYZ_" + key
         try:
             return cls[key]
         except KeyError:

@@ -51,6 +51,7 @@ from .errors import DataError, NumericError
 # Rows per shard. A constant, never derived from a thread count: the
 # shard boundaries fix the rounding of every sum, so they fix the bits.
 SHARD_ROWS = 2048
+DTYPE = np.float32  # the dtype `train` fits in, as checkpoints store it
 
 # AdamW's moment decay rates and denominator guard.
 BETA1 = 0.9
@@ -66,7 +67,6 @@ class TrainConfig:
     batch_size: int = 8192
     hidden: tuple[int, ...] = (64, 64)
     seed: int = 0
-    dtype: type = np.float32
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -140,7 +140,7 @@ class Mlp:
     margin z."""
 
     def __init__(self, d_in: int, hidden: tuple[int, ...], seed: int = 0,
-                 dtype=np.float32):
+                 dtype=DTYPE):
         self.sizes = (int(d_in),) + tuple(int(h) for h in hidden) + (1,)
         self.dtype = np.dtype(dtype)
         self.n_weights = sum(a * b for a, b in zip(self.sizes[:-1], self.sizes[1:]))
@@ -308,10 +308,10 @@ def train(
 
     loss_curve[0] is the pre-training loss over the full set; entry e+1
     is the running weighted mean over epoch e's batches. Bit-identical
-    results for identical inputs, seed and dtype, whatever the BLAS thread
+    results for identical inputs and seed, whatever the BLAS thread
     count.
     """
-    x = np.ascontiguousarray(features, dtype=config.dtype)
+    x = np.ascontiguousarray(features, dtype=DTYPE)
     y = np.ascontiguousarray(labels).astype(np.int64)
     if x.ndim != 2:
         raise DataError("features must be an (n, d) matrix")
@@ -322,7 +322,7 @@ def train(
     if np.unique(y).size < 2:
         raise DataError("training set must contain both classes")
 
-    model = Mlp(x.shape[1], config.hidden, seed=config.seed, dtype=config.dtype)
+    model = Mlp(x.shape[1], config.hidden, seed=config.seed, dtype=DTYPE)
     # AdamW on the flat parameter vector; decay covers the weight prefix
     params = model.flat
     decayed = params[: model.n_weights]
@@ -333,8 +333,8 @@ def train(
     scratch = np.empty_like(params)
     scratch_w = scratch[: model.n_weights]
     lr = config.learning_rate
-    lr_t = config.dtype(lr)
-    decay_t = config.dtype(lr * config.weight_decay)
+    lr_t = DTYPE(lr)
+    decay_t = DTYPE(lr * config.weight_decay)
 
     n = x.shape[0]
     bs = config.batch_size

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from mslidar.cloud import PointCloud
-from mslidar import csf, dtm, features, preprocess, synth
+from mslidar import csf, dtm, features, mlp, preprocess, synth
 from mslidar.mlp import BETA1, BETA2, EPS, SHARD_ROWS, one_blas_thread
 
 
@@ -49,6 +49,25 @@ def brute_idw(ground_xy: np.ndarray, gz: np.ndarray, centers: np.ndarray, k: int
     wgt = 1.0 / np.square(d[rest])
     values[rest] = (wgt * gz[ids[rest]]).sum(axis=1) / wgt.sum(axis=1)
     return values
+
+
+def brute_bilinear(grid: np.ndarray, gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
+    """Bilinear values of `grid` at row and column positions (gy, gx), one
+    position at a time in Python floats: the position clamped to the
+    border nodes, the stencil's first node at most the second to last,
+    and the four weighted nodes summed in row-major order."""
+    h, w = grid.shape
+    out = np.empty(len(gx))
+    for n, (x, y) in enumerate(zip(gx.tolist(), gy.tolist())):
+        x, y = min(max(x, 0.0), w - 1.0), min(max(y, 0.0), h - 1.0)
+        j0, i0 = min(int(x), max(w - 2, 0)), min(int(y), max(h - 2, 0))
+        j1, i1 = min(j0 + 1, w - 1), min(i0 + 1, h - 1)
+        fx, fy = x - j0, y - i0
+        g00, g01 = float(grid[i0, j0]), float(grid[i0, j1])
+        g10, g11 = float(grid[i1, j0]), float(grid[i1, j1])
+        out[n] = (g00 * (1 - fx) * (1 - fy) + g01 * fx * (1 - fy)
+                  + g10 * (1 - fx) * fy + g11 * fx * fy)
+    return out
 
 
 def brute_sor_removed(points: np.ndarray, k: int, n_sigma: float) -> np.ndarray:
@@ -269,12 +288,14 @@ class ReferenceMlp:
 
 
 def reference_train(features, labels, class_weights, config):
-    """The per-parameter AdamW loop over fancy-indexed batches.
+    """The per-parameter AdamW loop over fancy-indexed batches, in the
+    dtype `mlp.DTYPE` holds when it is called.
 
     Returns (parameters, loss_curve)."""
-    x = np.ascontiguousarray(features, dtype=config.dtype)
+    dtype = mlp.DTYPE
+    x = np.ascontiguousarray(features, dtype=dtype)
     y = np.ascontiguousarray(labels).astype(np.int64)
-    model = ReferenceMlp(x.shape[1], config.hidden, seed=config.seed, dtype=config.dtype)
+    model = ReferenceMlp(x.shape[1], config.hidden, seed=config.seed, dtype=dtype)
     params = model.parameters()
     m = [np.zeros_like(p) for p in params]
     v = [np.zeros_like(p) for p in params]
@@ -303,8 +324,8 @@ def reference_train(features, labels, class_weights, config):
                 v[i] = b2 * v[i] + (1 - b2) * np.square(g)
                 update = (m[i] / bc1) / (np.sqrt(v[i] / bc2) + eps)
                 if decayed[i]:
-                    p -= config.dtype(lr * config.weight_decay) * p
-                p -= config.dtype(lr) * update
+                    p -= dtype(lr * config.weight_decay) * p
+                p -= dtype(lr) * update
             epoch_loss += loss * sel.shape[0]
             epoch_weight += sel.shape[0]
         curve.append(epoch_loss / epoch_weight)

@@ -12,7 +12,7 @@ from mslidar.cloud import QUERY_ROWS, Label, PointCloud, build_index
 from mslidar.columnar import read_labels
 from mslidar.errors import DataError, NumericError
 from mslidar.features import FeatureConfig, fit_normalization
-from mslidar.mlp import Mlp, TrainConfig, train
+from mslidar.mlp import DTYPE, Mlp, TrainConfig, train
 
 from conftest import (
     as_v2_checkpoint, brute_radius, peak_traced_bytes, random_cloud, tied_cloud,
@@ -75,7 +75,7 @@ class TestTraining:
         x, y = separable_toy()
         cfg = TrainConfig(epochs=0, hidden=(8,), seed=5)
         result = train(x, y, (1.0, 1.0), cfg)
-        fresh = Mlp(2, (8,), seed=5, dtype=cfg.dtype)
+        fresh = Mlp(2, (8,), seed=5, dtype=DTYPE)
         for got, want in zip(result.model.parameters(), fresh.parameters()):
             np.testing.assert_array_equal(got, want)
         assert len(result.loss_curve) == 1

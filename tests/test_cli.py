@@ -198,6 +198,23 @@ def test_ablate_small_and_stagewise_equivalence(chain, tmp_path):
         assert stagewise["counts"] == ablation["reports"]["XYZ"]["counts"]
 
 
+def test_ablate_trains_a_repeated_config_once(chain, tmp_path, monkeypatch):
+    fits = []
+
+    def counted(*args):
+        fits.append(args[1])
+        return fit(*args)
+
+    fit = classifier.fit
+    monkeypatch.setattr(classifier, "fit", counted)
+    out_dir = tmp_path / "ablation"
+    assert main(["ablate", "--train", str(chain["splits"] / "train.mst"),
+                 "--test", str(chain["splits"] / "test.mst"), "--out-dir", str(out_dir),
+                 "--configs", "XYZ", "xyz", "--epochs", "1"]) == 0
+    assert fits == [FeatureConfig.XYZ]
+    assert len((out_dir / "ablation.csv").read_text().splitlines()) == 2  # header, one row
+
+
 def test_ablate_fits_normalization_at_configured_percentiles(chain, tmp_path,
                                                             monkeypatch):
     fitted = []

@@ -8,7 +8,7 @@ from mslidar.cloud import QUERY_ROWS, PointCloud
 from mslidar.csf import CsfParams, csf_ground, simulate_cloth
 from mslidar.errors import DataError
 
-from conftest import peak_traced_bytes
+from conftest import brute_bilinear, peak_traced_bytes
 
 
 def plane_cloud(extent=40.0, spacing=0.5, slope=0.0, hole=None):
@@ -69,6 +69,17 @@ def test_low_roof_on_slope_stays_non_ground():
     flag = csf_ground(cloud, CsfParams())
     assert not flag[roof].any()
     assert flag[~roof].mean() >= 0.99
+
+
+def test_flags_equal_the_brute_force_cloth_height():
+    ground = plane_cloud(slope=0.03, hole=(15.0, 15.0, 25.0, 25.0))
+    cloud, roof = add_roof(ground, 15.0, 15.0, 25.0, 25.0, height=10.0)
+    params = CsfParams()
+    cloth, (x0, y0, res) = simulate_cloth(cloud, params)
+    cloth_at = brute_bilinear(cloth, (cloud.x - x0) / res, (cloud.y - y0) / res)
+    want = np.abs(-cloud.z - cloth_at) <= params.class_threshold
+    assert want[~roof].all() and not want[roof].any()
+    np.testing.assert_array_equal(csf_ground(cloud, params), want)
 
 
 def test_cloth_settles_onto_flat_floor():

@@ -4,10 +4,10 @@ import pytest
 from mslidar import cloud as cloud_module
 from mslidar import dtm as dtm_module
 from mslidar.cloud import QUERY_ROWS, PointCloud
-from mslidar.dtm import build_dtm, normalize_height
+from mslidar.dtm import bilinear, build_dtm, normalize_height
 from mslidar.errors import DataError
 
-from conftest import brute_idw, peak_traced_bytes
+from conftest import brute_bilinear, brute_idw, peak_traced_bytes
 
 
 def ground_plane(extent=30.0, spacing=0.4, fn=None):
@@ -67,6 +67,42 @@ def test_tied_lattice_equals_the_brute_force_idw_bit_for_bit():
     centers = np.column_stack((np.tile(np.arange(29) + 0.5, 29), np.repeat(np.arange(29) + 0.5, 29)))
     want = brute_idw(gxy, gz, centers, dtm_module.NEIGHBORS, dtm_module.NODATA_FACTOR)
     np.testing.assert_array_equal(grid.values.ravel().view(np.uint64), want.view(np.uint64))
+
+
+GRID_SHAPES = pytest.mark.parametrize("shape", [(1, 1), (1, 6), (6, 1), (7, 9)],
+                                      ids=lambda s: f"{s[0]}x{s[1]}")
+
+
+def grid_positions(rng, h, w, n=300):
+    """n positions from 2 nodes before the first to 2 nodes beyond the
+    last, then every node exactly."""
+    gx = np.concatenate((rng.uniform(-2.0, w + 1.0, n), np.tile(np.arange(w, dtype=float), h)))
+    gy = np.concatenate((rng.uniform(-2.0, h + 1.0, n), np.repeat(np.arange(h, dtype=float), w)))
+    return gx, gy
+
+
+@GRID_SHAPES
+def test_bilinear_equals_the_brute_force_sampler_bit_for_bit(shape):
+    rng = np.random.default_rng(shape[0] * 10 + shape[1])
+    grid = rng.uniform(-5.0, 5.0, shape)
+    gx, gy = grid_positions(rng, *shape)
+    got = bilinear(grid, gx, gy)
+    np.testing.assert_array_equal(got.view(np.uint64), brute_bilinear(grid, gx, gy).view(np.uint64))
+    np.testing.assert_array_equal(got[-grid.size:], grid.ravel())  # a node gives its own value
+
+
+@GRID_SHAPES
+def test_bilinear_is_nan_exactly_where_the_brute_force_uses_a_nan_node(shape):
+    rng = np.random.default_rng(shape[0] * 10 + shape[1] + 1)
+    grid = rng.uniform(-5.0, 5.0, shape)
+    grid[rng.random(shape) < 0.2] = np.nan
+    grid.flat[0] = np.nan
+    gx, gy = grid_positions(rng, *shape)
+    got, want = bilinear(grid, gx, gy), brute_bilinear(grid, gx, gy)
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+    assert np.isnan(got).any() and (grid.size == 1 or np.isfinite(got).any())
+    finite = np.isfinite(want)
+    np.testing.assert_array_equal(got[finite].view(np.uint64), want[finite].view(np.uint64))
 
 
 def test_cells_far_from_ground_are_nodata():

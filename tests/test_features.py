@@ -239,5 +239,6 @@ class TestAssembleFeatures:
         assert FeatureConfig.from_name("xyz") is FeatureConfig.XYZ
         assert FeatureConfig.from_name("XYZ+pNDVI") is FeatureConfig.XYZ_PNDVI
         assert FeatureConfig.from_name("green-nir") is FeatureConfig.XYZ_GREEN_NIR
-        with pytest.raises(DataError, match="unknown feature config"):
-            FeatureConfig.from_name("bogus")
+        for name in ("bogus", "XYZ_KRYPTON", "", "  "):
+            with pytest.raises(DataError, match="unknown feature config"):
+                FeatureConfig.from_name(name)

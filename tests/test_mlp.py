@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mslidar import mlp
 from mslidar.mlp import (SHARD_ROWS, Mlp, TrainConfig, _openblas_threads, one_blas_thread,
                          train)
 
@@ -25,16 +26,18 @@ def toy(n=1000, d=6, seed=0):
     [((1.0, 1.0), 1e-2), ((0.7, 1.3), 1e-2), ((0.7, 1.3), 0.05)],
     ids=["unit-weights", "unequal-weights", "larger-step"],
 )
-def test_train_matches_reference_bit_for_bit(dtype, class_weights, learning_rate):
+def test_train_matches_reference_bit_for_bit(dtype, class_weights, learning_rate,
+                                            monkeypatch):
     # 1000 rows in batches of 128: the last batch of each epoch has 104
+    monkeypatch.setattr(mlp, "DTYPE", dtype)
     x, y = toy()
     cfg = TrainConfig(epochs=12, learning_rate=learning_rate, batch_size=128,
-                      hidden=(64, 64), seed=3, dtype=dtype)
+                      hidden=(64, 64), seed=3)
     result = train(x, y, class_weights, cfg)
     params, curve = reference_train(x, y, class_weights, cfg)
     assert result.loss_curve == curve
     for got, want in zip(result.model.parameters(), params):
-        assert got.dtype == want.dtype
+        assert got.dtype == want.dtype == dtype
         np.testing.assert_array_equal(got, want)
 
 

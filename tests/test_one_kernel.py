@@ -1,6 +1,8 @@
 """Every neighbour query goes through one kernel, `cloud.build_index` and
 `SpatialIndex.knn_batch`: no other module of the package imports
-`scipy.spatial`, and `cKDTree` is called only inside `build_index`.
+`scipy.spatial`, and `cKDTree` is called only inside `build_index`. Every
+fill of empty grid cells, the cloth floor's and the DTM's, goes through
+one function, `dtm.nearest_valid`: `scipy.ndimage` is imported nowhere else.
 
 A string annotation such as ``"cKDTree"`` is no call, so the
 `SpatialIndex.tree` annotation stays allowed. Parsing with `ast` needs no
@@ -15,8 +17,8 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mslidar"
 
 
-def spatial_imports(tree: ast.Module) -> list[int]:
-    """Lines of the statements importing scipy.spatial or a name from it."""
+def imports_of(tree: ast.AST, module: str) -> list[int]:
+    """Lines of the statements under tree importing `module` or a name from it."""
     lines = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -25,7 +27,7 @@ def spatial_imports(tree: ast.Module) -> list[int]:
             modules = [f"{node.module}.{alias.name}" for alias in node.names]
         else:
             continue
-        if any(m == "scipy.spatial" or m.startswith("scipy.spatial.") for m in modules):
+        if any(m == module or m.startswith(module + ".") for m in modules):
             lines.append(node.lineno)
     return lines
 
@@ -42,7 +44,7 @@ def parse(path: Path) -> ast.Module:
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_only_cloud_imports_scipy_spatial(path):
-    lines = spatial_imports(parse(path))
+    lines = imports_of(parse(path), "scipy.spatial")
     assert path.name == "cloud.py" or not lines, (
         f"{path.name} imports scipy.spatial (lines {lines}); query cloud.build_index instead")
 
@@ -60,12 +62,31 @@ def test_a_tree_is_built_only_in_build_index(path):
     assert not stray, f"{path.name} builds a cKDTree outside build_index (lines {stray})"
 
 
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_nearest_valid_imports_scipy_ndimage(path):
+    tree = parse(path)
+    allowed = set()
+    if path.name == "dtm.py":
+        fills = [node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "nearest_valid"]
+        assert len(fills) == 1 and len(imports_of(fills[0], "scipy.ndimage")) == 1
+        allowed = set(imports_of(fills[0], "scipy.ndimage"))
+    stray = sorted(set(imports_of(tree, "scipy.ndimage")) - allowed)
+    assert not stray, (
+        f"{path.name} imports scipy.ndimage (lines {stray}); fill through dtm.nearest_valid")
+
+
 def test_the_guard_sees_imports_and_calls():
-    """The checks flag each way a module could reach the tree class."""
-    for source in ("import scipy.spatial", "from scipy.spatial import cKDTree",
-                   "from scipy import spatial", "from scipy.spatial.distance import cdist"):
-        assert spatial_imports(ast.parse(source)) == [1], source
-    assert spatial_imports(ast.parse("from scipy import ndimage")) == []
+    """The checks flag each way a module could reach the tree class or the
+    image filters."""
+    for module in ("scipy.spatial", "scipy.ndimage"):
+        name = module.split(".")[1]
+        for source in (f"import {module}", f"from {module} import x", f"from scipy import {name}",
+                       f"import {module}.sub as s", f"from {module}.sub import y"):
+            assert imports_of(ast.parse(source), module) == [1], source
+    assert imports_of(ast.parse("from scipy import ndimage"), "scipy.spatial") == []
+    assert imports_of(ast.parse("from scipy import spatial"), "scipy.ndimage") == []
+    assert imports_of(ast.parse("def f():\n    from scipy import ndimage"), "scipy.ndimage") == [2]
     for source in ("cKDTree(p)", "spatial.cKDTree(p, balanced_tree=False)"):
         assert len(tree_calls(ast.parse(source))) == 1, source
     assert tree_calls(ast.parse('t: "cKDTree" = None')) == set()
