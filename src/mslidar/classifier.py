@@ -236,7 +236,10 @@ def load_checkpoint(path) -> tuple[Mlp, dict]:
     raise DataError.
     """
     path = Path(path)
-    raw = path.read_bytes()
+    try:
+        raw = path.read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
     if raw[:4] != CHECKPOINT_MAGIC:
         raise DataError(f"{path}: not a model checkpoint")
     off = 4

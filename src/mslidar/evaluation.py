@@ -171,16 +171,13 @@ def evaluate(
 @dataclass
 class AblationResult:
     reports: dict[FeatureConfig, EvalReport]
-    best: dict[str, FeatureConfig] = field(default_factory=dict)
 
-    def __post_init__(self):
-        if self.reports and not self.best:
-            for key, attr in (
-                ("mIoU", "miou"), ("OA", "oa"), ("mAcc", "macc"),
-            ):
-                self.best[key] = max(
-                    self.reports, key=lambda c: getattr(self.reports[c], attr)
-                )
+    @property
+    def best(self) -> dict[str, FeatureConfig]:
+        """The config with the highest mIoU, OA and mAcc (the first on a tie)."""
+        return {key: max(self.reports, key=lambda c: getattr(self.reports[c], attr))
+                for key, attr in (("mIoU", "miou"), ("OA", "oa"), ("mAcc", "macc"))
+                if self.reports}
 
     def table(self) -> list[dict]:
         rows = []

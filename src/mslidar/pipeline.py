@@ -1,17 +1,17 @@
 """Stage orchestration: the stage table, effective configuration and run
 manifests.
 
-Every stage is a pure function of (input files, effective config, seed)
-and writes, beside its outputs, a manifest giving the tool version, the
-stage name, the seed, the effective config (defaults filled in), its
-hash, and the SHA-256 of every input file. Manifests contain no
-timestamps, so reruns of identical work are byte-identical.
-
 The :func:`stage` decorator enters each ``stage_*`` function in
 :data:`STAGES` with its name, help text and command-line flags; the CLI
 builds its parser, its config overrides and its dispatch from that
-table. The cloud-to-cloud stages are pure ``(cfg, cloud) -> (cloud,
-manifest extra)`` functions whose I/O :class:`CloudStage` does.
+table. Every stage is a pure function of (input files, effective config,
+seed) that writes its outputs and returns only its manifest ``extra``;
+the cloud-to-cloud stages map ``(cfg, cloud) -> (cloud, extra)``.
+:meth:`Stage.run` writes every manifest, beside the stage's first output:
+the tool version, the stage name, the seed, the effective config
+(defaults filled in), its hash and the SHA-256 of every input given.
+Manifests contain no timestamps, so reruns of identical work are
+byte-identical.
 """
 
 import copy
@@ -196,15 +196,18 @@ class Flag:
 
     A flag with a `config` key sets that dotted key of the effective
     config; any other passes its value to the stage function as the
-    keyword argument `dest`. `kwargs` are the other add_argument keywords.
+    keyword argument `dest`. A path flag that `reads` a file records its
+    hash under that name in the manifest. `kwargs` are the other
+    add_argument keywords.
     """
 
     def __init__(self, option: str, config: str | None = None, help: str | None = None,
-                 dest: str | None = None, **kwargs):
+                 dest: str | None = None, reads: str | None = None, **kwargs):
         self.option = option
         self.config = config
         self.help = help
         self.dest = dest or option.lstrip("-").replace("-", "_")
+        self.reads = reads
         self.kwargs = kwargs
 
 
@@ -228,12 +231,13 @@ def setting(key: str, option: str | None = None, help: str | None = None) -> Fla
 
 
 def path(option: str, dest: str | None = None, required: bool = True,
-         help: str | None = None) -> Flag:
-    """A file or directory the stage function reads or writes."""
-    return Flag(option, None, help, dest, type=Path, required=required)
+         help: str | None = None, reads: str | None = None) -> Flag:
+    """A file or directory the stage function reads, recorded in the
+    manifest as `reads`, or, with no `reads`, one it writes."""
+    return Flag(option, None, help, dest, reads, type=Path, required=required)
 
 
-IN = path("--in", "inp")
+IN = path("--in", "inp", reads="cloud")
 OUT = path("--out")
 OUT_DIR = path("--out-dir")
 
@@ -247,30 +251,50 @@ class Stage:
     flags: tuple[Flag, ...]
     fn: Callable
 
-    def run(self, cfg: dict, **kwargs):
-        return self.fn(cfg, **kwargs)
+    def run(self, cfg: dict, **kwargs) -> None:
+        """Run fn on a copy of `cfg` and write the manifest beside the first
+        output given: the inputs given, the config as fn leaves it and the
+        extra fn returns. An output that is also an input, and an OSError
+        out of fn (a write: every reader raises DataError), are config errors."""
+        given = [(f, kwargs[f.dest]) for f in self.flags
+                 if f.kwargs.get("type") is Path and kwargs.get(f.dest) is not None]
+        read = {p.resolve(): f.option for f, p in given if f.reads}
+        for f, p in given:
+            if not f.reads and p.resolve() in read:
+                raise ConfigError(f"{f.option} {p} is also {read[p.resolve()]}: "
+                                  "a stage cannot write over its input")
+        cfg = copy.deepcopy(cfg)
+        try:
+            extra = self.fn(cfg, **kwargs)
+            target = next(p for f, p in given if not f.reads)
+            inputs = {f.reads: p for f, p in given if f.reads}
+            write_manifest(target, self.name, cfg, inputs, extra)
+        except OSError as exc:
+            raise ConfigError(
+                f"cannot write {exc.filename or 'an output'}: {exc.strerror or exc}") from exc
 
 
-class CloudStage(Stage):
-    """A stage whose fn(cfg, cloud) -> (cloud, manifest extra) maps one
-    MST1 file to another; run reads --in, writes --out and its manifest."""
+def cloud_io(fn: Callable) -> Callable:
+    """The stage function of a cloud-to-cloud map fn(cfg, cloud) -> (cloud,
+    extra): it reads --in and writes --out."""
 
-    def run(self, cfg: dict, inp: Path, out: Path) -> PointCloud:
-        cloud = read_columnar(inp)
-        result, extra = self.fn(cfg, cloud)
-        write_columnar(result, out)
-        write_manifest(out, self.name, cfg, {"cloud": inp}, extra)
-        return result
+    def run(cfg: dict, inp: Path, out: Path) -> dict | None:
+        cloud, extra = fn(cfg, read_columnar(inp))
+        write_columnar(cloud, out)
+        return extra
+
+    return run
 
 
 STAGES: dict[str, Stage] = {}
 
 
-def stage(name: str, help: str, *flags: Flag, kind: type[Stage] = Stage):
-    """Enter the decorated function in STAGES as the stage `name`."""
+def stage(name: str, help: str, *flags: Flag, maps_cloud: bool = False):
+    """Enter the decorated function in STAGES as the stage `name`; with
+    `maps_cloud`, through :func:`cloud_io`."""
 
     def register(fn):
-        STAGES[name] = kind(name, help, flags, fn)
+        STAGES[name] = Stage(name, help, flags, cloud_io(fn) if maps_cloud else fn)
         return fn
 
     return register
@@ -280,16 +304,15 @@ def stage(name: str, help: str, *flags: Flag, kind: type[Stage] = Stage):
 
 
 @stage("synth", "generate a labeled synthetic scene", OUT, setting("synth.target_points"))
-def stage_synth(cfg: dict, out: Path) -> PointCloud:
+def stage_synth(cfg: dict, out: Path) -> dict:
     scene_cfg = scaled_config(int(cfg["synth"]["target_points"]), seed=cfg["seed"])
     cloud = generate_scene(scene_cfg)
     write_columnar(cloud, out)
-    write_manifest(out, "synth", cfg, {}, extra={"points": cloud.count})
-    return cloud
+    return {"points": cloud.count}
 
 
 @stage("ingest", "read a LAS file into the columnar format",
-       path("--las", "las_path"),
+       path("--las", "las_path", reads="las"),
        Flag("--channel", required=True, choices=["green", "nir", "scanner"]),
        Flag("--reflectance-source", default="intensity"),
        Flag("--label-source", choices=["classification"], default=None,
@@ -298,19 +321,18 @@ def stage_synth(cfg: dict, out: Path) -> PointCloud:
 def stage_ingest(
     cfg: dict, las_path: Path, channel: str, reflectance_source: str, out: Path,
     label_source: str | None = None,
-) -> PointCloud:
+) -> dict:
     from .lasio import read_las
 
     chan = {"green": Channel.GREEN_532, "nir": Channel.NIR_1064}.get(channel, channel)
     cloud = read_las(las_path, reflectance_source=reflectance_source, channel=chan,
                      label_source=label_source)
     write_columnar(cloud, out)
-    write_manifest(out, "ingest", cfg, {"las": las_path}, extra={"points": cloud.count})
-    return cloud
+    return {"points": cloud.count}
 
 
 @stage("denoise", "statistical outlier removal (per channel)",
-       IN, OUT, setting("sor.k"), setting("sor.n_sigma"), kind=CloudStage)
+       IN, OUT, setting("sor.k"), setting("sor.n_sigma"), maps_cloud=True)
 def stage_denoise(cfg: dict, cloud: PointCloud) -> tuple[PointCloud, dict]:
     params = SorParams(**cfg["sor"])
     # channels are independent scans: denoise each against itself; an
@@ -322,21 +344,19 @@ def stage_denoise(cfg: dict, cloud: PointCloud) -> tuple[PointCloud, dict]:
 
 
 @stage("merge", "fuse the two channels with cross-channel reflectance",
-       path("--in", "inp", required=False, help="combined dual-channel cloud"),
-       path("--green", required=False, help="green-channel cloud"),
-       path("--nir", required=False, help="NIR-channel cloud"),
+       path("--in", "inp", required=False, help="combined dual-channel cloud", reads="cloud"),
+       path("--green", required=False, help="green-channel cloud", reads="green"),
+       path("--nir", required=False, help="NIR-channel cloud", reads="nir"),
        OUT, setting("merge.radius"), setting("merge.k"))
 def stage_merge(
     cfg: dict, out: Path, inp: Path | None = None,
     green: Path | None = None, nir: Path | None = None,
-) -> PointCloud:
+) -> dict:
     if inp is not None and green is None and nir is None:
-        inputs = {"cloud": inp}
         cloud = read_columnar(inp)
         g = cloud.take(cloud.channel == int(Channel.GREEN_532))
         n = cloud.take(cloud.channel == int(Channel.NIR_1064))
     elif inp is None and green is not None and nir is not None:
-        inputs = {"green": green, "nir": nir}
         g = read_columnar(green)
         n = read_columnar(nir)
     else:
@@ -346,20 +366,19 @@ def stage_merge(
         )
     merged = merge_channels(g, n, **cfg["merge"], workers=cfg["threads"])
     write_columnar(merged, out)
-    write_manifest(out, "merge", cfg, inputs, extra={"points": merged.count})
-    return merged
+    return {"points": merged.count}
 
 
 @stage("ground", "cloth-simulation ground flagging",
        IN, OUT, setting("csf.cloth_resolution"), setting("csf.rigidness"),
-       setting("csf.iterations"), setting("csf.class_threshold"), kind=CloudStage)
+       setting("csf.iterations"), setting("csf.class_threshold"), maps_cloud=True)
 def stage_ground(cfg: dict, cloud: PointCloud) -> tuple[PointCloud, dict]:
     ground = csf_ground(cloud, CsfParams(**cfg["csf"]))
     return cloud.with_column("ground_flag", ground), {"ground_points": int(ground.sum())}
 
 
 @stage("normalize-height", "DTM construction and height normalization",
-       IN, OUT, setting("dtm.cell"), kind=CloudStage)
+       IN, OUT, setting("dtm.cell"), maps_cloud=True)
 def stage_normalize_height(cfg: dict, cloud: PointCloud) -> tuple[PointCloud, dict]:
     dtm = build_dtm(cloud, cell=cfg["dtm"]["cell"], workers=cfg["threads"])
     extra = {"dtm_shape": list(dtm.shape), "nodata_cells": int(dtm.nodata.sum())}
@@ -367,13 +386,13 @@ def stage_normalize_height(cfg: dict, cloud: PointCloud) -> tuple[PointCloud, di
 
 
 @stage("features", "attach the spectral vegetation index column",
-       IN, OUT, kind=CloudStage)
+       IN, OUT, maps_cloud=True)
 def stage_features(cfg: dict, cloud: PointCloud) -> tuple[PointCloud, None]:
     return add_pndvi(cloud), None
 
 
 @stage("subsample", "voxel-grid subsampling with majority labels",
-       IN, OUT, setting("voxel.grid"), kind=CloudStage)
+       IN, OUT, setting("voxel.grid"), maps_cloud=True)
 def stage_subsample(cfg: dict, cloud: PointCloud) -> tuple[PointCloud, dict]:
     result = voxel_subsample(cloud, grid=cfg["voxel"]["grid"])
     return result, {"before": cloud.count, "after": result.count}
@@ -381,60 +400,49 @@ def stage_subsample(cfg: dict, cloud: PointCloud) -> tuple[PointCloud, dict]:
 
 @stage("split", "tile-based train/val/test split",
        IN, OUT_DIR, setting("split.ratios"), setting("split.tile_size"))
-def stage_split(cfg: dict, inp: Path, out_dir: Path) -> dict[str, Path]:
+def stage_split(cfg: dict, inp: Path, out_dir: Path) -> dict:
     cloud = read_columnar(inp)
     ratios = tuple(cfg["split"]["ratios"])
     result = split_plots(
         cloud, ratios, tile_size=cfg["split"]["tile_size"], seed=cfg["seed"]
     )
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths = {name: out_dir / f"{name}.mst" for name in SPLIT_NAMES}
-    for name, split_path in paths.items():
-        write_columnar(cloud.take(result.indices(name)), split_path)
-    write_manifest(
-        out_dir, "split", cfg, {"cloud": inp},
-        extra={
-            "target_ratios": list(result.target_ratios),
-            "achieved_ratios": list(result.achieved_ratios),
-            "tiles": int(result.tile_ids.shape[0]),
-            "single_split": result.single_split,
-        },
-    )
-    return paths
+    for name in SPLIT_NAMES:
+        write_columnar(cloud.take(result.indices(name)), out_dir / f"{name}.mst")
+    return {
+        "target_ratios": list(result.target_ratios),
+        "achieved_ratios": list(result.achieved_ratios),
+        "tiles": int(result.tile_ids.shape[0]),
+        "single_split": result.single_split,
+    }
 
 
 @stage("train", "train the point classifier",
-       path("--train", "train_path"), OUT_DIR,
+       path("--train", "train_path", reads="train"), OUT_DIR,
        setting("features.config", "--feature-config"), setting("train.epochs"),
        setting("train.learning_rate"), setting("train.weight_decay"),
        setting("train.batch_size"))
-def stage_train(cfg: dict, train_path: Path, out_dir: Path) -> Path:
+def stage_train(cfg: dict, train_path: Path, out_dir: Path) -> dict:
     cloud = read_columnar(train_path)
     fconfig = FeatureConfig.from_name(cfg["features"]["config"])
     result, params, weights = clf.fit(cloud, fconfig, cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
-    model_path = out_dir / "model.mstm"
-    clf.save_checkpoint(
-        model_path, result.model, fconfig, weights, cfg["seed"], cfg["neighborhood"], params
-    )
+    clf.save_checkpoint(out_dir / "model.mstm", result.model, fconfig, weights, cfg["seed"],
+                        cfg["neighborhood"], params)
     curve = "".join(f"{i},{v!r}\n" for i, v in enumerate(result.loss_curve))
     (out_dir / "loss_curve.csv").write_text("epoch,loss\n" + curve, encoding="utf-8")
-    write_manifest(
-        out_dir, "train", cfg, {"train": train_path},
-        extra={
-            "feature_config": fconfig.name,
-            "class_weights": [float(w) for w in weights],
-            "final_loss": result.loss_curve[-1],
-            "initial_loss": result.loss_curve[0],
-        },
-    )
-    return model_path
+    return {
+        "feature_config": fconfig.name,
+        "class_weights": [float(w) for w in weights],
+        "final_loss": result.loss_curve[-1],
+        "initial_loss": result.loss_curve[0],
+    }
 
 
 @stage("predict", "classify a cloud with a trained model",
-       IN, path("--model", "model_path"), OUT_DIR,
+       IN, path("--model", "model_path", reads="model"), OUT_DIR,
        setting("postprocess.threshold", "--postprocess-threshold"))
-def stage_predict(cfg: dict, inp: Path, model_path: Path, out_dir: Path) -> Path:
+def stage_predict(cfg: dict, inp: Path, model_path: Path, out_dir: Path) -> dict:
     model, meta = clf.load_checkpoint(model_path)
     if meta["neighborhood"] != cfg["neighborhood"]:
         # features must be built as in training, and the manifest must
@@ -447,18 +455,12 @@ def stage_predict(cfg: dict, inp: Path, model_path: Path, out_dir: Path) -> Path
     fconfig, params = meta["feature_config"], meta["normalization"]
     labels = clf.classify(cloud, model, fconfig, params, cfg)
     # the manifest records the feature recipe that ran: the checkpoint's
-    features = {**cfg["features"], "config": fconfig.name}
+    cfg["features"]["config"] = fconfig.name
     if params is not None:
-        features.update(p_low=params.p_low, p_high=params.p_high)
-    cfg = {**cfg, "features": features}
+        cfg["features"].update(p_low=params.p_low, p_high=params.p_high)
     out_dir.mkdir(parents=True, exist_ok=True)
-    pred_path = out_dir / "predictions.txt"
-    write_labels(labels, pred_path)
-    write_manifest(
-        out_dir, "predict", cfg, {"cloud": inp, "model": model_path},
-        extra={"feature_config": fconfig.name, "predicted_tree": int(labels.sum())},
-    )
-    return pred_path
+    write_labels(labels, out_dir / "predictions.txt")
+    return {"feature_config": fconfig.name, "predicted_tree": int(labels.sum())}
 
 
 def _write_report(stem: Path, report) -> None:
@@ -468,13 +470,14 @@ def _write_report(stem: Path, report) -> None:
 
 
 @stage("evaluate", "score predictions against ground truth",
-       path("--cloud", "cloud_path"), path("--pred", "pred_path"), OUT_DIR,
+       path("--cloud", "cloud_path", reads="cloud"),
+       path("--pred", "pred_path", reads="predictions"), OUT_DIR,
        setting("evaluate.threshold"), setting("evaluate.predicted_tree_only"),
        path("--las-out", required=False))
 def stage_evaluate(
     cfg: dict, cloud_path: Path, pred_path: Path, out_dir: Path,
     las_out: Path | None = None,
-) -> ev.EvalReport:
+) -> dict:
     cloud = read_columnar(cloud_path)
     labels = read_labels(pred_path, cloud.count)
     source = f"imported:{pred_path.name}"
@@ -483,22 +486,19 @@ def stage_evaluate(
     _write_report(out_dir / "report", report)
     if las_out is not None:
         ev.export_error_las(cloud, labels, las_out)
-    write_manifest(
-        out_dir, "evaluate", cfg, {"cloud": cloud_path, "predictions": pred_path},
-        extra={"miou": report.miou, "oa": report.oa},
-    )
-    return report
+    return {"miou": report.miou, "oa": report.oa}
 
 
 @stage("ablate", "train/evaluate every feature configuration",
-       path("--train", "train_path"), path("--test", "test_path"), OUT_DIR,
+       path("--train", "train_path", reads="train"),
+       path("--test", "test_path", reads="test"), OUT_DIR,
        Flag("--configs", help="subset of feature configs (default: all six)",
             nargs="+", default=None),
        setting("train.epochs"))
 def stage_ablate(
     cfg: dict, train_path: Path, test_path: Path, out_dir: Path,
     configs: list[str] | None = None,
-) -> ev.AblationResult:
+) -> dict:
     fconfigs = (
         tuple(FeatureConfig.from_name(n) for n in configs) if configs else ALL_CONFIGS
     )
@@ -513,30 +513,23 @@ def stage_ablate(
 
     result = ev.run_ablation(train_cloud, test_cloud, fconfigs, cfg, on_report=save_partial)
     _write_report(out_dir / "ablation", result)
-    write_manifest(
-        out_dir, "ablate", cfg, {"train": train_path, "test": test_path},
-        extra={"best": {k: v.name for k, v in result.best.items()}},
-    )
-    return result
+    return {"best": {k: v.name for k, v in result.best.items()}}
 
 
 @stage("export", "write a cloud (optionally with predictions) to LAS",
-       path("--cloud", "cloud_path"), path("--las", "las_out"),
-       path("--pred", "pred_path", required=False))
+       path("--cloud", "cloud_path", reads="cloud"), path("--las", "las_out"),
+       path("--pred", "pred_path", required=False, reads="predictions"))
 def stage_export(
     cfg: dict, cloud_path: Path, las_out: Path, pred_path: Path | None = None
 ) -> None:
     from .lasio import write_las
 
     cloud = read_columnar(cloud_path)
-    inputs = {"cloud": cloud_path}
-    if pred_path is not None:
-        labels = read_labels(pred_path, cloud.count)
-        inputs["predictions"] = pred_path
-        if cloud.has("label"):
-            ev.export_error_las(cloud, labels, las_out)
-        else:
-            write_las(cloud.with_column("label", labels), las_out)
-    else:
+    if pred_path is None:
         write_las(cloud, las_out)
-    write_manifest(las_out, "export", cfg, inputs)
+        return
+    labels = read_labels(pred_path, cloud.count)
+    if cloud.has("label"):
+        ev.export_error_las(cloud, labels, las_out)
+    else:
+        write_las(cloud.with_column("label", labels), las_out)

@@ -25,8 +25,6 @@ import numpy as np
 from .cloud import Channel, Label, PointCloud
 from .errors import ConfigError
 
-__all__ = ["ClassSpectrum", "SyntheticSceneConfig", "generate_scene"]
-
 
 @dataclass(frozen=True)
 class ClassSpectrum:

@@ -98,6 +98,53 @@ def test_manifests_are_reproducible_records(chain):
         assert marker not in flat
 
 
+def test_every_stage_records_its_name_and_the_inputs_given(chain, tmp_path):
+    """One runner writes every manifest: beside the first output, with the
+    stage's own name and the hash of exactly the input files passed."""
+    splits = chain["splits"]
+    las, pred_las = tmp_path / "test.las", tmp_path / "pred.las"
+    ingested, ablation = tmp_path / "ingested.mst", tmp_path / "ablation"
+    predictions = chain["pred"] / "predictions.txt"
+    for argv in (
+        ["export", "--cloud", str(splits / "test.mst"), "--las", str(las)],
+        ["export", "--cloud", str(splits / "test.mst"), "--las", str(pred_las),
+         "--pred", str(predictions)],
+        ["ingest", "--las", str(las), "--channel", "scanner", "--out", str(ingested)],
+        ["ablate", "--train", str(splits / "train.mst"), "--test", str(splits / "test.mst"),
+         "--out-dir", str(ablation), "--configs", "XYZ", "--epochs", "1"],
+    ):
+        assert main(argv) == 0, argv[0]
+
+    def beside(path):
+        return path.with_name(path.name + ".manifest.json")
+
+    cloud_stages = [("denoise", "scene", "denoised"), ("merge", "denoised", "merged"),
+                    ("ground", "merged", "grounded"), ("normalize-height", "grounded", "hnorm"),
+                    ("features", "hnorm", "feat"), ("subsample", "feat", "sub")]
+    expected = [
+        (beside(chain["scene"]), "synth", {}),
+        *((beside(chain[out]), name, {"cloud": chain[inp]}) for name, inp, out in cloud_stages),
+        (splits / "manifest.json", "split", {"cloud": chain["sub"]}),
+        (chain["model"] / "manifest.json", "train", {"train": splits / "train.mst"}),
+        (chain["pred"] / "manifest.json", "predict",
+         {"cloud": splits / "test.mst", "model": chain["model"] / "model.mstm"}),
+        (chain["eval"] / "manifest.json", "evaluate",
+         {"cloud": splits / "test.mst", "predictions": predictions}),
+        (beside(las), "export", {"cloud": splits / "test.mst"}),
+        (beside(pred_las), "export", {"cloud": splits / "test.mst", "predictions": predictions}),
+        (beside(ingested), "ingest", {"las": las}),
+        (ablation / "manifest.json", "ablate",
+         {"train": splits / "train.mst", "test": splits / "test.mst"}),
+    ]
+    assert {name for _, name, _ in expected} == set(pipeline.STAGES)
+    for path, name, inputs in expected:
+        manifest = json.loads(path.read_text())
+        assert manifest["stage"] == name, path
+        assert manifest["inputs"] == {k: pipeline.file_sha256(v) for k, v in inputs.items()}, path
+    # evaluate's --las-out comes after --out-dir: no manifest of its own
+    assert not beside(chain["eval"] / "errors.las").exists()
+
+
 def test_report_json_holds_metrics(chain):
     report = json.loads((chain["eval"] / "report.json").read_text())
     for key in ("iou_tree", "iou_nontree", "miou", "macc", "oa"):

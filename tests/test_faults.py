@@ -1,11 +1,13 @@
-"""Fault injection over the MST1, LAS and label readers and the YAML
-config, through the CLI.
+"""Fault injection over the MST1, LAS, label and model readers, the YAML
+config and the output paths, through the CLI.
 
 Every damaged input must exit with its category code, never with 1
 (internal). A damaged MST1, LAS or label file is a data error (exit 3)
 whose one ``error[data]: ...`` line names the damaged file; a damaged
 config is a config error (exit 2). MST1 files and configs enter through
-`subsample`, LAS files through `ingest`, label files through `evaluate`.
+`subsample`, LAS files through `ingest`, label files through `evaluate`,
+model files through `predict`. An output that cannot be written, or that
+is also an input, is a config error.
 """
 
 import dataclasses
@@ -15,7 +17,7 @@ import numpy as np
 import pytest
 
 from mslidar.cli import main
-from mslidar.columnar import write_columnar
+from mslidar.columnar import write_columnar, write_labels
 from mslidar.lasio import write_las
 
 from conftest import random_cloud
@@ -213,3 +215,56 @@ def test_yaml_config_that_is_a_directory(cloud, tmp_path, capsys):
     rc = main(_subsample(cloud, tmp_path, tmp_path))
     err = capsys.readouterr().err
     assert (rc, err.startswith("error[config]: ")) == (2, True), err
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_model_file_that_cannot_be_read(cloud, tmp_path, capsys, kind):
+    path = tmp_path / "c.mst"
+    write_columnar(cloud, path)
+    model = tmp_path / "model.mstm"
+    if kind == "directory":
+        model.mkdir()
+    rc = main(["predict", "--in", str(path), "--model", str(model),
+               "--out-dir", str(tmp_path / "pred")])
+    err = capsys.readouterr().err
+    assert (rc, err.startswith(f"error[data]: cannot read {model}: ")) == (3, True), err
+
+
+# Outputs enter through the stage that writes them; in each case the last
+# option names a path below a missing directory, a file where a directory
+# goes or a directory where a file goes.
+UNWRITABLE = {
+    "subsample-out": ["subsample", "--in", "{d}/c.mst", "--out", "{d}/nodir/x.mst"],
+    "split-out-dir": ["split", "--in", "{d}/c.mst", "--out-dir", "{d}/a-file"],
+    "features-out": ["features", "--in", "{d}/c.mst", "--out", "{d}/a-dir"],
+    "export-las": ["export", "--cloud", "{d}/c.mst", "--las", "{d}/nodir/x.las"],
+    "evaluate-las-out": ["evaluate", "--cloud", "{d}/c.mst", "--pred", "{d}/labels.txt",
+                         "--out-dir", "{d}/eval", "--las-out", "{d}/nodir/e.las"],
+}
+
+
+@pytest.mark.parametrize("case", UNWRITABLE)
+def test_output_that_cannot_be_written(cloud, tmp_path, capsys, case):
+    spectral = cloud.with_column("refl_green_db", cloud.reflectance_db).with_column(
+        "refl_nir_db", cloud.reflectance_db)
+    write_columnar(spectral, tmp_path / "c.mst")
+    write_labels(cloud.label, tmp_path / "labels.txt")
+    (tmp_path / "a-file").write_bytes(b"")
+    (tmp_path / "a-dir").mkdir()
+    argv = [arg.format(d=tmp_path) for arg in UNWRITABLE[case]]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert (rc, err.startswith(f"error[config]: cannot write {argv[-1]}: ")) == (2, True), err
+
+
+def test_output_that_is_also_the_input(cloud, tmp_path, capsys, monkeypatch):
+    path = tmp_path / "a.mst"
+    write_columnar(cloud, path)
+    raw = path.read_bytes()
+    monkeypatch.chdir(tmp_path)  # one file, spelled two ways
+    rc = main(["subsample", "--in", "a.mst", "--out", str(path)])
+    err = capsys.readouterr().err
+    assert (rc, err.startswith("error[config]: "), "--out" in err, "--in" in err) == (
+        2, True, True, True), err
+    assert path.read_bytes() == raw
+    assert list(tmp_path.iterdir()) == [path]

@@ -3,6 +3,8 @@
 `scipy.spatial`, and `cKDTree` is called only inside `build_index`. Every
 fill of empty grid cells, the cloth floor's and the DTM's, goes through
 one function, `dtm.nearest_valid`: `scipy.ndimage` is imported nowhere else.
+Every manifest is written by one runner: `write_manifest` is called only
+in `pipeline.Stage.run`.
 
 A string annotation such as ``"cKDTree"`` is no call, so the
 `SpatialIndex.tree` annotation stays allowed. Parsing with `ast` needs no
@@ -32,10 +34,15 @@ def imports_of(tree: ast.AST, module: str) -> list[int]:
     return lines
 
 
+def calls_of(node: ast.AST, name: str) -> set[ast.Call]:
+    """Every call of a callable named `name` under node."""
+    return {call for call in ast.walk(node) if isinstance(call, ast.Call)
+            and getattr(call.func, "id", getattr(call.func, "attr", None)) == name}
+
+
 def tree_calls(node: ast.AST) -> set[ast.Call]:
     """Every call of a callable named cKDTree under node."""
-    return {call for call in ast.walk(node) if isinstance(call, ast.Call)
-            and getattr(call.func, "id", getattr(call.func, "attr", None)) == "cKDTree"}
+    return calls_of(node, "cKDTree")
 
 
 def parse(path: Path) -> ast.Module:
@@ -74,6 +81,19 @@ def test_only_nearest_valid_imports_scipy_ndimage(path):
     stray = sorted(set(imports_of(tree, "scipy.ndimage")) - allowed)
     assert not stray, (
         f"{path.name} imports scipy.ndimage (lines {stray}); fill through dtm.nearest_valid")
+
+
+def test_only_the_stage_runner_writes_manifests():
+    where = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = parse(path)
+        runners = [item for node in tree.body if isinstance(node, ast.ClassDef)
+                   and node.name == "Stage" for item in node.body
+                   if isinstance(item, ast.FunctionDef) and item.name == "run"]
+        inside = set().union(*(calls_of(run, "write_manifest") for run in runners))
+        where += [(path.name, call.lineno, call in inside)
+                  for call in calls_of(tree, "write_manifest")]
+    assert [(name, inside) for name, _, inside in where] == [("pipeline.py", True)], where
 
 
 def test_the_guard_sees_imports_and_calls():
