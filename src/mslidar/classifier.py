@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cloud import Label, PointCloud, build_index, row_blocks
+from .cloud import Label, PointCloud, build_index, row_blocks, worker_count
 from .errors import DataError
 from .features import (
     FeatureConfig, NormalizationParams, assemble_features, fit_config_normalization,
@@ -57,15 +57,16 @@ def neighborhood_graph(
 ) -> np.ndarray:
     """Indices of the <=k nearest points within `radius`, self included.
 
-    Returns an (n, k) int32 array padded with -1, rows ordered by
-    (distance, id). Row i starts with i itself, or with a lower-id point
-    at the same coordinates, so every neighborhood has >= 1 member.
+    Returns an (n, min(k, n)) int32 array padded with -1, rows ordered by
+    (distance, id): a k above the point count changes no neighborhood.
+    Row i starts with i itself, or with a lower-id point at the same
+    coordinates, so every neighborhood has >= 1 member.
     Depends only on the geometry, so one graph serves every feature
     config of the same cloud.
     """
     _check_neighborhood(k, radius)
     pts = cloud.xyz
-    return build_index(pts).knn_batch(pts, k=k, radius=radius, workers=workers)
+    return build_index(pts).knn_batch(pts, k=min(k, len(pts)), radius=radius, workers=workers)
 
 
 def _check_neighborhood(k: int, radius: float) -> None:
@@ -117,16 +118,16 @@ def _stats_block(features: np.ndarray, graph: np.ndarray, out: np.ndarray) -> No
     out[:, -1] = counts
 
 
-def predict(features: np.ndarray, model: Mlp) -> np.ndarray:
+def predict(features: np.ndarray, model: Mlp, workers: int = 1) -> np.ndarray:
     """Per-point uint8 labels: tree where the model's margin z > 0, so a
-    margin of exactly 0 goes to non-tree."""
+    margin of exactly 0 goes to non-tree; `workers` run the margins."""
     values = np.asarray(features)
     if values.ndim != 2 or values.shape[1] != model.d_in:
         raise DataError(
             f"model expects {model.d_in} features, got "
             f"{values.shape[1] if values.ndim == 2 else 'non-matrix input'}"
         )
-    return (model.margins(values) > 0).astype(np.uint8)
+    return (model.margins(values, workers=workers) > 0).astype(np.uint8)
 
 
 def height_threshold_postprocess(
@@ -147,7 +148,7 @@ def height_threshold_postprocess(
 
 def config_graph(cloud: PointCloud, cfg: dict) -> np.ndarray:
     """The neighborhood graph of the effective config's neighborhood.k/radius."""
-    return neighborhood_graph(cloud, **cfg["neighborhood"], workers=cfg["threads"])
+    return neighborhood_graph(cloud, **cfg["neighborhood"], workers=worker_count(cfg["threads"]))
 
 
 def _features(cloud, fconfig, params, cfg, graph) -> np.ndarray:
@@ -175,7 +176,8 @@ def fit(
     features = _features(cloud, fconfig, params, cfg, graph)
     weights = compute_class_weights(cloud.label)
     result = train(features, cloud.label, weights,
-                   TrainConfig(**cfg["train"], seed=cfg["seed"]))
+                   TrainConfig(**cfg["train"], seed=cfg["seed"]),
+                   workers=worker_count(cfg["threads"]))
     return result, params, weights
 
 
@@ -185,7 +187,8 @@ def classify(
 ) -> np.ndarray:
     """Labels of a cloud from a model fitted by :func:`fit`, with predicted
     trees below postprocess.threshold relabelled (null: keep them)."""
-    labels = predict(_features(cloud, fconfig, params, cfg, graph), model)
+    labels = predict(_features(cloud, fconfig, params, cfg, graph), model,
+                     workers=worker_count(cfg["threads"]))
     threshold = cfg["postprocess"]["threshold"]
     if threshold is not None:
         labels = height_threshold_postprocess(labels, cloud, t=threshold)

@@ -21,7 +21,8 @@ from .pipeline import setting
 COMMON = (
     setting("seed", help="global seed; overrides $MSLIDAR_SEED, which overrides "
             "the config file"),
-    setting("threads", help="worker cap for neighbor queries; results do not depend on it"),
+    setting("threads", help="workers for training, prediction and neighbor queries, every "
+            "CPU this process may run on when null; results do not depend on it"),
 )
 
 

@@ -25,6 +25,7 @@ visiting order changes no bit of the output.
 """
 
 import itertools
+import os
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import TYPE_CHECKING, Iterator, Sequence
@@ -192,6 +193,18 @@ def concat(clouds: Sequence[PointCloud]) -> PointCloud:
 # blocking changes no result, and the (rows, k) temporaries stay a few MB
 # instead of growing with the cloud.
 QUERY_ROWS = 1 << 15
+
+
+def worker_count(threads: int | None) -> int:
+    """The workers of the `threads` config value: itself, or for None every
+    CPU this process may run on. Neighbor queries and the model take it;
+    no result depends on it."""
+    if threads is not None:
+        return threads
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def row_blocks(n: int) -> Iterator[slice]:

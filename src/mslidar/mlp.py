@@ -22,15 +22,19 @@ c exactly and leaves the hidden layers bit for bit as they were, since
 floating-point negation is exact.
 
 Every pass (a training batch, the initial full-set loss, the margins a
-prediction reads) runs in row shards of SHARD_ROWS, a constant. Shard
-losses and gradients are summed in shard order, and numpy's BLAS is
-pinned to one thread while the shards run, so trained bits do not depend
-on OPENBLAS_NUM_THREADS.
-The model keeps one workspace of activation, backward-delta and ReLU-mask
-buffers of SHARD_ROWS rows, so a pass allocates no (rows x hidden)
-temporaries and its memory does not grow with its row count. The arrays
-`forward` returns are views of the workspace and are valid until the next
-pass on the same model.
+prediction reads) runs in row shards of SHARD_ROWS, a constant, in one
+loop, :meth:`Crew.deal`: it deals the shards to the call's workers one
+round at a time, one shard per worker, and hands back each round's
+results in shard order. The calling thread is worker 0; the others run
+on a thread pool that lives for the call. Shard losses and gradients are
+summed in shard order by the calling thread, and numpy's BLAS is pinned
+to one thread for the whole call, so trained bits depend neither on the
+worker count nor on OPENBLAS_NUM_THREADS.
+Each worker has its own workspace of activation, backward-delta,
+ReLU-mask and gradient buffers of SHARD_ROWS rows, so a pass allocates no
+(rows x hidden) temporaries and its memory does not grow with its row
+count. The workspaces belong to the call, not to the model. The arrays
+`forward` returns are views of the workspace it is given.
 
 All parameters live in one flat vector, weight matrices first and then
 the biases, and `weights`/`biases` are views of it; gradients use the
@@ -40,7 +44,8 @@ decay covers a prefix.
 
 import ctypes
 import functools
-from contextlib import contextmanager
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -123,16 +128,53 @@ def one_blas_thread():
 
 
 class _Workspace:
-    """The buffers of a shard: post-ReLU activations and the margin of
-    `forward`, backward deltas and ReLU masks, and a row of ones that sums
-    a delta's columns as one BLAS call."""
+    """The buffers of one worker's shard: its input rows in the model dtype,
+    post-ReLU activations and the margin of `forward`, backward deltas and
+    ReLU masks, a row of ones that sums a delta's columns as one BLAS call,
+    and the shard's gradient in the flat parameter layout."""
 
-    def __init__(self, widths, dtype):
+    def __init__(self, sizes, dtype):
+        widths = sizes[1:-1]
+        self.x = np.empty((SHARD_ROWS, sizes[0]), dtype)
         self.acts = [np.empty((SHARD_ROWS, w), dtype) for w in widths]
         self.deltas = [np.empty((SHARD_ROWS, w), dtype) for w in widths]
         self.masks = [np.empty((SHARD_ROWS, w), bool) for w in widths]
         self.z = np.empty(SHARD_ROWS, dtype)
         self.ones = np.ones(SHARD_ROWS, dtype)
+        self.grad = np.empty(sum(a * b + b for a, b in zip(sizes[:-1], sizes[1:])), dtype)
+
+
+class Crew:
+    """The workers of one call: a workspace each, and a thread pool for all
+    but worker 0, the calling thread (None with one worker)."""
+
+    def __init__(self, spaces: list[_Workspace], pool: ThreadPoolExecutor | None):
+        self.spaces = spaces
+        self.pool = pool
+
+    def deal(self, n: int, work):
+        """work(workspace, lo) for the shard of rows [lo, lo + SHARD_ROWS) of
+        each of n rows, dealt in rounds of one shard per worker; yields the
+        results in shard order. A round starts when the caller has taken
+        every result of the one before, so a result may be a view of its
+        worker's workspace."""
+        starts = range(0, n, SHARD_ROWS)
+        for r in range(0, len(starts), len(self.spaces)):
+            lows = starts[r : r + len(self.spaces)]
+            rest = [self.pool.submit(work, ws, lo) for ws, lo in zip(self.spaces[1:], lows[1:])]
+            yield work(self.spaces[0], lows[0])
+            for future in rest:
+                yield future.result()
+
+
+@contextmanager
+def crew(sizes, dtype, workers: int):
+    """A Crew of `workers` workers for networks of the given layer sizes,
+    with numpy's BLAS on one thread until it ends; no thread outlives it."""
+    spaces = [_Workspace(sizes, dtype) for _ in range(workers)]
+    with (one_blas_thread(),
+          ThreadPoolExecutor(workers - 1) if workers > 1 else nullcontext() as pool):
+        yield Crew(spaces, pool)
 
 
 class Mlp:
@@ -151,7 +193,6 @@ class Mlp:
             fan_in, fan_out = w.shape
             bound = np.sqrt(6.0 / (fan_in + fan_out))
             w[...] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
-        self._ws: _Workspace | None = None
 
     @property
     def d_in(self) -> int:
@@ -171,12 +212,9 @@ class Mlp:
     def parameters(self) -> list[np.ndarray]:
         return _interleave(self.weights, self.biases)
 
-    def forward(self, x: np.ndarray):
+    def forward(self, x: np.ndarray, ws: _Workspace):
         """Margin z and the post-ReLU activations (x first) of one shard of
-        at most SHARD_ROWS rows, in the model's workspace."""
-        if self._ws is None:
-            self._ws = _Workspace(self.sizes[1:-1], self.dtype)
-        ws = self._ws
+        at most SHARD_ROWS rows, in the workspace ws."""
         rows = x.shape[0]
         acts = [x]
         h = x
@@ -190,15 +228,35 @@ class Mlp:
         z += self.biases[-1][0]
         return z, acts
 
-    def margins(self, x: np.ndarray) -> np.ndarray:
+    def _rows(self, x: np.ndarray, lo: int, ws: _Workspace) -> np.ndarray:
+        """The shard of x from row lo in the model dtype: a view of x when it
+        has that dtype, else a copy in ws."""
+        rows = x[lo : lo + SHARD_ROWS]
+        if rows.dtype == self.dtype:
+            return rows
+        out = ws.x[: rows.shape[0]]
+        np.copyto(out, rows, casting="unsafe")
+        return out
+
+    def _crew(self, workers: "int | Crew"):
+        """`workers` itself when it is the Crew of an enclosing call, else a
+        crew of that many workers for this call."""
+        if isinstance(workers, Crew):
+            return nullcontext(workers)
+        return crew(self.sizes, self.dtype, workers)
+
+    def margins(self, x: np.ndarray, workers: "int | Crew" = 1) -> np.ndarray:
         """The margin z of every row of x, in the model dtype: class 1 (tree)
         scores higher than class 0 exactly where z > 0."""
         x = np.asarray(x)
         z = np.empty(x.shape[0], self.dtype)
-        with one_blas_thread():
-            for lo in range(0, x.shape[0], SHARD_ROWS):
-                shard = slice(lo, lo + SHARD_ROWS)
-                z[shard] = self.forward(np.asarray(x[shard], dtype=self.dtype))[0]
+
+        def work(ws, lo):
+            z[lo : lo + SHARD_ROWS] = self.forward(self._rows(x, lo, ws), ws)[0]
+
+        with self._crew(workers) as team:
+            for _ in team.deal(x.shape[0], work):
+                pass
         return z
 
     def _row_weights(self, y: np.ndarray, class_weights) -> np.ndarray:
@@ -208,50 +266,55 @@ class Mlp:
         n1 = int(np.count_nonzero(y))
         return (cw / ((y.shape[0] - n1) * cw[0] + n1 * cw[1])).astype(self.dtype)
 
-    def _pass(self, x, y, class_weights, grad=None) -> float:
+    def _pass(self, x, y, class_weights, grad, team: Crew) -> float:
         """The loss over all rows of (x, y) and, into the flat vector `grad`
         when one is given, its gradient, each summed over the shards in
         shard order."""
         x = np.asarray(x)
         y = np.asarray(y)
         scale = self._row_weights(y, class_weights)
-        part = None if grad is None else np.empty_like(grad)
+
+        def work(ws, lo):
+            z, acts = self.forward(self._rows(x, lo, ws), ws)
+            loss, g = _margin_loss(z, y[lo : lo + SHARD_ROWS], scale)
+            if grad is None:
+                return loss, None
+            # the first shard's gradient starts the sum; later ones add to it
+            part = grad if lo == 0 else ws.grad
+            self._backward(acts, g, part, ws)
+            return loss, part
+
         total = 0.0
-        with one_blas_thread():
-            for lo in range(0, x.shape[0], SHARD_ROWS):
-                shard = slice(lo, lo + SHARD_ROWS)
-                z, acts = self.forward(np.asarray(x[shard], dtype=self.dtype))
-                loss, g = _margin_loss(z, y[shard], scale)
-                total += loss
-                if grad is None:
-                    continue
-                # the first shard's gradient starts the sum; later ones add to it
-                self._backward(acts, g, part if lo else grad)
-                if lo:
-                    grad += part
+        for loss, part in team.deal(x.shape[0], work):
+            total += loss
+            if part is not None and part is not grad:
+                grad += part
         return total
 
-    def loss(self, x, y, class_weights) -> float:
+    def loss(self, x, y, class_weights, workers: "int | Crew" = 1) -> float:
         """The weighted cross-entropy of loss_and_grads, forward passes only."""
-        return self._pass(x, y, class_weights)
+        with self._crew(workers) as team:
+            return self._pass(x, y, class_weights, None, team)
 
-    def loss_and_grads(self, x, y, class_weights, out=None):
+    def loss_and_grads(self, x, y, class_weights, out=None, workers: "int | Crew" = 1):
         """Weighted cross-entropy and its gradients.
 
         loss = sum_i w_{y_i} * ce_i / sum_i w_{y_i}, so with unit class
         weights it reduces to the plain mean cross-entropy exactly. The
         gradients are views, in `parameters()` order, of `out` (a flat
-        vector in `flat`'s layout) or else of a fresh one.
+        vector in `flat`'s layout) or else of a fresh one. `workers` is a
+        worker count or the Crew of an enclosing call; the bits do not
+        depend on it.
         """
         if out is None:
             out = np.empty_like(self.flat)
-        loss = self._pass(x, y, class_weights, out)
+        with self._crew(workers) as team:
+            loss = self._pass(x, y, class_weights, out, team)
         return loss, _interleave(*self._views(out))
 
-    def _backward(self, acts, g: np.ndarray, grad: np.ndarray) -> None:
+    def _backward(self, acts, g: np.ndarray, grad: np.ndarray, ws: _Workspace) -> None:
         """One shard's gradient into the flat vector `grad`, from its
-        activations and its per-row margin gradient g."""
-        ws = self._ws
+        activations and its per-row margin gradient g, in the workspace ws."""
         grads_w, grads_b = self._views(grad)
         rows = g.shape[0]
         last = len(self.weights) - 1
@@ -303,13 +366,14 @@ def train(
     labels: np.ndarray,
     class_weights,
     config: TrainConfig = TrainConfig(),
+    workers: int = 1,
 ) -> TrainResult:
     """Train with AdamW (decoupled weight decay on the weight matrices).
 
     loss_curve[0] is the pre-training loss over the full set; entry e+1
-    is the running weighted mean over epoch e's batches. Bit-identical
-    results for identical inputs and seed, whatever the BLAS thread
-    count.
+    is the running weighted mean over epoch e's batches. Every pass runs
+    on one crew of `workers` workers. Bit-identical results for identical
+    inputs and seed, whatever the worker count and the BLAS thread count.
     """
     x = np.ascontiguousarray(features, dtype=DTYPE)
     y = np.ascontiguousarray(labels).astype(np.int64)
@@ -338,46 +402,48 @@ def train(
 
     n = x.shape[0]
     bs = config.batch_size
-    curve = [model.loss(x, y, class_weights)]
-    rng = np.random.default_rng(config.seed)
-    t = 0
-    xs = np.empty_like(x)
-    ys = np.empty_like(y)
-    for epoch in range(config.epochs):
-        order = rng.permutation(n)
-        np.take(x, order, axis=0, out=xs)
-        np.take(y, order, out=ys)
-        epoch_loss = 0.0
-        epoch_weight = 0.0
-        for start in range(0, n, bs):
-            xb = xs[start : start + bs]
-            loss, _ = model.loss_and_grads(xb, ys[start : start + bs], class_weights, out=g)
-            if not np.isfinite(loss):
-                raise NumericError(
-                    f"loss became non-finite at epoch {epoch}, batch "
-                    f"{start // bs}; the learning rate is likely too high "
-                    f"(lr={lr}, last finite loss {curve[-1]:.6g})"
-                )
-            t += 1
-            bc1 = 1.0 - BETA1**t
-            bc2 = 1.0 - BETA2**t
-            m *= BETA1
-            np.multiply(g, 1 - BETA1, out=scratch)
-            m += scratch
-            v *= BETA2
-            np.square(g, out=scratch)
-            scratch *= 1 - BETA2
-            v += scratch
-            np.divide(v, bc2, out=scratch)
-            np.sqrt(scratch, out=scratch)
-            scratch += EPS
-            np.divide(m, bc1, out=step)
-            step /= scratch
-            np.multiply(decayed, decay_t, out=scratch_w)
-            decayed -= scratch_w
-            step *= lr_t
-            params -= step
-            epoch_loss += loss * xb.shape[0]
-            epoch_weight += xb.shape[0]
-        curve.append(epoch_loss / epoch_weight)
+    with crew(model.sizes, model.dtype, workers) as team:
+        curve = [model.loss(x, y, class_weights, workers=team)]
+        rng = np.random.default_rng(config.seed)
+        t = 0
+        xs = np.empty_like(x)
+        ys = np.empty_like(y)
+        for epoch in range(config.epochs):
+            order = rng.permutation(n)
+            np.take(x, order, axis=0, out=xs)
+            np.take(y, order, out=ys)
+            epoch_loss = 0.0
+            epoch_weight = 0.0
+            for start in range(0, n, bs):
+                xb = xs[start : start + bs]
+                loss, _ = model.loss_and_grads(xb, ys[start : start + bs], class_weights, out=g,
+                                               workers=team)
+                if not np.isfinite(loss):
+                    raise NumericError(
+                        f"loss became non-finite at epoch {epoch}, batch "
+                        f"{start // bs}; the learning rate is likely too high "
+                        f"(lr={lr}, last finite loss {curve[-1]:.6g})"
+                    )
+                t += 1
+                bc1 = 1.0 - BETA1**t
+                bc2 = 1.0 - BETA2**t
+                m *= BETA1
+                np.multiply(g, 1 - BETA1, out=scratch)
+                m += scratch
+                v *= BETA2
+                np.square(g, out=scratch)
+                scratch *= 1 - BETA2
+                v += scratch
+                np.divide(v, bc2, out=scratch)
+                np.sqrt(scratch, out=scratch)
+                scratch += EPS
+                np.divide(m, bc1, out=step)
+                step /= scratch
+                np.multiply(decayed, decay_t, out=scratch_w)
+                decayed -= scratch_w
+                step *= lr_t
+                params -= step
+                epoch_loss += loss * xb.shape[0]
+                epoch_weight += xb.shape[0]
+            curve.append(epoch_loss / epoch_weight)
     return TrainResult(model=model, loss_curve=curve)

@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .cloud import Channel, PointCloud, concat
+from .cloud import Channel, PointCloud, concat, worker_count
 from .columnar import read_columnar, read_labels, write_columnar, write_labels
 from .csf import CsfParams, csf_ground
 from .dtm import build_dtm, normalize_height
@@ -55,7 +55,7 @@ def _defaults(owner: Callable, *names: str, **renamed: str) -> dict:
 # is written once, in the function or dataclass that owns it.
 DEFAULTS: dict = {
     "seed": 0,
-    "threads": 1,
+    "threads": None,   # every CPU this process may run on
     "sor": _defaults(SorParams, "k", "n_sigma"),
     "merge": _defaults(merge_channels, "radius", "k"),
     "csf": _defaults(CsfParams, "cloth_resolution", "rigidness", "iterations",
@@ -74,8 +74,9 @@ DEFAULTS: dict = {
 }
 
 
-# Leaves that may also be null (off), with a value of their other type.
-_NULLABLE = {"postprocess.threshold": 0.0}
+# Leaves that may also be null (off, or for threads: every usable CPU),
+# with a value of their other type.
+_NULLABLE = {"postprocess.threshold": 0.0, "threads": 1}
 
 
 def _fits(value, default) -> bool:
@@ -141,7 +142,7 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
     for key, value in (overrides or {}).items():
         # "sor.k": 9 overrides as {"sor": {"k": 9}}
         _merge_into(cfg, functools.reduce(lambda v, k: {k: v}, reversed(key.split(".")), value))
-    if cfg["threads"] < 1:
+    if cfg["threads"] is not None and cfg["threads"] < 1:
         raise ConfigError(f"threads must be an integer >= 1, got {cfg['threads']!r}")
     if not 0 <= cfg["seed"] < 2**63:
         raise ConfigError(f"seed must be an integer in [0, 2**63), got {cfg['seed']!r}")
@@ -197,17 +198,20 @@ class Flag:
     A flag with a `config` key sets that dotted key of the effective
     config; any other passes its value to the stage function as the
     keyword argument `dest`. A path flag that `reads` a file records its
-    hash under that name in the manifest. `kwargs` are the other
+    hash under that name in the manifest; an output directory lists the
+    file names the stage `writes` in it. `kwargs` are the other
     add_argument keywords.
     """
 
     def __init__(self, option: str, config: str | None = None, help: str | None = None,
-                 dest: str | None = None, reads: str | None = None, **kwargs):
+                 dest: str | None = None, reads: str | None = None,
+                 writes: tuple[str, ...] = (), **kwargs):
         self.option = option
         self.config = config
         self.help = help
         self.dest = dest or option.lstrip("-").replace("-", "_")
         self.reads = reads
+        self.writes = writes
         self.kwargs = kwargs
 
 
@@ -221,7 +225,7 @@ def setting(key: str, option: str | None = None, help: str | None = None) -> Fla
     named after its last part unless `option` is given."""
     default = config_value(DEFAULTS, key)
     note = f"config key {key} (default {default})"
-    kwargs = {"type": type(default)}
+    kwargs = {"type": type(_NULLABLE.get(key, default))}
     if isinstance(default, bool):
         kwargs = {"action": "store_true", "default": None}
     elif isinstance(default, list):
@@ -232,14 +236,19 @@ def setting(key: str, option: str | None = None, help: str | None = None) -> Fla
 
 def path(option: str, dest: str | None = None, required: bool = True,
          help: str | None = None, reads: str | None = None) -> Flag:
-    """A file or directory the stage function reads, recorded in the
-    manifest as `reads`, or, with no `reads`, one it writes."""
+    """A file the stage function reads, recorded in the manifest as
+    `reads`, or, with no `reads`, one it writes."""
     return Flag(option, None, help, dest, reads, type=Path, required=required)
+
+
+def out_dir(*writes: str) -> Flag:
+    """The directory --out-dir, which the stage function creates and
+    writes the named files in."""
+    return Flag("--out-dir", writes=writes, type=Path, required=True)
 
 
 IN = path("--in", "inp", reads="cloud")
 OUT = path("--out")
-OUT_DIR = path("--out-dir")
 
 
 @dataclass(frozen=True)
@@ -254,15 +263,24 @@ class Stage:
     def run(self, cfg: dict, **kwargs) -> None:
         """Run fn on a copy of `cfg` and write the manifest beside the first
         output given: the inputs given, the config as fn leaves it and the
-        extra fn returns. An output that is also an input, and an OSError
-        out of fn (a write: every reader raises DataError), are config errors."""
+        extra fn returns. An output file that is also an input or has no
+        directory to go in (other than an output directory of the stage),
+        and an OSError out of fn (a write: every reader raises DataError),
+        are config errors; the first two are raised before fn runs."""
         given = [(f, kwargs[f.dest]) for f in self.flags
                  if f.kwargs.get("type") is Path and kwargs.get(f.dest) is not None]
         read = {p.resolve(): f.option for f, p in given if f.reads}
+        dirs = {p.resolve() for f, p in given if f.writes}
         for f, p in given:
-            if not f.reads and p.resolve() in read:
-                raise ConfigError(f"{f.option} {p} is also {read[p.resolve()]}: "
-                                  "a stage cannot write over its input")
+            if f.reads:
+                continue
+            for q in [p / name for name in f.writes] or [p]:
+                if q.resolve() in read:
+                    where = p if q is p else f"{p} ({q.name})"
+                    raise ConfigError(f"{f.option} {where} is also {read[q.resolve()]}: "
+                                      "a stage cannot write over its input")
+            if not (f.writes or p.parent.is_dir() or p.parent.resolve() in dirs):
+                raise ConfigError(f"cannot write {p}: {p.parent} is not a directory")
         cfg = copy.deepcopy(cfg)
         try:
             extra = self.fn(cfg, **kwargs)
@@ -338,7 +356,8 @@ def stage_denoise(cfg: dict, cloud: PointCloud) -> tuple[PointCloud, dict]:
     # channels are independent scans: denoise each against itself; an
     # empty cloud goes to sor_filter as it is, to be rejected there
     parts = [cloud.take(cloud.channel == c) for c in np.unique(cloud.channel)] or [cloud]
-    kept, removed = zip(*(sor_filter(p, params, workers=cfg["threads"]) for p in parts))
+    workers = worker_count(cfg["threads"])
+    kept, removed = zip(*(sor_filter(p, params, workers=workers) for p in parts))
     result = concat(kept)
     return result, {"removed": sum(r.size for r in removed), "kept": result.count}
 
@@ -364,7 +383,7 @@ def stage_merge(
             "merge takes either one combined cloud (--in) alone or both channels "
             "(--green and --nir)"
         )
-    merged = merge_channels(g, n, **cfg["merge"], workers=cfg["threads"])
+    merged = merge_channels(g, n, **cfg["merge"], workers=worker_count(cfg["threads"]))
     write_columnar(merged, out)
     return {"points": merged.count}
 
@@ -380,7 +399,7 @@ def stage_ground(cfg: dict, cloud: PointCloud) -> tuple[PointCloud, dict]:
 @stage("normalize-height", "DTM construction and height normalization",
        IN, OUT, setting("dtm.cell"), maps_cloud=True)
 def stage_normalize_height(cfg: dict, cloud: PointCloud) -> tuple[PointCloud, dict]:
-    dtm = build_dtm(cloud, cell=cfg["dtm"]["cell"], workers=cfg["threads"])
+    dtm = build_dtm(cloud, cell=cfg["dtm"]["cell"], workers=worker_count(cfg["threads"]))
     extra = {"dtm_shape": list(dtm.shape), "nodata_cells": int(dtm.nodata.sum())}
     return normalize_height(cloud, dtm), extra
 
@@ -399,7 +418,8 @@ def stage_subsample(cfg: dict, cloud: PointCloud) -> tuple[PointCloud, dict]:
 
 
 @stage("split", "tile-based train/val/test split",
-       IN, OUT_DIR, setting("split.ratios"), setting("split.tile_size"))
+       IN, out_dir(*(f"{name}.mst" for name in SPLIT_NAMES)),
+       setting("split.ratios"), setting("split.tile_size"))
 def stage_split(cfg: dict, inp: Path, out_dir: Path) -> dict:
     cloud = read_columnar(inp)
     ratios = tuple(cfg["split"]["ratios"])
@@ -418,7 +438,7 @@ def stage_split(cfg: dict, inp: Path, out_dir: Path) -> dict:
 
 
 @stage("train", "train the point classifier",
-       path("--train", "train_path", reads="train"), OUT_DIR,
+       path("--train", "train_path", reads="train"), out_dir("model.mstm", "loss_curve.csv"),
        setting("features.config", "--feature-config"), setting("train.epochs"),
        setting("train.learning_rate"), setting("train.weight_decay"),
        setting("train.batch_size"))
@@ -440,7 +460,7 @@ def stage_train(cfg: dict, train_path: Path, out_dir: Path) -> dict:
 
 
 @stage("predict", "classify a cloud with a trained model",
-       IN, path("--model", "model_path", reads="model"), OUT_DIR,
+       IN, path("--model", "model_path", reads="model"), out_dir("predictions.txt"),
        setting("postprocess.threshold", "--postprocess-threshold"))
 def stage_predict(cfg: dict, inp: Path, model_path: Path, out_dir: Path) -> dict:
     model, meta = clf.load_checkpoint(model_path)
@@ -471,7 +491,7 @@ def _write_report(stem: Path, report) -> None:
 
 @stage("evaluate", "score predictions against ground truth",
        path("--cloud", "cloud_path", reads="cloud"),
-       path("--pred", "pred_path", reads="predictions"), OUT_DIR,
+       path("--pred", "pred_path", reads="predictions"), out_dir("report.json", "report.csv"),
        setting("evaluate.threshold"), setting("evaluate.predicted_tree_only"),
        path("--las-out", required=False))
 def stage_evaluate(
@@ -491,7 +511,8 @@ def stage_evaluate(
 
 @stage("ablate", "train/evaluate every feature configuration",
        path("--train", "train_path", reads="train"),
-       path("--test", "test_path", reads="test"), OUT_DIR,
+       path("--test", "test_path", reads="test"),
+       out_dir("ablation.json", "ablation.csv", *(f"report_{c.name}.json" for c in ALL_CONFIGS)),
        Flag("--configs", help="subset of feature configs (default: all six)",
             nargs="+", default=None),
        setting("train.epochs"))

@@ -105,7 +105,8 @@ def _cross_channel_db(
     counts = np.empty(targets.count, dtype=np.int64)
     for rows in ordered_blocks(order):
         qs = np.column_stack((targets.x[rows], targets.y[rows], targets.z[rows]))
-        ids = index.knn_batch(qs, k=k, radius=radius, workers=workers)
+        # a k above the source count changes no mean: clamp it to the count
+        ids = index.knn_batch(qs, k=min(k, source.count), radius=radius, workers=workers)
         valid = ids >= 0
         total[rows] = np.where(valid, source_lin[np.where(valid, ids, 0)], 0.0).sum(axis=1)
         counts[rows] = valid.sum(axis=1)

@@ -232,16 +232,27 @@ class ReferenceMlp:
             out.extend((w, b))
         return out
 
-    def shard_loss_and_grads(self, x, y, scale):
-        """One shard's weighted loss sum and gradients, through the margin
-        z = h.v + c; `scale` holds the two row weights."""
+    def shard_margins(self, x):
+        """One shard's margins z = h.v + c and its activations, x first."""
         acts = [x]
         h = x
         for i in range(len(self.weights) - 1):
             h = np.maximum(h @ self.weights[i] + self.biases[i], 0.0)
             acts.append(h)
-        v, c = self.weights[-1][:, 0], self.biases[-1][0]
-        z = h @ v + c
+        return h @ self.weights[-1][:, 0] + self.biases[-1][0], acts
+
+    def margins(self, x):
+        """The margins of every row of x, shard by shard."""
+        x = np.asarray(x, dtype=self.dtype)
+        with one_blas_thread():
+            return np.concatenate([self.shard_margins(x[lo : lo + SHARD_ROWS])[0]
+                                   for lo in range(0, len(x), SHARD_ROWS)])
+
+    def shard_loss_and_grads(self, x, y, scale):
+        """One shard's weighted loss sum and gradients, through the margin
+        z = h.v + c; `scale` holds the two row weights."""
+        z, acts = self.shard_margins(x)
+        v = self.weights[-1][:, 0]
 
         # class 1 costs softplus(-z), class 0 softplus(z)
         sign = np.where(y == 1, -1, 1).astype(self.dtype)

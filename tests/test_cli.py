@@ -679,7 +679,7 @@ def test_every_config_flag_is_listed():
 # Every default leaf of the effective config, as JSON: 1.0 and 1 differ
 # (an int default would reject a float value), and so do false and 0.
 EFFECTIVE_DEFAULTS = """{
-  "seed": 0, "threads": 1,
+  "seed": 0, "threads": null,
   "sor": {"k": 6, "n_sigma": 1.0},
   "merge": {"radius": 1.0, "k": 7},
   "csf": {"cloth_resolution": 1.0, "rigidness": 2, "iterations": 500,

@@ -7,7 +7,9 @@ whose one ``error[data]: ...`` line names the damaged file; a damaged
 config is a config error (exit 2). MST1 files and configs enter through
 `subsample`, LAS files through `ingest`, label files through `evaluate`,
 model files through `predict`. An output that cannot be written, or that
-is also an input, is a config error.
+is also an input, is a config error, and an output file whose directory
+is missing stops the stage before it writes anything. A neighbour count
+k above the point count is clamped to it.
 """
 
 import dataclasses
@@ -268,3 +270,53 @@ def test_output_that_is_also_the_input(cloud, tmp_path, capsys, monkeypatch):
         2, True, True, True), err
     assert path.read_bytes() == raw
     assert list(tmp_path.iterdir()) == [path]
+
+
+def test_out_dir_file_that_is_also_the_input(cloud, tmp_path, capsys):
+    splits = tmp_path / "splits"
+    splits.mkdir()
+    path = splits / "train.mst"
+    write_columnar(cloud, path)
+    raw = path.read_bytes()
+    rc = main(["split", "--in", str(path), "--out-dir", str(splits)])
+    err = capsys.readouterr().err
+    assert (rc, err.startswith("error[config]: "), "--out-dir" in err, "--in" in err) == (
+        2, True, True, True), err
+    assert path.read_bytes() == raw
+    assert list(splits.iterdir()) == [path]
+
+
+def test_output_file_in_a_missing_directory_writes_nothing(cloud, tmp_path, capsys):
+    spectral = cloud.with_column("refl_green_db", cloud.reflectance_db).with_column(
+        "refl_nir_db", cloud.reflectance_db)
+    write_columnar(spectral, tmp_path / "c.mst")
+    write_labels(cloud.label, tmp_path / "labels.txt")
+    las = tmp_path / "nodir" / "e.las"
+    rc = main(["evaluate", "--cloud", str(tmp_path / "c.mst"),
+               "--pred", str(tmp_path / "labels.txt"),
+               "--out-dir", str(tmp_path / "ev2"), "--las-out", str(las)])
+    err = capsys.readouterr().err
+    assert (rc, err.startswith(f"error[config]: cannot write {las}: ")) == (2, True), err
+    assert not (tmp_path / "ev2").exists()
+
+
+def test_merge_k_above_the_point_count_is_clamped(cloud, tmp_path):
+    write_columnar(cloud, tmp_path / "c.mst")
+    for k in (10**9, N):
+        assert main(["merge", "--in", str(tmp_path / "c.mst"),
+                     "--out", str(tmp_path / f"m{k}.mst"), "--k", str(k)]) == 0
+    assert (tmp_path / f"m{10**9}.mst").read_bytes() == (tmp_path / f"m{N}.mst").read_bytes()
+
+
+def test_neighborhood_k_above_the_point_count_is_clamped(cloud, tmp_path):
+    path = tmp_path / "c.mst"
+    write_columnar(cloud, path)
+    for k in (10**9, N):
+        config = tmp_path / f"k{k}.yaml"
+        config.write_text(f"neighborhood: {{k: {k}}}\n")
+        assert main(["ablate", "--train", str(path), "--test", str(path),
+                     "--out-dir", str(tmp_path / f"a{k}"), "--configs", "XYZ",
+                     "--epochs", "2", "--config", str(config)]) == 0
+    for name in ("ablation.json", "ablation.csv", "report_XYZ.json"):
+        assert (tmp_path / f"a{10**9}" / name).read_bytes() == (
+            tmp_path / f"a{N}" / name).read_bytes(), name

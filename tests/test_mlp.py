@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from mslidar import mlp
-from mslidar.mlp import (SHARD_ROWS, Mlp, TrainConfig, _openblas_threads, one_blas_thread,
-                         train)
+from mslidar.mlp import (SHARD_ROWS, Mlp, TrainConfig, _openblas_threads, _Workspace, crew,
+                         one_blas_thread, train)
 
 from conftest import ReferenceMlp, peak_traced_bytes, reference_train
 
@@ -41,12 +41,27 @@ def test_train_matches_reference_bit_for_bit(dtype, class_weights, learning_rate
         np.testing.assert_array_equal(got, want)
 
 
+# Worker counts besides the default one (no pool): two, and three, more
+# than the shards of the short batches and of the last round of the
+# longer passes.
+MORE_WORKERS = [2, 3]
+
+
 def test_train_with_multi_shard_batches_matches_reference():
+    _check_multi_shard_train_against_reference(1)
+
+
+@pytest.mark.parametrize("workers", MORE_WORKERS)
+def test_train_with_multi_shard_batches_matches_reference_at_more_workers(workers):
+    _check_multi_shard_train_against_reference(workers)
+
+
+def _check_multi_shard_train_against_reference(workers):
     # batches of 2.2 shards, the last batch of each epoch of one
     x, y = toy(n=2 * SHARD_ROWS + 2 * SHARD_ROWS // 5 + 300, d=5, seed=6)
     cfg = TrainConfig(epochs=3, learning_rate=1e-2, batch_size=2 * SHARD_ROWS + 400,
                       hidden=(16, 8), seed=2)
-    result = train(x, y, (0.8, 1.2), cfg)
+    result = train(x, y, (0.8, 1.2), cfg, workers=workers)
     params, curve = reference_train(x, y, (0.8, 1.2), cfg)
     assert result.loss_curve == curve
     for got, want in zip(result.model.parameters(), params):
@@ -54,23 +69,41 @@ def test_train_with_multi_shard_batches_matches_reference():
 
 
 def test_loss_and_grads_match_reference():
-    _check_loss_and_grads_against_reference(300)
+    _check_loss_and_grads_against_reference(300, 1)
 
 
 def test_multi_shard_loss_and_grads_match_reference():
-    _check_loss_and_grads_against_reference(2 * SHARD_ROWS + 77)
+    _check_loss_and_grads_against_reference(2 * SHARD_ROWS + 77, 1)
 
 
-def _check_loss_and_grads_against_reference(n):
+@pytest.mark.parametrize("workers", MORE_WORKERS)
+@pytest.mark.parametrize("n", [300, 2 * SHARD_ROWS + 77])
+def test_loss_and_grads_match_reference_at_more_workers(n, workers):
+    _check_loss_and_grads_against_reference(n, workers)
+
+
+def _check_loss_and_grads_against_reference(n, workers):
     x, y = toy(n=n)
     model = Mlp(6, (64, 64), seed=1)
     ref = ReferenceMlp(6, (64, 64), seed=1)
-    loss, grads = model.loss_and_grads(x, y, (0.36, 1.64))
+    loss, grads = model.loss_and_grads(x, y, (0.36, 1.64), workers=workers)
     ref_loss, ref_grads = ref.loss_and_grads(x, y, (0.36, 1.64))
     assert loss == ref_loss
-    assert model.loss(x, y, (0.36, 1.64)) == ref_loss
+    assert model.loss(x, y, (0.36, 1.64), workers=workers) == ref_loss
     for got, want in zip(grads, ref_grads):
         np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("workers", [1, *MORE_WORKERS])
+@pytest.mark.parametrize("n", [300, 4 * SHARD_ROWS + 77])
+def test_margins_match_reference(n, workers):
+    x, _ = toy(n=n)
+    model = Mlp(6, (64, 64), seed=1)
+    ref = ReferenceMlp(6, (64, 64), seed=1)
+    rng = np.random.default_rng(5)
+    for p, q in zip(model.parameters(), ref.parameters()):
+        p[...] = q[...] = rng.normal(size=p.shape)   # a head that is not zero
+    np.testing.assert_array_equal(model.margins(x, workers=workers), ref.margins(x))
 
 
 def test_parameters_are_views_of_one_flat_vector():
@@ -90,15 +123,17 @@ def test_workspace_reuse_gives_fresh_model_outputs():
     x, y = toy(n=500)
     small_x, small_y = x[:37], y[:37]
     used = Mlp(6, (64, 64), seed=4)
-    used.loss_and_grads(x, y, (1.0, 1.0))          # large batch first
-    loss, grads = used.loss_and_grads(small_x, small_y, (1.0, 1.0))
+    with crew(used.sizes, used.dtype, 1) as team:   # one call's workspace
+        used.loss_and_grads(x, y, (1.0, 1.0), workers=team)   # large batch first
+        loss, grads = used.loss_and_grads(small_x, small_y, (1.0, 1.0), workers=team)
+        logits, _ = used.forward(small_x.astype(np.float32), team.spaces[0])
     fresh = Mlp(6, (64, 64), seed=4)
     fresh_loss, fresh_grads = fresh.loss_and_grads(small_x, small_y, (1.0, 1.0))
     assert loss == fresh_loss
     for got, want in zip(grads, fresh_grads):
         np.testing.assert_array_equal(got, want)
-    logits, _ = used.forward(small_x.astype(np.float32))
-    fresh_logits, _ = fresh.forward(small_x.astype(np.float32))
+    fresh_logits, _ = fresh.forward(small_x.astype(np.float32),
+                                    _Workspace(fresh.sizes, fresh.dtype))
     np.testing.assert_array_equal(logits, fresh_logits)
 
 
@@ -165,25 +200,28 @@ def test_sharded_margin_head_equals_unsharded_softmax():
         np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-15)
 
 
-@pytest.mark.parametrize("full_set_pass", ["margins", "loss"])
-def test_full_set_passes_allocate_shard_sized_memory(full_set_pass):
+@pytest.mark.parametrize("full_set_pass, workers", [
+    ("margins", 1), ("loss", 1), ("margins", 2), ("loss", 2),
+], ids=["margins", "loss", "margins-2-workers", "loss-2-workers"])
+def test_full_set_passes_allocate_shard_sized_memory(full_set_pass, workers):
     """Besides its output, a pass over n rows allocates memory that
-    depends on the shard size, not on n."""
+    depends on the shard size and the worker count, not on n."""
     rng = np.random.default_rng(3)
     peaks = []
     for n in (4 * SHARD_ROWS, 32 * SHARD_ROWS):
-        model = Mlp(12, (64, 64), seed=0)   # its workspace counts too
+        model = Mlp(12, (64, 64), seed=0)
         x = rng.normal(size=(n, 12))   # float64, converted shard by shard
         y = rng.integers(0, 2, n)
         if full_set_pass == "loss":
             x = x.astype(np.float32)
-            peaks.append(peak_traced_bytes(lambda: model.loss(x, y, (0.7, 1.3))))
+            peaks.append(peak_traced_bytes(
+                lambda: model.loss(x, y, (0.7, 1.3), workers=workers)))
         else:
-            peaks.append(peak_traced_bytes(lambda: model.margins(x)))
-    # the workspace: activations, deltas and byte masks of two hidden
-    # layers of 64 units, about 4.5 shard-sized float32 buffers
+            peaks.append(peak_traced_bytes(lambda: model.margins(x, workers=workers)))
+    # each worker's workspace: activations, deltas and byte masks of two
+    # hidden layers of 64 units, about 4.5 shard-sized float32 buffers
     shard_bytes = SHARD_ROWS * 64 * 4
-    assert max(peaks) <= 5 * shard_bytes
+    assert max(peaks) <= 5 * shard_bytes * workers
     assert peaks[1] <= peaks[0] + shard_bytes // 8
 
 

@@ -2,8 +2,8 @@
 
 Each `mslidar train` runs in a fresh interpreter, because OpenBLAS reads
 OPENBLAS_NUM_THREADS once, when numpy loads. The model file and the loss
-curve must be byte-identical across --threads 1 and 2 and across
-OPENBLAS_NUM_THREADS 1 and 2.
+curve must be byte-identical across --threads 1, 2 and unset (every CPU
+the process may run on) and across OPENBLAS_NUM_THREADS 1 and 2.
 """
 
 import os
@@ -40,13 +40,16 @@ def train_file(tmp_path_factory):
     return path
 
 
-def _train(train_path: Path, out_dir: Path, threads: int, blas_threads: int) -> list[bytes]:
+def _train(train_path: Path, out_dir: Path, threads: int | None,
+           blas_threads: int) -> list[bytes]:
     src = str(Path(mslidar.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads), PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     argv = ["train", "--train", str(train_path), "--out-dir", str(out_dir),
             "--feature-config", "XYZ_GREEN_NIR_PNDVI", "--epochs", "3",
-            "--learning-rate", "0.01", "--threads", str(threads)]
+            "--learning-rate", "0.01"]
+    if threads is not None:
+        argv += ["--threads", str(threads)]
     subprocess.run([sys.executable, "-m", "mslidar.cli", *argv], env=env,
                    capture_output=True, text=True, timeout=300, check=True)
     return [(out_dir / name).read_bytes() for name in ("model.mstm", "loss_curve.csv")]
@@ -55,7 +58,7 @@ def _train(train_path: Path, out_dir: Path, threads: int, blas_threads: int) -> 
 def test_trained_bits_do_not_depend_on_thread_counts(train_file, tmp_path):
     runs = {
         (threads, blas): _train(train_file, tmp_path / f"t{threads}b{blas}", threads, blas)
-        for threads in (1, 2) for blas in (1, 2)
+        for threads in (1, 2, None) for blas in (1, 2)
     }
     reference = runs[1, 1]
     for key, files in runs.items():
