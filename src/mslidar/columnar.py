@@ -151,8 +151,13 @@ def read_labels(path, expected_count: int | None = None) -> np.ndarray:
             raise DataError(f"{path}:{lineno}: label {value} is not 0 or 1")
         values.append(value)
     labels = np.asarray(values, dtype=np.uint8)
-    if expected_count is not None and labels.shape[0] != expected_count:
-        raise DataError(
-            f"{path}: {labels.shape[0]} labels for {expected_count} points"
-        )
+    if expected_count is not None:
+        check_label_count(labels, expected_count, path)
+    return labels
+
+
+def check_label_count(labels: np.ndarray, count: int, path) -> np.ndarray:
+    """`labels`, read from `path`, if there is one per point of `count`."""
+    if labels.shape[0] != count:
+        raise DataError(f"{path}: {labels.shape[0]} labels for {count} points")
     return labels

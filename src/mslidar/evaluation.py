@@ -207,14 +207,12 @@ def run_ablation(
     test_cloud: PointCloud,
     configs: tuple[FeatureConfig, ...],
     cfg: dict,
-    on_report=None,
 ) -> AblationResult:
     """Fit, classify and score one model per distinct feature config, in
     first-seen order, with the effective config `cfg`, same seed for all.
 
     The geometric neighbor graphs depend only on the coordinates, so
-    they are computed once per cloud and reused across configs. Raises
-    after saving partial results via `on_report` if one config fails.
+    they are computed once per cloud and reused across configs.
     """
     for name, cloud in (("train", train_cloud), ("test", test_cloud)):
         cloud.require("label", "h_norm")
@@ -237,8 +235,6 @@ def run_ablation(
         })
         reports[fconfig] = report
         logger.info("ablation %s: mIoU=%.2f OA=%.2f", fconfig.name, report.miou, report.oa)
-        if on_report is not None:
-            on_report(fconfig, report)
     return AblationResult(reports=reports)
 
 
@@ -265,15 +261,13 @@ def report_to_csv(obj: EvalReport | AblationResult) -> str:
     return buf.getvalue()
 
 
-def export_error_las(cloud: PointCloud, pred: np.ndarray, path) -> None:
-    """Write a LAS file for visual inspection: classification holds the
-    predicted label and the "error" extra attribute is 1 on misclassified
-    points (the red-highlight convention)."""
-    from .lasio import write_las
-
+def error_las(cloud: PointCloud, pred: np.ndarray) -> tuple[PointCloud, dict]:
+    """The (cloud, extra columns) pair of a LAS file for visual inspection:
+    classification holds the predicted label and the "error" extra
+    attribute is 1 on misclassified points (the red-highlight convention)."""
     cloud.require("label")
     pred = np.asarray(pred, dtype=np.uint8)
     if pred.shape[0] != cloud.count:
         raise DataError("prediction and cloud disagree on point count")
     errors = (pred != cloud.label).astype(np.float32)
-    write_las(cloud.with_column("label", pred), path, extra={"error": errors})
+    return cloud.with_column("label", pred), {"error": errors}

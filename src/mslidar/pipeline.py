@@ -4,14 +4,14 @@ manifests.
 The :func:`stage` decorator enters each ``stage_*`` function in
 :data:`STAGES` with its name, help text and command-line flags; the CLI
 builds its parser, its config overrides and its dispatch from that
-table. Every stage is a pure function of (input files, effective config,
-seed) that writes its outputs and returns only its manifest ``extra``;
-the cloud-to-cloud stages map ``(cfg, cloud) -> (cloud, extra)``.
-:meth:`Stage.run` writes every manifest, beside the stage's first output:
-the tool version, the stage name, the seed, the effective config
-(defaults filled in), its hash and the SHA-256 of every input given.
-Manifests contain no timestamps, so reruns of identical work are
-byte-identical.
+table. The table also names the kind of every input and output file.
+:meth:`Stage.run` owns every file: it reads the inputs given, calls the
+stage function, a pure map ``(cfg, values) -> (outputs, extra)``, writes
+the outputs it returns and then the manifest, beside the output file or
+inside the output directory: the tool version, the stage name, the seed,
+the effective config (defaults filled in), its hash, the SHA-256 of
+every input given and the ``extra``. Manifests contain no timestamps, so
+reruns of identical work are byte-identical.
 """
 
 import copy
@@ -27,7 +27,8 @@ import numpy as np
 
 from . import __version__
 from .cloud import Channel, PointCloud, concat, worker_count
-from .columnar import read_columnar, read_labels, write_columnar, write_labels
+from .columnar import (check_label_count, read_columnar, read_labels, write_columnar,
+                       write_labels)
 from .csf import CsfParams, csf_ground
 from .dtm import build_dtm, normalize_height
 from .errors import ConfigError
@@ -164,14 +165,9 @@ def file_sha256(path) -> str:
 
 
 def write_manifest(
-    target, stage: str, cfg: dict, inputs: dict[str, str], extra: dict | None = None
-) -> Path:
-    """Write `<target>.manifest.json` (or manifest.json inside a directory)."""
-    target = Path(target)
-    if target.is_dir():
-        path = target / "manifest.json"
-    else:
-        path = target.with_name(target.name + ".manifest.json")
+    path, stage: str, cfg: dict, inputs: dict[str, str], extra: dict | None = None
+) -> None:
+    """Write the manifest `path` of a run of `stage`."""
     payload = {
         "tool": "mslidar",
         "version": __version__,
@@ -183,10 +179,52 @@ def write_manifest(
     }
     if extra:
         payload["extra"] = extra
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    return path
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+# ---------------------------------------------------------------- file kinds
+
+
+@dataclass(frozen=True)
+class Kind:
+    """How the runner reads one kind of file, read(path, **options) with
+    the stage `options` named here, and writes one, write(value, path).
+    Each looks its I/O function up by name when called, so a wrapper put
+    on that name (a tracer, a test's monkeypatch) sees every call."""
+
+    read: Callable | None
+    write: Callable
+    options: tuple[str, ...] = ()
+
+
+def _read_las(path: Path, channel: str, reflectance_source: str, label_source) -> PointCloud:
+    from .lasio import read_las
+
+    chan = {"green": Channel.GREEN_532, "nir": Channel.NIR_1064}.get(channel, channel)
+    return read_las(path, reflectance_source=reflectance_source, channel=chan,
+                    label_source=label_source)
+
+
+def _write_las(value: tuple[PointCloud, dict | None], path: Path) -> None:
+    from .lasio import write_las
+
+    cloud, extra = value
+    write_las(cloud, path, extra=extra)
+
+
+def _write_model(value: tuple, path: Path) -> None:
+    model, meta = value
+    clf.save_checkpoint(path, model, meta["feature_config"], meta["class_weights"],
+                        meta["seed"], meta["neighborhood"], meta["normalization"])
+
+
+CLOUD = Kind(lambda p: read_columnar(p), lambda v, p: write_columnar(v, p))
+# read: a cloud; written: a (cloud, extra float columns or None) pair
+LAS = Kind(_read_las, _write_las, ("channel", "reflectance_source", "label_source"))
+# the (model, meta) pair of load_checkpoint
+MODEL = Kind(lambda p: clf.load_checkpoint(p), _write_model)
+LABELS = Kind(lambda p: read_labels(p), lambda v, p: write_labels(v, p))
+TEXT = Kind(None, lambda v, p: Path(p).write_text(v, encoding="utf-8"))
 
 
 # ---------------------------------------------------------------- stage table
@@ -197,21 +235,24 @@ class Flag:
 
     A flag with a `config` key sets that dotted key of the effective
     config; any other passes its value to the stage function as the
-    keyword argument `dest`. A path flag that `reads` a file records its
-    hash under that name in the manifest; an output directory lists the
-    file names the stage `writes` in it. `kwargs` are the other
+    keyword argument `dest`. A path flag names a file of `kind`: an input
+    the runner reads, passed to the stage function as the keyword `reads`
+    and hashed under that name in the manifest, or, with no `reads`, an
+    output. An output directory maps the names of the files the stage
+    writes in it to their kinds, in `writes`. `kwargs` are the other
     add_argument keywords.
     """
 
     def __init__(self, option: str, config: str | None = None, help: str | None = None,
                  dest: str | None = None, reads: str | None = None,
-                 writes: tuple[str, ...] = (), **kwargs):
+                 kind: Kind | None = None, writes: dict[str, Kind] | None = None, **kwargs):
         self.option = option
         self.config = config
         self.help = help
         self.dest = dest or option.lstrip("-").replace("-", "_")
         self.reads = reads
-        self.writes = writes
+        self.kind = kind
+        self.writes = writes or {}
         self.kwargs = kwargs
 
 
@@ -235,15 +276,15 @@ def setting(key: str, option: str | None = None, help: str | None = None) -> Fla
 
 
 def path(option: str, dest: str | None = None, required: bool = True,
-         help: str | None = None, reads: str | None = None) -> Flag:
-    """A file the stage function reads, recorded in the manifest as
-    `reads`, or, with no `reads`, one it writes."""
-    return Flag(option, None, help, dest, reads, type=Path, required=required)
+         help: str | None = None, reads: str | None = None, kind: Kind = CLOUD) -> Flag:
+    """A file of `kind`: an input recorded in the manifest as `reads`, or,
+    with no `reads`, the stage's output."""
+    return Flag(option, None, help, dest, reads, kind, type=Path, required=required)
 
 
-def out_dir(*writes: str) -> Flag:
-    """The directory --out-dir, which the stage function creates and
-    writes the named files in."""
+def out_dir(writes: dict[str, Kind]) -> Flag:
+    """The directory --out-dir, which the runner creates and writes the
+    named files in."""
     return Flag("--out-dir", writes=writes, type=Path, required=True)
 
 
@@ -259,60 +300,65 @@ class Stage:
     help: str
     flags: tuple[Flag, ...]
     fn: Callable
+    check: Callable[[set[str]], None] | None = None
 
     def run(self, cfg: dict, **kwargs) -> None:
-        """Run fn on a copy of `cfg` and write the manifest beside the first
-        output given: the inputs given, the config as fn leaves it and the
-        extra fn returns. An output file that is also an input or has no
-        directory to go in (other than an output directory of the stage),
-        and an OSError out of fn (a write: every reader raises DataError),
-        are config errors; the first two are raised before fn runs."""
-        given = [(f, kwargs[f.dest]) for f in self.flags
-                 if f.kwargs.get("type") is Path and kwargs.get(f.dest) is not None]
-        read = {p.resolve(): f.option for f, p in given if f.reads}
-        dirs = {p.resolve() for f, p in given if f.writes}
-        for f, p in given:
-            if f.reads:
-                continue
-            for q in [p / name for name in f.writes] or [p]:
-                if q.resolve() in read:
-                    where = p if q is p else f"{p} ({q.name})"
-                    raise ConfigError(f"{f.option} {where} is also {read[q.resolve()]}: "
-                                      "a stage cannot write over its input")
-            if not (f.writes or p.parent.is_dir() or p.parent.resolve() in dirs):
-                raise ConfigError(f"cannot write {p}: {p.parent} is not a directory")
+        """Read the inputs given, call fn(cfg copy, **values, **options)
+        -> (outputs, extra), then write the outputs and the manifest.
+        `outputs` maps each output's name (its flag's dest, or a file name
+        of the --out-dir) to its value, as a dict or as (name, value) pairs
+        made and written one at a time. A fn with a `paths` parameter gets
+        the input paths, for its messages. Before any read, `check` vets
+        the names of the inputs given; an output that is also an input or
+        has no directory, and a failed write, are config errors."""
+        given = {f: p for f in self.flags
+                 if (f.kind or f.writes) and (p := kwargs.pop(f.dest)) is not None}
+        inputs = {f.reads: p for f, p in given.items() if f.reads}
+        ((out, target),) = [(f, p) for f, p in given.items() if not f.reads]
+        files = ({name: (target / name, kind) for name, kind in out.writes.items()}
+                 or {out.dest: (target, out.kind)})
+        if self.check is not None:
+            self.check(set(inputs))
+        read = {p.resolve(): f.option for f, p in given.items() if f.reads}
+        for q, _ in files.values():
+            if q.resolve() in read:
+                shown = target if q is target else f"{target} ({q.name})"
+                raise ConfigError(f"{out.option} {shown} is also {read[q.resolve()]}: "
+                                  "a stage cannot write over its input")
+        if not (out.writes or target.parent.is_dir()):
+            raise ConfigError(f"cannot write {target}: {target.parent} is not a directory")
+        if "paths" in inspect.signature(self.fn).parameters:
+            kwargs["paths"] = inputs
         cfg = copy.deepcopy(cfg)
+        # the values are read first: a reader takes its options out of kwargs
+        outputs, extra = self.fn(cfg, **{
+            f.reads: f.kind.read(p, **{k: kwargs.pop(k) for k in f.kind.options})
+            for f, p in given.items() if f.reads}, **kwargs)
+        manifest = (target / "manifest.json" if out.writes
+                    else target.with_name(target.name + ".manifest.json"))
+        where = target
         try:
-            extra = self.fn(cfg, **kwargs)
-            target = next(p for f, p in given if not f.reads)
-            inputs = {f.reads: p for f, p in given if f.reads}
-            write_manifest(target, self.name, cfg, inputs, extra)
+            if out.writes:
+                target.mkdir(parents=True, exist_ok=True)
+            for name, value in outputs.items() if isinstance(outputs, dict) else outputs:
+                where, kind = files[name]
+                kind.write(value, where)
+                del value  # before the next output is made
+            where = manifest
+            write_manifest(manifest, self.name, cfg, inputs, extra)
         except OSError as exc:
-            raise ConfigError(
-                f"cannot write {exc.filename or 'an output'}: {exc.strerror or exc}") from exc
-
-
-def cloud_io(fn: Callable) -> Callable:
-    """The stage function of a cloud-to-cloud map fn(cfg, cloud) -> (cloud,
-    extra): it reads --in and writes --out."""
-
-    def run(cfg: dict, inp: Path, out: Path) -> dict | None:
-        cloud, extra = fn(cfg, read_columnar(inp))
-        write_columnar(cloud, out)
-        return extra
-
-    return run
+            raise ConfigError(f"cannot write {where}: {exc.strerror or exc}") from exc
 
 
 STAGES: dict[str, Stage] = {}
 
 
-def stage(name: str, help: str, *flags: Flag, maps_cloud: bool = False):
-    """Enter the decorated function in STAGES as the stage `name`; with
-    `maps_cloud`, through :func:`cloud_io`."""
+def stage(name: str, help: str, *flags: Flag, check: Callable | None = None):
+    """Enter the decorated function in STAGES as the stage `name`; `check`
+    vets the names of the inputs given before any is read."""
 
     def register(fn):
-        STAGES[name] = Stage(name, help, flags, cloud_io(fn) if maps_cloud else fn)
+        STAGES[name] = Stage(name, help, flags, fn, check)
         return fn
 
     return register
@@ -322,36 +368,25 @@ def stage(name: str, help: str, *flags: Flag, maps_cloud: bool = False):
 
 
 @stage("synth", "generate a labeled synthetic scene", OUT, setting("synth.target_points"))
-def stage_synth(cfg: dict, out: Path) -> dict:
-    scene_cfg = scaled_config(int(cfg["synth"]["target_points"]), seed=cfg["seed"])
-    cloud = generate_scene(scene_cfg)
-    write_columnar(cloud, out)
-    return {"points": cloud.count}
+def stage_synth(cfg: dict) -> tuple[dict, dict]:
+    cloud = generate_scene(scaled_config(int(cfg["synth"]["target_points"]), seed=cfg["seed"]))
+    return {"out": cloud}, {"points": cloud.count}
 
 
 @stage("ingest", "read a LAS file into the columnar format",
-       path("--las", "las_path", reads="las"),
+       path("--las", "las_path", reads="las", kind=LAS),
        Flag("--channel", required=True, choices=["green", "nir", "scanner"]),
        Flag("--reflectance-source", default="intensity"),
        Flag("--label-source", choices=["classification"], default=None,
             help="copy the classification byte into the label column"),
        OUT)
-def stage_ingest(
-    cfg: dict, las_path: Path, channel: str, reflectance_source: str, out: Path,
-    label_source: str | None = None,
-) -> dict:
-    from .lasio import read_las
-
-    chan = {"green": Channel.GREEN_532, "nir": Channel.NIR_1064}.get(channel, channel)
-    cloud = read_las(las_path, reflectance_source=reflectance_source, channel=chan,
-                     label_source=label_source)
-    write_columnar(cloud, out)
-    return {"points": cloud.count}
+def stage_ingest(cfg: dict, las: PointCloud) -> tuple[dict, dict]:
+    return {"out": las}, {"points": las.count}
 
 
 @stage("denoise", "statistical outlier removal (per channel)",
-       IN, OUT, setting("sor.k"), setting("sor.n_sigma"), maps_cloud=True)
-def stage_denoise(cfg: dict, cloud: PointCloud) -> tuple[PointCloud, dict]:
+       IN, OUT, setting("sor.k"), setting("sor.n_sigma"))
+def stage_denoise(cfg: dict, cloud: PointCloud) -> tuple[dict, dict]:
     params = SorParams(**cfg["sor"])
     # channels are independent scans: denoise each against itself; an
     # empty cloud goes to sor_filter as it is, to be rejected there
@@ -359,77 +394,67 @@ def stage_denoise(cfg: dict, cloud: PointCloud) -> tuple[PointCloud, dict]:
     workers = worker_count(cfg["threads"])
     kept, removed = zip(*(sor_filter(p, params, workers=workers) for p in parts))
     result = concat(kept)
-    return result, {"removed": sum(r.size for r in removed), "kept": result.count}
+    return {"out": result}, {"removed": sum(r.size for r in removed), "kept": result.count}
+
+
+def _one_cloud_or_both_channels(given: set[str]) -> None:
+    if given not in ({"cloud"}, {"green", "nir"}):
+        raise ConfigError("merge takes either one combined cloud (--in) alone or both "
+                          "channels (--green and --nir)")
 
 
 @stage("merge", "fuse the two channels with cross-channel reflectance",
        path("--in", "inp", required=False, help="combined dual-channel cloud", reads="cloud"),
        path("--green", required=False, help="green-channel cloud", reads="green"),
        path("--nir", required=False, help="NIR-channel cloud", reads="nir"),
-       OUT, setting("merge.radius"), setting("merge.k"))
-def stage_merge(
-    cfg: dict, out: Path, inp: Path | None = None,
-    green: Path | None = None, nir: Path | None = None,
-) -> dict:
-    if inp is not None and green is None and nir is None:
-        cloud = read_columnar(inp)
-        g = cloud.take(cloud.channel == int(Channel.GREEN_532))
-        n = cloud.take(cloud.channel == int(Channel.NIR_1064))
-    elif inp is None and green is not None and nir is not None:
-        g = read_columnar(green)
-        n = read_columnar(nir)
-    else:
-        raise ConfigError(
-            "merge takes either one combined cloud (--in) alone or both channels "
-            "(--green and --nir)"
-        )
-    merged = merge_channels(g, n, **cfg["merge"], workers=worker_count(cfg["threads"]))
-    write_columnar(merged, out)
-    return {"points": merged.count}
+       OUT, setting("merge.radius"), setting("merge.k"), check=_one_cloud_or_both_channels)
+def stage_merge(cfg: dict, cloud: PointCloud | None = None, green: PointCloud | None = None,
+                nir: PointCloud | None = None) -> tuple[dict, dict]:
+    if cloud is not None:
+        green = cloud.take(cloud.channel == int(Channel.GREEN_532))
+        nir = cloud.take(cloud.channel == int(Channel.NIR_1064))
+    merged = merge_channels(green, nir, **cfg["merge"], workers=worker_count(cfg["threads"]))
+    return {"out": merged}, {"points": merged.count}
 
 
 @stage("ground", "cloth-simulation ground flagging",
        IN, OUT, setting("csf.cloth_resolution"), setting("csf.rigidness"),
-       setting("csf.iterations"), setting("csf.class_threshold"), maps_cloud=True)
-def stage_ground(cfg: dict, cloud: PointCloud) -> tuple[PointCloud, dict]:
+       setting("csf.iterations"), setting("csf.class_threshold"))
+def stage_ground(cfg: dict, cloud: PointCloud) -> tuple[dict, dict]:
     ground = csf_ground(cloud, CsfParams(**cfg["csf"]))
-    return cloud.with_column("ground_flag", ground), {"ground_points": int(ground.sum())}
+    extra = {"ground_points": int(ground.sum())}
+    return {"out": cloud.with_column("ground_flag", ground)}, extra
 
 
 @stage("normalize-height", "DTM construction and height normalization",
-       IN, OUT, setting("dtm.cell"), maps_cloud=True)
-def stage_normalize_height(cfg: dict, cloud: PointCloud) -> tuple[PointCloud, dict]:
+       IN, OUT, setting("dtm.cell"))
+def stage_normalize_height(cfg: dict, cloud: PointCloud) -> tuple[dict, dict]:
     dtm = build_dtm(cloud, cell=cfg["dtm"]["cell"], workers=worker_count(cfg["threads"]))
     extra = {"dtm_shape": list(dtm.shape), "nodata_cells": int(dtm.nodata.sum())}
-    return normalize_height(cloud, dtm), extra
+    return {"out": normalize_height(cloud, dtm)}, extra
 
 
-@stage("features", "attach the spectral vegetation index column",
-       IN, OUT, maps_cloud=True)
-def stage_features(cfg: dict, cloud: PointCloud) -> tuple[PointCloud, None]:
-    return add_pndvi(cloud), None
+@stage("features", "attach the spectral vegetation index column", IN, OUT)
+def stage_features(cfg: dict, cloud: PointCloud) -> tuple[dict, None]:
+    return {"out": add_pndvi(cloud)}, None
 
 
 @stage("subsample", "voxel-grid subsampling with majority labels",
-       IN, OUT, setting("voxel.grid"), maps_cloud=True)
-def stage_subsample(cfg: dict, cloud: PointCloud) -> tuple[PointCloud, dict]:
+       IN, OUT, setting("voxel.grid"))
+def stage_subsample(cfg: dict, cloud: PointCloud) -> tuple[dict, dict]:
     result = voxel_subsample(cloud, grid=cfg["voxel"]["grid"])
-    return result, {"before": cloud.count, "after": result.count}
+    return {"out": result}, {"before": cloud.count, "after": result.count}
 
 
 @stage("split", "tile-based train/val/test split",
-       IN, out_dir(*(f"{name}.mst" for name in SPLIT_NAMES)),
+       IN, out_dir({f"{name}.mst": CLOUD for name in SPLIT_NAMES}),
        setting("split.ratios"), setting("split.tile_size"))
-def stage_split(cfg: dict, inp: Path, out_dir: Path) -> dict:
-    cloud = read_columnar(inp)
-    ratios = tuple(cfg["split"]["ratios"])
-    result = split_plots(
-        cloud, ratios, tile_size=cfg["split"]["tile_size"], seed=cfg["seed"]
-    )
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name in SPLIT_NAMES:
-        write_columnar(cloud.take(result.indices(name)), out_dir / f"{name}.mst")
-    return {
+def stage_split(cfg: dict, cloud: PointCloud):
+    result = split_plots(cloud, tuple(cfg["split"]["ratios"]),
+                         tile_size=cfg["split"]["tile_size"], seed=cfg["seed"])
+    # one subset at a time: the runner writes each before the next is taken
+    subsets = ((f"{name}.mst", cloud.take(result.indices(name))) for name in SPLIT_NAMES)
+    return subsets, {
         "target_ratios": list(result.target_ratios),
         "achieved_ratios": list(result.achieved_ratios),
         "tiles": int(result.tile_ids.shape[0]),
@@ -438,20 +463,18 @@ def stage_split(cfg: dict, inp: Path, out_dir: Path) -> dict:
 
 
 @stage("train", "train the point classifier",
-       path("--train", "train_path", reads="train"), out_dir("model.mstm", "loss_curve.csv"),
+       path("--train", "train_path", reads="train"),
+       out_dir({"model.mstm": MODEL, "loss_curve.csv": TEXT}),
        setting("features.config", "--feature-config"), setting("train.epochs"),
        setting("train.learning_rate"), setting("train.weight_decay"),
        setting("train.batch_size"))
-def stage_train(cfg: dict, train_path: Path, out_dir: Path) -> dict:
-    cloud = read_columnar(train_path)
+def stage_train(cfg: dict, train: PointCloud) -> tuple[dict, dict]:
     fconfig = FeatureConfig.from_name(cfg["features"]["config"])
-    result, params, weights = clf.fit(cloud, fconfig, cfg)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    clf.save_checkpoint(out_dir / "model.mstm", result.model, fconfig, weights, cfg["seed"],
-                        cfg["neighborhood"], params)
+    result, params, weights = clf.fit(train, fconfig, cfg)
+    meta = {"feature_config": fconfig, "class_weights": weights, "seed": cfg["seed"],
+            "neighborhood": cfg["neighborhood"], "normalization": params}
     curve = "".join(f"{i},{v!r}\n" for i, v in enumerate(result.loss_curve))
-    (out_dir / "loss_curve.csv").write_text("epoch,loss\n" + curve, encoding="utf-8")
-    return {
+    return {"model.mstm": (result.model, meta), "loss_curve.csv": "epoch,loss\n" + curve}, {
         "feature_config": fconfig.name,
         "class_weights": [float(w) for w in weights],
         "final_loss": result.loss_curve[-1],
@@ -460,97 +483,71 @@ def stage_train(cfg: dict, train_path: Path, out_dir: Path) -> dict:
 
 
 @stage("predict", "classify a cloud with a trained model",
-       IN, path("--model", "model_path", reads="model"), out_dir("predictions.txt"),
+       IN, path("--model", "model_path", reads="model", kind=MODEL),
+       out_dir({"predictions.txt": LABELS}),
        setting("postprocess.threshold", "--postprocess-threshold"))
-def stage_predict(cfg: dict, inp: Path, model_path: Path, out_dir: Path) -> dict:
-    model, meta = clf.load_checkpoint(model_path)
+def stage_predict(cfg: dict, cloud: PointCloud, model: tuple, paths: dict) -> tuple[dict, dict]:
+    model, meta = model
     if meta["neighborhood"] != cfg["neighborhood"]:
         # features must be built as in training, and the manifest must
         # record the neighborhood that ran
-        raise ConfigError(
-            f"{model_path} was trained with neighborhood {meta['neighborhood']}, "
-            f"but the config gives {cfg['neighborhood']}"
-        )
-    cloud = read_columnar(inp)
+        raise ConfigError(f"{paths['model']} was trained with neighborhood "
+                          f"{meta['neighborhood']}, but the config gives {cfg['neighborhood']}")
     fconfig, params = meta["feature_config"], meta["normalization"]
     labels = clf.classify(cloud, model, fconfig, params, cfg)
     # the manifest records the feature recipe that ran: the checkpoint's
     cfg["features"]["config"] = fconfig.name
     if params is not None:
         cfg["features"].update(p_low=params.p_low, p_high=params.p_high)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_labels(labels, out_dir / "predictions.txt")
-    return {"feature_config": fconfig.name, "predicted_tree": int(labels.sum())}
+    return {"predictions.txt": labels}, {"feature_config": fconfig.name,
+                                         "predicted_tree": int(labels.sum())}
 
 
-def _write_report(stem: Path, report) -> None:
+def _report_texts(stem: str, report) -> dict[str, str]:
     """`<stem>.json` and `<stem>.csv` of an evaluation or ablation report."""
-    stem.with_suffix(".json").write_text(ev.report_to_json(report) + "\n", encoding="utf-8")
-    stem.with_suffix(".csv").write_text(ev.report_to_csv(report), encoding="utf-8")
+    return {f"{stem}.json": ev.report_to_json(report) + "\n",
+            f"{stem}.csv": ev.report_to_csv(report)}
 
 
 @stage("evaluate", "score predictions against ground truth",
        path("--cloud", "cloud_path", reads="cloud"),
-       path("--pred", "pred_path", reads="predictions"), out_dir("report.json", "report.csv"),
-       setting("evaluate.threshold"), setting("evaluate.predicted_tree_only"),
-       path("--las-out", required=False))
-def stage_evaluate(
-    cfg: dict, cloud_path: Path, pred_path: Path, out_dir: Path,
-    las_out: Path | None = None,
-) -> dict:
-    cloud = read_columnar(cloud_path)
-    labels = read_labels(pred_path, cloud.count)
-    source = f"imported:{pred_path.name}"
+       path("--pred", "pred_path", reads="predictions", kind=LABELS),
+       out_dir({"report.json": TEXT, "report.csv": TEXT}),
+       setting("evaluate.threshold"), setting("evaluate.predicted_tree_only"))
+def stage_evaluate(cfg: dict, cloud: PointCloud, predictions: np.ndarray,
+                   paths: dict) -> tuple[dict, dict]:
+    labels = check_label_count(predictions, cloud.count, paths["predictions"])
+    source = f"imported:{paths['predictions'].name}"
     report = ev.score(labels, cloud, cfg, {"prediction_source": source})
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_report(out_dir / "report", report)
-    if las_out is not None:
-        ev.export_error_las(cloud, labels, las_out)
-    return {"miou": report.miou, "oa": report.oa}
+    return _report_texts("report", report), {"miou": report.miou, "oa": report.oa}
 
 
 @stage("ablate", "train/evaluate every feature configuration",
        path("--train", "train_path", reads="train"),
        path("--test", "test_path", reads="test"),
-       out_dir("ablation.json", "ablation.csv", *(f"report_{c.name}.json" for c in ALL_CONFIGS)),
+       out_dir(dict.fromkeys(["ablation.json", "ablation.csv",
+                              *(f"report_{c.name}.json" for c in ALL_CONFIGS)], TEXT)),
        Flag("--configs", help="subset of feature configs (default: all six)",
             nargs="+", default=None),
        setting("train.epochs"))
-def stage_ablate(
-    cfg: dict, train_path: Path, test_path: Path, out_dir: Path,
-    configs: list[str] | None = None,
-) -> dict:
-    fconfigs = (
-        tuple(FeatureConfig.from_name(n) for n in configs) if configs else ALL_CONFIGS
-    )
-    train_cloud = read_columnar(train_path)
-    test_cloud = read_columnar(test_path)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    def save_partial(fconfig, report):
-        (out_dir / f"report_{fconfig.name}.json").write_text(
-            ev.report_to_json(report) + "\n", encoding="utf-8"
-        )
-
-    result = ev.run_ablation(train_cloud, test_cloud, fconfigs, cfg, on_report=save_partial)
-    _write_report(out_dir / "ablation", result)
-    return {"best": {k: v.name for k, v in result.best.items()}}
+def stage_ablate(cfg: dict, train: PointCloud, test: PointCloud,
+                 configs: list[str] | None = None) -> tuple[dict, dict]:
+    fconfigs = tuple(map(FeatureConfig.from_name, configs)) if configs else ALL_CONFIGS
+    result = ev.run_ablation(train, test, fconfigs, cfg)
+    reports = {f"report_{c.name}.json": ev.report_to_json(r) + "\n"
+               for c, r in result.reports.items()}
+    return {**reports, **_report_texts("ablation", result)}, {
+        "best": {k: v.name for k, v in result.best.items()}}
 
 
 @stage("export", "write a cloud (optionally with predictions) to LAS",
-       path("--cloud", "cloud_path", reads="cloud"), path("--las", "las_out"),
-       path("--pred", "pred_path", required=False, reads="predictions"))
-def stage_export(
-    cfg: dict, cloud_path: Path, las_out: Path, pred_path: Path | None = None
-) -> None:
-    from .lasio import write_las
-
-    cloud = read_columnar(cloud_path)
-    if pred_path is None:
-        write_las(cloud, las_out)
-        return
-    labels = read_labels(pred_path, cloud.count)
+       path("--cloud", "cloud_path", reads="cloud"), path("--las", "las_out", kind=LAS),
+       path("--pred", "pred_path", required=False, reads="predictions", kind=LABELS))
+def stage_export(cfg: dict, cloud: PointCloud, paths: dict,
+                 predictions: np.ndarray | None = None) -> tuple[dict, None]:
+    if predictions is None:
+        return {"las_out": (cloud, None)}, None
+    labels = check_label_count(predictions, cloud.count, paths["predictions"])
     if cloud.has("label"):
-        ev.export_error_las(cloud, labels, las_out)
-    else:
-        write_las(cloud.with_column("label", labels), las_out)
+        return {"las_out": ev.error_las(cloud, labels)}, None
+    return {"las_out": (cloud.with_column("label", labels), None)}, None

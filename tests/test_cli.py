@@ -38,6 +38,7 @@ def chain(tmp_path_factory):
         "model": root / "model",
         "pred": root / "pred",
         "eval": root / "eval",
+        "errors": root / "errors.las",
     }
     steps = [
         ["synth", "--out", str(paths["scene"]), "--target-points", "20000",
@@ -57,8 +58,9 @@ def chain(tmp_path_factory):
          "--out-dir", str(paths["pred"])],
         ["evaluate", "--cloud", str(paths["splits"] / "test.mst"),
          "--pred", str(paths["pred"] / "predictions.txt"),
-         "--out-dir", str(paths["eval"]),
-         "--las-out", str(paths["eval"] / "errors.las")],
+         "--out-dir", str(paths["eval"])],
+        ["export", "--cloud", str(paths["splits"] / "test.mst"),
+         "--pred", str(paths["pred"] / "predictions.txt"), "--las", str(paths["errors"])],
     ]
     for argv in steps:
         assert main(argv) == 0, f"stage failed: {argv[0]}"
@@ -76,7 +78,7 @@ def test_chain_products_exist(chain):
     assert (chain["pred"] / "predictions.txt").exists()
     assert (chain["eval"] / "report.json").exists()
     assert (chain["eval"] / "report.csv").exists()
-    assert (chain["eval"] / "errors.las").exists()
+    assert chain["errors"].exists()
 
 
 def test_chain_columns_accumulate(chain):
@@ -141,8 +143,6 @@ def test_every_stage_records_its_name_and_the_inputs_given(chain, tmp_path):
         manifest = json.loads(path.read_text())
         assert manifest["stage"] == name, path
         assert manifest["inputs"] == {k: pipeline.file_sha256(v) for k, v in inputs.items()}, path
-    # evaluate's --las-out comes after --out-dir: no manifest of its own
-    assert not beside(chain["eval"] / "errors.las").exists()
 
 
 def test_report_json_holds_metrics(chain):
@@ -375,7 +375,7 @@ def test_importing_the_cli_loads_neither_scipy_nor_yaml():
 def test_stages_without_neighbor_search_or_gridding_never_import_scipy(chain, tmp_path):
     splits, pred = chain["splits"], chain["pred"] / "predictions.txt"
     light = [
-        ["ingest", "--las", str(chain["eval"] / "errors.las"), "--channel", "scanner",
+        ["ingest", "--las", str(chain["errors"]), "--channel", "scanner",
          "--out", str(tmp_path / "i.mst")],
         ["features", "--in", str(chain["hnorm"]), "--out", str(tmp_path / "f.mst")],
         ["subsample", "--in", str(chain["feat"]), "--out", str(tmp_path / "s.mst")],

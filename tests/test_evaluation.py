@@ -7,11 +7,11 @@ from hypothesis import given, settings, strategies as st
 from mslidar.errors import DataError
 from mslidar.evaluation import (
     AblationResult, ConfusionMatrix, confusion, error_rate_above, evaluate,
-    export_error_las, metrics, report_to_csv,
+    error_las, metrics, report_to_csv,
     report_to_json,
 )
 from mslidar.features import FeatureConfig
-from mslidar.lasio import read_las
+from mslidar.lasio import read_las, write_las
 
 from conftest import brute_confusion
 
@@ -199,7 +199,8 @@ class TestEvaluateAndExport:
         pred = cloud.label.copy()
         pred[:7] ^= 1
         path = tmp_path / "err.las"
-        export_error_las(cloud, pred, path)
+        labelled, extra = error_las(cloud, pred)
+        write_las(labelled, path, extra=extra)
         back = read_las(path, reflectance_source="error", channel="scanner",
                         label_source="classification")
         assert int(back.reflectance_db.sum()) == 7

@@ -7,17 +7,21 @@ whose one ``error[data]: ...`` line names the damaged file; a damaged
 config is a config error (exit 2). MST1 files and configs enter through
 `subsample`, LAS files through `ingest`, label files through `evaluate`,
 model files through `predict`. An output that cannot be written, or that
-is also an input, is a config error, and an output file whose directory
-is missing stops the stage before it writes anything. A neighbour count
-k above the point count is clamped to it.
+is also an input, is a config error, and a failed write names the path it
+was writing. A neighbour count k above the point count is clamped to it.
 """
 
 import dataclasses
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mslidar
 from mslidar.cli import main
 from mslidar.columnar import write_columnar, write_labels
 from mslidar.lasio import write_las
@@ -240,8 +244,6 @@ UNWRITABLE = {
     "split-out-dir": ["split", "--in", "{d}/c.mst", "--out-dir", "{d}/a-file"],
     "features-out": ["features", "--in", "{d}/c.mst", "--out", "{d}/a-dir"],
     "export-las": ["export", "--cloud", "{d}/c.mst", "--las", "{d}/nodir/x.las"],
-    "evaluate-las-out": ["evaluate", "--cloud", "{d}/c.mst", "--pred", "{d}/labels.txt",
-                         "--out-dir", "{d}/eval", "--las-out", "{d}/nodir/e.las"],
 }
 
 
@@ -286,18 +288,39 @@ def test_out_dir_file_that_is_also_the_input(cloud, tmp_path, capsys):
     assert list(splits.iterdir()) == [path]
 
 
-def test_output_file_in_a_missing_directory_writes_nothing(cloud, tmp_path, capsys):
-    spectral = cloud.with_column("refl_green_db", cloud.reflectance_db).with_column(
-        "refl_nir_db", cloud.reflectance_db)
-    write_columnar(spectral, tmp_path / "c.mst")
-    write_labels(cloud.label, tmp_path / "labels.txt")
-    las = tmp_path / "nodir" / "e.las"
-    rc = main(["evaluate", "--cloud", str(tmp_path / "c.mst"),
-               "--pred", str(tmp_path / "labels.txt"),
-               "--out-dir", str(tmp_path / "ev2"), "--las-out", str(las)])
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_a_write_to_a_full_device_names_its_path(cloud, tmp_path, capsys):
+    write_columnar(cloud, tmp_path / "c.mst")
+    rc = main(["subsample", "--in", str(tmp_path / "c.mst"), "--out", "/dev/full"])
     err = capsys.readouterr().err
-    assert (rc, err.startswith(f"error[config]: cannot write {las}: ")) == (2, True), err
-    assert not (tmp_path / "ev2").exists()
+    assert (rc, err.startswith("error[config]: cannot write /dev/full: ")) == (2, True), err
+
+
+# Runs the CLI in a child process whose file size limit is argv[1] bytes.
+# Python ignores SIGXFSZ, so a write past the limit raises EFBIG.
+FSIZE_LIMITED = """
+import resource, sys
+from mslidar.cli import main
+limit = int(sys.argv[1])
+resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def test_an_out_dir_write_over_the_file_size_limit_names_its_path(cloud, tmp_path):
+    pytest.importorskip("resource")
+    write_columnar(cloud, tmp_path / "c.mst")
+    splits = tmp_path / "splits"
+    src = str(Path(mslidar.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    run = subprocess.run(
+        [sys.executable, "-c", FSIZE_LIMITED, "1024",
+         "split", "--in", str(tmp_path / "c.mst"), "--out-dir", str(splits)],
+        env=env, capture_output=True, text=True, timeout=120)
+    err = run.stderr
+    assert (run.returncode, f"error[config]: cannot write {splits / 'train.mst'}: " in err) == (
+        2, True), err
 
 
 def test_merge_k_above_the_point_count_is_clamped(cloud, tmp_path):

@@ -4,7 +4,8 @@
 fill of empty grid cells, the cloth floor's and the DTM's, goes through
 one function, `dtm.nearest_valid`: `scipy.ndimage` is imported nowhere else.
 Every manifest is written by one runner: `write_manifest` is called only
-in `pipeline.Stage.run`.
+in `pipeline.Stage.run`. That runner owns every file: no `stage_*` function
+calls a reader, a writer or `mkdir`, and each maps values to values.
 
 A string annotation such as ``"cKDTree"`` is no call, so the
 `SpatialIndex.tree` annotation stays allowed. Parsing with `ast` needs no
@@ -12,9 +13,12 @@ linter.
 """
 
 import ast
+import copy
 from pathlib import Path
 
 import pytest
+
+from mslidar.pipeline import STAGES, load_config
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mslidar"
 
@@ -110,3 +114,63 @@ def test_the_guard_sees_imports_and_calls():
     for source in ("cKDTree(p)", "spatial.cKDTree(p, balanced_tree=False)"):
         assert len(tree_calls(ast.parse(source))) == 1, source
     assert tree_calls(ast.parse('t: "cKDTree" = None')) == set()
+
+
+# Callables that open, read or write a file, by name or attribute name.
+FILE_IO = ("read_columnar", "write_columnar", "read_labels", "write_labels", "read_las",
+           "write_las", "load_checkpoint", "save_checkpoint", "export_error_las", "open",
+           "write_text", "read_bytes", "mkdir")
+
+
+def stage_file_io(tree: ast.AST) -> list[tuple[str, str, int]]:
+    """(function, callee, line) of every FILE_IO call inside a stage_* function."""
+    return sorted((fn.name, name, call.lineno) for fn in ast.walk(tree)
+                  if isinstance(fn, ast.FunctionDef) and fn.name.startswith("stage_")
+                  for name in FILE_IO for call in calls_of(fn, name))
+
+
+def test_stage_functions_leave_every_file_to_the_runner():
+    tree = parse(PACKAGE / "pipeline.py")
+    stages = [node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name.startswith("stage_")]
+    assert len(stages) == len(STAGES)
+    assert stage_file_io(tree) == [], "read and write in Stage.run, through the stage table"
+
+
+def test_the_file_guard_sees_each_reader_and_writer():
+    for name in FILE_IO:
+        for call in (f"{name}(p)", f"p.{name}()", f"m.{name}(c, p)"):
+            tree = ast.parse(f"def stage_x(cfg):\n    y = 1\n    return {call}")
+            assert stage_file_io(tree) == [("stage_x", name, 3)], call
+    assert stage_file_io(ast.parse("def run(p):\n    p.mkdir()")) == []
+    assert stage_file_io(ast.parse("def stage_x(p):\n    p.take(1)")) == []
+
+
+def test_stage_functions_map_values_to_values(tmp_path, monkeypatch):
+    """Every stage function, called on values in memory, creates no file."""
+    monkeypatch.chdir(tmp_path)
+    cfg = load_config(overrides={"synth.target_points": 20000, "train.epochs": 1})
+    called = []
+
+    def outputs(name, **values) -> dict:
+        called.append(name)
+        result, _ = STAGES[name].fn(copy.deepcopy(cfg), **values)
+        return dict(result)
+
+    scene = outputs("synth")["out"]
+    assert outputs("ingest", las=scene)["out"] is scene
+    cloud = outputs("denoise", cloud=scene)["out"]
+    for name in ("merge", "ground", "normalize-height", "features", "subsample"):
+        cloud = outputs(name, cloud=cloud)["out"]
+    splits = outputs("split", cloud=cloud)
+    train, test = splits["train.mst"], splits["test.mst"]
+    model = outputs("train", train=train)["model.mstm"]
+    labels = outputs("predict", cloud=test, model=model,
+                     paths={"model": tmp_path / "model.mstm"})["predictions.txt"]
+    pred = {"predictions": tmp_path / "predictions.txt"}
+    assert set(outputs("evaluate", cloud=test, predictions=labels, paths=pred)) == {
+        "report.json", "report.csv"}
+    assert "ablation.json" in outputs("ablate", train=train, test=test, configs=["XYZ"])
+    for values in ({}, {"predictions": labels}):
+        assert set(outputs("export", cloud=test, paths=pred, **values)) == {"las_out"}
+    assert set(called) == set(STAGES) and list(tmp_path.iterdir()) == []
