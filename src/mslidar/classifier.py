@@ -9,16 +9,20 @@ which is all the ablation logic needs. Like those networks, the model
 sees geometry only relative to a point's surroundings, never as an
 absolute location.
 
-The feature recipe lives here once: :func:`fit` and :func:`classify` take
-the neighbourhood, normalization and post-process settings from the
-effective config, and both the stepwise stages and the ablation run them.
-An MSTM v3 checkpoint stores that recipe beside the weights, so a model
-file is all prediction needs. A prediction is a uint8 label array (1 tree,
-0 non-tree) taken from the sign of the model's margin; no class
-probabilities are formed.
+A trained model is one value, a :class:`Model`: the network and the
+feature recipe that built its inputs (feature config, normalization and
+neighbourhood), with the class weights and seed it was trained with.
+:func:`fit` makes it from a cloud and the effective config,
+:func:`classify` runs its recipe, and an MSTM v3 checkpoint holds it
+whole (:func:`save_checkpoint`, :func:`load_checkpoint`), so a model
+file is all prediction needs. Both the stepwise stages and the ablation
+run this path. A prediction is a uint8 label array (1 tree, 0 non-tree)
+taken from the sign of the model's margin; no class probabilities are
+formed.
 """
 
 import struct
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +32,7 @@ from .errors import DataError
 from .features import (
     FeatureConfig, NormalizationParams, assemble_features, fit_config_normalization,
 )
-from .mlp import Mlp, TrainConfig, TrainResult, train
+from .mlp import Mlp, TrainConfig, train
 
 CHECKPOINT_MAGIC = b"MSTM"
 CHECKPOINT_VERSION = 3
@@ -85,14 +89,15 @@ def neighborhood_stats(features: np.ndarray, graph: np.ndarray) -> np.ndarray:
     neighborhood. Always: local h_norm range (max - min) and neighbor
     count. Statistics are computed on the normalized feature values, so
     every appended column is already scale-comparable. Rows are computed
-    in `row_blocks` into the one (n, 3d) float64 result.
+    in `row_blocks` of the graph's width into the one (n, 3d) float64
+    result.
     """
     if graph.shape[0] != features.shape[0]:
         raise DataError("neighborhood graph and features disagree on point count")
     n, d = features.shape
     out = np.empty((n, 3 * d), dtype=np.float64)
     out[:, :d] = features
-    for rows in row_blocks(n):
+    for rows in row_blocks(n, graph.shape[1]):
         _stats_block(features, graph[rows], out[rows, d:])
     return out
 
@@ -151,21 +156,35 @@ def config_graph(cloud: PointCloud, cfg: dict) -> np.ndarray:
     return neighborhood_graph(cloud, **cfg["neighborhood"], workers=worker_count(cfg["threads"]))
 
 
-def _features(cloud, fconfig, params, cfg, graph) -> np.ndarray:
+@dataclass(frozen=True)
+class Model:
+    """A trained classifier: the network and the recipe that built its
+    features. `normalization` is None for a config without spectral
+    columns; `neighborhood` is {"k", "radius"} of the graph."""
+
+    net: Mlp
+    feature_config: FeatureConfig
+    normalization: NormalizationParams | None
+    neighborhood: dict
+    class_weights: np.ndarray
+    seed: int
+
+
+def _features(cloud, fconfig, params, neighborhood, cfg, graph) -> np.ndarray:
     if graph is None:
-        graph = config_graph(cloud, cfg)
+        graph = neighborhood_graph(cloud, **neighborhood, workers=worker_count(cfg["threads"]))
     return neighborhood_stats(assemble_features(cloud, fconfig, params), graph)
 
 
 def fit(
     cloud: PointCloud, fconfig: FeatureConfig, cfg: dict, graph: np.ndarray | None = None
-) -> tuple[TrainResult, NormalizationParams | None, np.ndarray]:
-    """Train a model on a labelled cloud with the effective config `cfg`.
+) -> tuple[Model, list[float]]:
+    """Train a model on a labelled cloud with the effective config `cfg`;
+    returns it and its per-epoch loss curve.
 
     Spectral columns are scaled at the features.p_low/p_high percentiles
     of this cloud; `graph` is its neighborhood graph, built from cfg when
-    None. Returns the training result, the normalization (None for a
-    config without spectral columns) and the class weights.
+    None.
     """
     cloud.require("label", "h_norm")
     params = None
@@ -173,65 +192,62 @@ def fit(
         params = fit_config_normalization(
             cloud, fconfig, p_low=cfg["features"]["p_low"], p_high=cfg["features"]["p_high"]
         )
-    features = _features(cloud, fconfig, params, cfg, graph)
+    neighborhood = dict(cfg["neighborhood"])
+    features = _features(cloud, fconfig, params, neighborhood, cfg, graph)
     weights = compute_class_weights(cloud.label)
     result = train(features, cloud.label, weights,
                    TrainConfig(**cfg["train"], seed=cfg["seed"]),
                    workers=worker_count(cfg["threads"]))
-    return result, params, weights
+    model = Model(result.model, fconfig, params, neighborhood, weights, cfg["seed"])
+    return model, result.loss_curve
 
 
 def classify(
-    cloud: PointCloud, model: Mlp, fconfig: FeatureConfig,
-    params: NormalizationParams | None, cfg: dict, graph: np.ndarray | None = None,
+    cloud: PointCloud, model: Model, cfg: dict, graph: np.ndarray | None = None
 ) -> np.ndarray:
-    """Labels of a cloud from a model fitted by :func:`fit`, with predicted
-    trees below postprocess.threshold relabelled (null: keep them)."""
-    labels = predict(_features(cloud, fconfig, params, cfg, graph), model,
-                     workers=worker_count(cfg["threads"]))
+    """Labels of a cloud from the model's recipe, with predicted trees below
+    postprocess.threshold relabelled (null: keep them); `graph` is the
+    cloud's graph of model.neighborhood, built here when None."""
+    features = _features(cloud, model.feature_config, model.normalization,
+                         model.neighborhood, cfg, graph)
+    labels = predict(features, model.net, workers=worker_count(cfg["threads"]))
     threshold = cfg["postprocess"]["threshold"]
     if threshold is not None:
         labels = height_threshold_postprocess(labels, cloud, t=threshold)
     return labels
 
 
-def save_checkpoint(
-    path, model: Mlp, config: FeatureConfig, class_weights, seed: int,
-    neighborhood: dict, params: NormalizationParams | None = None,
-) -> None:
-    """Write an MSTM v3 checkpoint: the model and the recipe that built
-    its features.
+def save_checkpoint(path, model: Model) -> None:
+    """Write a model as an MSTM v3 checkpoint.
 
     Sections in order: magic, version, seed and feature config name;
     class weights; neighborhood k and radius; for a config with spectral
-    columns, `params`' percentiles and its lo, hi and impute rows (one
-    value per column); layer sizes, the last 1 (the margin head); f32
-    weights and biases. Contents are a pure function of the arguments:
-    reruns produce identical bytes.
+    columns, the normalization's percentiles and its lo, hi and impute
+    rows (one value per column); layer sizes, the last 1 (the margin
+    head); f32 weights and biases. Contents are a pure function of the
+    model: reruns produce identical bytes.
     """
-    path = Path(path)
-    cfg_name = config.name.encode("ascii")
-    cw = np.asarray(class_weights, dtype=np.float64)
-    with path.open("wb") as fh:
+    cfg_name = model.feature_config.name.encode("ascii")
+    cw = np.asarray(model.class_weights, dtype=np.float64)
+    params, net = model.normalization, model.net
+    with Path(path).open("wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<HqH", CHECKPOINT_VERSION, seed, len(cfg_name)))
+        fh.write(struct.pack("<HqH", CHECKPOINT_VERSION, model.seed, len(cfg_name)))
         fh.write(cfg_name)
         fh.write(struct.pack("<2d", float(cw[0]), float(cw[1])))
-        fh.write(struct.pack("<Id", neighborhood["k"], neighborhood["radius"]))
-        if config.spectral_columns:
+        fh.write(struct.pack("<Id", model.neighborhood["k"], model.neighborhood["radius"]))
+        if model.feature_config.spectral_columns:
             fh.write(struct.pack("<2d", params.p_low, params.p_high))
             fh.write(np.stack((params.lo, params.hi, params.impute)).astype("<f8").tobytes())
-        fh.write(struct.pack("<H", len(model.sizes)))
-        fh.write(struct.pack(f"<{len(model.sizes)}I", *model.sizes))
-        for w, b in zip(model.weights, model.biases):
+        fh.write(struct.pack("<H", len(net.sizes)))
+        fh.write(struct.pack(f"<{len(net.sizes)}I", *net.sizes))
+        for w, b in zip(net.weights, net.biases):
             fh.write(np.ascontiguousarray(w, dtype="<f4").tobytes())
             fh.write(np.ascontiguousarray(b, dtype="<f4").tobytes())
 
 
-def load_checkpoint(path) -> tuple[Mlp, dict]:
-    """Inverse of save_checkpoint: the model plus its metadata, with the
-    recipe as ``neighborhood`` ({"k", "radius"}) and ``normalization``
-    (None for a config without spectral columns).
+def load_checkpoint(path) -> Model:
+    """Inverse of save_checkpoint.
 
     Every section is length-checked: a truncated file, trailing bytes, an
     undecodable field, another version, non-finite parameters or a recipe
@@ -297,16 +313,9 @@ def load_checkpoint(path) -> tuple[Mlp, dict]:
         raise DataError(f"{path}: {len(raw) - off} trailing bytes after the checkpoint")
     if not np.all(np.isfinite(payload)):
         raise DataError(f"{path}: checkpoint holds non-finite parameters")
-    model = Mlp(sizes[0], tuple(sizes[1:-1]))
+    net = Mlp(sizes[0], tuple(sizes[1:-1]))
     pos = 0
-    for p in model.parameters():
+    for p in net.parameters():
         p[...] = payload[pos : pos + p.size].reshape(p.shape)
         pos += p.size
-    meta = {
-        "feature_config": fconfig,
-        "class_weights": np.asarray(cw),
-        "seed": seed,
-        "neighborhood": {"k": k, "radius": radius},
-        "normalization": params,
-    }
-    return model, meta
+    return Model(net, fconfig, params, {"k": k, "radius": radius}, np.asarray(cw), seed)

@@ -9,18 +9,16 @@ line: ``error[<category>]: <detail>``.
 
 import argparse
 import logging
-import os
 import sys
 from pathlib import Path
 
 from . import __version__, pipeline
-from .errors import ConfigError, MslidarError
+from .errors import MslidarError
 from .pipeline import setting
 
 # Config options every stage takes, besides --config and -v.
 COMMON = (
-    setting("seed", help="global seed; overrides $MSLIDAR_SEED, which overrides "
-            "the config file"),
+    setting("seed", help="global seed; overrides the config file"),
     setting("threads", help="workers for training, prediction and neighbor queries, every "
             "CPU this process may run on when null; results do not depend on it"),
 )
@@ -43,18 +41,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def effective_config(args: argparse.Namespace) -> dict:
-    """Defaults < config file < $MSLIDAR_SEED < flags, as the stage runs it."""
+    """Defaults < config file < flags, as the stage runs it."""
     flags = (*COMMON, *pipeline.STAGES[args.command].flags)
     overrides = {f.config: getattr(args, f.dest) for f in flags
                  if f.config and getattr(args, f.dest) is not None}
-    env_seed = os.environ.get("MSLIDAR_SEED")
-    if args.seed is None and env_seed:
-        try:
-            overrides["seed"] = int(env_seed)
-        except ValueError:
-            raise ConfigError(
-                f"MSLIDAR_SEED must be an integer, got {env_seed!r}"
-            ) from None
     return pipeline.load_config(args.config, overrides)
 
 

@@ -12,7 +12,8 @@ is identical to a brute-force scan, ties broken by lower point id. It is
 the one neighbor kernel: SOR, merge, the neighborhood graph and the DTM
 (in XY) all build it with :func:`build_index`, the only place a tree is
 built, so no result depends on how the tree is built. Every neighbor
-search runs QUERY_ROWS query rows at a time.
+pass runs its query rows in :func:`row_blocks`, whose size shrinks as k
+grows, so a block's (rows, k) arrays stay a few MB whatever k is.
 
 :func:`group_cells` groups points by integer cell (voxel, tile, query
 cell) with one np.lexsort: cells come out in lexicographic key order,
@@ -189,10 +190,12 @@ def concat(clouds: Sequence[PointCloud]) -> PointCloud:
     return PointCloud(crs_note=clouds[0].crs_note, **cols)
 
 
-# Query rows per block of every neighbor search. Rows are independent, so
-# blocking changes no result, and the (rows, k) temporaries stay a few MB
-# instead of growing with the cloud.
+# Query rows per block of every neighbor pass with up to BLOCK_K values per
+# row; past that, blocks shrink in proportion to k. Rows are independent,
+# so blocking changes no result, and the (rows, k) temporaries stay a few
+# MB instead of growing with the cloud or with k.
 QUERY_ROWS = 1 << 15
+BLOCK_K = 16
 
 
 def worker_count(threads: int | None) -> int:
@@ -207,15 +210,18 @@ def worker_count(threads: int | None) -> int:
         return os.cpu_count() or 1
 
 
-def row_blocks(n: int) -> Iterator[slice]:
-    """Slices over rows 0..n-1, QUERY_ROWS at a time, the last one partial."""
-    return (slice(lo, lo + QUERY_ROWS) for lo in range(0, n, QUERY_ROWS))
+def row_blocks(n: int, k: int = 1) -> Iterator[slice]:
+    """Slices over rows 0..n-1 of a pass with k values per row, the last
+    one partial: QUERY_ROWS rows each for k <= BLOCK_K, else
+    QUERY_ROWS * BLOCK_K // k rows (at least one)."""
+    size = QUERY_ROWS if k <= BLOCK_K else max(1, QUERY_ROWS * BLOCK_K // k)
+    return (slice(lo, lo + size) for lo in range(0, n, size))
 
 
-def ordered_blocks(order: np.ndarray) -> Iterator[np.ndarray]:
-    """Row ids of each QUERY_ROWS block when rows are visited in `order`;
-    a pass writes each block's results back to the rows it names."""
-    return (order[rows] for rows in row_blocks(order.shape[0]))
+def ordered_blocks(order: np.ndarray, k: int = 1) -> Iterator[np.ndarray]:
+    """Row ids of each row_blocks(n, k) block when rows are visited in
+    `order`; a pass writes each block's results back to the rows it names."""
+    return (order[rows] for rows in row_blocks(order.shape[0], k))
 
 
 # Cell numbers are int64: a coordinate over the cell size (from the cells'
@@ -276,8 +282,8 @@ class SpatialIndex:
         inclusive, when it is given); ties go to the lower id, and
         distances are judged by the plain formula sqrt(sum((p - q)**2)),
         so every row equals a brute-force scan.
-        Rows with fewer neighbors are padded with -1. Queries run
-        QUERY_ROWS at a time into the one result array.
+        Rows with fewer neighbors are padded with -1. Queries run a
+        row_blocks(n, k) block at a time into the one result array.
         """
         qs = np.asarray(qs, dtype=np.float64)
         if qs.shape[1:] != self.points.shape[1:]:
@@ -286,7 +292,7 @@ class SpatialIndex:
         kq = min(k + 1, self.points.shape[0])
         out = np.empty((qs.shape[0], k), dtype=np.int32)
         out[:, kq:] = -1
-        for rows in row_blocks(qs.shape[0]):
+        for rows in row_blocks(qs.shape[0], k):
             self._knn_block(qs[rows], k, kq, radius, workers, out[rows])
         return out
 

@@ -223,14 +223,14 @@ def run_ablation(
 
     reports: dict[FeatureConfig, EvalReport] = {}
     for fconfig in dict.fromkeys(configs):
-        result, params, weights = clf.fit(train_cloud, fconfig, cfg, graph_train)
-        labels = clf.classify(test_cloud, result.model, fconfig, params, cfg, graph_test)
+        model, loss_curve = clf.fit(train_cloud, fconfig, cfg, graph_train)
+        labels = clf.classify(test_cloud, model, cfg, graph_test)
         report = score(labels, test_cloud, cfg, manifest={
             "feature_config": fconfig.name,
             "seed": cfg["seed"],
             "epochs": cfg["train"]["epochs"],
-            "final_train_loss": result.loss_curve[-1],
-            "class_weights": [float(w) for w in weights],
+            "final_train_loss": loss_curve[-1],
+            "class_weights": [float(w) for w in model.class_weights],
             "postprocess_threshold": cfg["postprocess"]["threshold"],
         })
         reports[fconfig] = report

@@ -212,17 +212,11 @@ def _write_las(value: tuple[PointCloud, dict | None], path: Path) -> None:
     write_las(cloud, path, extra=extra)
 
 
-def _write_model(value: tuple, path: Path) -> None:
-    model, meta = value
-    clf.save_checkpoint(path, model, meta["feature_config"], meta["class_weights"],
-                        meta["seed"], meta["neighborhood"], meta["normalization"])
-
-
 CLOUD = Kind(lambda p: read_columnar(p), lambda v, p: write_columnar(v, p))
 # read: a cloud; written: a (cloud, extra float columns or None) pair
 LAS = Kind(_read_las, _write_las, ("channel", "reflectance_source", "label_source"))
-# the (model, meta) pair of load_checkpoint
-MODEL = Kind(lambda p: clf.load_checkpoint(p), _write_model)
+# a classifier.Model
+MODEL = Kind(lambda p: clf.load_checkpoint(p), lambda v, p: clf.save_checkpoint(p, v))
 LABELS = Kind(lambda p: read_labels(p), lambda v, p: write_labels(v, p))
 TEXT = Kind(None, lambda v, p: Path(p).write_text(v, encoding="utf-8"))
 
@@ -470,15 +464,13 @@ def stage_split(cfg: dict, cloud: PointCloud):
        setting("train.batch_size"))
 def stage_train(cfg: dict, train: PointCloud) -> tuple[dict, dict]:
     fconfig = FeatureConfig.from_name(cfg["features"]["config"])
-    result, params, weights = clf.fit(train, fconfig, cfg)
-    meta = {"feature_config": fconfig, "class_weights": weights, "seed": cfg["seed"],
-            "neighborhood": cfg["neighborhood"], "normalization": params}
-    curve = "".join(f"{i},{v!r}\n" for i, v in enumerate(result.loss_curve))
-    return {"model.mstm": (result.model, meta), "loss_curve.csv": "epoch,loss\n" + curve}, {
+    model, loss_curve = clf.fit(train, fconfig, cfg)
+    curve = "".join(f"{i},{v!r}\n" for i, v in enumerate(loss_curve))
+    return {"model.mstm": model, "loss_curve.csv": "epoch,loss\n" + curve}, {
         "feature_config": fconfig.name,
-        "class_weights": [float(w) for w in weights],
-        "final_loss": result.loss_curve[-1],
-        "initial_loss": result.loss_curve[0],
+        "class_weights": [float(w) for w in model.class_weights],
+        "final_loss": loss_curve[-1],
+        "initial_loss": loss_curve[0],
     }
 
 
@@ -486,19 +478,14 @@ def stage_train(cfg: dict, train: PointCloud) -> tuple[dict, dict]:
        IN, path("--model", "model_path", reads="model", kind=MODEL),
        out_dir({"predictions.txt": LABELS}),
        setting("postprocess.threshold", "--postprocess-threshold"))
-def stage_predict(cfg: dict, cloud: PointCloud, model: tuple, paths: dict) -> tuple[dict, dict]:
-    model, meta = model
-    if meta["neighborhood"] != cfg["neighborhood"]:
-        # features must be built as in training, and the manifest must
-        # record the neighborhood that ran
-        raise ConfigError(f"{paths['model']} was trained with neighborhood "
-                          f"{meta['neighborhood']}, but the config gives {cfg['neighborhood']}")
-    fconfig, params = meta["feature_config"], meta["normalization"]
-    labels = clf.classify(cloud, model, fconfig, params, cfg)
+def stage_predict(cfg: dict, cloud: PointCloud, model: clf.Model) -> tuple[dict, dict]:
+    labels = clf.classify(cloud, model, cfg)
     # the manifest records the feature recipe that ran: the checkpoint's
+    fconfig, params = model.feature_config, model.normalization
     cfg["features"]["config"] = fconfig.name
     if params is not None:
         cfg["features"].update(p_low=params.p_low, p_high=params.p_high)
+    cfg["neighborhood"] = dict(model.neighborhood)
     return {"predictions.txt": labels}, {"feature_config": fconfig.name,
                                          "predicted_tree": int(labels.sum())}
 

@@ -52,7 +52,7 @@ def sor_filter(
     mean_d = np.empty(cloud.count, dtype=np.float64)
     # Points are visited in the tree's leaf order, so neighbouring queries
     # walk the same nodes; each row's distances depend on that row alone.
-    for ids in ordered_blocks(index.tree.indices):
+    for ids in ordered_blocks(index.tree.indices, params.k + 1):
         # k+1 because the nearest hit of each query is the point itself
         # (or a coincident twin, which has the same distance, 0).
         d, _ = index.tree.query(index.points[ids], k=params.k + 1, workers=workers)
@@ -103,10 +103,10 @@ def _cross_channel_db(
     source_lin = db_to_linear(source.reflectance_db.astype(np.float64))
     total = np.empty(targets.count, dtype=np.float64)
     counts = np.empty(targets.count, dtype=np.int64)
-    for rows in ordered_blocks(order):
+    k = min(k, source.count)  # a k above the source count changes no mean
+    for rows in ordered_blocks(order, k):
         qs = np.column_stack((targets.x[rows], targets.y[rows], targets.z[rows]))
-        # a k above the source count changes no mean: clamp it to the count
-        ids = index.knn_batch(qs, k=min(k, source.count), radius=radius, workers=workers)
+        ids = index.knn_batch(qs, k=k, radius=radius, workers=workers)
         valid = ids >= 0
         total[rows] = np.where(valid, source_lin[np.where(valid, ids, 0)], 0.0).sum(axis=1)
         counts[rows] = valid.sum(axis=1)

@@ -5,13 +5,13 @@ import pytest
 
 from mslidar import cloud as cloud_module
 from mslidar.classifier import (
-    compute_class_weights, height_threshold_postprocess, load_checkpoint,
+    Model, compute_class_weights, height_threshold_postprocess, load_checkpoint,
     neighborhood_graph, neighborhood_stats, predict, save_checkpoint,
 )
 from mslidar.cloud import QUERY_ROWS, Label, PointCloud, build_index
 from mslidar.columnar import read_labels
 from mslidar.errors import DataError, NumericError
-from mslidar.features import FeatureConfig, fit_normalization
+from mslidar.features import ALL_CONFIGS, FeatureConfig, fit_normalization
 from mslidar.mlp import DTYPE, Mlp, TrainConfig, train
 
 from conftest import (
@@ -357,6 +357,10 @@ def pndvi_params():
     return fit_normalization(values, ("pndvi",))
 
 
+def pndvi_model(net):
+    return Model(net, FeatureConfig.XYZ_PNDVI, pndvi_params(), NEIGHBORHOOD, (0.36, 1.64), 0)
+
+
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         x, y = separable_toy(n=50, seed=8)
@@ -364,17 +368,17 @@ class TestCheckpoint:
                        TrainConfig(epochs=2, hidden=(8, 4), seed=9))
         path = tmp_path / "model.mstm"
         params = pndvi_params()
-        save_checkpoint(path, result.model, FeatureConfig.XYZ_PNDVI,
-                        (0.36, 1.64), 9, {"k": 8, "radius": 1.5}, params)
-        model, meta = load_checkpoint(path)
-        assert model.sizes == result.model.sizes
-        for got, want in zip(model.parameters(), result.model.parameters()):
+        save_checkpoint(path, Model(result.model, FeatureConfig.XYZ_PNDVI, params,
+                                    {"k": 8, "radius": 1.5}, (0.36, 1.64), 9))
+        model = load_checkpoint(path)
+        assert model.net.sizes == result.model.sizes
+        for got, want in zip(model.net.parameters(), result.model.parameters()):
             np.testing.assert_array_equal(got, want.astype(np.float32))
-        assert meta["feature_config"] is FeatureConfig.XYZ_PNDVI
-        np.testing.assert_allclose(meta["class_weights"], [0.36, 1.64])
-        assert meta["seed"] == 9
-        assert meta["neighborhood"] == {"k": 8, "radius": 1.5}
-        back = meta["normalization"]
+        assert model.feature_config is FeatureConfig.XYZ_PNDVI
+        np.testing.assert_allclose(model.class_weights, [0.36, 1.64])
+        assert model.seed == 9
+        assert model.neighborhood == {"k": 8, "radius": 1.5}
+        back = model.normalization
         assert back.columns == ("pndvi",)
         assert (back.p_low, back.p_high) == (params.p_low, params.p_high)
         for field in ("lo", "hi", "impute"):
@@ -382,17 +386,29 @@ class TestCheckpoint:
 
     def test_geometry_only_config_has_no_normalization(self, tmp_path):
         path = tmp_path / "model.mstm"
-        save_checkpoint(path, Mlp(3, (8,), seed=0), FeatureConfig.XYZ,
-                        (1.0, 1.0), 0, NEIGHBORHOOD)
-        _, meta = load_checkpoint(path)
-        assert meta["normalization"] is None
+        save_checkpoint(path, Model(Mlp(3, (8,), seed=0), FeatureConfig.XYZ, None,
+                                    NEIGHBORHOOD, (1.0, 1.0), 0))
+        assert load_checkpoint(path).normalization is None
 
     def test_bytes_deterministic(self, tmp_path):
-        model = Mlp(4, (8,), seed=0)
+        model = Model(Mlp(4, (8,), seed=0), FeatureConfig.XYZ, None, NEIGHBORHOOD, (1.0, 1.0), 0)
         p1, p2 = tmp_path / "a.mstm", tmp_path / "b.mstm"
-        save_checkpoint(p1, model, FeatureConfig.XYZ, (1.0, 1.0), 0, NEIGHBORHOOD)
-        save_checkpoint(p2, model, FeatureConfig.XYZ, (1.0, 1.0), 0, NEIGHBORHOOD)
+        save_checkpoint(p1, model)
+        save_checkpoint(p2, model)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("fconfig", ALL_CONFIGS, ids=lambda c: c.name)
+    def test_resaving_a_loaded_checkpoint_gives_the_same_bytes(self, tmp_path, fconfig):
+        columns = fconfig.spectral_columns
+        params = None
+        if columns:
+            values = np.random.default_rng(5).normal(size=(100, len(columns)))
+            params = fit_normalization(values, columns, p_low=2.5, p_high=97.0)
+        first, again = tmp_path / "first.mstm", tmp_path / "again.mstm"
+        save_checkpoint(first, Model(Mlp(7, (6, 5), seed=3), fconfig, params,
+                                     {"k": 9, "radius": 1.25}, (0.7, 1.3), 11))
+        save_checkpoint(again, load_checkpoint(first))
+        assert again.read_bytes() == first.read_bytes()
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.mstm"
@@ -404,8 +420,7 @@ class TestCheckpoint:
     def saved(tmp_path):
         model = Mlp(4, (8, 3), seed=0)
         path = tmp_path / "model.mstm"
-        save_checkpoint(path, model, FeatureConfig.XYZ_PNDVI, (0.36, 1.64),
-                        0, NEIGHBORHOOD, pndvi_params())
+        save_checkpoint(path, pndvi_model(model))
         # section ends: magic, header, config name, class weights,
         # neighborhood, normalization percentiles, normalization lo/hi/impute
         # (one column), layer count, layer sizes, then W/b per layer
@@ -467,8 +482,7 @@ class TestCheckpoint:
         else:
             model = Mlp(4, (8, 3), seed=0)
             model.weights[-1][:, 0] = (0.5, -1.0, 2.0)
-            save_checkpoint(path, model, FeatureConfig.XYZ_PNDVI, (0.36, 1.64),
-                            0, NEIGHBORHOOD, pndvi_params())
+            save_checkpoint(path, pndvi_model(model))
             path.write_bytes(as_v2_checkpoint(path.read_bytes(), model.sizes))
         with pytest.raises(DataError, match=f"version {version} .*retrain"):
             load_checkpoint(path)
@@ -507,6 +521,6 @@ class TestCheckpoint:
 
     def test_loaded_parameters_are_views_of_the_flat_vector(self, tmp_path):
         path, _, _ = self.saved(tmp_path)
-        model, _ = load_checkpoint(path)
-        for p in model.parameters():
-            assert np.shares_memory(p, model.flat)
+        net = load_checkpoint(path).net
+        for p in net.parameters():
+            assert np.shares_memory(p, net.flat)

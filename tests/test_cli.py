@@ -200,14 +200,6 @@ def test_config_file_and_flag_precedence(chain, tmp_path):
     assert manifest["config"]["voxel"]["grid"] == 1.0
 
 
-def test_seed_env_var_fallback(chain, tmp_path, monkeypatch):
-    monkeypatch.setenv("MSLIDAR_SEED", "5")
-    out = tmp_path / "seeded.mst"
-    assert main(["features", "--in", str(chain["hnorm"]), "--out", str(out)]) == 0
-    manifest = json.loads(out.with_name(out.name + ".manifest.json").read_text())
-    assert manifest["seed"] == 5
-
-
 def test_ablate_small_and_stagewise_equivalence(chain, tmp_path):
     train, test = (str(chain["splits"] / f"{name}.mst") for name in ("train", "test"))
     tree_only = tmp_path / "tree_only.yaml"
@@ -291,20 +283,25 @@ def test_ablate_fits_normalization_at_configured_percentiles(chain, tmp_path,
 def test_predict_manifest_records_the_checkpoint_recipe(chain, tmp_path):
     # predict builds features from the checkpoint, not from its own config,
     # and its manifest must record the recipe that ran
-    cfg = tmp_path / "p5.yaml"
-    cfg.write_text("features: {p_low: 5.0}\n")
+    cfg = tmp_path / "recipe.yaml"
+    cfg.write_text("features: {p_low: 5.0}\nneighborhood: {k: 8}\n")
     model_dir = tmp_path / "m"
     assert main(["train", "--train", str(chain["splits"] / "train.mst"),
                  "--out-dir", str(model_dir), "--epochs", "1",
                  "--feature-config", "XYZ_PNDVI", "--config", str(cfg)]) == 0
-    assert main(["predict", "--in", str(chain["splits"] / "test.mst"),
-                 "--model", str(model_dir / "model.mstm"),
-                 "--out-dir", str(tmp_path / "p")]) == 0
+    predict = ["predict", "--in", str(chain["splits"] / "test.mst"),
+               "--model", str(model_dir / "model.mstm")]
+    assert main([*predict, "--out-dir", str(tmp_path / "p")]) == 0
     manifest = json.loads((tmp_path / "p" / "manifest.json").read_text())
     assert manifest["config"]["features"] == {
         "config": "XYZ_PNDVI", "p_low": 5.0, "p_high": 99.0}
+    assert manifest["config"]["neighborhood"] == {"k": 8, "radius": 2.0}
     assert manifest["extra"]["feature_config"] == "XYZ_PNDVI"
     assert manifest["config_hash"] == pipeline.config_hash(manifest["config"])
+    # under the default config predict ran what the training config gives
+    assert main([*predict, "--out-dir", str(tmp_path / "q"), "--config", str(cfg)]) == 0
+    for name in ("predictions.txt", "manifest.json"):
+        assert (tmp_path / "q" / name).read_bytes() == (tmp_path / "p" / name).read_bytes()
 
 
 def test_prediction_does_not_depend_on_far_points(chain, tmp_path):
@@ -482,10 +479,10 @@ class TestErrorPaths:
         assert "error[data]" in capsys.readouterr().err
 
     def test_predict_with_a_v2_model_asks_for_retraining(self, chain, tmp_path, capsys):
-        model, _ = classifier.load_checkpoint(chain["model"] / "model.mstm")
+        model = classifier.load_checkpoint(chain["model"] / "model.mstm")
         old = tmp_path / "model.mstm"
         old.write_bytes(as_v2_checkpoint(
-            (chain["model"] / "model.mstm").read_bytes(), model.sizes))
+            (chain["model"] / "model.mstm").read_bytes(), model.net.sizes))
         rc = main(["predict", "--in", str(chain["splits"] / "test.mst"),
                    "--model", str(old), "--out-dir", str(tmp_path / "p")])
         assert rc == 3
@@ -516,48 +513,23 @@ class TestErrorPaths:
         assert main(argv) == code
         assert message in capsys.readouterr().err
 
-    def test_predict_with_another_neighborhood_is_config_error(self, chain, tmp_path,
-                                                               capsys):
-        cfg = tmp_path / "k8.yaml"
-        cfg.write_text("neighborhood: {k: 8}\n")
-        assert main(["train", "--train", str(chain["splits"] / "train.mst"),
-                     "--out-dir", str(tmp_path / "m"), "--epochs", "1",
-                     "--config", str(cfg)]) == 0
-        rc = main(["predict", "--in", str(chain["splits"] / "test.mst"),
-                   "--model", str(tmp_path / "m" / "model.mstm"),
-                   "--out-dir", str(tmp_path / "p")])
-        assert rc == 2
-        assert "was trained with neighborhood {'k': 8" in capsys.readouterr().err
-
     def test_zero_threads_is_config_error(self, chain, tmp_path, capsys):
         rc = main(["features", "--in", str(chain["hnorm"]),
                    "--out", str(tmp_path / "f.mst"), "--threads", "0"])
         assert rc == 2
         assert "error[config]: threads" in capsys.readouterr().err
 
-    def test_non_integer_seed_env_is_config_error(self, chain, tmp_path, capsys,
-                                                  monkeypatch):
-        monkeypatch.setenv("MSLIDAR_SEED", "abc")
-        rc = main(["features", "--in", str(chain["hnorm"]),
-                   "--out", str(tmp_path / "f.mst")])
-        assert rc == 2
-        assert "error[config]: MSLIDAR_SEED" in capsys.readouterr().err
-
     @pytest.mark.parametrize("route, seed", [
-        ("flag", -1), ("yaml", -1), ("env", -1), ("flag", 2**63), ("yaml", 2**64),
-        ("env", 2**63),
+        ("flag", -1), ("yaml", -1), ("flag", 2**63), ("yaml", 2**64),
     ])
-    def test_out_of_range_seed_is_config_error(self, chain, tmp_path, capsys,
-                                               monkeypatch, route, seed):
+    def test_out_of_range_seed_is_config_error(self, chain, tmp_path, capsys, route, seed):
         argv = ["split", "--in", str(chain["sub"]), "--out-dir", str(tmp_path / "s")]
         if route == "flag":
             argv += ["--seed", str(seed)]
-        elif route == "yaml":
+        else:
             cfg = tmp_path / "seed.yaml"
             cfg.write_text(f"seed: {seed}\n")
             argv += ["--config", str(cfg)]
-        else:
-            monkeypatch.setenv("MSLIDAR_SEED", str(seed))
         assert main(argv) == 2
         assert f"error[config]: seed must be an integer in [0, 2**63), got {seed}" \
             in capsys.readouterr().err

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from mslidar import cloud as cloud_module
 from mslidar.cloud import (
-    Label, PointCloud, build_index, concat, group_cells, ordered_blocks,
+    Label, PointCloud, build_index, concat, group_cells, ordered_blocks, row_blocks,
 )
 from mslidar.errors import DataError
 
@@ -170,6 +170,13 @@ class TestSpatialIndex:
                 got = index.knn_batch(qs, k, radius=r)
                 assert got.dtype == np.int32
                 np.testing.assert_array_equal(got, oracle_rows(index, cloud, qs, k, r))
+
+    def test_block_rows_shrink_in_proportion_to_k_past_16(self, monkeypatch):
+        monkeypatch.setattr(cloud_module, "QUERY_ROWS", 64)
+        for k, size in ((1, 64), (16, 64), (17, 60), (32, 32), (1024, 1), (10**9, 1)):
+            blocks = list(row_blocks(200, k))
+            assert [(b.start, b.stop) for b in blocks] == [
+                (lo, lo + size) for lo in range(0, 200, size)], k
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_visiting_order_does_not_change_any_row(self, monkeypatch, workers):

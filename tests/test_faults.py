@@ -8,7 +8,8 @@ config is a config error (exit 2). MST1 files and configs enter through
 `subsample`, LAS files through `ingest`, label files through `evaluate`,
 model files through `predict`. An output that cannot be written, or that
 is also an input, is a config error, and a failed write names the path it
-was writing. A neighbour count k above the point count is clamped to it.
+was writing. A neighbour count k above the point count is clamped to it,
+and a neighbour pass's memory does not grow with k.
 """
 
 import dataclasses
@@ -307,17 +308,21 @@ sys.exit(main(sys.argv[2:]))
 """
 
 
+def _child_env() -> dict:
+    """The environment of a CLI child process that imports this mslidar."""
+    src = str(Path(mslidar.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def test_an_out_dir_write_over_the_file_size_limit_names_its_path(cloud, tmp_path):
     pytest.importorskip("resource")
     write_columnar(cloud, tmp_path / "c.mst")
     splits = tmp_path / "splits"
-    src = str(Path(mslidar.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     run = subprocess.run(
         [sys.executable, "-c", FSIZE_LIMITED, "1024",
          "split", "--in", str(tmp_path / "c.mst"), "--out-dir", str(splits)],
-        env=env, capture_output=True, text=True, timeout=120)
+        env=_child_env(), capture_output=True, text=True, timeout=120)
     err = run.stderr
     assert (run.returncode, f"error[config]: cannot write {splits / 'train.mst'}: " in err) == (
         2, True), err
@@ -343,3 +348,24 @@ def test_neighborhood_k_above_the_point_count_is_clamped(cloud, tmp_path):
     for name in ("ablation.json", "ablation.csv", "report_XYZ.json"):
         assert (tmp_path / f"a{10**9}" / name).read_bytes() == (
             tmp_path / f"a{N}" / name).read_bytes(), name
+
+
+# Runs the CLI in a child process whose address space is capped at argv[1]
+# bytes, as `ulimit -v` would cap it.
+AS_LIMITED = FSIZE_LIMITED.replace("RLIMIT_FSIZE", "RLIMIT_AS")
+
+
+def test_merge_with_a_huge_k_runs_in_bounded_memory(tmp_path):
+    """k is clamped to the 10000 points of a channel; a (block rows, k)
+    query of full-size blocks would need over 3 GB."""
+    pytest.importorskip("resource")
+    scene = tmp_path / "scene.mst"
+    assert main(["synth", "--out", str(scene), "--target-points", "20000",
+                 "--seed", "3"]) == 0
+    run = subprocess.run(
+        [sys.executable, "-c", AS_LIMITED, str(3_000_000 * 1024),
+         "merge", "--in", str(scene), "--out", str(tmp_path / "m.mst"),
+         "--k", "1000000000", "--threads", "1"],
+        env=dict(_child_env(), OPENBLAS_NUM_THREADS="1"),
+        capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr

@@ -165,8 +165,7 @@ def test_stage_functions_map_values_to_values(tmp_path, monkeypatch):
     splits = outputs("split", cloud=cloud)
     train, test = splits["train.mst"], splits["test.mst"]
     model = outputs("train", train=train)["model.mstm"]
-    labels = outputs("predict", cloud=test, model=model,
-                     paths={"model": tmp_path / "model.mstm"})["predictions.txt"]
+    labels = outputs("predict", cloud=test, model=model)["predictions.txt"]
     pred = {"predictions": tmp_path / "predictions.txt"}
     assert set(outputs("evaluate", cloud=test, predictions=labels, paths=pred)) == {
         "report.json", "report.csv"}
