@@ -304,6 +304,26 @@ def test_predict_manifest_records_the_checkpoint_recipe(chain, tmp_path):
         assert (tmp_path / "q" / name).read_bytes() == (tmp_path / "p" / name).read_bytes()
 
 
+def test_predict_with_another_neighborhood_runs_the_checkpoints(chain, tmp_path, capsys):
+    # a config naming another neighbourhood is no error: the checkpoint's
+    # neighbourhood runs, as it does under the default config
+    k8, k4 = tmp_path / "k8.yaml", tmp_path / "k4.yaml"
+    k8.write_text("neighborhood: {k: 8}\n")
+    k4.write_text("neighborhood: {k: 4}\n")
+    assert main(["train", "--train", str(chain["splits"] / "train.mst"),
+                 "--out-dir", str(tmp_path / "m"), "--epochs", "1",
+                 "--config", str(k8)]) == 0
+    predict = ["predict", "--in", str(chain["splits"] / "test.mst"),
+               "--model", str(tmp_path / "m" / "model.mstm")]
+    assert main([*predict, "--out-dir", str(tmp_path / "p"), "--config", str(k4)]) == 0
+    assert "error[" not in capsys.readouterr().err
+    manifest = json.loads((tmp_path / "p" / "manifest.json").read_text())
+    assert manifest["config"]["neighborhood"] == {"k": 8, "radius": 2.0}
+    assert main([*predict, "--out-dir", str(tmp_path / "q")]) == 0
+    assert (tmp_path / "q" / "predictions.txt").read_bytes() == \
+        (tmp_path / "p" / "predictions.txt").read_bytes()
+
+
 def test_prediction_does_not_depend_on_far_points(chain, tmp_path):
     """Points farther than neighborhood.radius from every test point move
     the cloud's mean but leave the labels of the original points as they were."""
