@@ -136,10 +136,10 @@ def predict(features: np.ndarray, model: Mlp, workers: int = 1) -> np.ndarray:
 
 
 def height_threshold_postprocess(
-    labels: np.ndarray, cloud: PointCloud, t: float = 2.0
+    labels: np.ndarray, cloud: PointCloud, threshold: float = 2.0
 ) -> np.ndarray:
-    """A copy of `labels` with predicted trees below t meters of normalized
-    height relabelled non-tree.
+    """A copy of `labels` with predicted trees below `threshold` meters of
+    normalized height relabelled non-tree.
 
     Low "trees" are overwhelmingly facade/fence/low-vegetation errors.
     """
@@ -147,13 +147,8 @@ def height_threshold_postprocess(
     if len(labels) != cloud.count:
         raise DataError("prediction and cloud disagree on point count")
     labels = labels.copy()
-    labels[(labels == int(Label.TREE)) & (cloud.h_norm < t)] = int(Label.NON_TREE)
+    labels[(labels == int(Label.TREE)) & (cloud.h_norm < threshold)] = int(Label.NON_TREE)
     return labels
-
-
-def config_graph(cloud: PointCloud, cfg: dict) -> np.ndarray:
-    """The neighborhood graph of the effective config's neighborhood.k/radius."""
-    return neighborhood_graph(cloud, **cfg["neighborhood"], workers=worker_count(cfg["threads"]))
 
 
 @dataclass(frozen=True)
@@ -195,11 +190,10 @@ def fit(
     neighborhood = dict(cfg["neighborhood"])
     features = _features(cloud, fconfig, params, neighborhood, cfg, graph)
     weights = compute_class_weights(cloud.label)
-    result = train(features, cloud.label, weights,
-                   TrainConfig(**cfg["train"], seed=cfg["seed"]),
-                   workers=worker_count(cfg["threads"]))
-    model = Model(result.model, fconfig, params, neighborhood, weights, cfg["seed"])
-    return model, result.loss_curve
+    net, loss_curve = train(features, cloud.label, weights,
+                            TrainConfig(**cfg["train"], seed=cfg["seed"]),
+                            workers=worker_count(cfg["threads"]))
+    return Model(net, fconfig, params, neighborhood, weights, cfg["seed"]), loss_curve
 
 
 def classify(
@@ -213,7 +207,7 @@ def classify(
     labels = predict(features, model.net, workers=worker_count(cfg["threads"]))
     threshold = cfg["postprocess"]["threshold"]
     if threshold is not None:
-        labels = height_threshold_postprocess(labels, cloud, t=threshold)
+        labels = height_threshold_postprocess(labels, cloud, threshold)
     return labels
 
 

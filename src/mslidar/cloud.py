@@ -108,9 +108,6 @@ class PointCloud:
     def count(self) -> int:
         return int(self.x.shape[0])
 
-    def __len__(self) -> int:
-        return self.count
-
     @property
     def xyz(self) -> np.ndarray:
         """Coordinates as an (n, 3) float64 array (copies)."""
@@ -127,12 +124,6 @@ class PointCloud:
         for name in names:
             if not self.has(name):
                 raise DataError(f"point cloud lacks required column {name!r}")
-
-    def column(self, name: str) -> np.ndarray:
-        if name in ("x", "y", "z", "channel"):
-            return getattr(self, name)
-        self.require(name)
-        return getattr(self, name)
 
     def with_column(self, name: str, values) -> "PointCloud":
         """Return a copy of the cloud with one column added or replaced."""

@@ -124,12 +124,12 @@ def write_labels(labels: np.ndarray, path) -> None:
     Path(path).write_text("\n".join(map(str, labels.tolist())) + "\n", encoding="utf-8")
 
 
-def read_labels(path, expected_count: int | None = None) -> np.ndarray:
+def read_labels(path) -> np.ndarray:
     """Read a label file: plain text, one 0 (non-tree) or 1 (tree) per line.
 
     Rows align with the points of a named columnar file, which lets
     predictions from other tools be scored without conversion. Any other
-    value, and a count other than `expected_count`, is a DataError.
+    value is a DataError; :func:`check_label_count` checks the count.
     """
     path = Path(path)
     values = []
@@ -150,10 +150,7 @@ def read_labels(path, expected_count: int | None = None) -> np.ndarray:
         if value not in (0, 1):
             raise DataError(f"{path}:{lineno}: label {value} is not 0 or 1")
         values.append(value)
-    labels = np.asarray(values, dtype=np.uint8)
-    if expected_count is not None:
-        check_label_count(labels, expected_count, path)
-    return labels
+    return np.asarray(values, dtype=np.uint8)
 
 
 def check_label_count(labels: np.ndarray, count: int, path) -> np.ndarray:

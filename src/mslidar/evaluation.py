@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .cloud import Label, PointCloud
+from .cloud import Label, PointCloud, worker_count
 from .errors import DataError
 from .features import FeatureConfig
 from . import classifier as clf
@@ -77,7 +77,7 @@ class EvalReport:
     macc: float
     oa: float
     counts: ConfusionMatrix
-    error_rate_above: float | None = None   # None = undefined (no points above t)
+    error_rate_above: float | None = None   # None: no point above the threshold
     threshold: float | None = None
     manifest: dict = field(default_factory=dict)
 
@@ -109,7 +109,7 @@ def metrics(cm: ConfusionMatrix, manifest: dict | None = None) -> EvalReport:
         iou_tree=100.0 * iou_tree,
         miou=100.0 * (iou_tree + iou_nontree) / 2.0,
         macc=100.0 * (recall_tree + recall_nontree) / 2.0,
-        # same association as error_rate_above so the t=0 identity is exact
+        # same association as error_rate_above so the threshold-0 identity is exact
         oa=100.0 * ((cm.tp + cm.tn) / cm.total),
         counts=cm,
         manifest=manifest or {},
@@ -120,17 +120,17 @@ def error_rate_above(
     pred: np.ndarray,
     truth: np.ndarray,
     h_norm: np.ndarray,
-    t: float = 2.0,
+    threshold: float = 2.0,
     predicted_tree_only: bool = False,
 ) -> float | None:
-    """Misclassification rate (percent) among points with h_norm > t.
+    """Misclassification rate (percent) among points with h_norm > threshold.
 
-    Default reading: all points above t. With predicted_tree_only, the
-    population is instead the points *predicted* tree above t (the
-    alternative reading of this error statistic). Returns None when
-    no point lies above the threshold.
+    Default reading: all points above the threshold. With
+    predicted_tree_only, the population is instead the points *predicted*
+    tree above it (the alternative reading of this error statistic).
+    Returns None when no point lies above the threshold.
 
-    Computed as 100 - 100*correct/n so that t=0 over non-negative
+    Computed as 100 - 100*correct/n so that threshold 0 over non-negative
     heights reproduces 100 - OA exactly, bit for bit.
     """
     pred = np.asarray(pred)
@@ -138,7 +138,7 @@ def error_rate_above(
     h = np.asarray(h_norm)
     if not (pred.shape == truth.shape == h.shape):
         raise DataError("pred, truth and h_norm must have equal lengths")
-    above = h > t
+    above = h > threshold
     if predicted_tree_only:
         above &= pred == int(Label.TREE)
     n = int(above.sum())
@@ -153,7 +153,7 @@ def evaluate(
     truth: np.ndarray,
     h_norm: np.ndarray | None = None,
     *,
-    t: float,
+    threshold: float,
     predicted_tree_only: bool,
     manifest: dict | None = None,
 ) -> EvalReport:
@@ -162,10 +162,9 @@ def evaluate(
     report = metrics(confusion(pred, truth), manifest=manifest)
     rate = None
     if h_norm is not None:
-        rate = error_rate_above(
-            pred, truth, h_norm, t=t, predicted_tree_only=predicted_tree_only
-        )
-    return replace(report, error_rate_above=rate, threshold=t)
+        rate = error_rate_above(pred, truth, h_norm, threshold=threshold,
+                                predicted_tree_only=predicted_tree_only)
+    return replace(report, error_rate_above=rate, threshold=threshold)
 
 
 @dataclass
@@ -196,7 +195,7 @@ def score(labels: np.ndarray, cloud: PointCloud, cfg: dict,
     cloud.require("label")
     return evaluate(
         labels, cloud.label, cloud.h_norm if cloud.has("h_norm") else None,
-        t=cfg["evaluate"]["threshold"],
+        threshold=cfg["evaluate"]["threshold"],
         predicted_tree_only=cfg["evaluate"]["predicted_tree_only"],
         manifest=manifest,
     )
@@ -218,8 +217,9 @@ def run_ablation(
         cloud.require("label", "h_norm")
         if cloud.count == 0:
             raise DataError(f"{name} cloud is empty")
-    graph_train = clf.config_graph(train_cloud, cfg)
-    graph_test = clf.config_graph(test_cloud, cfg)
+    workers = worker_count(cfg["threads"])
+    graph_train = clf.neighborhood_graph(train_cloud, **cfg["neighborhood"], workers=workers)
+    graph_test = clf.neighborhood_graph(test_cloud, **cfg["neighborhood"], workers=workers)
 
     reports: dict[FeatureConfig, EvalReport] = {}
     for fconfig in dict.fromkeys(configs):

@@ -2,11 +2,13 @@
 
 Reflectance arrives in decibels; the vegetation index is computed in
 linear units (conversion 10^(dB/10)), so a common dB offset on both
-channels cancels. Spectral columns are then made comparable by robust
-scaling: clip to the training split's [p1, p99] and min-max to [0, 1].
-Absolute position is not a feature: geometry enters as height above
-terrain, so a model does not depend on where its cloud lies, and the
-classifier adds relative geometry from each point's neighborhood.
+channels cancels. The conversions and the index map arrays to float64
+arrays elementwise (a scalar gives a numpy float64). Spectral columns
+are then made comparable by robust scaling: clip to the training
+split's [p1, p99] and min-max to [0, 1]. Absolute position is not a
+feature: geometry enters as height above terrain, so a model does not
+depend on where its cloud lies, and the classifier adds relative
+geometry from each point's neighborhood.
 """
 
 import logging
@@ -31,8 +33,7 @@ def db_to_linear(r_db):
     arr = np.asarray(r_db, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise NumericError("db_to_linear requires finite dB values")
-    out = np.power(10.0, arr / 10.0)
-    return float(out) if np.isscalar(r_db) else out
+    return np.power(10.0, arr / 10.0)
 
 
 def linear_to_db(r_lin):
@@ -40,8 +41,7 @@ def linear_to_db(r_lin):
     arr = np.asarray(r_lin, dtype=np.float64)
     if not np.all(arr > 0):
         raise NumericError("linear reflectance must be strictly positive")
-    out = 10.0 * np.log10(arr)
-    return float(out) if np.isscalar(r_lin) else out
+    return 10.0 * np.log10(arr)
 
 
 def pndvi(nir_db, green_db):
@@ -58,10 +58,7 @@ def pndvi(nir_db, green_db):
         raise NumericError("pndvi requires finite dB values (NaN = missing)")
     n_lin = np.power(10.0, n / 10.0)
     g_lin = np.power(10.0, g / 10.0)
-    out = (n_lin - g_lin) / (n_lin + g_lin)
-    if np.isscalar(nir_db) and np.isscalar(green_db):
-        return float(out)
-    return out
+    return (n_lin - g_lin) / (n_lin + g_lin)
 
 
 def add_pndvi(cloud: PointCloud) -> PointCloud:
@@ -93,9 +90,9 @@ class FeatureConfig(Enum):
 
     @classmethod
     def from_name(cls, name: str) -> "FeatureConfig":
+        """The config of a full name, in any case and with "+" or "-" for
+        "_": "xyz+pndvi" is XYZ_PNDVI."""
         key = name.strip().upper().replace("+", "_").replace("-", "_")
-        if key != "XYZ" and not key.startswith("XYZ_"):
-            key = "XYZ_" + key
         try:
             return cls[key]
         except KeyError:
@@ -140,11 +137,12 @@ def _check_percentiles(p_low: float, p_high: float) -> None:
 
 def fit_normalization(
     features: np.ndarray,
-    columns: tuple[str, ...] | None = None,
+    columns: tuple[str, ...],
     p_low: float = 1.0,
     p_high: float = 99.0,
 ) -> NormalizationParams:
-    """Fit robust scaling on training features (one column per feature).
+    """Fit robust scaling on training features, one column per name of
+    `columns`.
 
     NaN entries (missing markers) are excluded from the percentiles and
     the imputation median. A constant column gets lo == hi and maps to
@@ -154,8 +152,6 @@ def fit_normalization(
     if feats.shape[0] < 2:
         raise DataError("need at least 2 rows to fit normalization")
     _check_percentiles(p_low, p_high)
-    if columns is None:
-        columns = tuple(f"col{i}" for i in range(feats.shape[1]))
     if np.isnan(feats).all(axis=0).any():
         raise DataError("a feature column holds no observed values at all")
     lo = np.nanpercentile(feats, p_low, axis=0)
@@ -202,7 +198,7 @@ def spectral_matrix(cloud: PointCloud, config: FeatureConfig) -> np.ndarray:
                 f"feature config {config.name} requires column {name!r}, "
                 "which is missing from the cloud"
             )
-        cols.append(cloud.column(name).astype(np.float64))
+        cols.append(getattr(cloud, name).astype(np.float64))
     if not cols:
         return np.empty((cloud.count, 0), dtype=np.float64)
     return np.column_stack(cols)

@@ -4,8 +4,9 @@ Covers exactly what the pipeline needs: point record formats 0-3 and
 6-8 on read, format 6 on write, intensity or float32 extra-bytes
 attributes as the reflectance source, and the four derived attributes
 (refl_green_db, refl_nir_db, pndvi, h_norm) as extra-bytes on write.
-Classification carries the 0/1 predicted label. No LAZ, no waveforms,
-no EVLRs.
+Classification carries the 0/1 predicted label. A read tags every
+point with the channel its caller names, or with the file's per-point
+scanner-channel bits. No LAZ, no waveforms, no EVLRs.
 
 Written files are deterministic: creation day/year are zeroed and no
 timestamps appear anywhere, so identical clouds give identical bytes.
@@ -75,20 +76,20 @@ def _parse_extra_defs(path: Path, payload: bytes) -> list[tuple[str, np.dtype]]:
 
 def read_las(
     path,
+    channel: int | str,
     reflectance_source: str = "intensity",
-    channel: int | str | None = None,
     label_source: str | None = None,
 ) -> PointCloud:
     """Read a LAS file into a PointCloud.
 
     Args:
         path: input file.
-        reflectance_source: "intensity" or the name of an extra-bytes
-            attribute; its values are copied verbatim to reflectance_db,
-            so the field must already hold decibels.
         channel: wavelength tag for every point (a Channel value), or
             "scanner" to read the per-point scanner-channel bits (point
             formats 6-8 only, as written by write_las).
+        reflectance_source: "intensity" or the name of an extra-bytes
+            attribute; its values are copied verbatim to reflectance_db,
+            so the field must already hold decibels.
         label_source: "classification" to copy the classification byte
             into the label column, or None to leave labels absent.
 
@@ -184,10 +185,6 @@ def read_las(
         if not np.all(chan <= 1):
             raise DataError(f"{path}: scanner channel exceeds known wavelengths")
         chan = chan.astype(np.uint8)
-    elif channel is None:
-        raise DataError(
-            "channel tag required: pass a Channel value or 'scanner'"
-        )
     else:
         chan = np.full(count, int(channel), dtype=np.uint8)
 

@@ -33,8 +33,10 @@ worker count nor on OPENBLAS_NUM_THREADS.
 Each worker has its own workspace of activation, backward-delta,
 ReLU-mask and gradient buffers of SHARD_ROWS rows, so a pass allocates no
 (rows x hidden) temporaries and its memory does not grow with its row
-count. The workspaces belong to the call, not to the model. The arrays
-`forward` returns are views of the workspace it is given.
+count. A call has no more workers than its passes have shards (for
+`train`, the shards of one batch), so no workspace sits idle. The
+workspaces belong to the call, not to the model. The arrays `forward`
+returns are views of the workspace it is given.
 
 All parameters live in one flat vector, weight matrices first and then
 the biases, and `weights`/`biases` are views of it; gradients use the
@@ -167,6 +169,11 @@ class Crew:
                 yield future.result()
 
 
+def _shards(rows: int) -> int:
+    """The shards of a pass over `rows` rows, at least one."""
+    return max(1, -(-rows // SHARD_ROWS))
+
+
 @contextmanager
 def crew(sizes, dtype, workers: int):
     """A Crew of `workers` workers for networks of the given layer sizes,
@@ -238,12 +245,13 @@ class Mlp:
         np.copyto(out, rows, casting="unsafe")
         return out
 
-    def _crew(self, workers: "int | Crew"):
+    def _crew(self, workers: "int | Crew", rows: int):
         """`workers` itself when it is the Crew of an enclosing call, else a
-        crew of that many workers for this call."""
+        crew of that many workers for this call's `rows` rows, at most one
+        per shard."""
         if isinstance(workers, Crew):
             return nullcontext(workers)
-        return crew(self.sizes, self.dtype, workers)
+        return crew(self.sizes, self.dtype, min(workers, _shards(rows)))
 
     def margins(self, x: np.ndarray, workers: "int | Crew" = 1) -> np.ndarray:
         """The margin z of every row of x, in the model dtype: class 1 (tree)
@@ -254,7 +262,7 @@ class Mlp:
         def work(ws, lo):
             z[lo : lo + SHARD_ROWS] = self.forward(self._rows(x, lo, ws), ws)[0]
 
-        with self._crew(workers) as team:
+        with self._crew(workers, x.shape[0]) as team:
             for _ in team.deal(x.shape[0], work):
                 pass
         return z
@@ -293,7 +301,7 @@ class Mlp:
 
     def loss(self, x, y, class_weights, workers: "int | Crew" = 1) -> float:
         """The weighted cross-entropy of loss_and_grads, forward passes only."""
-        with self._crew(workers) as team:
+        with self._crew(workers, len(x)) as team:
             return self._pass(x, y, class_weights, None, team)
 
     def loss_and_grads(self, x, y, class_weights, out=None, workers: "int | Crew" = 1):
@@ -308,7 +316,7 @@ class Mlp:
         """
         if out is None:
             out = np.empty_like(self.flat)
-        with self._crew(workers) as team:
+        with self._crew(workers, len(x)) as team:
             loss = self._pass(x, y, class_weights, out, team)
         return loss, _interleave(*self._views(out))
 
@@ -355,25 +363,21 @@ def _interleave(weights, biases) -> list[np.ndarray]:
     return [a for pair in zip(weights, biases) for a in pair]
 
 
-@dataclass
-class TrainResult:
-    model: Mlp
-    loss_curve: list[float]
-
-
 def train(
     features: np.ndarray,
     labels: np.ndarray,
     class_weights,
     config: TrainConfig = TrainConfig(),
     workers: int = 1,
-) -> TrainResult:
-    """Train with AdamW (decoupled weight decay on the weight matrices).
+) -> tuple[Mlp, list[float]]:
+    """Train with AdamW (decoupled weight decay on the weight matrices);
+    returns the network and its loss curve.
 
     loss_curve[0] is the pre-training loss over the full set; entry e+1
     is the running weighted mean over epoch e's batches. Every pass runs
-    on one crew of `workers` workers. Bit-identical results for identical
-    inputs and seed, whatever the worker count and the BLAS thread count.
+    on one crew of at most `workers` workers, one per shard of a batch.
+    Bit-identical results for identical inputs and seed, whatever the
+    worker count and the BLAS thread count.
     """
     x = np.ascontiguousarray(features, dtype=DTYPE)
     y = np.ascontiguousarray(labels).astype(np.int64)
@@ -402,7 +406,7 @@ def train(
 
     n = x.shape[0]
     bs = config.batch_size
-    with crew(model.sizes, model.dtype, workers) as team:
+    with crew(model.sizes, model.dtype, min(workers, _shards(min(n, bs)))) as team:
         curve = [model.loss(x, y, class_weights, workers=team)]
         rng = np.random.default_rng(config.seed)
         t = 0
@@ -446,4 +450,4 @@ def train(
                 epoch_loss += loss * xb.shape[0]
                 epoch_weight += xb.shape[0]
             curve.append(epoch_loss / epoch_weight)
-    return TrainResult(model=model, loss_curve=curve)
+    return model, curve

@@ -41,13 +41,12 @@ from . import classifier as clf
 from . import evaluation as ev
 
 
-def _defaults(owner: Callable, *names: str, **renamed: str) -> dict:
+def _defaults(owner: Callable, *names: str) -> dict:
     """Defaults of the named parameters of a function or parameter
     dataclass, with tuples as lists, the form YAML and the manifests' JSON
-    give them; `renamed` maps a config key to a parameter of another name."""
+    give them."""
     params = inspect.signature(owner).parameters
-    keys = dict(zip(names, names), **renamed)
-    values = {key: params[name].default for key, name in keys.items()}
+    values = {name: params[name].default for name in names}
     return {k: list(v) if isinstance(v, tuple) else v for k, v in values.items()}
 
 
@@ -69,8 +68,8 @@ DEFAULTS: dict = {
     "train": _defaults(TrainConfig, "epochs", "learning_rate", "weight_decay",
                        "batch_size", "hidden"),
     "split": {"ratios": [0.6853, 0.1628, 0.1519], "tile_size": 20.0},
-    "postprocess": _defaults(clf.height_threshold_postprocess, threshold="t"),
-    "evaluate": _defaults(ev.error_rate_above, "predicted_tree_only", threshold="t"),
+    "postprocess": _defaults(clf.height_threshold_postprocess, "threshold"),
+    "evaluate": _defaults(ev.error_rate_above, "predicted_tree_only", "threshold"),
     "synth": {"target_points": 500_000},
 }
 
@@ -229,21 +228,21 @@ class Flag:
 
     A flag with a `config` key sets that dotted key of the effective
     config; any other passes its value to the stage function as the
-    keyword argument `dest`. A path flag names a file of `kind`: an input
-    the runner reads, passed to the stage function as the keyword `reads`
-    and hashed under that name in the manifest, or, with no `reads`, an
-    output. An output directory maps the names of the files the stage
-    writes in it to their kinds, in `writes`. `kwargs` are the other
-    add_argument keywords.
+    keyword argument `dest`, the option's name with "_" for "-". A path
+    flag names a file of `kind`: an input the runner reads, passed to the
+    stage function as the keyword `reads` and hashed under that name in
+    the manifest, or, with no `reads`, an output. An output directory
+    maps the names of the files the stage writes in it to their kinds, in
+    `writes`. `kwargs` are the other add_argument keywords.
     """
 
     def __init__(self, option: str, config: str | None = None, help: str | None = None,
-                 dest: str | None = None, reads: str | None = None,
-                 kind: Kind | None = None, writes: dict[str, Kind] | None = None, **kwargs):
+                 reads: str | None = None, kind: Kind | None = None,
+                 writes: dict[str, Kind] | None = None, **kwargs):
         self.option = option
         self.config = config
         self.help = help
-        self.dest = dest or option.lstrip("-").replace("-", "_")
+        self.dest = option.lstrip("-").replace("-", "_")
         self.reads = reads
         self.kind = kind
         self.writes = writes or {}
@@ -269,11 +268,11 @@ def setting(key: str, option: str | None = None, help: str | None = None) -> Fla
                 f"{help}; {note}" if help else note, **kwargs)
 
 
-def path(option: str, dest: str | None = None, required: bool = True,
-         help: str | None = None, reads: str | None = None, kind: Kind = CLOUD) -> Flag:
+def path(option: str, required: bool = True, help: str | None = None,
+         reads: str | None = None, kind: Kind = CLOUD) -> Flag:
     """A file of `kind`: an input recorded in the manifest as `reads`, or,
     with no `reads`, the stage's output."""
-    return Flag(option, None, help, dest, reads, kind, type=Path, required=required)
+    return Flag(option, None, help, reads, kind, type=Path, required=required)
 
 
 def out_dir(writes: dict[str, Kind]) -> Flag:
@@ -282,7 +281,7 @@ def out_dir(writes: dict[str, Kind]) -> Flag:
     return Flag("--out-dir", writes=writes, type=Path, required=True)
 
 
-IN = path("--in", "inp", reads="cloud")
+IN = path("--in", reads="cloud")
 OUT = path("--out")
 
 
@@ -368,7 +367,7 @@ def stage_synth(cfg: dict) -> tuple[dict, dict]:
 
 
 @stage("ingest", "read a LAS file into the columnar format",
-       path("--las", "las_path", reads="las", kind=LAS),
+       path("--las", reads="las", kind=LAS),
        Flag("--channel", required=True, choices=["green", "nir", "scanner"]),
        Flag("--reflectance-source", default="intensity"),
        Flag("--label-source", choices=["classification"], default=None,
@@ -398,7 +397,7 @@ def _one_cloud_or_both_channels(given: set[str]) -> None:
 
 
 @stage("merge", "fuse the two channels with cross-channel reflectance",
-       path("--in", "inp", required=False, help="combined dual-channel cloud", reads="cloud"),
+       path("--in", required=False, help="combined dual-channel cloud", reads="cloud"),
        path("--green", required=False, help="green-channel cloud", reads="green"),
        path("--nir", required=False, help="NIR-channel cloud", reads="nir"),
        OUT, setting("merge.radius"), setting("merge.k"), check=_one_cloud_or_both_channels)
@@ -457,7 +456,7 @@ def stage_split(cfg: dict, cloud: PointCloud):
 
 
 @stage("train", "train the point classifier",
-       path("--train", "train_path", reads="train"),
+       path("--train", reads="train"),
        out_dir({"model.mstm": MODEL, "loss_curve.csv": TEXT}),
        setting("features.config", "--feature-config"), setting("train.epochs"),
        setting("train.learning_rate"), setting("train.weight_decay"),
@@ -475,7 +474,7 @@ def stage_train(cfg: dict, train: PointCloud) -> tuple[dict, dict]:
 
 
 @stage("predict", "classify a cloud with a trained model",
-       IN, path("--model", "model_path", reads="model", kind=MODEL),
+       IN, path("--model", reads="model", kind=MODEL),
        out_dir({"predictions.txt": LABELS}),
        setting("postprocess.threshold", "--postprocess-threshold"))
 def stage_predict(cfg: dict, cloud: PointCloud, model: clf.Model) -> tuple[dict, dict]:
@@ -497,8 +496,8 @@ def _report_texts(stem: str, report) -> dict[str, str]:
 
 
 @stage("evaluate", "score predictions against ground truth",
-       path("--cloud", "cloud_path", reads="cloud"),
-       path("--pred", "pred_path", reads="predictions", kind=LABELS),
+       path("--cloud", reads="cloud"),
+       path("--pred", reads="predictions", kind=LABELS),
        out_dir({"report.json": TEXT, "report.csv": TEXT}),
        setting("evaluate.threshold"), setting("evaluate.predicted_tree_only"))
 def stage_evaluate(cfg: dict, cloud: PointCloud, predictions: np.ndarray,
@@ -510,8 +509,8 @@ def stage_evaluate(cfg: dict, cloud: PointCloud, predictions: np.ndarray,
 
 
 @stage("ablate", "train/evaluate every feature configuration",
-       path("--train", "train_path", reads="train"),
-       path("--test", "test_path", reads="test"),
+       path("--train", reads="train"),
+       path("--test", reads="test"),
        out_dir(dict.fromkeys(["ablation.json", "ablation.csv",
                               *(f"report_{c.name}.json" for c in ALL_CONFIGS)], TEXT)),
        Flag("--configs", help="subset of feature configs (default: all six)",
@@ -528,13 +527,13 @@ def stage_ablate(cfg: dict, train: PointCloud, test: PointCloud,
 
 
 @stage("export", "write a cloud (optionally with predictions) to LAS",
-       path("--cloud", "cloud_path", reads="cloud"), path("--las", "las_out", kind=LAS),
-       path("--pred", "pred_path", required=False, reads="predictions", kind=LABELS))
+       path("--cloud", reads="cloud"), path("--las", kind=LAS),
+       path("--pred", required=False, reads="predictions", kind=LABELS))
 def stage_export(cfg: dict, cloud: PointCloud, paths: dict,
                  predictions: np.ndarray | None = None) -> tuple[dict, None]:
     if predictions is None:
-        return {"las_out": (cloud, None)}, None
+        return {"las": (cloud, None)}, None
     labels = check_label_count(predictions, cloud.count, paths["predictions"])
     if cloud.has("label"):
-        return {"las_out": ev.error_las(cloud, labels)}, None
-    return {"las_out": (cloud.with_column("label", labels), None)}, None
+        return {"las": ev.error_las(cloud, labels)}, None
+    return {"las": (cloud.with_column("label", labels), None)}, None

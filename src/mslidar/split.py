@@ -47,7 +47,7 @@ class PlotSplit:
 
 def split_plots(
     cloud: PointCloud,
-    target_ratios: tuple[float, float, float],
+    ratios: tuple[float, float, float],
     tile_size: float,
     seed: int = 0,
 ) -> PlotSplit:
@@ -57,11 +57,11 @@ def split_plots(
     targets as tile count grows (within ±5 percentage points for >= 50
     comparable tiles).
     """
-    ratios = tuple(float(r) for r in target_ratios)
+    ratios = tuple(float(r) for r in ratios)
     if len(ratios) != 3 or any(r < 0 for r in ratios):
-        raise ConfigError("target_ratios must be three non-negative fractions")
+        raise ConfigError("split ratios must be three non-negative fractions")
     if abs(sum(ratios) - 1.0) > 1e-6:
-        raise ConfigError(f"target_ratios must sum to 1, got {sum(ratios)!r}")
+        raise ConfigError(f"split ratios must sum to 1, got {sum(ratios)!r}")
     if not tile_size > 0:
         raise ConfigError("tile_size must be positive")
     if cloud.count == 0:

@@ -21,7 +21,7 @@ import pytest
 
 from mslidar.cli import main
 from mslidar.cloud import PointCloud, build_index, concat
-from mslidar.columnar import read_labels
+from mslidar.columnar import check_label_count, read_labels
 from mslidar.csf import CsfParams, csf_ground
 from mslidar.dtm import build_dtm, normalize_height
 from mslidar.evaluation import ConfusionMatrix, confusion, error_rate_above, metrics
@@ -162,7 +162,7 @@ def test_metric_identities():
         truth = rng.integers(0, 2, n)
         h = rng.uniform(0.01, 30.0, n)
         rep = metrics(confusion(pred, truth))
-        rate = error_rate_above(pred, truth, h, t=0.0)
+        rate = error_rate_above(pred, truth, h, threshold=0.0)
         assert rate == 100.0 - rep.oa  # bit-exact identity
     _ok("metric identities",
         f"(IoU_tree {report.iou_tree:.4f} ~ 77.54; t=0 rate == 100-OA exactly)")
@@ -351,10 +351,9 @@ def test_reference_metric_column_on_external_labels():
     root = os.environ.get("MSLIDAR_LOOSDORF_DIR")
     if not root:
         pytest.skip("MSLIDAR_LOOSDORF_DIR not set; dataset-conditional check")
-    truth = read_labels(Path(root) / "truth_labels.txt",
-                        expected_count=None)
-    pred = read_labels(Path(root) / "spt_labels.txt",
-                       expected_count=len(truth))
+    truth = read_labels(Path(root) / "truth_labels.txt")
+    pred_path = Path(root) / "spt_labels.txt"
+    pred = check_label_count(read_labels(pred_path), truth.shape[0], pred_path)
     report = metrics(confusion(pred, truth))
     expected = {
         "iou_nontree": 93.03, "iou_tree": 77.54, "miou": 85.28,

@@ -9,7 +9,7 @@ from mslidar.classifier import (
     neighborhood_graph, neighborhood_stats, predict, save_checkpoint,
 )
 from mslidar.cloud import QUERY_ROWS, Label, PointCloud, build_index
-from mslidar.columnar import read_labels
+from mslidar.columnar import check_label_count, read_labels
 from mslidar.errors import DataError, NumericError
 from mslidar.features import ALL_CONFIGS, FeatureConfig, fit_normalization
 from mslidar.mlp import DTYPE, Mlp, TrainConfig, train
@@ -57,42 +57,42 @@ class TestTraining:
         x, y = separable_toy()
         cfg = TrainConfig(epochs=50, learning_rate=0.01, batch_size=32,
                           hidden=(16,), seed=0)
-        result = train(x, y, (1.0, 1.0), cfg)
-        assert (predict(x.astype(np.float32), result.model) == y).mean() == 1.0
-        assert result.loss_curve[-1] <= result.loss_curve[0]
-        assert len(result.loss_curve) == cfg.epochs + 1
+        net, loss_curve = train(x, y, (1.0, 1.0), cfg)
+        assert (predict(x.astype(np.float32), net) == y).mean() == 1.0
+        assert loss_curve[-1] <= loss_curve[0]
+        assert len(loss_curve) == cfg.epochs + 1
 
     def test_deterministic_given_seed(self):
         x, y = separable_toy()
         cfg = TrainConfig(epochs=5, hidden=(8,), seed=3)
-        a = train(x, y, (1.0, 1.0), cfg)
-        b = train(x, y, (1.0, 1.0), cfg)
-        assert a.loss_curve == b.loss_curve
-        for wa, wb in zip(a.model.parameters(), b.model.parameters()):
+        net_a, curve_a = train(x, y, (1.0, 1.0), cfg)
+        net_b, curve_b = train(x, y, (1.0, 1.0), cfg)
+        assert curve_a == curve_b
+        for wa, wb in zip(net_a.parameters(), net_b.parameters()):
             np.testing.assert_array_equal(wa, wb)
 
     def test_zero_epochs_returns_initialized_params(self):
         x, y = separable_toy()
         cfg = TrainConfig(epochs=0, hidden=(8,), seed=5)
-        result = train(x, y, (1.0, 1.0), cfg)
+        net, loss_curve = train(x, y, (1.0, 1.0), cfg)
         fresh = Mlp(2, (8,), seed=5, dtype=DTYPE)
-        for got, want in zip(result.model.parameters(), fresh.parameters()):
+        for got, want in zip(net.parameters(), fresh.parameters()):
             np.testing.assert_array_equal(got, want)
-        assert len(result.loss_curve) == 1
+        assert len(loss_curve) == 1
 
     def test_label_flip_with_swapped_weights_mirrors_exactly(self):
         x, y = separable_toy(n=120, seed=2)
         cfg = TrainConfig(epochs=8, learning_rate=0.01, batch_size=32,
                           hidden=(8,), seed=1)
-        base = train(x, y, (0.36, 1.64), cfg)
-        flipped = train(x, (1 - y).astype(np.uint8), (1.64, 0.36), cfg)
-        zb = base.model.margins(x.astype(np.float32))
-        zf = flipped.model.margins(x.astype(np.float32))
+        base, base_curve = train(x, y, (0.36, 1.64), cfg)
+        flipped, flipped_curve = train(x, (1 - y).astype(np.uint8), (1.64, 0.36), cfg)
+        zb = base.margins(x.astype(np.float32))
+        zf = flipped.margins(x.astype(np.float32))
         np.testing.assert_array_equal(zf, -zb)
-        assert base.loss_curve == flipped.loss_curve
+        assert base_curve == flipped_curve
         # the head negates exactly; the hidden layers are the same bits
         (*hidden_b, vb, cb), (*hidden_f, vf, cf) = (
-            r.model.parameters() for r in (base, flipped))
+            net.parameters() for net in (base, flipped))
         assert vb.any() and cb.any()
         np.testing.assert_array_equal(vf.view(np.uint32), (-vb).view(np.uint32))
         np.testing.assert_array_equal(cf.view(np.uint32), (-cb).view(np.uint32))
@@ -309,7 +309,7 @@ class TestImportAndPostprocess:
         cloud = self.make_cloud([1, 2, 3])
         path = tmp_path / "pred.txt"
         path.write_text("1\n1\n1\n")
-        labels = read_labels(path, cloud.count)
+        labels = check_label_count(read_labels(path), cloud.count, path)
         assert labels.dtype == np.uint8 and np.all(labels == int(Label.TREE))
 
     def test_import_count_mismatch(self, tmp_path):
@@ -317,19 +317,19 @@ class TestImportAndPostprocess:
         path = tmp_path / "pred.txt"
         path.write_text("1\n0\n")
         with pytest.raises(DataError, match="2 labels for 3 points"):
-            read_labels(path, cloud.count)
+            check_label_count(read_labels(path), cloud.count, path)
 
     def test_import_rejects_non_binary(self, tmp_path):
         cloud = self.make_cloud([1, 2, 3])
         path = tmp_path / "pred.txt"
         path.write_text("1\n0\n2\n")
         with pytest.raises(DataError, match="pred.txt:3: label 2 is not 0 or 1"):
-            read_labels(path, cloud.count)
+            check_label_count(read_labels(path), cloud.count, path)
 
     def test_postprocess_demotes_low_trees_only(self):
         cloud = self.make_cloud([0.5, 10.0, 0.5, 3.0])
         labels = np.array([1, 1, 0, 1], np.uint8)
-        out = height_threshold_postprocess(labels, cloud, t=2.0)
+        out = height_threshold_postprocess(labels, cloud, threshold=2.0)
         assert out.tolist() == [0, 1, 0, 1]
         # the input array stays as it was
         assert labels.tolist() == [1, 1, 0, 1]
@@ -337,7 +337,7 @@ class TestImportAndPostprocess:
     def test_postprocess_t0_is_identity(self):
         cloud = self.make_cloud([0.0, 5.0])
         labels = np.array([1, 1], np.uint8)
-        out = height_threshold_postprocess(labels, cloud, t=0.0)
+        out = height_threshold_postprocess(labels, cloud, threshold=0.0)
         np.testing.assert_array_equal(out, labels)
 
     def test_postprocess_requires_h_norm(self):
@@ -364,15 +364,14 @@ def pndvi_model(net):
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         x, y = separable_toy(n=50, seed=8)
-        result = train(x, y, (0.36, 1.64),
-                       TrainConfig(epochs=2, hidden=(8, 4), seed=9))
+        net, _ = train(x, y, (0.36, 1.64), TrainConfig(epochs=2, hidden=(8, 4), seed=9))
         path = tmp_path / "model.mstm"
         params = pndvi_params()
-        save_checkpoint(path, Model(result.model, FeatureConfig.XYZ_PNDVI, params,
+        save_checkpoint(path, Model(net, FeatureConfig.XYZ_PNDVI, params,
                                     {"k": 8, "radius": 1.5}, (0.36, 1.64), 9))
         model = load_checkpoint(path)
-        assert model.net.sizes == result.model.sizes
-        for got, want in zip(model.net.parameters(), result.model.parameters()):
+        assert model.net.sizes == net.sizes
+        for got, want in zip(model.net.parameters(), net.parameters()):
             np.testing.assert_array_equal(got, want.astype(np.float32))
         assert model.feature_config is FeatureConfig.XYZ_PNDVI
         np.testing.assert_allclose(model.class_weights, [0.36, 1.64])

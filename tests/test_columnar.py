@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mslidar.cloud import PointCloud
-from mslidar.columnar import read_columnar, read_labels, write_columnar, write_labels
+from mslidar.columnar import (check_label_count, read_columnar, read_labels, write_columnar,
+                              write_labels)
 from mslidar.errors import DataError
 
 from conftest import peak_traced_bytes, random_cloud
@@ -25,7 +26,7 @@ def test_roundtrip_preserves_every_column_bit_exactly(tmp_path):
     assert back.crs_note == "EPSG:31256"
     assert back.present_columns == cloud.present_columns
     for name in ("x", "y", "z", "channel", "label", "reflectance_db", "h_norm"):
-        a, b = cloud.column(name), back.column(name)
+        a, b = getattr(cloud, name), getattr(back, name)
         assert a.dtype == b.dtype
         np.testing.assert_array_equal(a, b)
 
@@ -121,7 +122,7 @@ def test_truncated_file_rejected(tmp_path):
 def test_read_labels(tmp_path):
     path = tmp_path / "labels.txt"
     path.write_text("0\n1\n1\n0\n")
-    labels = read_labels(path, expected_count=4)
+    labels = check_label_count(read_labels(path), 4, path)
     assert labels.dtype == np.uint8
     assert labels.tolist() == [0, 1, 1, 0]
 
@@ -131,7 +132,7 @@ def test_write_labels_read_labels_round_trip(tmp_path, labels):
     labels = np.array(labels, np.uint8)
     path = tmp_path / "labels.txt"
     write_labels(labels, path)
-    back = read_labels(path, expected_count=len(labels))
+    back = check_label_count(read_labels(path), len(labels), path)
     assert back.dtype == np.uint8
     np.testing.assert_array_equal(back, labels)
 
@@ -140,7 +141,7 @@ def test_read_labels_count_mismatch(tmp_path):
     path = tmp_path / "labels.txt"
     path.write_text("0\n1\n")
     with pytest.raises(DataError, match="2 labels for 3 points"):
-        read_labels(path, expected_count=3)
+        check_label_count(read_labels(path), 3, path)
 
 
 def test_read_labels_rejects_bad_tokens(tmp_path):

@@ -105,14 +105,14 @@ class TestMetrics:
 class TestErrorRateAbove:
     def test_all_points_below_threshold_is_undefined(self):
         out = error_rate_above(
-            np.array([0, 1]), np.array([0, 1]), np.array([0.5, 1.0]), t=2.0)
+            np.array([0, 1]), np.array([0, 1]), np.array([0.5, 1.0]), threshold=2.0)
         assert out is None
 
     def test_counting_example(self):
         pred = np.array([1] * 10)
         truth = np.array([1] * 7 + [0] * 3)
         h = np.full(10, 5.0)
-        assert error_rate_above(pred, truth, h, t=2.0) == pytest.approx(30.0)
+        assert error_rate_above(pred, truth, h, threshold=2.0) == pytest.approx(30.0)
 
     def test_perfect_prediction_is_zero(self):
         truth = np.array([0, 1, 1])
@@ -126,7 +126,7 @@ class TestErrorRateAbove:
             truth = rng.integers(0, 2, n)
             h = rng.uniform(0.001, 10, n)
             rep = metrics(confusion(pred, truth))
-            rate = error_rate_above(pred, truth, h, t=0.0)
+            rate = error_rate_above(pred, truth, h, threshold=0.0)
             assert rate == 100.0 - rep.oa  # bit-exact by construction
 
     def test_predicted_tree_only_denominator(self):
@@ -134,7 +134,7 @@ class TestErrorRateAbove:
         truth = np.array([1, 0, 0, 1, 1])
         h = np.full(5, 3.0)
         # predicted trees above t: ids 0, 1, 4; one of them (id 1) is wrong
-        out = error_rate_above(pred, truth, h, t=2.0, predicted_tree_only=True)
+        out = error_rate_above(pred, truth, h, threshold=2.0, predicted_tree_only=True)
         assert out == pytest.approx(100.0 / 3.0)
 
     def test_length_mismatch_rejected(self):
@@ -149,7 +149,7 @@ class TestEvaluateAndExport:
         pred = truth.copy()
         pred[rng.random(300) < 0.1] ^= 1
         h = rng.uniform(0, 6, 300)
-        return evaluate(pred, truth, h, t=2.0, predicted_tree_only=False,
+        return evaluate(pred, truth, h, threshold=2.0, predicted_tree_only=False,
                         manifest={"feature_config": "XYZ", "seed": 0})
 
     def test_evaluate_bundles_error_rate(self):
@@ -207,11 +207,12 @@ class TestEvaluateAndExport:
         np.testing.assert_array_equal(back.label, pred)
 
     def test_imported_truth_scores_all_hundred(self, tmp_path):
-        from mslidar.columnar import read_labels, write_labels
+        from mslidar.columnar import check_label_count, read_labels, write_labels
         from conftest import random_cloud
         rng = np.random.default_rng(5)
         cloud = random_cloud(rng, n=40)
         path = tmp_path / "labels.txt"
         write_labels(cloud.label, path)
-        rep = metrics(confusion(read_labels(path, cloud.count), cloud.label))
+        labels = check_label_count(read_labels(path), cloud.count, path)
+        rep = metrics(confusion(labels, cloud.label))
         assert rep.oa == 100.0 and rep.miou == 100.0

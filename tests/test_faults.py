@@ -46,7 +46,7 @@ def _mst_sections(cloud) -> dict[str, int]:
     ends = {"header": 20, "note": 20 + len(NOTE.encode())}
     end = ends["note"]
     for name in ("x", "y", "z", "channel", *cloud.present_columns):
-        end += N * cloud.column(name).dtype.itemsize
+        end += N * getattr(cloud, name).dtype.itemsize
         ends[name] = end
     return ends
 

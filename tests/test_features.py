@@ -96,26 +96,26 @@ class TestNormalization:
     def test_percentile_endpoints_map_to_unit_interval(self):
         rng = np.random.default_rng(0)
         col = rng.normal(size=(5000, 1))
-        params = fit_normalization(col)
+        params = fit_normalization(col, ("a",))
         out = apply_normalization(np.array([[params.lo[0]], [params.hi[0]]]), params)
         assert out[0, 0] == 0.0 and out[1, 0] == 1.0
 
     def test_values_below_p1_clip_to_zero(self):
         rng = np.random.default_rng(1)
-        params = fit_normalization(rng.normal(size=(1000, 1)))
+        params = fit_normalization(rng.normal(size=(1000, 1)), ("a",))
         out = apply_normalization(np.array([[-1e9]]), params)
         assert out[0, 0] == 0.0
 
     def test_uniform_midpoint(self):
         rng = np.random.default_rng(2)
-        params = fit_normalization(rng.uniform(0, 100, size=(20000, 1)))
+        params = fit_normalization(rng.uniform(0, 100, size=(20000, 1)), ("a",))
         out = apply_normalization(np.array([[50.0]]), params)
         assert out[0, 0] == pytest.approx(0.5, abs=0.02)
 
     def test_constant_column_warns_and_maps_to_half(self, caplog):
         col = np.full((10, 1), 3.0)
         with caplog.at_level("WARNING"):
-            params = fit_normalization(col, columns=("flat",))
+            params = fit_normalization(col, ("flat",))
         assert any("flat" in r.message for r in caplog.records)
         out = apply_normalization(col, params)
         assert np.all(out == 0.5)
@@ -123,19 +123,19 @@ class TestNormalization:
     def test_train_data_lands_in_unit_interval(self):
         rng = np.random.default_rng(3)
         feats = rng.normal(size=(500, 3)) * [1, 10, 100]
-        params = fit_normalization(feats)
+        params = fit_normalization(feats, ("a", "b", "c"))
         out = apply_normalization(feats, params)
         assert out.min() >= 0.0 and out.max() <= 1.0
 
     def test_unseen_data_still_clipped_to_unit_interval(self):
         rng = np.random.default_rng(4)
-        params = fit_normalization(rng.normal(size=(500, 2)))
+        params = fit_normalization(rng.normal(size=(500, 2)), ("a", "b"))
         out = apply_normalization(rng.normal(size=(200, 2)) * 50, params)
         assert out.min() >= 0.0 and out.max() <= 1.0
 
     def test_nan_imputed_with_training_median(self):
         col = np.arange(101, dtype=float)[:, None]
-        params = fit_normalization(col)
+        params = fit_normalization(col, ("a",))
         assert params.impute[0] == 50.0
         got = apply_normalization(np.array([[np.nan]]), params)
         want = apply_normalization(np.array([[50.0]]), params)
@@ -144,17 +144,17 @@ class TestNormalization:
     def test_nan_excluded_from_percentiles(self):
         col = np.arange(101, dtype=float)
         with_nan = np.concatenate((col, [np.nan] * 50))[:, None]
-        a = fit_normalization(col[:, None])
-        b = fit_normalization(with_nan)
+        a = fit_normalization(col[:, None], ("a",))
+        b = fit_normalization(with_nan, ("a",))
         assert a.lo[0] == b.lo[0] and a.hi[0] == b.hi[0]
 
     def test_all_nan_column_rejected(self):
         col = np.full((10, 1), np.nan)
         with pytest.raises(DataError, match="no observed values"):
-            fit_normalization(col)
+            fit_normalization(col, ("a",))
 
     def test_column_count_mismatch_rejected(self):
-        params = fit_normalization(np.random.default_rng(6).normal(size=(50, 2)))
+        params = fit_normalization(np.random.default_rng(6).normal(size=(50, 2)), ("a", "b"))
         with pytest.raises(DataError, match="does not match"):
             apply_normalization(np.zeros((3, 3)), params)
 
@@ -238,7 +238,8 @@ class TestAssembleFeatures:
     def test_config_from_name(self):
         assert FeatureConfig.from_name("xyz") is FeatureConfig.XYZ
         assert FeatureConfig.from_name("XYZ+pNDVI") is FeatureConfig.XYZ_PNDVI
-        assert FeatureConfig.from_name("green-nir") is FeatureConfig.XYZ_GREEN_NIR
-        for name in ("bogus", "XYZ_KRYPTON", "", "  "):
+        assert FeatureConfig.from_name("xyz-green-nir") is FeatureConfig.XYZ_GREEN_NIR
+        # a name is the full name: no XYZ_ prefix is added
+        for name in ("bogus", "XYZ_KRYPTON", "", "  ", "pndvi", "green-nir"):
             with pytest.raises(DataError, match="unknown feature config"):
                 FeatureConfig.from_name(name)

@@ -60,14 +60,6 @@ def test_fixed_channel_override(tmp_path):
     assert np.all(back.channel == int(Channel.NIR_1064))
 
 
-def test_channel_must_be_specified(tmp_path):
-    cloud = las_cloud(n=8)
-    path = tmp_path / "c.las"
-    write_las(cloud, path)
-    with pytest.raises(DataError, match="channel"):
-        read_las(path, reflectance_source="reflectance", channel=None)
-
-
 def test_intensity_source(tmp_path):
     cloud = las_cloud(n=8)
     path = tmp_path / "c.las"

@@ -33,10 +33,10 @@ def test_train_matches_reference_bit_for_bit(dtype, class_weights, learning_rate
     x, y = toy()
     cfg = TrainConfig(epochs=12, learning_rate=learning_rate, batch_size=128,
                       hidden=(64, 64), seed=3)
-    result = train(x, y, class_weights, cfg)
+    net, loss_curve = train(x, y, class_weights, cfg)
     params, curve = reference_train(x, y, class_weights, cfg)
-    assert result.loss_curve == curve
-    for got, want in zip(result.model.parameters(), params):
+    assert loss_curve == curve
+    for got, want in zip(net.parameters(), params):
         assert got.dtype == want.dtype == dtype
         np.testing.assert_array_equal(got, want)
 
@@ -61,10 +61,10 @@ def _check_multi_shard_train_against_reference(workers):
     x, y = toy(n=2 * SHARD_ROWS + 2 * SHARD_ROWS // 5 + 300, d=5, seed=6)
     cfg = TrainConfig(epochs=3, learning_rate=1e-2, batch_size=2 * SHARD_ROWS + 400,
                       hidden=(16, 8), seed=2)
-    result = train(x, y, (0.8, 1.2), cfg, workers=workers)
+    net, loss_curve = train(x, y, (0.8, 1.2), cfg, workers=workers)
     params, curve = reference_train(x, y, (0.8, 1.2), cfg)
-    assert result.loss_curve == curve
-    for got, want in zip(result.model.parameters(), params):
+    assert loss_curve == curve
+    for got, want in zip(net.parameters(), params):
         np.testing.assert_array_equal(got, want)
 
 
@@ -223,6 +223,24 @@ def test_full_set_passes_allocate_shard_sized_memory(full_set_pass, workers):
     shard_bytes = SHARD_ROWS * 64 * 4
     assert max(peaks) <= 5 * shard_bytes * workers
     assert peaks[1] <= peaks[0] + shard_bytes // 8
+
+
+def test_a_pass_holds_no_more_workspaces_than_shards():
+    # 100 rows are one shard: 16 workers would hold 15 idle workspaces
+    model = Mlp(12, (64, 64), seed=0)
+    x = np.random.default_rng(5).normal(size=(100, 12))
+    one, many = (peak_traced_bytes(lambda: model.margins(x, workers=w)) for w in (1, 16))
+    assert many <= 1.2 * one
+
+
+def test_train_crew_holds_at_most_the_shards_of_one_batch(monkeypatch):
+    sizes, real = [], mlp.crew
+    monkeypatch.setattr(mlp, "crew",
+                        lambda s, d, workers: sizes.append(workers) or real(s, d, workers))
+    x, y = toy(n=3 * SHARD_ROWS)
+    train(x, y, (1.0, 1.0), TrainConfig(epochs=1, batch_size=SHARD_ROWS + 1, hidden=(4,)),
+          workers=16)
+    assert sizes == [2]
 
 
 def test_head_starts_at_zero_after_the_hidden_glorot_draws():

@@ -171,5 +171,5 @@ def test_stage_functions_map_values_to_values(tmp_path, monkeypatch):
         "report.json", "report.csv"}
     assert "ablation.json" in outputs("ablate", train=train, test=test, configs=["XYZ"])
     for values in ({}, {"predictions": labels}):
-        assert set(outputs("export", cloud=test, paths=pred, **values)) == {"las_out"}
+        assert set(outputs("export", cloud=test, paths=pred, **values)) == {"las"}
     assert set(called) == set(STAGES) and list(tmp_path.iterdir()) == []

@@ -17,7 +17,7 @@ def grid_cloud(n=6000, extent=100.0, seed=0):
 
 def test_indices_are_disjoint_and_exhaustive():
     cloud = grid_cloud()
-    split = split_plots(cloud, target_ratios=(0.6853, 0.1628, 0.1519), tile_size=20.0)
+    split = split_plots(cloud, ratios=(0.6853, 0.1628, 0.1519), tile_size=20.0)
     parts = [split.indices(name) for name in ("train", "val", "test")]
     joined = np.concatenate(parts)
     assert len(joined) == cloud.count
@@ -26,7 +26,7 @@ def test_indices_are_disjoint_and_exhaustive():
 
 def test_points_of_one_tile_share_a_split():
     cloud = grid_cloud()
-    split = split_plots(cloud, target_ratios=(0.6853, 0.1628, 0.1519), tile_size=20.0)
+    split = split_plots(cloud, ratios=(0.6853, 0.1628, 0.1519), tile_size=20.0)
     ix = np.floor((cloud.x - split.origin[0]) / split.tile_size).astype(int)
     iy = np.floor((cloud.y - split.origin[1]) / split.tile_size).astype(int)
     for tile in set(zip(ix.tolist(), iy.tolist())):
@@ -36,15 +36,15 @@ def test_points_of_one_tile_share_a_split():
 
 def test_achieved_ratios_near_targets():
     cloud = grid_cloud(n=30000, extent=200.0)
-    split = split_plots(cloud, target_ratios=(0.6853, 0.1628, 0.1519), tile_size=20.0)
+    split = split_plots(cloud, ratios=(0.6853, 0.1628, 0.1519), tile_size=20.0)
     for achieved, target in zip(split.achieved_ratios, (0.6853, 0.1628, 0.1519)):
         assert abs(achieved - target) < 0.06
 
 
 def test_deterministic_for_fixed_seed():
     cloud = grid_cloud()
-    a = split_plots(cloud, target_ratios=(0.7, 0.2, 0.1), tile_size=20.0, seed=3)
-    b = split_plots(cloud, target_ratios=(0.7, 0.2, 0.1), tile_size=20.0, seed=3)
+    a = split_plots(cloud, ratios=(0.7, 0.2, 0.1), tile_size=20.0, seed=3)
+    b = split_plots(cloud, ratios=(0.7, 0.2, 0.1), tile_size=20.0, seed=3)
     np.testing.assert_array_equal(a.point_split, b.point_split)
 
 
@@ -90,7 +90,7 @@ def test_tile_numbering_matches_unique_oracle(seed):
 def test_ratios_must_sum_to_one():
     cloud = grid_cloud(n=100)
     with pytest.raises(ConfigError, match="sum"):
-        split_plots(cloud, target_ratios=(0.5, 0.2, 0.2), tile_size=20.0)
+        split_plots(cloud, ratios=(0.5, 0.2, 0.2), tile_size=20.0)
 
 
 def test_tile_size_whose_tile_numbers_overflow_int64_rejected():
@@ -98,8 +98,8 @@ def test_tile_size_whose_tile_numbers_overflow_int64_rejected():
     cloud = PointCloud(x=np.array([0.0, 1.0, 2.0]), y=np.zeros(3), z=np.zeros(3),
                        channel=np.zeros(3, np.uint8))
     with pytest.raises(ConfigError, match="1e-300"):
-        split_plots(cloud, target_ratios=(0.7, 0.2, 0.1), tile_size=1e-300)
-    split = split_plots(cloud, target_ratios=(0.7, 0.2, 0.1), tile_size=1e-18)
+        split_plots(cloud, ratios=(0.7, 0.2, 0.1), tile_size=1e-300)
+    split = split_plots(cloud, ratios=(0.7, 0.2, 0.1), tile_size=1e-18)
     assert split.tile_ids.shape[0] == 3  # 2e18 fits
 
 
@@ -107,7 +107,7 @@ def test_single_tile_falls_back_to_train(caplog):
     rng = np.random.default_rng(1)
     cloud = random_cloud(rng, n=50, extent=5.0)
     with caplog.at_level(logging.WARNING, logger="mslidar.split"):
-        split = split_plots(cloud, target_ratios=(0.7, 0.2, 0.1), tile_size=20.0)
+        split = split_plots(cloud, ratios=(0.7, 0.2, 0.1), tile_size=20.0)
     assert any("single" in rec.message for rec in caplog.records)
     assert split.single_split is True
     assert len(split.indices("train")) == cloud.count
@@ -116,7 +116,7 @@ def test_single_tile_falls_back_to_train(caplog):
 
 def test_summary_reports_counts():
     cloud = grid_cloud()
-    split = split_plots(cloud, target_ratios=(0.7, 0.2, 0.1), tile_size=20.0)
+    split = split_plots(cloud, ratios=(0.7, 0.2, 0.1), tile_size=20.0)
     text = split.summary()
     for name in ("train", "val", "test"):
         assert name in text
@@ -128,5 +128,5 @@ def test_allocates_less_than_eight_columns():
     n = 1 << 17
     cloud = grid_cloud(n=n, extent=300.0)
     extra = peak_traced_bytes(
-        lambda: split_plots(cloud, target_ratios=(0.7, 0.2, 0.1), tile_size=20.0))
+        lambda: split_plots(cloud, ratios=(0.7, 0.2, 0.1), tile_size=20.0))
     assert extra < 8 * 8 * n
