@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import PointCloud, row_blocks
-from .dtm import bilinear, nearest_valid
+from .dtm import bilinear, nearest_valid, raster_shape
 from .errors import DataError
 
 logger = logging.getLogger(__name__)
@@ -96,8 +96,8 @@ def simulate_cloth(cloud: PointCloud, params: CsfParams) -> tuple[np.ndarray, tu
     # one cell of margin so every point has four surrounding particles
     x0 -= res
     y0 -= res
-    w = int(np.ceil((x1 - x0) / res)) + 2
-    h = int(np.ceil((y1 - y0) / res)) + 2
+    h, w = raster_shape(np.ceil((y1 - y0) / res) + 2, np.ceil((x1 - x0) / res) + 2,
+                        "csf.cloth_resolution")
 
     floor = np.full(h * w, -np.inf)
     for rows in row_blocks(cloud.count):  # floor: highest inverted z per cell

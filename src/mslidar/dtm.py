@@ -18,12 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import PointCloud, build_index, row_blocks
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 logger = logging.getLogger(__name__)
 
 NODATA_FACTOR = 10.0  # cells farther than this many cells from ground are nodata
 NEIGHBORS = 8  # ground points averaged per cell
+# The most cells a DTM or a cloth may have. A finer raster is a config
+# error, raised before any of its arrays is allocated.
+RASTER_LIMIT = 2 ** 22
 
 
 @dataclass(frozen=True)
@@ -43,6 +46,15 @@ class DtmGrid:
     def nodata(self) -> np.ndarray:
         """(h, w) bool: cells farther than NODATA_FACTOR cells from ground."""
         return np.isnan(self.values)
+
+
+def raster_shape(rows: float, cols: float, key: str) -> tuple[int, int]:
+    """(rows, cols) as integers; a raster of more than RASTER_LIMIT cells
+    is a ConfigError naming the config key `key` that sets its cell size."""
+    if rows * cols > RASTER_LIMIT:
+        raise ConfigError(f"{key} is too fine for this cloud: its raster would have "
+                          f"{rows:.0f} x {cols:.0f} cells, over the limit of {RASTER_LIMIT}")
+    return int(rows), int(cols)
 
 
 def build_dtm(cloud: PointCloud, cell: float = 1.0, workers: int = 1) -> DtmGrid:
@@ -65,8 +77,8 @@ def build_dtm(cloud: PointCloud, cell: float = 1.0, workers: int = 1) -> DtmGrid
     gxy[:, 1] = cloud.y[cloud.ground_flag]
 
     x0, y0 = float(cloud.x.min()), float(cloud.y.min())
-    w = max(int(np.ceil((float(cloud.x.max()) - x0) / cell)), 1)
-    h = max(int(np.ceil((float(cloud.y.max()) - y0) / cell)), 1)
+    h, w = raster_shape(max(np.ceil((float(cloud.y.max()) - y0) / cell), 1.0),
+                        max(np.ceil((float(cloud.x.max()) - x0) / cell), 1.0), "dtm.cell")
     cx = x0 + (np.arange(w) + 0.5) * cell
     cy = y0 + (np.arange(h) + 0.5) * cell
     centers = np.column_stack((np.tile(cx, h), np.repeat(cy, w)))

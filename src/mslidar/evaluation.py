@@ -8,6 +8,12 @@ threshold. Percentages are reported to two decimals in exported tables.
 :func:`score` is the last step of the model path whose first two,
 ``classifier.fit`` and ``classifier.classify``, the ablation shares with
 the train, predict and evaluate stages.
+
+An ablation is a plain ``{FeatureConfig: EvalReport}`` dict, and
+:func:`best` is read off it. Each file has one writer:
+:func:`report_to_json` for one flat report, :func:`ablation_to_json` for
+``{"reports", "best"}``, and :func:`report_to_csv` for either table,
+given as ``{row name: report}``.
 """
 
 import csv
@@ -167,26 +173,6 @@ def evaluate(
     return replace(report, error_rate_above=rate, threshold=threshold)
 
 
-@dataclass
-class AblationResult:
-    reports: dict[FeatureConfig, EvalReport]
-
-    @property
-    def best(self) -> dict[str, FeatureConfig]:
-        """The config with the highest mIoU, OA and mAcc (the first on a tie)."""
-        return {key: max(self.reports, key=lambda c: getattr(self.reports[c], attr))
-                for key, attr in (("mIoU", "miou"), ("OA", "oa"), ("mAcc", "macc"))
-                if self.reports}
-
-    def table(self) -> list[dict]:
-        rows = []
-        for cfg, rep in self.reports.items():
-            row = {"config": cfg.name}
-            row.update(rep.row())
-            rows.append(row)
-        return rows
-
-
 def score(labels: np.ndarray, cloud: PointCloud, cfg: dict,
           manifest: dict | None = None) -> EvalReport:
     """Report of predicted labels against the cloud's ground truth, with
@@ -206,9 +192,10 @@ def run_ablation(
     test_cloud: PointCloud,
     configs: tuple[FeatureConfig, ...],
     cfg: dict,
-) -> AblationResult:
-    """Fit, classify and score one model per distinct feature config, in
-    first-seen order, with the effective config `cfg`, same seed for all.
+) -> dict[FeatureConfig, EvalReport]:
+    """The report of each distinct feature config, in first-seen order:
+    one model per config, fit, classified and scored with the effective
+    config `cfg`, same seed for all.
 
     The geometric neighbor graphs depend only on the coordinates, so
     they are computed once per cloud and reused across configs.
@@ -235,29 +222,34 @@ def run_ablation(
         })
         reports[fconfig] = report
         logger.info("ablation %s: mIoU=%.2f OA=%.2f", fconfig.name, report.miou, report.oa)
-    return AblationResult(reports=reports)
+    return reports
 
 
-def report_to_json(obj: EvalReport | AblationResult) -> str:
-    if isinstance(obj, EvalReport):
-        payload = asdict(obj)
-    else:
-        payload = {
-            "reports": {c.name: asdict(r) for c, r in obj.reports.items()},
-            "best": {k: v.name for k, v in obj.best.items()},
-        }
-    return json.dumps(payload, indent=2, sort_keys=True)
+def best(reports: dict[FeatureConfig, EvalReport]) -> dict[str, FeatureConfig]:
+    """The config with the highest mIoU, OA and mAcc (the first on a tie)."""
+    return {key: max(reports, key=lambda c: getattr(reports[c], attr))
+            for key, attr in (("mIoU", "miou"), ("OA", "oa"), ("mAcc", "macc"))
+            if reports}
 
 
-def report_to_csv(obj: EvalReport | AblationResult) -> str:
-    """One row per config (or a single row), columns as in the ablation table."""
-    rows = obj.table() if isinstance(obj, AblationResult) else [
-        {"config": obj.manifest.get("feature_config", "-"), **obj.row()}
-    ]
+def report_to_json(report: EvalReport) -> str:
+    """The text of ``report.json``: one flat report."""
+    return json.dumps(asdict(report), indent=2, sort_keys=True) + "\n"
+
+
+def ablation_to_json(reports: dict[FeatureConfig, EvalReport]) -> str:
+    """The text of ``ablation.json``: every config's report and the best."""
+    return json.dumps({"reports": {c.name: asdict(r) for c, r in reports.items()},
+                       "best": {k: c.name for k, c in best(reports).items()}},
+                      indent=2, sort_keys=True) + "\n"
+
+
+def report_to_csv(rows: dict[str, EvalReport]) -> str:
+    """One row per named report, columns as in the ablation table."""
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=["config", *EvalReport.METRIC_COLUMNS])
     writer.writeheader()
-    writer.writerows(rows)
+    writer.writerows({"config": name, **report.row()} for name, report in rows.items())
     return buf.getvalue()
 
 

@@ -489,12 +489,6 @@ def stage_predict(cfg: dict, cloud: PointCloud, model: clf.Model) -> tuple[dict,
                                          "predicted_tree": int(labels.sum())}
 
 
-def _report_texts(stem: str, report) -> dict[str, str]:
-    """`<stem>.json` and `<stem>.csv` of an evaluation or ablation report."""
-    return {f"{stem}.json": ev.report_to_json(report) + "\n",
-            f"{stem}.csv": ev.report_to_csv(report)}
-
-
 @stage("evaluate", "score predictions against ground truth",
        path("--cloud", reads="cloud"),
        path("--pred", reads="predictions", kind=LABELS),
@@ -505,25 +499,24 @@ def stage_evaluate(cfg: dict, cloud: PointCloud, predictions: np.ndarray,
     labels = check_label_count(predictions, cloud.count, paths["predictions"])
     source = f"imported:{paths['predictions'].name}"
     report = ev.score(labels, cloud, cfg, {"prediction_source": source})
-    return _report_texts("report", report), {"miou": report.miou, "oa": report.oa}
+    return {"report.json": ev.report_to_json(report),
+            "report.csv": ev.report_to_csv({"-": report})}, {"miou": report.miou, "oa": report.oa}
 
 
 @stage("ablate", "train/evaluate every feature configuration",
        path("--train", reads="train"),
        path("--test", reads="test"),
-       out_dir(dict.fromkeys(["ablation.json", "ablation.csv",
-                              *(f"report_{c.name}.json" for c in ALL_CONFIGS)], TEXT)),
+       out_dir({"ablation.json": TEXT, "ablation.csv": TEXT}),
        Flag("--configs", help="subset of feature configs (default: all six)",
             nargs="+", default=None),
        setting("train.epochs"))
 def stage_ablate(cfg: dict, train: PointCloud, test: PointCloud,
                  configs: list[str] | None = None) -> tuple[dict, dict]:
     fconfigs = tuple(map(FeatureConfig.from_name, configs)) if configs else ALL_CONFIGS
-    result = ev.run_ablation(train, test, fconfigs, cfg)
-    reports = {f"report_{c.name}.json": ev.report_to_json(r) + "\n"
-               for c, r in result.reports.items()}
-    return {**reports, **_report_texts("ablation", result)}, {
-        "best": {k: v.name for k, v in result.best.items()}}
+    reports = ev.run_ablation(train, test, fconfigs, cfg)
+    return {"ablation.json": ev.ablation_to_json(reports),
+            "ablation.csv": ev.report_to_csv({c.name: r for c, r in reports.items()})}, {
+        "best": {k: c.name for k, c in ev.best(reports).items()}}
 
 
 @stage("export", "write a cloud (optionally with predictions) to LAS",

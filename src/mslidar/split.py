@@ -31,7 +31,7 @@ class PlotSplit:
     point_split: np.ndarray     # (n,) split index per point
     target_ratios: tuple[float, float, float]
     achieved_ratios: tuple[float, float, float]
-    single_split: bool = False
+    single_split: bool
 
     def indices(self, split: str) -> np.ndarray:
         """Point indices belonging to the named split."""
@@ -82,18 +82,11 @@ def split_plots(
     counts = np.diff(starts, append=cloud.count)
     n_tiles = tile_ids.shape[0]
 
-    if n_tiles == 1:
+    single = n_tiles == 1
+    if single:
         logger.warning(
             "cloud spans a single %.3g m tile; assigning everything to train",
             tile_size,
-        )
-        tile_split = np.zeros(1, dtype=np.int64)
-        point_split = np.zeros(cloud.count, dtype=np.int64)
-        return PlotSplit(
-            tile_size=tile_size, origin=(x0, y0), tile_ids=tile_ids,
-            tile_split=tile_split, point_split=point_split,
-            target_ratios=ratios, achieved_ratios=(1.0, 0.0, 0.0),
-            single_split=True,
         )
 
     rng = np.random.default_rng(seed)
@@ -104,7 +97,7 @@ def split_plots(
     total = float(cloud.count)
     assigned = np.zeros(3, dtype=np.float64)
     tile_split = np.zeros(n_tiles, dtype=np.int64)
-    targets = np.asarray(ratios) * total
+    targets = np.asarray((1.0, 0.0, 0.0) if single else ratios) * total
     for t in order:
         deficit = targets - assigned
         s = int(np.argmax(deficit))
@@ -116,7 +109,7 @@ def split_plots(
     result = PlotSplit(
         tile_size=tile_size, origin=(x0, y0), tile_ids=tile_ids,
         tile_split=tile_split, point_split=point_split,
-        target_ratios=ratios, achieved_ratios=achieved,
+        target_ratios=ratios, achieved_ratios=achieved, single_split=single,
     )
     logger.info(result.summary())
     return result

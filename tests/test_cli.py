@@ -216,7 +216,6 @@ def test_ablate_small_and_stagewise_equivalence(chain, tmp_path):
         assert rc == 0
         ablation = json.loads((out_dir / "ablation.json").read_text())
         assert set(ablation["reports"]) == {"XYZ", "XYZ_PNDVI"}
-        assert (out_dir / "report_XYZ.json").exists()
         assert (out_dir / "ablation.csv").read_text().startswith("config,")
 
         # the ablation runner must equal the scripted stage sequence
@@ -235,6 +234,16 @@ def test_ablate_small_and_stagewise_equivalence(chain, tmp_path):
             assert stagewise[key] == pytest.approx(
                 ablation["reports"]["XYZ"][key], abs=1e-9), key
         assert stagewise["counts"] == ablation["reports"]["XYZ"]["counts"]
+
+
+def test_ablate_writes_its_table_and_manifest_only(chain, tmp_path):
+    """ablation.json holds every config's report: no per-config copies."""
+    out_dir = tmp_path / "ablation"
+    assert main(["ablate", "--train", str(chain["splits"] / "train.mst"),
+                 "--test", str(chain["splits"] / "test.mst"), "--out-dir", str(out_dir),
+                 "--configs", "XYZ", "XYZ_PNDVI", "--epochs", "1"]) == 0
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "ablation.csv", "ablation.json", "manifest.json"]
 
 
 def test_ablate_trains_a_repeated_config_once(chain, tmp_path, monkeypatch):

@@ -6,9 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from mslidar.errors import DataError
 from mslidar.evaluation import (
-    AblationResult, ConfusionMatrix, confusion, error_rate_above, evaluate,
-    error_las, metrics, report_to_csv,
-    report_to_json,
+    ConfusionMatrix, ablation_to_json, best, confusion, error_rate_above, evaluate,
+    error_las, metrics, report_to_csv, report_to_json,
 )
 from mslidar.features import FeatureConfig
 from mslidar.lasio import read_las, write_las
@@ -168,13 +167,13 @@ class TestEvaluateAndExport:
 
     def test_csv_columns_match_table_layout(self):
         rep = self.make_report()
-        lines = report_to_csv(rep).strip().splitlines()
+        lines = report_to_csv({"XYZ": rep}).strip().splitlines()
         assert lines[0] == "config,IoU_nontree,IoU_tree,mIoU,mAcc,OA,error_rate_above"
         assert lines[1].startswith("XYZ,")
 
     def test_csv_rounds_to_two_decimals(self):
         rep = self.make_report()
-        cells = report_to_csv(rep).strip().splitlines()[1].split(",")
+        cells = report_to_csv({"XYZ": rep}).strip().splitlines()[1].split(",")
         for cell in cells[1:6]:
             assert len(cell.split(".")[-1]) <= 2
 
@@ -182,15 +181,13 @@ class TestEvaluateAndExport:
         rep_a = self.make_report()
         cm = ConfusionMatrix(tp=10, fp=40, fn=40, tn=10)
         rep_b = metrics(cm)
-        res = AblationResult(reports={
-            FeatureConfig.XYZ: rep_b, FeatureConfig.XYZ_PNDVI: rep_a,
-        })
-        assert res.best["mIoU"] is FeatureConfig.XYZ_PNDVI
-        payload = json.loads(report_to_json(res))
+        reports = {FeatureConfig.XYZ: rep_b, FeatureConfig.XYZ_PNDVI: rep_a}
+        assert best(reports)["mIoU"] is FeatureConfig.XYZ_PNDVI
+        payload = json.loads(ablation_to_json(reports))
         assert set(payload["reports"]) == {"XYZ", "XYZ_PNDVI"}
         assert payload["best"]["mIoU"] == "XYZ_PNDVI"
-        rows = res.table()
-        assert [r["config"] for r in rows] == ["XYZ", "XYZ_PNDVI"]
+        rows = report_to_csv({c.name: r for c, r in reports.items()}).splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == ["XYZ", "XYZ_PNDVI"]
 
     def test_error_las_flags_misclassified(self, tmp_path):
         from conftest import random_cloud

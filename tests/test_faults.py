@@ -9,7 +9,9 @@ config is a config error (exit 2). MST1 files and configs enter through
 model files through `predict`. An output that cannot be written, or that
 is also an input, is a config error, and a failed write names the path it
 was writing. A neighbour count k above the point count is clamped to it,
-and a neighbour pass's memory does not grow with k.
+and a neighbour pass's memory does not grow with k. A cloth or DTM cell
+so fine that its raster would exceed `dtm.RASTER_LIMIT` cells is a config
+error that names its key.
 """
 
 import dataclasses
@@ -17,6 +19,7 @@ import os
 import struct
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -345,7 +348,7 @@ def test_neighborhood_k_above_the_point_count_is_clamped(cloud, tmp_path):
         assert main(["ablate", "--train", str(path), "--test", str(path),
                      "--out-dir", str(tmp_path / f"a{k}"), "--configs", "XYZ",
                      "--epochs", "2", "--config", str(config)]) == 0
-    for name in ("ablation.json", "ablation.csv", "report_XYZ.json"):
+    for name in ("ablation.json", "ablation.csv"):
         assert (tmp_path / f"a{10**9}" / name).read_bytes() == (
             tmp_path / f"a{N}" / name).read_bytes(), name
 
@@ -355,17 +358,46 @@ def test_neighborhood_k_above_the_point_count_is_clamped(cloud, tmp_path):
 AS_LIMITED = FSIZE_LIMITED.replace("RLIMIT_FSIZE", "RLIMIT_AS")
 
 
-def test_merge_with_a_huge_k_runs_in_bounded_memory(tmp_path):
+@pytest.fixture(scope="module")
+def scene(tmp_path_factory):
+    """A 20k-point seed-3 scene, then merged and then grounded."""
+    root = tmp_path_factory.mktemp("scene")
+    for argv in (["synth", "--out", "scene.mst", "--target-points", "20000", "--seed", "3"],
+                 ["merge", "--in", "scene.mst", "--out", "merged.mst"],
+                 ["ground", "--in", "merged.mst", "--out", "ground.mst"]):
+        assert main([str(root / a) if a.endswith(".mst") else a for a in argv]) == 0
+    return root
+
+
+def test_merge_with_a_huge_k_runs_in_bounded_memory(scene, tmp_path):
     """k is clamped to the 10000 points of a channel; a (block rows, k)
     query of full-size blocks would need over 3 GB."""
     pytest.importorskip("resource")
-    scene = tmp_path / "scene.mst"
-    assert main(["synth", "--out", str(scene), "--target-points", "20000",
-                 "--seed", "3"]) == 0
     run = subprocess.run(
         [sys.executable, "-c", AS_LIMITED, str(3_000_000 * 1024),
-         "merge", "--in", str(scene), "--out", str(tmp_path / "m.mst"),
+         "merge", "--in", str(scene / "scene.mst"), "--out", str(tmp_path / "m.mst"),
          "--k", "1000000000", "--threads", "1"],
         env=dict(_child_env(), OPENBLAS_NUM_THREADS="1"),
         capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
+
+
+@pytest.mark.parametrize("stage,source,option,value,key", [
+    ("ground", "merged.mst", "--cloth-resolution", "1e-4", "csf.cloth_resolution"),
+    ("ground", "merged.mst", "--cloth-resolution", "1e-2", "csf.cloth_resolution"),
+    ("normalize-height", "ground.mst", "--cell", "1e-4", "dtm.cell"),
+])
+def test_a_raster_over_the_cell_limit_is_a_config_error(scene, tmp_path, stage, source,
+                                                        option, value, key):
+    """Rasters of about 1e7 to 1e11 cells: the 1e-4 ones asked for 833 GiB,
+    the 1e-2 cloth settled for minutes. Each is refused before it is
+    allocated."""
+    pytest.importorskip("resource")
+    start = time.perf_counter()
+    run = subprocess.run(
+        [sys.executable, "-c", AS_LIMITED, str(3_000_000 * 1024),
+         stage, "--in", str(scene / source), "--out", str(tmp_path / "o.mst"), option, value],
+        env=_child_env(), capture_output=True, text=True, timeout=10)
+    assert (run.returncode, f"error[config]: {key} is too fine" in run.stderr) == (
+        2, True), run.stderr
+    assert time.perf_counter() - start < 1.0
