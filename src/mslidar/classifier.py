@@ -32,7 +32,7 @@ from .errors import DataError
 from .features import (
     FeatureConfig, NormalizationParams, assemble_features, fit_config_normalization,
 )
-from .mlp import Mlp, TrainConfig, train
+from .mlp import DTYPE, Mlp, TrainConfig, train
 
 CHECKPOINT_MAGIC = b"MSTM"
 CHECKPOINT_VERSION = 3
@@ -89,13 +89,15 @@ def neighborhood_stats(features: np.ndarray, graph: np.ndarray) -> np.ndarray:
     neighborhood. Always: local h_norm range (max - min) and neighbor
     count. Statistics are computed on the normalized feature values, so
     every appended column is already scale-comparable. Rows are computed
-    in `row_blocks` of the graph's width into the one (n, 3d) float64
-    result.
+    in `row_blocks` of the graph's width, each block's statistics in
+    float64, and rounded once as they are stored into the one (n, 3d)
+    `mlp.DTYPE` result: the matrix the network trains on and predicts
+    from, with no further copy.
     """
     if graph.shape[0] != features.shape[0]:
         raise DataError("neighborhood graph and features disagree on point count")
     n, d = features.shape
-    out = np.empty((n, 3 * d), dtype=np.float64)
+    out = np.empty((n, 3 * d), dtype=DTYPE)
     out[:, :d] = features
     for rows in row_blocks(n, graph.shape[1]):
         _stats_block(features, graph[rows], out[rows, d:])

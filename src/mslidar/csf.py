@@ -66,18 +66,14 @@ class CsfParams:
             raise DataError("class_threshold must be positive")
 
 
-def _neighbor_mean(c: np.ndarray) -> np.ndarray:
+def _neighbor_sum(c: np.ndarray) -> np.ndarray:
+    """Each cell's sum over its (up to four) grid neighbours."""
     acc = np.zeros_like(c)
-    cnt = np.zeros_like(c)
     acc[1:, :] += c[:-1, :]
-    cnt[1:, :] += 1.0
     acc[:-1, :] += c[1:, :]
-    cnt[:-1, :] += 1.0
     acc[:, 1:] += c[:, :-1]
-    cnt[:, 1:] += 1.0
     acc[:, :-1] += c[:, 1:]
-    cnt[:, :-1] += 1.0
-    return acc / cnt
+    return acc
 
 
 def simulate_cloth(cloud: PointCloud, params: CsfParams) -> tuple[np.ndarray, tuple]:
@@ -113,6 +109,7 @@ def simulate_cloth(cloud: PointCloud, params: CsfParams) -> tuple[np.ndarray, tu
     # beneath them pin within the first iterations.
     c = np.full((h, w), floor.max() + 0.05)
     movable = np.ones((h, w), dtype=bool)
+    neighbors = _neighbor_sum(np.ones((h, w)))  # each cell's neighbour count
     g_disp = GRAVITY * TIME_STEP**2
 
     for it in range(params.iterations):
@@ -122,7 +119,7 @@ def simulate_cloth(cloud: PointCloud, params: CsfParams) -> tuple[np.ndarray, tu
         c = np.where(hit, floor, c)
         movable &= ~hit
         for _ in range(params.rigidness):
-            target = _neighbor_mean(c)
+            target = _neighbor_sum(c) / neighbors
             c = np.where(movable, c + 0.5 * (target - c), c)
             hit = movable & (c <= floor)
             c = np.where(hit, floor, c)

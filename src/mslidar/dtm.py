@@ -5,8 +5,10 @@ time into the one float32 result, so its temporaries stay block-sized
 whatever the cloud's size; each point's height depends on that point
 alone, so the blocks change no bit of the output. The DTM build holds
 the ground points' XY once, as the array the one neighbor kernel,
-`cloud.build_index`, indexes in 2-D; each cell's neighbors come in
-(distance, id) order, so no cell depends on how the tree is built.
+`cloud.build_index`, indexes in 2-D, and walks the cell centres one
+`row_blocks` block at a time into the one values array; each cell's
+neighbors come in (distance, id) order, so no cell depends on how the
+tree is built or on the blocks.
 A nodata cell holds NaN; `DtmGrid.nodata` is read off the values.
 `bilinear` and `nearest_valid` are the one grid sampler and the one fill
 of empty cells, for the terrain here and for the cloth in `csf`.
@@ -65,6 +67,9 @@ def build_dtm(cloud: PointCloud, cell: float = 1.0, workers: int = 1) -> DtmGrid
     id, summed nearest first. Cells farther than NODATA_FACTOR*cell from
     every ground point are nodata. The grid covers the full cloud XY
     extent, so later height normalization finds a cell under every point.
+    Cell centres are built, queried and weighted one `row_blocks` block
+    of cells at a time, so besides the raster the build's memory is
+    block-sized whatever the cell count.
     """
     if not cell > 0:
         raise DataError("DTM cell size must be positive")
@@ -81,23 +86,25 @@ def build_dtm(cloud: PointCloud, cell: float = 1.0, workers: int = 1) -> DtmGrid
                         max(np.ceil((float(cloud.x.max()) - x0) / cell), 1.0), "dtm.cell")
     cx = x0 + (np.arange(w) + 0.5) * cell
     cy = y0 + (np.arange(h) + 0.5) * cell
-    centers = np.column_stack((np.tile(cx, h), np.repeat(cy, w)))
-
-    idx = build_index(gxy).knn_batch(centers, min(NEIGHBORS, gz.size), workers=workers)
-    d = np.sqrt(np.sum((gxy[idx] - centers[:, None, :]) ** 2, axis=2))  # the kernel's formula
-
-    nodata = d[:, 0] > NODATA_FACTOR * cell
+    index = build_index(gxy)
+    k = min(NEIGHBORS, gz.size)
     values = np.full(h * w, np.nan)
-    exact = d[:, 0] < 1e-12  # ground point on the cell center: take it directly
-    values[exact] = gz[idx[exact, 0]]
-    rest = ~exact & ~nodata
-    if rest.any():
-        wgt = 1.0 / np.square(d[rest])
-        values[rest] = (wgt * gz[idx[rest]]).sum(axis=1) / wgt.sum(axis=1)
+    for rows in row_blocks(h * w, NEIGHBORS):
+        ids = np.arange(*rows.indices(h * w))
+        centers = np.column_stack((cx[ids % w], cy[ids // w]))
+        idx = index.knn_batch(centers, k, workers=workers)
+        d = np.sqrt(np.sum((gxy[idx] - centers[:, None, :]) ** 2, axis=2))  # the kernel's formula
+        block = values[rows]
+        exact = d[:, 0] < 1e-12  # ground point on the cell center: take it directly
+        block[exact] = gz[idx[exact, 0]]
+        rest = ~exact & (d[:, 0] <= NODATA_FACTOR * cell)  # farther is nodata
+        if rest.any():
+            wgt = 1.0 / np.square(d[rest])
+            block[rest] = (wgt * gz[idx[rest]]).sum(axis=1) / wgt.sum(axis=1)
 
     logger.info(
         "DTM %dx%d cells at %g m from %d ground points (%d nodata)",
-        h, w, cell, gz.size, int(nodata.sum()),
+        h, w, cell, gz.size, int(np.isnan(values).sum()),
     )
     return DtmGrid(origin=(x0, y0), cell=cell, values=values.reshape(h, w))
 

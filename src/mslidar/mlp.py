@@ -30,17 +30,21 @@ on a thread pool that lives for the call. Shard losses and gradients are
 summed in shard order by the calling thread, and numpy's BLAS is pinned
 to one thread for the whole call, so trained bits depend neither on the
 worker count nor on OPENBLAS_NUM_THREADS.
+A pass reads its input in the model dtype and takes each shard as a view
+of it: the float32 feature matrix that `train` and a prediction receive
+is used as it is, and an input of another dtype is converted once, on
+entry.
 Each worker has its own workspace of activation, backward-delta,
 ReLU-mask and gradient buffers of SHARD_ROWS rows, so a pass allocates no
-(rows x hidden) temporaries and its memory does not grow with its row
-count. A call has no more workers than its passes have shards (for
+(rows x hidden) temporaries and, on input in the model dtype, its
+memory does not grow with its row count. A call has no more workers than its passes have shards (for
 `train`, the shards of one batch), so no workspace sits idle. The
 workspaces belong to the call, not to the model. The arrays `forward`
 returns are views of the workspace it is given.
 
 All parameters live in one flat vector, weight matrices first and then
 the biases, and `weights`/`biases` are views of it; gradients use the
-same layout. AdamW is a few whole-vector in-place operations and weight
+same layout. An AdamW step is four whole-vector expressions and weight
 decay covers a prefix.
 """
 
@@ -130,14 +134,14 @@ def one_blas_thread():
 
 
 class _Workspace:
-    """The buffers of one worker's shard: its input rows in the model dtype,
-    post-ReLU activations and the margin of `forward`, backward deltas and
-    ReLU masks, a row of ones that sums a delta's columns as one BLAS call,
-    and the shard's gradient in the flat parameter layout."""
+    """The buffers of one worker's shard: post-ReLU activations and the
+    margin of `forward`, backward deltas and ReLU masks, a row of ones that
+    sums a delta's columns as one BLAS call, and the shard's gradient in the
+    flat parameter layout. The shard's input rows are a view of the pass's
+    input, never copied here."""
 
     def __init__(self, sizes, dtype):
         widths = sizes[1:-1]
-        self.x = np.empty((SHARD_ROWS, sizes[0]), dtype)
         self.acts = [np.empty((SHARD_ROWS, w), dtype) for w in widths]
         self.deltas = [np.empty((SHARD_ROWS, w), dtype) for w in widths]
         self.masks = [np.empty((SHARD_ROWS, w), bool) for w in widths]
@@ -235,16 +239,6 @@ class Mlp:
         z += self.biases[-1][0]
         return z, acts
 
-    def _rows(self, x: np.ndarray, lo: int, ws: _Workspace) -> np.ndarray:
-        """The shard of x from row lo in the model dtype: a view of x when it
-        has that dtype, else a copy in ws."""
-        rows = x[lo : lo + SHARD_ROWS]
-        if rows.dtype == self.dtype:
-            return rows
-        out = ws.x[: rows.shape[0]]
-        np.copyto(out, rows, casting="unsafe")
-        return out
-
     def _crew(self, workers: "int | Crew", rows: int):
         """`workers` itself when it is the Crew of an enclosing call, else a
         crew of that many workers for this call's `rows` rows, at most one
@@ -255,12 +249,13 @@ class Mlp:
 
     def margins(self, x: np.ndarray, workers: "int | Crew" = 1) -> np.ndarray:
         """The margin z of every row of x, in the model dtype: class 1 (tree)
-        scores higher than class 0 exactly where z > 0."""
-        x = np.asarray(x)
+        scores higher than class 0 exactly where z > 0. An x of another
+        dtype is converted to the model dtype once, before the first shard."""
+        x = np.asarray(x, dtype=self.dtype)
         z = np.empty(x.shape[0], self.dtype)
 
         def work(ws, lo):
-            z[lo : lo + SHARD_ROWS] = self.forward(self._rows(x, lo, ws), ws)[0]
+            z[lo : lo + SHARD_ROWS] = self.forward(x[lo : lo + SHARD_ROWS], ws)[0]
 
         with self._crew(workers, x.shape[0]) as team:
             for _ in team.deal(x.shape[0], work):
@@ -278,12 +273,12 @@ class Mlp:
         """The loss over all rows of (x, y) and, into the flat vector `grad`
         when one is given, its gradient, each summed over the shards in
         shard order."""
-        x = np.asarray(x)
+        x = np.asarray(x, dtype=self.dtype)
         y = np.asarray(y)
         scale = self._row_weights(y, class_weights)
 
         def work(ws, lo):
-            z, acts = self.forward(self._rows(x, lo, ws), ws)
+            z, acts = self.forward(x[lo : lo + SHARD_ROWS], ws)
             loss, g = _margin_loss(z, y[lo : lo + SHARD_ROWS], scale)
             if grad is None:
                 return loss, None
@@ -376,6 +371,8 @@ def train(
     loss_curve[0] is the pre-training loss over the full set; entry e+1
     is the running weighted mean over epoch e's batches. Every pass runs
     on one crew of at most `workers` workers, one per shard of a batch.
+    A C-contiguous DTYPE `features` matrix, as `neighborhood_stats` makes,
+    is trained on as it is, with no copy; other input is converted once.
     Bit-identical results for identical inputs and seed, whatever the
     worker count and the BLAS thread count.
     """
@@ -397,9 +394,6 @@ def train(
     m = np.zeros_like(params)
     v = np.zeros_like(params)
     g = np.empty_like(params)
-    step = np.empty_like(params)
-    scratch = np.empty_like(params)
-    scratch_w = scratch[: model.n_weights]
     lr = config.learning_rate
     lr_t = DTYPE(lr)
     decay_t = DTYPE(lr * config.weight_decay)
@@ -431,22 +425,10 @@ def train(
                 t += 1
                 bc1 = 1.0 - BETA1**t
                 bc2 = 1.0 - BETA2**t
-                m *= BETA1
-                np.multiply(g, 1 - BETA1, out=scratch)
-                m += scratch
-                v *= BETA2
-                np.square(g, out=scratch)
-                scratch *= 1 - BETA2
-                v += scratch
-                np.divide(v, bc2, out=scratch)
-                np.sqrt(scratch, out=scratch)
-                scratch += EPS
-                np.divide(m, bc1, out=step)
-                step /= scratch
-                np.multiply(decayed, decay_t, out=scratch_w)
-                decayed -= scratch_w
-                step *= lr_t
-                params -= step
+                m = BETA1 * m + (1 - BETA1) * g
+                v = BETA2 * v + (1 - BETA2) * np.square(g)
+                decayed -= decay_t * decayed
+                params -= lr_t * (m / bc1 / (np.sqrt(v / bc2) + EPS))
                 epoch_loss += loss * xb.shape[0]
                 epoch_weight += xb.shape[0]
             curve.append(epoch_loss / epoch_weight)

@@ -3,9 +3,10 @@ import struct
 import numpy as np
 import pytest
 
+from mslidar import classifier
 from mslidar import cloud as cloud_module
 from mslidar.classifier import (
-    Model, compute_class_weights, height_threshold_postprocess, load_checkpoint,
+    Model, compute_class_weights, fit, height_threshold_postprocess, load_checkpoint,
     neighborhood_graph, neighborhood_stats, predict, save_checkpoint,
 )
 from mslidar.cloud import QUERY_ROWS, Label, PointCloud, build_index
@@ -13,6 +14,7 @@ from mslidar.columnar import check_label_count, read_labels
 from mslidar.errors import DataError, NumericError
 from mslidar.features import ALL_CONFIGS, FeatureConfig, fit_normalization
 from mslidar.mlp import DTYPE, Mlp, TrainConfig, train
+from mslidar.pipeline import load_config
 
 from conftest import (
     as_v2_checkpoint, brute_radius, peak_traced_bytes, random_cloud, tied_cloud,
@@ -120,6 +122,28 @@ class TestTraining:
                           hidden=(8, 8), seed=0)
         with pytest.raises(NumericError, match="learning rate"):
             train(x, y, (1.0, 1.0), cfg)
+
+    def test_fit_trains_on_the_stats_matrix_without_a_copy(self, monkeypatch):
+        rng = np.random.default_rng(26)
+        cloud = random_cloud(rng, n=300).with_column(
+            "h_norm", rng.uniform(0, 5, 300).astype(np.float32))
+        handed, trained = [], []
+        loss = Mlp.loss
+
+        def spy_train(features, *args, **kwargs):
+            handed.append(features)
+            return train(features, *args, **kwargs)
+
+        def spy_loss(model, x, *args, **kwargs):
+            trained.append(x)
+            return loss(model, x, *args, **kwargs)
+
+        monkeypatch.setattr(classifier, "train", spy_train)
+        monkeypatch.setattr(Mlp, "loss", spy_loss)  # train's full-set loss
+        fit(cloud, FeatureConfig.XYZ, load_config(overrides={"train.epochs": 1}))
+        (features,), (x,) = handed, trained
+        assert features.dtype == DTYPE
+        assert np.shares_memory(x, features)
 
     def test_input_validation(self):
         x, y = separable_toy(n=20)
@@ -243,18 +267,21 @@ class TestNeighborhood:
             members = [(i + j) % n for j in range(rng.integers(1, 5))]
             graph[i, : len(members)] = members
         out = neighborhood_stats(values, graph)
-        # inputs, then mean/std per spectral column, h_norm range, count
-        assert out.shape == (n, 3 + 4 + 2)
-        np.testing.assert_array_equal(out[:, :3], values)
+        # inputs, then mean/std per spectral column, h_norm range, count,
+        # each computed in float64 and rounded once to the model dtype
+        want = np.empty((n, 3 + 4 + 2))
+        want[:, :3] = values
         for i in range(n):
             members = graph[i][graph[i] >= 0]
             for off, ci in enumerate((1, 2)):
                 vals = values[members, ci]
-                assert out[i, 3 + 2 * off] == pytest.approx(vals.mean(), abs=1e-12)
-                assert out[i, 4 + 2 * off] == pytest.approx(vals.std(), abs=1e-9)
+                want[i, 3 + 2 * off] = vals.mean()
+                want[i, 4 + 2 * off] = vals.std()
             h = values[members, 0]
-            assert out[i, 7] == pytest.approx(h.max() - h.min(), abs=1e-12)
-            assert out[i, 8] == len(members)
+            want[i, 7] = h.max() - h.min()
+            want[i, 8] = len(members)
+        assert out.dtype == DTYPE
+        np.testing.assert_array_equal(out, want.astype(DTYPE))
 
     def test_blocked_stats_equal_one_block_bit_for_bit(self, monkeypatch):
         rng = np.random.default_rng(23)
@@ -267,7 +294,7 @@ class TestNeighborhood:
         assert np.unique(whole, axis=0).shape[0] == n
         monkeypatch.setattr(cloud_module, "QUERY_ROWS", 5)
         blocked = neighborhood_stats(values, graph)
-        np.testing.assert_array_equal(blocked.view(np.uint64), whole.view(np.uint64))
+        np.testing.assert_array_equal(blocked.view(np.uint32), whole.view(np.uint32))
 
     @pytest.mark.parametrize("neighbor_pass", ["knn_batch", "neighborhood_stats"])
     def test_passes_allocate_block_sized_memory(self, neighbor_pass):

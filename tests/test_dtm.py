@@ -243,6 +243,20 @@ def test_dtm_build_holds_ground_xy_once():
     assert extra < 48 * n
 
 
+def test_dtm_build_walks_cell_centres_in_blocks():
+    """Besides its raster, build_dtm over six blocks of cells allocates
+    less than 600 bytes per cell of one block; building, querying and
+    weighting every cell centre at once took about 300 per cell of the
+    whole raster, 1800 per cell of a block."""
+    cloud = _dense_ground(2000, 10)
+    build_dtm(cloud.take(np.arange(100)))  # imports scipy untraced
+    grids = []
+    extra = peak_traced_bytes(
+        lambda: grids.append(build_dtm(cloud, 60.0 / np.sqrt(6 * QUERY_ROWS))))
+    assert grids[0].values.size > 5 * QUERY_ROWS
+    assert extra - grids[0].values.nbytes < 600 * QUERY_ROWS
+
+
 def test_normalization_allocates_block_sized_memory():
     """Besides the h_norm column, normalize_height over n = 4 blocks
     allocates less than 24 (block,) float64 arrays; the whole-cloud pass

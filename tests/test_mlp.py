@@ -210,10 +210,9 @@ def test_full_set_passes_allocate_shard_sized_memory(full_set_pass, workers):
     peaks = []
     for n in (4 * SHARD_ROWS, 32 * SHARD_ROWS):
         model = Mlp(12, (64, 64), seed=0)
-        x = rng.normal(size=(n, 12))   # float64, converted shard by shard
+        x = rng.normal(size=(n, 12)).astype(np.float32)
         y = rng.integers(0, 2, n)
         if full_set_pass == "loss":
-            x = x.astype(np.float32)
             peaks.append(peak_traced_bytes(
                 lambda: model.loss(x, y, (0.7, 1.3), workers=workers)))
         else:
@@ -223,6 +222,23 @@ def test_full_set_passes_allocate_shard_sized_memory(full_set_pass, workers):
     shard_bytes = SHARD_ROWS * 64 * 4
     assert max(peaks) <= 5 * shard_bytes * workers
     assert peaks[1] <= peaks[0] + shard_bytes // 8
+
+
+def test_other_dtype_input_gives_the_bits_of_its_cast():
+    # a float64 input is converted once, as its float32 cast would be
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(2 * SHARD_ROWS + 5, 12))
+    y = rng.integers(0, 2, x.shape[0])
+    model = Mlp(12, (16,), seed=0)
+    model.weights[-1][:, 0] = rng.normal(size=16)  # a nonzero head
+    x32 = x.astype(np.float32)
+    np.testing.assert_array_equal(model.margins(x).view(np.uint32),
+                                  model.margins(x32).view(np.uint32))
+    loss, grads = model.loss_and_grads(x, y, (0.7, 1.3))
+    loss32, grads32 = model.loss_and_grads(x32, y, (0.7, 1.3))
+    assert loss == loss32
+    for got, want in zip(grads, grads32):
+        np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
 
 
 def test_a_pass_holds_no_more_workspaces_than_shards():
