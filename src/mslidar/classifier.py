@@ -7,7 +7,8 @@ count over the <=k nearest neighbors within a radius, whose defaults
 learner the spatial context a point-cloud network gets architecturally,
 which is all the ablation logic needs. Like those networks, the model
 sees geometry only relative to a point's surroundings, never as an
-absolute location.
+absolute location. The neighborhood graph streams its row blocks into the
+statistics, so neither training nor prediction holds an (n, k) id array.
 
 A trained model is one value, a :class:`Model`: the network and the
 feature recipe that built its inputs (feature config, normalization and
@@ -24,6 +25,7 @@ formed.
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -58,19 +60,22 @@ def compute_class_weights(labels: np.ndarray) -> np.ndarray:
 
 def neighborhood_graph(
     cloud: PointCloud, k: int = 16, radius: float = 2.0, workers: int = 1
-) -> np.ndarray:
-    """Indices of the <=k nearest points within `radius`, self included.
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """Indices of the <=k nearest points within `radius`, self included,
+    as (rows, ids) per row_blocks(n, min(k, n)) block, queried when taken.
 
-    Returns an (n, min(k, n)) int32 array padded with -1, rows ordered by
-    (distance, id): a k above the point count changes no neighborhood.
-    Row i starts with i itself, or with a lower-id point at the same
-    coordinates, so every neighborhood has >= 1 member.
+    ids is a (block rows, min(k, n)) int32 array padded with -1, rows
+    ordered by (distance, id): a k above the point count changes no
+    neighborhood. Row i starts with i itself, or with a lower-id point at
+    the same coordinates, so every neighborhood has >= 1 member.
     Depends only on the geometry, so one graph serves every feature
-    config of the same cloud.
+    config of the same cloud. The arguments are checked on the call.
     """
     _check_neighborhood(k, radius)
     pts = cloud.xyz
-    return build_index(pts).knn_batch(pts, k=min(k, len(pts)), radius=radius, workers=workers)
+    index, k = build_index(pts), min(k, len(pts))
+    return ((rows, index.knn_batch(pts[rows], k=k, radius=radius, workers=workers))
+            for rows in row_blocks(len(pts), k))
 
 
 def _check_neighborhood(k: int, radius: float) -> None:
@@ -81,26 +86,28 @@ def _check_neighborhood(k: int, radius: float) -> None:
         raise DataError(f"neighborhood radius must be positive and finite, got {radius!r}")
 
 
-def neighborhood_stats(features: np.ndarray, graph: np.ndarray) -> np.ndarray:
+def neighborhood_stats(features: np.ndarray, graph: Iterable) -> np.ndarray:
     """Append per-point neighborhood aggregates to an assembled feature
     matrix [h_norm, spectral...].
 
     For each spectral column: mean and population std over the
     neighborhood. Always: local h_norm range (max - min) and neighbor
     count. Statistics are computed on the normalized feature values, so
-    every appended column is already scale-comparable. Rows are computed
-    in `row_blocks` of the graph's width, each block's statistics in
-    float64, and rounded once as they are stored into the one (n, 3d)
-    `mlp.DTYPE` result: the matrix the network trains on and predicts
-    from, with no further copy.
+    every appended column is already scale-comparable. The (rows, ids)
+    blocks of `graph`, as :func:`neighborhood_graph` yields them, cover
+    every row once; each is computed in float64 as it arrives and
+    rounded once into the one (n, 3d) `mlp.DTYPE` result: the matrix the
+    network trains on and predicts from, with no further copy.
     """
-    if graph.shape[0] != features.shape[0]:
-        raise DataError("neighborhood graph and features disagree on point count")
     n, d = features.shape
     out = np.empty((n, 3 * d), dtype=DTYPE)
     out[:, :d] = features
-    for rows in row_blocks(n, graph.shape[1]):
-        _stats_block(features, graph[rows], out[rows, d:])
+    covered = 0
+    for rows, ids in graph:
+        _stats_block(features, ids, out[rows, d:])
+        covered += ids.shape[0]
+    if covered != n:
+        raise DataError("neighborhood graph and features disagree on point count")
     return out
 
 
@@ -117,6 +124,7 @@ def _stats_block(features: np.ndarray, graph: np.ndarray, out: np.ndarray) -> No
         var = np.maximum(vals.sum(axis=1) / counts - np.square(mean), 0.0)
         out[:, 2 * ci - 2] = mean
         out[:, 2 * ci - 1] = np.sqrt(var)
+        del vals  # freed before the next column's gather: a lower peak
 
     h = features[:, 0][safe]
     hmax = np.where(valid, h, -np.inf).max(axis=1)
@@ -149,7 +157,8 @@ def height_threshold_postprocess(
     if len(labels) != cloud.count:
         raise DataError("prediction and cloud disagree on point count")
     labels = labels.copy()
-    labels[(labels == int(Label.TREE)) & (cloud.h_norm < threshold)] = int(Label.NON_TREE)
+    with np.errstate(over="ignore"):  # a threshold past float32 compares as the +-inf it casts to
+        labels[(labels == int(Label.TREE)) & (cloud.h_norm < threshold)] = int(Label.NON_TREE)
     return labels
 
 
@@ -174,14 +183,14 @@ def _features(cloud, fconfig, params, neighborhood, cfg, graph) -> np.ndarray:
 
 
 def fit(
-    cloud: PointCloud, fconfig: FeatureConfig, cfg: dict, graph: np.ndarray | None = None
+    cloud: PointCloud, fconfig: FeatureConfig, cfg: dict, graph: Iterable | None = None
 ) -> tuple[Model, list[float]]:
     """Train a model on a labelled cloud with the effective config `cfg`;
     returns it and its per-epoch loss curve.
 
     Spectral columns are scaled at the features.p_low/p_high percentiles
-    of this cloud; `graph` is its neighborhood graph, built from cfg when
-    None.
+    of this cloud; `graph` holds the blocks of its neighborhood graph,
+    streamed from cfg when None.
     """
     cloud.require("label", "h_norm")
     params = None
@@ -199,11 +208,11 @@ def fit(
 
 
 def classify(
-    cloud: PointCloud, model: Model, cfg: dict, graph: np.ndarray | None = None
+    cloud: PointCloud, model: Model, cfg: dict, graph: Iterable | None = None
 ) -> np.ndarray:
     """Labels of a cloud from the model's recipe, with predicted trees below
-    postprocess.threshold relabelled (null: keep them); `graph` is the
-    cloud's graph of model.neighborhood, built here when None."""
+    postprocess.threshold relabelled (null: keep them); `graph` holds the
+    blocks of its graph of model.neighborhood, streamed here when None."""
     features = _features(cloud, model.feature_config, model.normalization,
                          model.neighborhood, cfg, graph)
     labels = predict(features, model.net, workers=worker_count(cfg["threads"]))

@@ -11,9 +11,10 @@ behind one batch query, :meth:`SpatialIndex.knn_batch`, whose every row
 is identical to a brute-force scan, ties broken by lower point id. It is
 the one neighbor kernel: SOR, merge, the neighborhood graph and the DTM
 (in XY) all build it with :func:`build_index`, the only place a tree is
-built, so no result depends on how the tree is built. Every neighbor
-pass runs its query rows in :func:`row_blocks`, whose size shrinks as k
-grows, so a block's (rows, k) arrays stay a few MB whatever k is.
+built, so no result depends on how the tree is built. The kernel
+answers exactly the rows it is given, and every neighbor pass hands it
+one :func:`row_blocks` block at a time, whose size shrinks as k grows,
+so a block's (rows, k) arrays stay a few MB whatever k is.
 
 :func:`group_cells` groups points by integer cell (voxel, tile, query
 cell) with one np.lexsort: cells come out in lexicographic key order,
@@ -273,34 +274,23 @@ class SpatialIndex:
         inclusive, when it is given); ties go to the lower id, and
         distances are judged by the plain formula sqrt(sum((p - q)**2)),
         so every row equals a brute-force scan.
-        Rows with fewer neighbors are padded with -1. Queries run a
-        row_blocks(n, k) block at a time into the one result array.
+        Rows with fewer neighbors are padded with -1. One tree query
+        answers every row given, so its temporaries grow with the rows:
+        each pass hands it one row_blocks(n, k) block at a time.
         """
         qs = np.asarray(qs, dtype=np.float64)
         if qs.shape[1:] != self.points.shape[1:]:
             raise ValueError(f"knn_batch expects an (n, {self.points.shape[1]}) query array")
-        # One neighbor beyond k shows whether rank k is tied.
-        kq = min(k + 1, self.points.shape[0])
-        out = np.empty((qs.shape[0], k), dtype=np.int32)
-        out[:, kq:] = -1
-        for rows in row_blocks(qs.shape[0], k):
-            self._knn_block(qs[rows], k, kq, radius, workers, out[rows])
-        return out
-
-    def _knn_block(
-        self, qs: np.ndarray, k: int, kq: int, radius: float | None, workers: int,
-        out: np.ndarray,
-    ) -> None:
-        """knn_batch for one block of query rows, written into its rows of
-        the result; the tree is asked for kq neighbors."""
         m = self.points.shape[0]
+        kq = min(k + 1, m)  # one neighbor beyond k shows whether rank k is tied
         limit = np.inf if radius is None else radius
         reach = limit * (1.0 + _TIE_SLACK) + 1e-12
+        out = np.full((qs.shape[0], k), -1, dtype=np.int32)  # before the query: a lower peak
         d, idx = self.tree.query(qs, k=kq, distance_upper_bound=reach, workers=workers)
         if kq == 1:  # scipy squeezes the k axis for scalar k=1
             d, idx = d[:, None], idx[:, None]
-        # the tree returns the index size as the id of a neighbor it did not find
-        out[:, : min(k, kq)] = np.where(idx[:, :k] < m, idx[:, :k], -1)
+        out[:, : min(k, kq)] = idx[:, :k]  # in place: no (rows, k) int64 temporary
+        out[out == m] = -1  # the tree's id of a neighbor it did not find is m
         del idx  # free it before the tie scan, which peaks with a copy of d
 
         # Tree order is exact wherever no two listed distances, and no
@@ -323,6 +313,7 @@ class SpatialIndex:
             take = (rank < k) & (dist <= limit)
             out[rows] = -1
             out[rows[owner[take]], rank[take]] = cand[take]
+        return out
 
 
 def build_index(points: np.ndarray) -> SpatialIndex:

@@ -144,7 +144,8 @@ def error_rate_above(
     h = np.asarray(h_norm)
     if not (pred.shape == truth.shape == h.shape):
         raise DataError("pred, truth and h_norm must have equal lengths")
-    above = h > threshold
+    with np.errstate(over="ignore"):  # a threshold past float32 compares as the +-inf it casts to
+        above = h > threshold
     if predicted_tree_only:
         above &= pred == int(Label.TREE)
     n = int(above.sum())
@@ -198,15 +199,15 @@ def run_ablation(
     config `cfg`, same seed for all.
 
     The geometric neighbor graphs depend only on the coordinates, so
-    they are computed once per cloud and reused across configs.
+    each cloud's blocks are queried once and kept for every config.
     """
     for name, cloud in (("train", train_cloud), ("test", test_cloud)):
         cloud.require("label", "h_norm")
         if cloud.count == 0:
             raise DataError(f"{name} cloud is empty")
     workers = worker_count(cfg["threads"])
-    graph_train = clf.neighborhood_graph(train_cloud, **cfg["neighborhood"], workers=workers)
-    graph_test = clf.neighborhood_graph(test_cloud, **cfg["neighborhood"], workers=workers)
+    graph_train = list(clf.neighborhood_graph(train_cloud, **cfg["neighborhood"], workers=workers))
+    graph_test = list(clf.neighborhood_graph(test_cloud, **cfg["neighborhood"], workers=workers))
 
     reports: dict[FeatureConfig, EvalReport] = {}
     for fconfig in dict.fromkeys(configs):

@@ -57,12 +57,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, NumericError
+from .errors import ConfigError, DataError, NumericError
 
 # Rows per shard. A constant, never derived from a thread count: the
 # shard boundaries fix the rounding of every sum, so they fix the bits.
 SHARD_ROWS = 2048
 DTYPE = np.float32  # the dtype `train` fits in, as checkpoints store it
+# The most bytes `train` may hold for its network (see _train_bytes); wider
+# `train.hidden` layers are a config error, raised before any is allocated.
+TRAIN_LIMIT = 2 ** 31
 
 # AdamW's moment decay rates and denominator guard.
 BETA1 = 0.9
@@ -354,6 +357,16 @@ def _margin_loss(z: np.ndarray, y: np.ndarray, scale: np.ndarray) -> tuple[float
     return float(np.dot(w, ce)), g
 
 
+def _train_bytes(sizes, workers: int) -> int:
+    """Bytes `train` holds for a network of these layer sizes: the flat
+    parameter vector, its two AdamW moments and its gradient, and for each
+    worker a gradient and SHARD_ROWS rows of activations, deltas and masks."""
+    n_params = sum(a * b + b for a, b in zip(sizes[:-1], sizes[1:]))
+    item = np.dtype(DTYPE).itemsize
+    workspace = n_params * item + SHARD_ROWS * sum(sizes[1:-1]) * (2 * item + 1)
+    return 4 * n_params * item + workers * workspace
+
+
 def _interleave(weights, biases) -> list[np.ndarray]:
     return [a for pair in zip(weights, biases) for a in pair]
 
@@ -373,6 +386,8 @@ def train(
     on one crew of at most `workers` workers, one per shard of a batch.
     A C-contiguous DTYPE `features` matrix, as `neighborhood_stats` makes,
     is trained on as it is, with no copy; other input is converted once.
+    A network that would hold more than TRAIN_LIMIT bytes (_train_bytes)
+    is refused with a ConfigError naming train.hidden.
     Bit-identical results for identical inputs and seed, whatever the
     worker count and the BLAS thread count.
     """
@@ -386,6 +401,14 @@ def train(
         raise DataError("training labels must be binary 0/1")
     if np.unique(y).size < 2:
         raise DataError("training set must contain both classes")
+    n, bs = x.shape[0], config.batch_size
+    workers = min(workers, _shards(min(n, bs)))
+    need = _train_bytes((x.shape[1], *config.hidden, 1), workers)
+    if need > TRAIN_LIMIT:
+        raise ConfigError(
+            f"train.hidden {list(config.hidden)} is too wide: training it on {x.shape[1]} "
+            f"features with {workers} workers would hold {need / 2**30:.1f} GiB, over the "
+            f"limit of {TRAIN_LIMIT / 2**30:g} GiB")
 
     model = Mlp(x.shape[1], config.hidden, seed=config.seed, dtype=DTYPE)
     # AdamW on the flat parameter vector; decay covers the weight prefix
@@ -398,9 +421,7 @@ def train(
     lr_t = DTYPE(lr)
     decay_t = DTYPE(lr * config.weight_decay)
 
-    n = x.shape[0]
-    bs = config.batch_size
-    with crew(model.sizes, model.dtype, min(workers, _shards(min(n, bs)))) as team:
+    with crew(model.sizes, model.dtype, workers) as team:
         curve = [model.loss(x, y, class_weights, workers=team)]
         rng = np.random.default_rng(config.seed)
         t = 0

@@ -19,6 +19,7 @@ import functools
 import hashlib
 import inspect
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -132,8 +133,14 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         import yaml
 
+        class Loader(yaml.SafeLoader):
+            """safe_load's YAML 1.1, whose floats need a dot and a signed
+            exponent, with YAML 1.2's exponent floats too: 1e-3, 5e2, .5E3."""
+
+        Loader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
+            r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"), list("-+.0123456789"))
         try:
-            data = yaml.safe_load(text) or {}
+            data = yaml.load(text, Loader=Loader) or {}
         except yaml.YAMLError as exc:
             raise ConfigError(f"config file {path} is not valid YAML: {exc}") from exc
         if not isinstance(data, dict):

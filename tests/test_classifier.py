@@ -1,4 +1,5 @@
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -231,11 +232,16 @@ class TestPredict:
             predict(np.zeros((3, 5), np.float32), model)
 
 
+def whole_graph(cloud, **neighborhood) -> np.ndarray:
+    """The blocks of neighborhood_graph, concatenated into one matrix."""
+    return np.concatenate([ids for _, ids in neighborhood_graph(cloud, **neighborhood)])
+
+
 class TestNeighborhood:
     def test_graph_matches_brute_radius(self):
         rng = np.random.default_rng(19)
         cloud = random_cloud(rng, n=150, extent=6.0)
-        graph = neighborhood_graph(cloud, k=16, radius=2.0)
+        graph = whole_graph(cloud, k=16, radius=2.0)
         assert graph.shape == (150, 16)
         for i in range(0, 150, 7):
             ids, _ = brute_radius(cloud.xyz, cloud.xyz[i], 2.0, k_max=16)
@@ -245,7 +251,7 @@ class TestNeighborhood:
     def test_graph_matches_brute_radius_on_quantized_cloud(self):
         rng = np.random.default_rng(22)
         cloud = tied_cloud(rng, n=500, extent=2.0)
-        graph = neighborhood_graph(cloud, k=16, radius=0.3)
+        graph = whole_graph(cloud, k=16, radius=0.3)
         for i, q in enumerate(cloud.xyz):
             ids, _ = brute_radius(cloud.xyz, q, 0.3, k_max=16)
             np.testing.assert_array_equal(graph[i, : ids.size], ids)
@@ -254,7 +260,7 @@ class TestNeighborhood:
     def test_every_row_contains_self(self):
         rng = np.random.default_rng(20)
         cloud = random_cloud(rng, n=80, extent=8.0)
-        graph = neighborhood_graph(cloud)
+        graph = whole_graph(cloud)
         assert all((graph[i] == i).any() for i in range(cloud.count))
 
     def test_stats_against_loop_oracle(self):
@@ -266,7 +272,7 @@ class TestNeighborhood:
         for i in range(n):
             members = [(i + j) % n for j in range(rng.integers(1, 5))]
             graph[i, : len(members)] = members
-        out = neighborhood_stats(values, graph)
+        out = neighborhood_stats(values, [(slice(0, n), graph)])
         # inputs, then mean/std per spectral column, h_norm range, count,
         # each computed in float64 and rounded once to the model dtype
         want = np.empty((n, 3 + 4 + 2))
@@ -287,19 +293,20 @@ class TestNeighborhood:
         rng = np.random.default_rng(23)
         n = 103
         cloud = random_cloud(rng, n=n, extent=4.0)
-        graph = neighborhood_graph(cloud, k=8, radius=1.5)
+        graph = whole_graph(cloud, k=8, radius=1.5)
         values = np.column_stack((rng.uniform(0, 5, n), rng.random(n), rng.random(n)))
-        whole = neighborhood_stats(values, graph)
+        whole = neighborhood_stats(values, [(slice(0, n), graph)])
         # every row differs, so a block written to other rows shows
         assert np.unique(whole, axis=0).shape[0] == n
         monkeypatch.setattr(cloud_module, "QUERY_ROWS", 5)
-        blocked = neighborhood_stats(values, graph)
+        blocked = neighborhood_stats(values, neighborhood_graph(cloud, k=8, radius=1.5))
         np.testing.assert_array_equal(blocked.view(np.uint32), whole.view(np.uint32))
 
     @pytest.mark.parametrize("neighbor_pass", ["knn_batch", "neighborhood_stats"])
     def test_passes_allocate_block_sized_memory(self, neighbor_pass):
-        """Besides its output, a pass over n = 4 blocks allocates less than
-        five (block, k) float64 arrays; one (n, k) array is four of them."""
+        """Besides its output, the kernel on one block, and the graph and
+        stats together over n = 4 blocks, allocate less than five (block, k)
+        float64 arrays; one (n, k) array is four of them."""
         k = 16
         n = 4 * QUERY_ROWS
         rng = np.random.default_rng(24)
@@ -308,19 +315,41 @@ class TestNeighborhood:
             x=rng.uniform(0, side, n), y=rng.uniform(0, side, n),
             z=rng.uniform(0, side, n), channel=np.zeros(n, np.uint8),
         )
-        index = build_index(cloud.xyz)
-        xyz = cloud.xyz
         if neighbor_pass == "knn_batch":
-            extra = peak_traced_bytes(lambda: index.knn_batch(xyz, k, radius=2.0))
+            index = build_index(cloud.xyz)
+            block = cloud.xyz[:QUERY_ROWS]
+            extra = peak_traced_bytes(lambda: index.knn_batch(block, k, radius=2.0))
         else:
-            graph = index.knn_batch(xyz, k, radius=2.0)
             values = np.column_stack((rng.uniform(0, 5, n), rng.random(n), rng.random(n)))
-            extra = peak_traced_bytes(lambda: neighborhood_stats(values, graph))
+            extra = peak_traced_bytes(
+                lambda: neighborhood_stats(values, neighborhood_graph(cloud, k, radius=2.0)))
         assert extra < 5 * QUERY_ROWS * k * 8
 
     def test_stats_point_count_mismatch_rejected(self):
         with pytest.raises(DataError, match="disagree"):
-            neighborhood_stats(np.zeros((5, 1)), np.zeros((4, 2), np.int64))
+            neighborhood_stats(np.zeros((5, 1)), [(slice(0, 4), np.zeros((4, 2), np.int64))])
+
+    def test_fit_never_holds_an_n_by_k_id_array(self, monkeypatch):
+        """fit on a cloud of four query blocks asks the kernel for one block
+        of ids at a time, and each block is dropped before the next query,
+        so no (n, k) id array ever exists, as a whole or as kept blocks."""
+        n = 4 * QUERY_ROWS
+        rng = np.random.default_rng(25)
+        cloud = random_cloud(rng, n=n, extent=(4.0 * n) ** (1 / 3))
+        cloud = cloud.with_column("h_norm", rng.uniform(0, 5, n).astype(np.float32))
+        kernel = cloud_module.SpatialIndex.knn_batch
+        blocks, held = [], []  # weak references to the id blocks; live ones at each query
+
+        def spy(index, qs, *args, **kwargs):
+            held.append(sum(ref() is not None for ref in blocks))
+            ids = kernel(index, qs, *args, **kwargs)
+            blocks.append(weakref.ref(ids))
+            return ids
+
+        monkeypatch.setattr(cloud_module.SpatialIndex, "knn_batch", spy)
+        fit(cloud, FeatureConfig.XYZ, load_config(overrides={"train.epochs": 1}))
+        assert len(blocks) == 4
+        assert max(held) <= 1
 
 
 class TestImportAndPostprocess:
@@ -374,6 +403,15 @@ class TestImportAndPostprocess:
         )
         with pytest.raises(DataError, match="h_norm"):
             height_threshold_postprocess(np.zeros(1, np.uint8), cloud)
+
+    @pytest.mark.parametrize("threshold", [1e39, -1e39, 1e300, -1e300])
+    def test_postprocess_threshold_beyond_float32_range(self, threshold):
+        """h_norm is float32: such a threshold compares as +-inf, without a
+        numpy overflow warning."""
+        cloud = self.make_cloud([-3e38, 0.5, 3e38])
+        labels = np.ones(3, np.uint8)
+        out = height_threshold_postprocess(labels, cloud, threshold=threshold)
+        assert out.tolist() == ([0, 0, 0] if threshold > 0 else [1, 1, 1])
 
 
 NEIGHBORHOOD = {"k": 16, "radius": 2.0}

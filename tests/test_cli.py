@@ -720,6 +720,11 @@ def test_defaults_are_the_effective_defaults():
     ("train: {hidden: [32, 16, 8]}", True),         # any depth
     ("train: {hidden: [32.0]}", False),
     ("train: {hidden: []}", False),
+    # YAML 1.2 exponent floats, which PyYAML's YAML 1.1 reads as strings
+    ("train: {learning_rate: 1e-3, weight_decay: 5e-5}", True),
+    ("voxel: {grid: .5E1}", True),
+    ("train: {learning_rate: '1e-3'}", False),      # quoted: a string
+    ("sor: {k: 1e1}", False),                       # a float for an int
     ("postprocess: {threshold: null}", True),
     ("postprocess: {threshold: 3}", True),
     ("postprocess: {threshold: '3'}", False),

@@ -140,6 +140,15 @@ class TestErrorRateAbove:
         with pytest.raises(DataError, match="equal lengths"):
             error_rate_above(np.zeros(2), np.zeros(2), np.zeros(3))
 
+    @pytest.mark.parametrize("threshold", [1e39, -1e39, 1e300, -1e300])
+    def test_threshold_beyond_float32_range(self, threshold):
+        """float32 heights compare with such a threshold as with +-inf, without
+        a numpy overflow warning."""
+        pred, truth = np.array([1, 1, 0]), np.array([1, 0, 0])
+        h = np.array([-3e38, 0.5, 3e38], np.float32)
+        rate = error_rate_above(pred, truth, h, threshold=threshold)
+        assert rate == (None if threshold > 0 else pytest.approx(100.0 / 3.0))
+
 
 class TestEvaluateAndExport:
     def make_report(self):

@@ -10,8 +10,9 @@ model files through `predict`. An output that cannot be written, or that
 is also an input, is a config error, and a failed write names the path it
 was writing. A neighbour count k above the point count is clamped to it,
 and a neighbour pass's memory does not grow with k. A cloth or DTM cell
-so fine that its raster would exceed `dtm.RASTER_LIMIT` cells is a config
-error that names its key.
+so fine that its raster would exceed `dtm.RASTER_LIMIT` cells, and hidden
+layers so wide that training would exceed `mlp.TRAIN_LIMIT` bytes, are
+config errors that name their key.
 """
 
 import dataclasses
@@ -380,6 +381,24 @@ def test_merge_with_a_huge_k_runs_in_bounded_memory(scene, tmp_path):
         env=dict(_child_env(), OPENBLAS_NUM_THREADS="1"),
         capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
+
+
+@pytest.mark.parametrize("hidden", [[100000000], [64, 100000000]])
+def test_a_network_over_the_memory_limit_is_a_config_error(cloud, tmp_path, hidden):
+    """Hidden layers that would ask for 5 to 25 GiB of parameters, AdamW
+    state and workspaces are refused before any of it is allocated."""
+    pytest.importorskip("resource")
+    write_columnar(cloud, tmp_path / "c.mst")
+    config = tmp_path / "wide.yaml"
+    config.write_text(f"features: {{config: XYZ}}\ntrain: {{hidden: {hidden}}}\n")
+    start = time.perf_counter()
+    run = subprocess.run(
+        [sys.executable, "-c", AS_LIMITED, str(3_000_000 * 1024),
+         "train", "--train", str(tmp_path / "c.mst"), "--out-dir", str(tmp_path / "m"),
+         "--config", str(config)],
+        env=_child_env(), capture_output=True, text=True, timeout=10)
+    assert (run.returncode, "error[config]: train.hidden" in run.stderr) == (2, True), run.stderr
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("stage,source,option,value,key", [
