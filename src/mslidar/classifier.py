@@ -13,8 +13,9 @@ statistics, so neither training nor prediction holds an (n, k) id array.
 A trained model is one value, a :class:`Model`: the network and the
 feature recipe that built its inputs (feature config, normalization and
 neighbourhood), with the class weights and seed it was trained with.
-:func:`fit` makes it from a cloud and the effective config,
-:func:`classify` runs its recipe, and an MSTM v3 checkpoint holds it
+:func:`fit` makes one per feature config from a cloud and the effective
+config, :func:`classify` runs each one's recipe, both from one
+neighbourhood pass per cloud, and an MSTM v3 checkpoint holds it
 whole (:func:`save_checkpoint`, :func:`load_checkpoint`), so a model
 file is all prediction needs. Both the stepwise stages and the ablation
 run this path. A prediction is a uint8 label array (1 tree, 0 non-tree)
@@ -176,49 +177,73 @@ class Model:
     seed: int
 
 
-def _features(cloud, fconfig, params, neighborhood, cfg, graph) -> np.ndarray:
-    if graph is None:
-        graph = neighborhood_graph(cloud, **neighborhood, workers=worker_count(cfg["threads"]))
-    return neighborhood_stats(assemble_features(cloud, fconfig, params), graph)
+def _stats_matrices(cloud, recipes, neighborhood, workers) -> Iterator[np.ndarray]:
+    """The neighborhood_stats matrix of each (feature config, normalization)
+    recipe in turn, from one pass over the union of their spectral columns.
+
+    Scaling and statistics work column by column, so each recipe gets its
+    columns of the union's matrix, bit for bit those of the recipe alone:
+    the matrix itself when it holds every union column, else a copy. The
+    union is dropped before the last recipe's matrix is handed out."""
+    scaling = {}  # union column -> its (lo, hi, impute), which every recipe must share
+    for params in (p for _, p in recipes if p is not None):
+        for name, *scale in zip(params.columns, params.lo, params.hi, params.impute):
+            if scaling.setdefault(name, scale) != scale:
+                raise DataError(f"the models disagree on the scaling of column {name!r}")
+    union = tuple(c for c in FeatureConfig.XYZ_GREEN_NIR_PNDVI.spectral_columns if c in scaling)
+    # scaling reads only lo, hi and impute: the union's percentiles are placeholders
+    lo_hi_impute = map(np.array, zip(*map(scaling.get, union)))
+    params = NormalizationParams(union, 0.0, 100.0, *lo_hi_impute) if union else None
+    graph = neighborhood_graph(cloud, **neighborhood, workers=workers)  # index first: a lower peak
+    stats = neighborhood_stats(assemble_features(cloud, union, params), graph)
+    d = len(union) + 1
+    for i, (fconfig, _) in enumerate(recipes):
+        at = [1 + union.index(c) for c in fconfig.spectral_columns]
+        cols = [0, *at, *(d + 2 * a + b - 2 for a in at for b in (0, 1)), 3 * d - 2, 3 * d - 1]
+        matrix = stats if len(at) == len(union) else stats[:, cols]
+        if i == len(recipes) - 1:
+            del stats
+        yield matrix
+        del matrix  # before the next recipe's copy: a lower peak
 
 
 def fit(
-    cloud: PointCloud, fconfig: FeatureConfig, cfg: dict, graph: Iterable | None = None
-) -> tuple[Model, list[float]]:
-    """Train a model on a labelled cloud with the effective config `cfg`;
-    returns it and its per-epoch loss curve.
+    cloud: PointCloud, fconfigs: Iterable[FeatureConfig], cfg: dict
+) -> list[tuple[Model, list[float]]]:
+    """Train one model per feature config on a labelled cloud with the
+    effective config `cfg`; returns each with its per-epoch loss curve.
 
     Spectral columns are scaled at the features.p_low/p_high percentiles
-    of this cloud; `graph` holds the blocks of its neighborhood graph,
-    streamed from cfg when None.
+    of this cloud; one neighbourhood pass serves every config.
     """
     cloud.require("label", "h_norm")
-    params = None
-    if fconfig.spectral_columns:
-        params = fit_config_normalization(
-            cloud, fconfig, p_low=cfg["features"]["p_low"], p_high=cfg["features"]["p_high"]
-        )
-    neighborhood = dict(cfg["neighborhood"])
-    features = _features(cloud, fconfig, params, neighborhood, cfg, graph)
+    p_low, p_high = cfg["features"]["p_low"], cfg["features"]["p_high"]
+    recipes = [(c, fit_config_normalization(cloud, c, p_low=p_low, p_high=p_high)
+                if c.spectral_columns else None) for c in fconfigs]
+    neighborhood, workers = dict(cfg["neighborhood"]), worker_count(cfg["threads"])
     weights = compute_class_weights(cloud.label)
-    net, loss_curve = train(features, cloud.label, weights,
-                            TrainConfig(**cfg["train"], seed=cfg["seed"]),
-                            workers=worker_count(cfg["threads"]))
-    return Model(net, fconfig, params, neighborhood, weights, cfg["seed"]), loss_curve
+    fitted = []
+    for (fconfig, params), features in zip(
+            recipes, _stats_matrices(cloud, recipes, neighborhood, workers)):
+        net, loss_curve = train(features, cloud.label, weights,
+                                TrainConfig(**cfg["train"], seed=cfg["seed"]), workers=workers)
+        del features  # freed before the next config's matrix is taken: a lower peak
+        fitted.append((Model(net, fconfig, params, neighborhood, weights, cfg["seed"]), loss_curve))
+    return fitted
 
 
-def classify(
-    cloud: PointCloud, model: Model, cfg: dict, graph: Iterable | None = None
-) -> np.ndarray:
-    """Labels of a cloud from the model's recipe, with predicted trees below
-    postprocess.threshold relabelled (null: keep them); `graph` holds the
-    blocks of its graph of model.neighborhood, streamed here when None."""
-    features = _features(cloud, model.feature_config, model.normalization,
-                         model.neighborhood, cfg, graph)
-    labels = predict(features, model.net, workers=worker_count(cfg["threads"]))
-    threshold = cfg["postprocess"]["threshold"]
+def classify(cloud: PointCloud, models: list[Model], cfg: dict) -> list[np.ndarray]:
+    """Labels of a cloud from each model's recipe, with predicted trees
+    below postprocess.threshold relabelled (null: keep them); the models
+    share one neighbourhood pass, so they must share its k and radius."""
+    if any(m.neighborhood != models[0].neighborhood for m in models):
+        raise DataError("models classified together must share one neighborhood")
+    recipes = [(m.feature_config, m.normalization) for m in models]
+    workers, threshold = worker_count(cfg["threads"]), cfg["postprocess"]["threshold"]
+    matrices = _stats_matrices(cloud, recipes, models[0].neighborhood if models else {}, workers)
+    labels = [predict(x, model.net, workers=workers) for model, x in zip(models, matrices)]
     if threshold is not None:
-        labels = height_threshold_postprocess(labels, cloud, threshold)
+        labels = [height_threshold_postprocess(y, cloud, threshold) for y in labels]
     return labels
 
 

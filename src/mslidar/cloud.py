@@ -191,15 +191,15 @@ BLOCK_K = 16
 
 
 def worker_count(threads: int | None) -> int:
-    """The workers of the `threads` config value: itself, or for None every
-    CPU this process may run on. Neighbor queries and the model take it;
-    no result depends on it."""
-    if threads is not None:
-        return threads
+    """The workers of the `threads` config value: every CPU this process
+    may run on, or `threads` of them when that is fewer (each query and
+    MLP pass starts one thread per worker). Neighbor queries and the
+    model take it; no result depends on it."""
     try:
-        return len(os.sched_getaffinity(0))
+        usable = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+        usable = os.cpu_count() or 1
+    return usable if threads is None else min(threads, usable)
 
 
 def row_blocks(n: int, k: int = 1) -> Iterator[slice]:

@@ -7,7 +7,9 @@ threshold. Percentages are reported to two decimals in exported tables.
 
 :func:`score` is the last step of the model path whose first two,
 ``classifier.fit`` and ``classifier.classify``, the ablation shares with
-the train, predict and evaluate stages.
+the train, predict and evaluate stages: the ablation fits every config
+in one call and classifies with every model in another, so each cloud
+gets one neighbourhood pass.
 
 An ablation is a plain ``{FeatureConfig: EvalReport}`` dict, and
 :func:`best` is read off it. Each file has one writer:
@@ -24,7 +26,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .cloud import Label, PointCloud, worker_count
+from .cloud import Label, PointCloud
 from .errors import DataError
 from .features import FeatureConfig
 from . import classifier as clf
@@ -196,23 +198,16 @@ def run_ablation(
 ) -> dict[FeatureConfig, EvalReport]:
     """The report of each distinct feature config, in first-seen order:
     one model per config, fit, classified and scored with the effective
-    config `cfg`, same seed for all.
-
-    The geometric neighbor graphs depend only on the coordinates, so
-    each cloud's blocks are queried once and kept for every config.
-    """
+    config `cfg`, same seed for all."""
     for name, cloud in (("train", train_cloud), ("test", test_cloud)):
         cloud.require("label", "h_norm")
         if cloud.count == 0:
             raise DataError(f"{name} cloud is empty")
-    workers = worker_count(cfg["threads"])
-    graph_train = list(clf.neighborhood_graph(train_cloud, **cfg["neighborhood"], workers=workers))
-    graph_test = list(clf.neighborhood_graph(test_cloud, **cfg["neighborhood"], workers=workers))
-
+    fitted = clf.fit(train_cloud, tuple(dict.fromkeys(configs)), cfg)
+    predictions = clf.classify(test_cloud, [model for model, _ in fitted], cfg)
     reports: dict[FeatureConfig, EvalReport] = {}
-    for fconfig in dict.fromkeys(configs):
-        model, loss_curve = clf.fit(train_cloud, fconfig, cfg, graph_train)
-        labels = clf.classify(test_cloud, model, cfg, graph_test)
+    for (model, loss_curve), labels in zip(fitted, predictions):
+        fconfig = model.feature_config
         report = score(labels, test_cloud, cfg, manifest={
             "feature_config": fconfig.name,
             "seed": cfg["seed"],

@@ -189,15 +189,12 @@ def apply_normalization(features: np.ndarray, params: NormalizationParams) -> np
     return out
 
 
-def spectral_matrix(cloud: PointCloud, config: FeatureConfig) -> np.ndarray:
-    """Raw (possibly NaN-holding) spectral columns for a config, in order."""
+def spectral_matrix(cloud: PointCloud, columns: tuple[str, ...]) -> np.ndarray:
+    """Raw (possibly NaN-holding) spectral columns of the given names, in order."""
     cols = []
-    for name in config.spectral_columns:
+    for name in columns:
         if not cloud.has(name):
-            raise DataError(
-                f"feature config {config.name} requires column {name!r}, "
-                "which is missing from the cloud"
-            )
+            raise DataError(f"feature column {name!r} is missing from the cloud")
         cols.append(getattr(cloud, name).astype(np.float64))
     if not cols:
         return np.empty((cloud.count, 0), dtype=np.float64)
@@ -209,33 +206,31 @@ def fit_config_normalization(
 ) -> NormalizationParams:
     """Fit spectral-column normalization on the training split."""
     return fit_normalization(
-        spectral_matrix(train_cloud, config), config.spectral_columns,
+        spectral_matrix(train_cloud, config.spectral_columns), config.spectral_columns,
         p_low=p_low, p_high=p_high,
     )
 
 
 def assemble_features(
     cloud: PointCloud,
-    config: FeatureConfig,
+    config: FeatureConfig | tuple[str, ...],
     params: NormalizationParams | None = None,
 ) -> np.ndarray:
-    """Build the (n, d) feature matrix [h_norm, spectral...].
+    """Build the (n, d) feature matrix [h_norm, spectral...] of a config's
+    spectral columns, or of a tuple of column names.
 
     Spectral columns are normalized with `params` (fitted on train);
-    configs without spectral columns need no params. The result holds no
-    NaN or Inf.
+    no spectral columns need no params. The result holds no NaN or Inf.
     """
     cloud.require("h_norm")
-    if config.spectral_columns and params is None:
-        raise DataError(f"config {config.name} requires normalization params")
-    if params is not None and tuple(params.columns) != config.spectral_columns:
-        raise DataError(
-            f"params fitted for columns {params.columns}, "
-            f"config {config.name} needs {config.spectral_columns}"
-        )
+    columns = config.spectral_columns if isinstance(config, FeatureConfig) else config
+    if columns and params is None:
+        raise DataError(f"columns {columns} require normalization params")
+    if params is not None and tuple(params.columns) != columns:
+        raise DataError(f"params fitted for columns {params.columns}, the features need {columns}")
     values = cloud.h_norm.astype(np.float64)[:, None]
-    if config.spectral_columns:
-        spec = apply_normalization(spectral_matrix(cloud, config), params)
+    if columns:
+        spec = apply_normalization(spectral_matrix(cloud, columns), params)
         values = np.column_stack((values, spec))
     if not np.all(np.isfinite(values)):
         raise NumericError("feature matrix contains non-finite values")

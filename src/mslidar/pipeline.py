@@ -470,7 +470,7 @@ def stage_split(cfg: dict, cloud: PointCloud):
        setting("train.batch_size"))
 def stage_train(cfg: dict, train: PointCloud) -> tuple[dict, dict]:
     fconfig = FeatureConfig.from_name(cfg["features"]["config"])
-    model, loss_curve = clf.fit(train, fconfig, cfg)
+    ((model, loss_curve),) = clf.fit(train, [fconfig], cfg)
     curve = "".join(f"{i},{v!r}\n" for i, v in enumerate(loss_curve))
     return {"model.mstm": model, "loss_curve.csv": "epoch,loss\n" + curve}, {
         "feature_config": fconfig.name,
@@ -485,7 +485,7 @@ def stage_train(cfg: dict, train: PointCloud) -> tuple[dict, dict]:
        out_dir({"predictions.txt": LABELS}),
        setting("postprocess.threshold", "--postprocess-threshold"))
 def stage_predict(cfg: dict, cloud: PointCloud, model: clf.Model) -> tuple[dict, dict]:
-    labels = clf.classify(cloud, model, cfg)
+    (labels,) = clf.classify(cloud, [model], cfg)
     # the manifest records the feature recipe that ran: the checkpoint's
     fconfig, params = model.feature_config, model.normalization
     cfg["features"]["config"] = fconfig.name

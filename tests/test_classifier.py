@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 import weakref
 
@@ -7,13 +8,17 @@ import pytest
 from mslidar import classifier
 from mslidar import cloud as cloud_module
 from mslidar.classifier import (
-    Model, compute_class_weights, fit, height_threshold_postprocess, load_checkpoint,
+    Model, classify, compute_class_weights, fit, height_threshold_postprocess, load_checkpoint,
     neighborhood_graph, neighborhood_stats, predict, save_checkpoint,
 )
 from mslidar.cloud import QUERY_ROWS, Label, PointCloud, build_index
 from mslidar.columnar import check_label_count, read_labels
 from mslidar.errors import DataError, NumericError
-from mslidar.features import ALL_CONFIGS, FeatureConfig, fit_normalization
+from mslidar.evaluation import run_ablation
+from mslidar.features import (
+    ALL_CONFIGS, FeatureConfig, add_pndvi, assemble_features, fit_config_normalization,
+    fit_normalization,
+)
 from mslidar.mlp import DTYPE, Mlp, TrainConfig, train
 from mslidar.pipeline import load_config
 
@@ -141,7 +146,7 @@ class TestTraining:
 
         monkeypatch.setattr(classifier, "train", spy_train)
         monkeypatch.setattr(Mlp, "loss", spy_loss)  # train's full-set loss
-        fit(cloud, FeatureConfig.XYZ, load_config(overrides={"train.epochs": 1}))
+        fit(cloud, [FeatureConfig.XYZ], load_config(overrides={"train.epochs": 1}))
         (features,), (x,) = handed, trained
         assert features.dtype == DTYPE
         assert np.shares_memory(x, features)
@@ -347,9 +352,117 @@ class TestNeighborhood:
             return ids
 
         monkeypatch.setattr(cloud_module.SpatialIndex, "knn_batch", spy)
-        fit(cloud, FeatureConfig.XYZ, load_config(overrides={"train.epochs": 1}))
+        fit(cloud, [FeatureConfig.XYZ], load_config(overrides={"train.epochs": 1}))
         assert len(blocks) == 4
         assert max(held) <= 1
+
+
+def labelled_cloud(rng, n, spectral=False):
+    """random_cloud with h_norm, and with green, NIR and pndvi columns,
+    a few of them missing (NaN), when spectral."""
+    cloud = random_cloud(rng, n=n, extent=(4.0 * n) ** (1 / 3))
+    cloud = cloud.with_column("h_norm", rng.uniform(0, 5, n).astype(np.float32))
+    if not spectral:
+        return cloud
+    for name, mean in (("refl_green_db", -12.0), ("refl_nir_db", -7.0)):
+        values = rng.normal(mean, 2.0, n).astype(np.float32)
+        values[rng.integers(0, n, n // 20)] = np.nan
+        cloud = cloud.with_column(name, values)
+    return add_pndvi(cloud)
+
+
+class TestSharedPass:
+    """fit and classify make one neighbourhood pass per cloud for every
+    config, and give each config its columns of that one matrix."""
+
+    @pytest.mark.parametrize("fconfigs", [
+        ALL_CONFIGS,
+        (FeatureConfig.XYZ_PNDVI, FeatureConfig.XYZ_PNDVI),
+        (FeatureConfig.XYZ_NIR, FeatureConfig.XYZ_GREEN_NIR),
+        (FeatureConfig.XYZ_GREEN, FeatureConfig.XYZ_PNDVI),
+    ], ids=["all", "repeated", "non-canonical", "union-not-a-config"])
+    def test_each_recipe_gets_its_lone_matrix_bit_for_bit(self, monkeypatch, fconfigs):
+        rng = np.random.default_rng(27)
+        train_cloud, test_cloud = (labelled_cloud(rng, n, spectral=True) for n in (240, 90))
+        cfg = load_config(overrides={"train.epochs": 1})
+        trained, predicted = [], []
+
+        def spy_train(features, *args, **kwargs):
+            trained.append(features.copy())
+            return train(features, *args, **kwargs)
+
+        def spy_predict(features, *args, **kwargs):
+            predicted.append(features.copy())
+            return predict(features, *args, **kwargs)
+
+        monkeypatch.setattr(classifier, "train", spy_train)
+        monkeypatch.setattr(classifier, "predict", spy_predict)
+        models = [model for model, _ in fit(train_cloud, fconfigs, cfg)]
+        classify(test_cloud, models, cfg)
+        assert [m.feature_config for m in models] == list(fconfigs)
+        for cloud, got in ((train_cloud, trained), (test_cloud, predicted)):
+            assert len(got) == len(fconfigs)
+            for fconfig, matrix in zip(fconfigs, got):
+                params = (fit_config_normalization(train_cloud, fconfig, p_low=1.0, p_high=99.0)
+                          if fconfig.spectral_columns else None)
+                alone = neighborhood_stats(assemble_features(cloud, fconfig, params),
+                                           neighborhood_graph(cloud, **cfg["neighborhood"]))
+                assert matrix.shape == alone.shape
+                np.testing.assert_array_equal(matrix.view(np.uint32), alone.view(np.uint32))
+
+    def test_ablation_queries_each_cloud_once_one_block_at_a_time(self, monkeypatch):
+        """Two configs over a train cloud of four query blocks and a test
+        cloud of two: six kernel calls, each block dropped before the next
+        query, so the ablation holds no cloud's id blocks."""
+        rng = np.random.default_rng(28)
+        train_cloud = labelled_cloud(rng, 4 * QUERY_ROWS).with_column(
+            "pndvi", rng.uniform(-1, 1, 4 * QUERY_ROWS).astype(np.float32))
+        test_cloud = labelled_cloud(rng, 2 * QUERY_ROWS).with_column(
+            "pndvi", rng.uniform(-1, 1, 2 * QUERY_ROWS).astype(np.float32))
+        kernel = cloud_module.SpatialIndex.knn_batch
+        blocks, held = [], []  # weak references to the id blocks; live ones at each query
+
+        def spy(index, qs, *args, **kwargs):
+            held.append(sum(ref() is not None for ref in blocks))
+            ids = kernel(index, qs, *args, **kwargs)
+            blocks.append(weakref.ref(ids))
+            return ids
+
+        monkeypatch.setattr(cloud_module.SpatialIndex, "knn_batch", spy)
+        reports = run_ablation(train_cloud, test_cloud,
+                               (FeatureConfig.XYZ, FeatureConfig.XYZ_PNDVI),
+                               load_config(overrides={"train.epochs": 1}))
+        assert list(reports) == [FeatureConfig.XYZ, FeatureConfig.XYZ_PNDVI]
+        assert len(blocks) == 6
+        assert max(held) <= 1
+
+    def test_no_configs_train_and_classify_nothing(self):
+        rng = np.random.default_rng(29)
+        cloud = labelled_cloud(rng, 60)
+        cfg = load_config()
+        assert fit(cloud, [], cfg) == []
+        assert classify(cloud, [], cfg) == []
+        assert run_ablation(cloud, cloud, (), cfg) == {}
+
+    def test_models_of_different_neighborhoods_rejected(self):
+        rng = np.random.default_rng(30)
+        cloud = labelled_cloud(rng, 60)
+        cfg = load_config(overrides={"train.epochs": 1})
+        ((model, _),) = fit(cloud, [FeatureConfig.XYZ], cfg)
+        other = dataclasses.replace(model, neighborhood={"k": 8, "radius": 2.0})
+        assert classify(cloud, [other], cfg)[0].shape == (60,)
+        with pytest.raises(DataError, match="neighborhood"):
+            classify(cloud, [model, other], cfg)
+
+    def test_models_of_different_scalings_rejected(self):
+        rng = np.random.default_rng(31)
+        cloud = labelled_cloud(rng, 60, spectral=True)
+        cfg = load_config(overrides={"train.epochs": 1})
+        (a, _), (b, _) = fit(cloud, [FeatureConfig.XYZ_NIR, FeatureConfig.XYZ_GREEN_NIR], cfg)
+        params = b.normalization
+        shifted = dataclasses.replace(params, hi=params.hi + 1.0)
+        with pytest.raises(DataError, match="refl_nir_db"):
+            classify(cloud, [a, dataclasses.replace(b, normalization=shifted)], cfg)
 
 
 class TestImportAndPostprocess:

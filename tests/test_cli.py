@@ -250,7 +250,7 @@ def test_ablate_trains_a_repeated_config_once(chain, tmp_path, monkeypatch):
     fits = []
 
     def counted(*args):
-        fits.append(args[1])
+        fits.extend(args[1])
         return fit(*args)
 
     fit = classifier.fit

@@ -1,3 +1,6 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,8 +8,11 @@ from hypothesis import given, settings, strategies as st
 from mslidar import cloud as cloud_module
 from mslidar.cloud import (
     Label, PointCloud, build_index, concat, group_cells, ordered_blocks, row_blocks,
+    worker_count,
 )
+from mslidar.classifier import neighborhood_graph
 from mslidar.errors import DataError
+from mslidar.pipeline import load_config
 
 from conftest import brute_knn, brute_radius, random_cloud, tied_cloud
 
@@ -293,3 +299,24 @@ class TestGroupCells:
     def test_empty_keys_give_no_cells(self):
         order, starts, inverse = group_cells(np.empty(0, np.int64), np.empty(0, np.int64))
         assert order.size == starts.size == inverse.size == 0
+
+
+def test_threads_above_the_usable_cpus_start_no_more_threads(monkeypatch):
+    """scipy starts one thread per worker on every query, so the workers of
+    a `threads` value stop at the CPUs this process may run on."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert worker_count(64) == 2
+    assert worker_count(None) == 2 and worker_count(1) == 1
+    started = []
+    start = threading.Thread.start
+
+    def spy(thread):
+        started.append(thread)
+        return start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", spy)
+    cloud = random_cloud(np.random.default_rng(32), n=100)
+    workers = worker_count(load_config(overrides={"threads": 8})["threads"])
+    for _ in neighborhood_graph(cloud, k=4, radius=2.0, workers=workers):
+        assert 0 < len(started) <= 2
+        started.clear()
