@@ -31,7 +31,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .cloud import Label, PointCloud, build_index, row_blocks, worker_count
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .features import (
     FeatureConfig, NormalizationParams, assemble_features, fit_config_normalization,
 )
@@ -80,11 +80,11 @@ def neighborhood_graph(
 
 
 def _check_neighborhood(k: int, radius: float) -> None:
-    """Raise DataError unless k >= 1 and 0 < radius < inf."""
+    """Raise ConfigError unless k >= 1 and 0 < radius < inf."""
     if k < 1:
-        raise DataError(f"neighborhood k must be >= 1, got {k!r}")
+        raise ConfigError(f"neighborhood.k must be >= 1, got {k!r}")
     if not 0.0 < radius < np.inf:
-        raise DataError(f"neighborhood radius must be positive and finite, got {radius!r}")
+        raise ConfigError(f"neighborhood.radius must be positive and finite, got {radius!r}")
 
 
 def neighborhood_stats(features: np.ndarray, graph: Iterable) -> np.ndarray:
@@ -195,7 +195,7 @@ def _stats_matrices(cloud, recipes, neighborhood, workers) -> Iterator[np.ndarra
     lo_hi_impute = map(np.array, zip(*map(scaling.get, union)))
     params = NormalizationParams(union, 0.0, 100.0, *lo_hi_impute) if union else None
     graph = neighborhood_graph(cloud, **neighborhood, workers=workers)  # index first: a lower peak
-    stats = neighborhood_stats(assemble_features(cloud, union, params), graph)
+    stats = neighborhood_stats(assemble_features(cloud, params), graph)
     d = len(union) + 1
     for i, (fconfig, _) in enumerate(recipes):
         at = [1 + union.index(c) for c in fconfig.spectral_columns]
@@ -329,7 +329,7 @@ def load_checkpoint(path) -> Model:
         params = NormalizationParams(
             fconfig.spectral_columns, p_low, p_high, lo, hi, impute
         ) if n_cols else None
-    except DataError as exc:
+    except (ConfigError, DataError) as exc:
         raise DataError(f"{path}: {exc}") from exc
     (n_sizes,) = unpack("<H", "layer count")
     sizes = unpack(f"<{n_sizes}I", "layer sizes")

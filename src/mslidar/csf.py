@@ -34,7 +34,7 @@ import numpy as np
 
 from .cloud import PointCloud, row_blocks
 from .dtm import bilinear, nearest_valid, raster_shape
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 logger = logging.getLogger(__name__)
 
@@ -57,13 +57,15 @@ class CsfParams:
 
     def __post_init__(self):
         if not self.cloth_resolution > 0:
-            raise DataError("cloth_resolution must be positive")
+            raise ConfigError(
+                f"csf.cloth_resolution must be positive, got {self.cloth_resolution!r}")
         if self.rigidness not in (1, 2, 3):
-            raise DataError("rigidness must be 1, 2 or 3")
+            raise ConfigError(f"csf.rigidness must be 1, 2 or 3, got {self.rigidness!r}")
         if self.iterations < 1:
-            raise DataError("iterations must be >= 1")
+            raise ConfigError(f"csf.iterations must be >= 1, got {self.iterations!r}")
         if not self.class_threshold > 0:
-            raise DataError("class_threshold must be positive")
+            raise ConfigError(
+                f"csf.class_threshold must be positive, got {self.class_threshold!r}")
 
 
 def _neighbor_sum(c: np.ndarray) -> np.ndarray:

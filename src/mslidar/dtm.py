@@ -72,7 +72,7 @@ def build_dtm(cloud: PointCloud, cell: float = 1.0, workers: int = 1) -> DtmGrid
     block-sized whatever the cell count.
     """
     if not cell > 0:
-        raise DataError("DTM cell size must be positive")
+        raise ConfigError(f"dtm.cell must be positive, got {cell!r}")
     cloud.require("ground_flag")
     gz = cloud.z[cloud.ground_flag]
     if gz.size == 0:

@@ -4,6 +4,11 @@ Each category maps to a CLI exit code so batch callers can react to
 failures without parsing free text.
 """
 
+# The most bytes a config value may make a stage hold (a network with its
+# training state, a synthetic scene): a value that needs more is a
+# ConfigError naming its key, raised before anything is allocated.
+BYTE_LIMIT = 2 ** 31
+
 
 class MslidarError(Exception):
     """Base class for all package errors."""

@@ -5,11 +5,12 @@ IoUs, their mean, overall accuracy, and mean per-class recall, plus the
 misclassification rate restricted to points above a normalized-height
 threshold. Percentages are reported to two decimals in exported tables.
 
-:func:`score` is the last step of the model path whose first two,
+:func:`evaluate` is the last step of the model path whose first two,
 ``classifier.fit`` and ``classifier.classify``, the ablation shares with
-the train, predict and evaluate stages: the ablation fits every config
+the train, predict and evaluate stages. The ablation fits every config
 in one call and classifies with every model in another, so each cloud
-gets one neighbourhood pass.
+gets one neighbourhood pass; :func:`evaluate` scores labels against the
+truth and h_norm the cloud holds, at the effective config's threshold.
 
 An ablation is a plain ``{FeatureConfig: EvalReport}`` dict, and
 :func:`best` is read off it. Each file has one writer:
@@ -157,37 +158,17 @@ def error_rate_above(
     return 100.0 - 100.0 * (correct / n)
 
 
-def evaluate(
-    pred: np.ndarray,
-    truth: np.ndarray,
-    h_norm: np.ndarray | None = None,
-    *,
-    threshold: float,
-    predicted_tree_only: bool,
-    manifest: dict | None = None,
-) -> EvalReport:
-    """Full report: confusion metrics plus the :func:`error_rate_above`
-    of `h_norm` (None: no rate)."""
-    report = metrics(confusion(pred, truth), manifest=manifest)
-    rate = None
-    if h_norm is not None:
-        rate = error_rate_above(pred, truth, h_norm, threshold=threshold,
-                                predicted_tree_only=predicted_tree_only)
-    return replace(report, error_rate_above=rate, threshold=threshold)
-
-
-def score(labels: np.ndarray, cloud: PointCloud, cfg: dict,
-          manifest: dict | None = None) -> EvalReport:
-    """Report of predicted labels against the cloud's ground truth, with
-    the effective config's evaluate.threshold and predicted_tree_only;
-    the above-threshold error rate needs the cloud's h_norm."""
+def evaluate(labels: np.ndarray, cloud: PointCloud, cfg: dict,
+             manifest: dict | None = None) -> EvalReport:
+    """Report of predicted labels against the cloud's ground truth: the
+    confusion metrics plus the :func:`error_rate_above` of the cloud's
+    h_norm at the effective config's evaluate section (None without
+    h_norm), with its threshold."""
     cloud.require("label")
-    return evaluate(
-        labels, cloud.label, cloud.h_norm if cloud.has("h_norm") else None,
-        threshold=cfg["evaluate"]["threshold"],
-        predicted_tree_only=cfg["evaluate"]["predicted_tree_only"],
-        manifest=manifest,
-    )
+    report = metrics(confusion(labels, cloud.label), manifest=manifest)
+    rate = (error_rate_above(labels, cloud.label, cloud.h_norm, **cfg["evaluate"])
+            if cloud.has("h_norm") else None)
+    return replace(report, error_rate_above=rate, threshold=cfg["evaluate"]["threshold"])
 
 
 def run_ablation(
@@ -208,7 +189,7 @@ def run_ablation(
     reports: dict[FeatureConfig, EvalReport] = {}
     for (model, loss_curve), labels in zip(fitted, predictions):
         fconfig = model.feature_config
-        report = score(labels, test_cloud, cfg, manifest={
+        report = evaluate(labels, test_cloud, cfg, manifest={
             "feature_config": fconfig.name,
             "seed": cfg["seed"],
             "epochs": cfg["train"]["epochs"],

@@ -5,10 +5,11 @@ linear units (conversion 10^(dB/10)), so a common dB offset on both
 channels cancels. The conversions and the index map arrays to float64
 arrays elementwise (a scalar gives a numpy float64). Spectral columns
 are then made comparable by robust scaling: clip to the training
-split's [p1, p99] and min-max to [0, 1]. Absolute position is not a
-feature: geometry enters as height above terrain, so a model does not
-depend on where its cloud lies, and the classifier adds relative
-geometry from each point's neighborhood.
+split's [p1, p99] and min-max to [0, 1]; a fitted scaling names its
+columns, so :func:`assemble_features` reads them from it. Absolute
+position is not a feature: geometry enters as height above terrain, so
+a model does not depend on where its cloud lies, and the classifier
+adds relative geometry from each point's neighborhood.
 """
 
 import logging
@@ -18,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .cloud import PointCloud
-from .errors import DataError, NumericError
+from .errors import ConfigError, DataError, NumericError
 
 logger = logging.getLogger(__name__)
 
@@ -129,8 +130,8 @@ class NormalizationParams:
 
 def _check_percentiles(p_low: float, p_high: float) -> None:
     if not 0.0 <= p_low < p_high <= 100.0:
-        raise DataError(
-            f"normalization percentiles need 0 <= p_low < p_high <= 100, "
+        raise ConfigError(
+            f"features.p_low and features.p_high need 0 <= p_low < p_high <= 100, "
             f"got p_low={p_low!r}, p_high={p_high!r}"
         )
 
@@ -211,26 +212,14 @@ def fit_config_normalization(
     )
 
 
-def assemble_features(
-    cloud: PointCloud,
-    config: FeatureConfig | tuple[str, ...],
-    params: NormalizationParams | None = None,
-) -> np.ndarray:
-    """Build the (n, d) feature matrix [h_norm, spectral...] of a config's
-    spectral columns, or of a tuple of column names.
-
-    Spectral columns are normalized with `params` (fitted on train);
-    no spectral columns need no params. The result holds no NaN or Inf.
-    """
+def assemble_features(cloud: PointCloud, params: NormalizationParams | None) -> np.ndarray:
+    """Build the (n, d) feature matrix [h_norm, spectral...] of the
+    spectral columns `params` was fitted for, each scaled by it; None
+    gives h_norm alone. The result holds no NaN or Inf."""
     cloud.require("h_norm")
-    columns = config.spectral_columns if isinstance(config, FeatureConfig) else config
-    if columns and params is None:
-        raise DataError(f"columns {columns} require normalization params")
-    if params is not None and tuple(params.columns) != columns:
-        raise DataError(f"params fitted for columns {params.columns}, the features need {columns}")
     values = cloud.h_norm.astype(np.float64)[:, None]
-    if columns:
-        spec = apply_normalization(spectral_matrix(cloud, columns), params)
+    if params is not None:
+        spec = apply_normalization(spectral_matrix(cloud, params.columns), params)
         values = np.column_stack((values, spec))
     if not np.all(np.isfinite(values)):
         raise NumericError("feature matrix contains non-finite values")

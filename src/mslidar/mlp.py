@@ -57,15 +57,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericError
+from .errors import BYTE_LIMIT, ConfigError, DataError, NumericError
 
 # Rows per shard. A constant, never derived from a thread count: the
 # shard boundaries fix the rounding of every sum, so they fix the bits.
 SHARD_ROWS = 2048
 DTYPE = np.float32  # the dtype `train` fits in, as checkpoints store it
-# The most bytes `train` may hold for its network (see _train_bytes); wider
-# `train.hidden` layers are a config error, raised before any is allocated.
-TRAIN_LIMIT = 2 ** 31
 
 # AdamW's moment decay rates and denominator guard.
 BETA1 = 0.9
@@ -84,14 +81,15 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.epochs < 0:
-            raise DataError(f"epochs must be >= 0, got {self.epochs!r}")
+            raise ConfigError(f"train.epochs must be >= 0, got {self.epochs!r}")
         for name in ("learning_rate", "weight_decay"):
             if not 0.0 <= getattr(self, name) < np.inf:
-                raise DataError(f"{name} must be >= 0 and finite, got {getattr(self, name)!r}")
+                raise ConfigError(
+                    f"train.{name} must be >= 0 and finite, got {getattr(self, name)!r}")
         if self.batch_size < 1:
-            raise DataError(f"batch_size must be >= 1, got {self.batch_size!r}")
+            raise ConfigError(f"train.batch_size must be >= 1, got {self.batch_size!r}")
         if any(h < 1 for h in self.hidden):
-            raise DataError(f"hidden layer sizes must be >= 1, got {list(self.hidden)}")
+            raise ConfigError(f"train.hidden layer sizes must be >= 1, got {list(self.hidden)}")
 
 
 @functools.cache
@@ -386,7 +384,7 @@ def train(
     on one crew of at most `workers` workers, one per shard of a batch.
     A C-contiguous DTYPE `features` matrix, as `neighborhood_stats` makes,
     is trained on as it is, with no copy; other input is converted once.
-    A network that would hold more than TRAIN_LIMIT bytes (_train_bytes)
+    A network that would hold more than BYTE_LIMIT bytes (_train_bytes)
     is refused with a ConfigError naming train.hidden.
     Bit-identical results for identical inputs and seed, whatever the
     worker count and the BLAS thread count.
@@ -404,11 +402,11 @@ def train(
     n, bs = x.shape[0], config.batch_size
     workers = min(workers, _shards(min(n, bs)))
     need = _train_bytes((x.shape[1], *config.hidden, 1), workers)
-    if need > TRAIN_LIMIT:
+    if need > BYTE_LIMIT:
         raise ConfigError(
             f"train.hidden {list(config.hidden)} is too wide: training it on {x.shape[1]} "
             f"features with {workers} workers would hold {need / 2**30:.1f} GiB, over the "
-            f"limit of {TRAIN_LIMIT / 2**30:g} GiB")
+            f"limit of {BYTE_LIMIT / 2**30:g} GiB")
 
     model = Mlp(x.shape[1], config.hidden, seed=config.seed, dtype=DTYPE)
     # AdamW on the flat parameter vector; decay covers the weight prefix

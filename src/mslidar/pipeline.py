@@ -505,7 +505,7 @@ def stage_evaluate(cfg: dict, cloud: PointCloud, predictions: np.ndarray,
                    paths: dict) -> tuple[dict, dict]:
     labels = check_label_count(predictions, cloud.count, paths["predictions"])
     source = f"imported:{paths['predictions'].name}"
-    report = ev.score(labels, cloud, cfg, {"prediction_source": source})
+    report = ev.evaluate(labels, cloud, cfg, {"prediction_source": source})
     return {"report.json": ev.report_to_json(report),
             "report.csv": ev.report_to_csv({"-": report})}, {"miou": report.miou, "oa": report.oa}
 

@@ -14,7 +14,7 @@ from .cloud import (
     CELL_LIMIT, Channel, Label, PointCloud, build_index, concat, group_cells,
     ordered_blocks,
 )
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .features import db_to_linear, linear_to_db
 
 logger = logging.getLogger(__name__)
@@ -29,9 +29,9 @@ class SorParams:
 
     def __post_init__(self):
         if self.k < 1:
-            raise DataError("SOR k must be >= 1")
+            raise ConfigError(f"sor.k must be >= 1, got {self.k!r}")
         if not self.n_sigma > 0:
-            raise DataError("SOR n_sigma must be positive")
+            raise ConfigError(f"sor.n_sigma must be positive, got {self.n_sigma!r}")
 
 
 def sor_filter(
@@ -132,9 +132,9 @@ def merge_channels(
     in that column.
     """
     if not radius > 0:
-        raise DataError("merge radius must be positive")
+        raise ConfigError(f"merge.radius must be positive, got {radius!r}")
     if k < 1:
-        raise DataError("merge k must be >= 1")
+        raise ConfigError(f"merge.k must be >= 1, got {k!r}")
     if green.count == 0 or nir.count == 0:
         raise DataError("channel merging requires both clouds non-empty")
     for cloud, chan, name in ((green, Channel.GREEN_532, "green"), (nir, Channel.NIR_1064, "nir")):
@@ -175,14 +175,14 @@ def voxel_subsample(cloud: PointCloud, grid: float = 0.1) -> PointCloud:
     origin, which makes the operation idempotent.
     """
     if not grid > 0:
-        raise DataError("voxel grid size must be positive")
+        raise ConfigError(f"voxel.grid must be positive, got {grid!r}")
     if cloud.count == 0:
         return cloud
     reach = _reach(cloud)
     if reach / grid >= CELL_LIMIT:
-        raise DataError(
-            f"voxel grid size {grid!r} is too small for coordinates up to "
-            f"{reach:g}: voxel numbers overflow int64"
+        raise ConfigError(
+            f"voxel.grid {grid!r} is too fine for this cloud: with coordinates up to "
+            f"{reach:g}, voxel numbers overflow int64"
         )
     order, starts, inverse = _cubic_cells(cloud, grid)
     n_voxels = starts.shape[0]

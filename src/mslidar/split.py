@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import CELL_LIMIT, PointCloud, group_cells
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 
 logger = logging.getLogger(__name__)
 
@@ -65,7 +65,7 @@ def split_plots(
     if not tile_size > 0:
         raise ConfigError("tile_size must be positive")
     if cloud.count == 0:
-        raise ConfigError("cannot split an empty cloud")
+        raise DataError("cannot split an empty cloud")
 
     x0, y0 = float(cloud.x.min()), float(cloud.y.min())
     span = max(float(cloud.x.max()) - x0, float(cloud.y.max()) - y0)

@@ -23,7 +23,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .cloud import Channel, Label, PointCloud
-from .errors import ConfigError
+from .errors import BYTE_LIMIT, ConfigError
+
+# Peak bytes per point of the synth stage (generate, then write): its peak
+# RSS rose by 105 bytes per point from 2M to 4M points (seed 7).
+SCENE_BYTES = 110
 
 
 @dataclass(frozen=True)
@@ -355,10 +359,17 @@ def scaled_config(target_points: int, seed: int = 0) -> SyntheticSceneConfig:
     """Config whose total point count is approximately target_points.
 
     Keeps the default per-channel density and scales extent and object
-    counts together, so class balance stays roughly constant.
+    counts together, so class balance stays roughly constant. A scene
+    that would hold more than BYTE_LIMIT bytes (SCENE_BYTES per point) is
+    refused with a ConfigError naming synth.target_points.
     """
     if target_points < 1:
-        raise ConfigError(f"synth target_points must be >= 1, got {target_points}")
+        raise ConfigError(f"synth.target_points must be >= 1, got {target_points}")
+    need = target_points * SCENE_BYTES
+    if need > BYTE_LIMIT:
+        raise ConfigError(
+            f"synth.target_points {target_points} is too large: its scene would hold "
+            f"{need / 2**30:.1f} GiB, over the limit of {BYTE_LIMIT / 2**30:g} GiB")
     base = SyntheticSceneConfig()
     area = target_points / (2.0 * base.density)
     extent = math.sqrt(area)

@@ -405,7 +405,7 @@ class TestSharedPass:
             for fconfig, matrix in zip(fconfigs, got):
                 params = (fit_config_normalization(train_cloud, fconfig, p_low=1.0, p_high=99.0)
                           if fconfig.spectral_columns else None)
-                alone = neighborhood_stats(assemble_features(cloud, fconfig, params),
+                alone = neighborhood_stats(assemble_features(cloud, params),
                                            neighborhood_graph(cloud, **cfg["neighborhood"]))
                 assert matrix.shape == alone.shape
                 np.testing.assert_array_equal(matrix.view(np.uint32), alone.view(np.uint32))

@@ -490,7 +490,7 @@ class TestErrorPaths:
         assert rc == 2
 
     @pytest.mark.parametrize("damage", ["delete", "corrupt"])
-    def test_bad_normalization_sidecar_is_data_error(self, chain, tmp_path, capsys,
+    def test_bad_normalization_section_is_data_error(self, chain, tmp_path, capsys,
                                                      damage):
         # the normalization is the section of model.mstm after the
         # neighborhood: two percentiles, then lo, hi, impute for 3 columns
@@ -518,29 +518,41 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert "error[data]" in err and "version 2" in err and "retrain" in err
 
-    @pytest.mark.parametrize("stage, setting, code, message", [
-        ("synth", ["--target-points", "-5"], 2, "target_points must be >= 1"),
-        ("train", "neighborhood: {k: 0}", 3, "neighborhood k must be >= 1"),
-        ("train", "neighborhood: {radius: -1.0}", 3, "neighborhood radius must be positive"),
-        ("train", "features: {p_high: 200.0}", 3, "p_low < p_high <= 100"),
-        ("train", "train: {batch_size: 0}", 3, "batch_size must be >= 1"),
-        ("train", "train: {hidden: [0]}", 3, "hidden layer sizes must be >= 1"),
-        ("train", "train: {learning_rate: -1.0}", 3, "learning_rate must be >= 0"),
-        ("train", "train: {epochs: -1}", 3, "epochs must be >= 0"),
-        ("train", "train: {weight_decay: -1.0}", 3, "weight_decay must be >= 0"),
-    ], ids=["target-points", "k", "radius", "p-high", "batch-size", "hidden",
+    # (stage, the chain cloud it reads, the setting as options or as the
+    # text of a config file, the message naming its key)
+    @pytest.mark.parametrize("stage, source, setting, message", [
+        ("synth", None, ["--target-points", "-5"], "synth.target_points must be >= 1"),
+        ("denoise", "scene", ["--k", "0"], "sor.k must be >= 1"),
+        ("denoise", "scene", ["--n-sigma", "0"], "sor.n_sigma must be positive"),
+        ("merge", "denoised", ["--radius", "0"], "merge.radius must be positive"),
+        ("ground", "merged", ["--iterations", "0"], "csf.iterations must be >= 1"),
+        ("ground", "merged", ["--rigidness", "5"], "csf.rigidness must be 1, 2 or 3"),
+        ("subsample", "feat", ["--grid", "0"], "voxel.grid must be positive"),
+        ("train", None, "neighborhood: {k: 0}", "neighborhood.k must be >= 1"),
+        ("train", None, "neighborhood: {radius: -1.0}", "neighborhood.radius must be positive"),
+        ("train", None, "features: {p_high: 200.0}",
+         "features.p_low and features.p_high need 0 <= p_low < p_high <= 100"),
+        ("train", None, "train: {batch_size: 0}", "train.batch_size must be >= 1"),
+        ("train", None, "train: {hidden: [0]}", "train.hidden layer sizes must be >= 1"),
+        ("train", None, "train: {learning_rate: -1.0}", "train.learning_rate must be >= 0"),
+        ("train", None, "train: {epochs: -1}", "train.epochs must be >= 0"),
+        ("train", None, "train: {weight_decay: -1.0}", "train.weight_decay must be >= 0"),
+    ], ids=["target-points", "sor-k", "sor-n-sigma", "merge-radius", "csf-iterations",
+            "csf-rigidness", "voxel-grid", "k", "radius", "p-high", "batch-size", "hidden",
             "learning-rate", "epochs", "weight-decay"])
     def test_out_of_range_config_value_is_rejected(self, chain, tmp_path, capsys,
-                                                   stage, setting, code, message):
-        if stage == "synth":
-            argv = ["synth", "--out", str(tmp_path / "s.mst"), *setting]
-        else:
+                                                   stage, source, setting, message):
+        if stage == "train":
             cfg = tmp_path / "bad.yaml"
             cfg.write_text(setting + "\n")
             argv = ["train", "--train", str(chain["splits"] / "train.mst"),
                     "--out-dir", str(tmp_path / "m"), "--config", str(cfg)]
-        assert main(argv) == code
-        assert message in capsys.readouterr().err
+        else:
+            argv = [stage, "--out", str(tmp_path / "o.mst"), *setting]
+            if source is not None:
+                argv += ["--in", str(chain[source])]
+        assert main(argv) == 2
+        assert f"error[config]: {message}" in capsys.readouterr().err
 
     def test_zero_threads_is_config_error(self, chain, tmp_path, capsys):
         rc = main(["features", "--in", str(chain["hnorm"]),

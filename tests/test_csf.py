@@ -6,7 +6,7 @@ import pytest
 from mslidar import cloud as cloud_module
 from mslidar.cloud import QUERY_ROWS, PointCloud
 from mslidar.csf import CsfParams, csf_ground, simulate_cloth
-from mslidar.errors import DataError
+from mslidar.errors import ConfigError, DataError
 
 from conftest import brute_bilinear, peak_traced_bytes
 
@@ -144,9 +144,9 @@ def test_degenerate_extent_rejected():
 
 
 def test_param_validation():
-    with pytest.raises(DataError, match="rigidness"):
+    with pytest.raises(ConfigError, match="csf.rigidness"):
         CsfParams(rigidness=4)
-    with pytest.raises(DataError, match="cloth_resolution"):
+    with pytest.raises(ConfigError, match="csf.cloth_resolution"):
         CsfParams(cloth_resolution=0.0)
-    with pytest.raises(DataError, match="class_threshold"):
+    with pytest.raises(ConfigError, match="csf.class_threshold"):
         CsfParams(class_threshold=0.0)

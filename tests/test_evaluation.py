@@ -11,8 +11,9 @@ from mslidar.evaluation import (
 )
 from mslidar.features import FeatureConfig
 from mslidar.lasio import read_las, write_las
+from mslidar.pipeline import load_config
 
-from conftest import brute_confusion
+from conftest import brute_confusion, random_cloud
 
 
 class TestConfusion:
@@ -153,11 +154,11 @@ class TestErrorRateAbove:
 class TestEvaluateAndExport:
     def make_report(self):
         rng = np.random.default_rng(3)
-        truth = rng.integers(0, 2, 300)
-        pred = truth.copy()
+        cloud = random_cloud(rng, n=300)
+        cloud = cloud.with_column("h_norm", rng.uniform(0, 6, 300).astype(np.float32))
+        pred = cloud.label.copy()
         pred[rng.random(300) < 0.1] ^= 1
-        h = rng.uniform(0, 6, 300)
-        return evaluate(pred, truth, h, threshold=2.0, predicted_tree_only=False,
+        return evaluate(pred, cloud, load_config(),
                         manifest={"feature_config": "XYZ", "seed": 0})
 
     def test_evaluate_bundles_error_rate(self):
@@ -165,6 +166,14 @@ class TestEvaluateAndExport:
         assert rep.threshold == 2.0
         assert rep.error_rate_above is not None
         assert 0.0 <= rep.error_rate_above <= 100.0
+
+    def test_cloud_without_h_norm_has_no_error_rate(self):
+        """The rate needs h_norm; the report still carries the configured
+        threshold, and the table writes N/A for the missing rate."""
+        cloud = random_cloud(np.random.default_rng(6), n=50)
+        rep = evaluate(cloud.label, cloud, load_config(overrides={"evaluate.threshold": 1.5}))
+        assert (rep.error_rate_above, rep.threshold, rep.oa) == (None, 1.5, 100.0)
+        assert report_to_csv({"-": rep}).splitlines()[1].endswith(",N/A")
 
     def test_json_roundtrip(self):
         rep = self.make_report()

@@ -11,8 +11,9 @@ is also an input, is a config error, and a failed write names the path it
 was writing. A neighbour count k above the point count is clamped to it,
 and a neighbour pass's memory does not grow with k. A cloth or DTM cell
 so fine that its raster would exceed `dtm.RASTER_LIMIT` cells, and hidden
-layers so wide that training would exceed `mlp.TRAIN_LIMIT` bytes, are
-config errors that name their key.
+layers so wide that training would exceed `errors.BYTE_LIMIT` bytes, or a
+synthetic scene so large that it would, are config errors that name their
+key.
 """
 
 import dataclasses
@@ -399,6 +400,23 @@ def test_a_network_over_the_memory_limit_is_a_config_error(cloud, tmp_path, hidd
         env=_child_env(), capture_output=True, text=True, timeout=10)
     assert (run.returncode, "error[config]: train.hidden" in run.stderr) == (2, True), run.stderr
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("points", ["100000000", "2147483647"])
+def test_a_scene_over_the_memory_limit_is_a_config_error(tmp_path, points):
+    """Scenes that would need about 10 and 220 GiB: the larger one used to
+    exit 1 at the address cap after 48 s, the smaller to run past 90 s.
+    Each is refused before it is generated."""
+    pytest.importorskip("resource")
+    start = time.perf_counter()
+    run = subprocess.run(
+        [sys.executable, "-c", AS_LIMITED, str(3_000_000 * 1024),
+         "synth", "--out", str(tmp_path / "big.mst"), "--target-points", points],
+        env=_child_env(), capture_output=True, text=True, timeout=10)
+    assert (run.returncode, "error[config]: synth.target_points" in run.stderr) == (
+        2, True), run.stderr
+    assert time.perf_counter() - start < 1.0
+    assert not (tmp_path / "big.mst").exists()
 
 
 @pytest.mark.parametrize("stage,source,option,value,key", [

@@ -174,14 +174,14 @@ class TestAssembleFeatures:
     def test_xyz_dimension(self):
         # geometry alone is h_norm: no absolute position
         cloud = spectral_cloud()
-        fm = assemble_features(cloud, FeatureConfig.XYZ)
+        fm = assemble_features(cloud, None)
         np.testing.assert_array_equal(fm, cloud.h_norm.astype(np.float64)[:, None])
 
     def test_full_config_dimension(self):
         cloud = add_pndvi(spectral_cloud())
         cfg = FeatureConfig.XYZ_GREEN_NIR_PNDVI
         params = fit_config_normalization(cloud, cfg, p_low=1.0, p_high=99.0)
-        fm = assemble_features(cloud, cfg, params)
+        fm = assemble_features(cloud, params)
         assert fm.shape == (cloud.count, 4)
 
     def test_all_config_dimensions(self):
@@ -190,7 +190,7 @@ class TestAssembleFeatures:
         for cfg in ALL_CONFIGS:
             params = (fit_config_normalization(cloud, cfg, p_low=1.0, p_high=99.0)
                       if cfg.spectral_columns else None)
-            widths.append(assemble_features(cloud, cfg, params).shape[1])
+            widths.append(assemble_features(cloud, params).shape[1])
         assert sorted(widths) == [1, 2, 2, 2, 3, 4]
 
     def test_missing_pndvi_column_named_in_error(self):
@@ -203,27 +203,16 @@ class TestAssembleFeatures:
         cloud = spectral_cloud()
         cfg = FeatureConfig.XYZ_GREEN_NIR
         params = fit_config_normalization(cloud, cfg, p_low=1.0, p_high=99.0)
-        fm = assemble_features(cloud, cfg, params)
+        fm = assemble_features(cloud, params)
         assert fm[:, 1:].min() >= 0.0
         assert fm[:, 1:].max() <= 1.0
-
-    def test_params_column_mismatch_rejected(self):
-        cloud = spectral_cloud()
-        params = fit_config_normalization(
-            cloud, FeatureConfig.XYZ_GREEN, p_low=1.0, p_high=99.0)
-        with pytest.raises(DataError, match="params"):
-            assemble_features(cloud, FeatureConfig.XYZ_NIR, params)
-
-    def test_missing_params_rejected(self):
-        with pytest.raises(DataError, match="normalization params"):
-            assemble_features(spectral_cloud(), FeatureConfig.XYZ_GREEN)
 
     def test_missing_h_norm_rejected(self):
         cloud = spectral_cloud()
         bare = PointCloud(
             x=cloud.x, y=cloud.y, z=cloud.z, channel=cloud.channel)
         with pytest.raises(DataError, match="h_norm"):
-            assemble_features(bare, FeatureConfig.XYZ)
+            assemble_features(bare, None)
 
     def test_nan_spectral_imputed_not_propagated(self):
         cloud = spectral_cloud()
@@ -232,7 +221,7 @@ class TestAssembleFeatures:
         cloud = cloud.with_column("refl_green_db", refl)
         cfg = FeatureConfig.XYZ_GREEN
         params = fit_config_normalization(cloud, cfg, p_low=1.0, p_high=99.0)
-        fm = assemble_features(cloud, cfg, params)
+        fm = assemble_features(cloud, params)
         assert np.isfinite(fm).all()
 
     def test_config_from_name(self):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from mslidar import cloud as cloud_module
 from mslidar.cloud import Channel, Label, PointCloud, build_index, concat
-from mslidar.errors import DataError
+from mslidar.errors import ConfigError, DataError
 from mslidar.preprocess import (
     SorParams, merge_channels, sor_filter, voxel_subsample,
 )
@@ -413,13 +413,13 @@ class TestVoxelSubsample:
 
     def test_invalid_grid_rejected(self):
         rng = np.random.default_rng(16)
-        with pytest.raises(DataError, match="grid"):
+        with pytest.raises(ConfigError, match="voxel.grid"):
             voxel_subsample(random_cloud(rng, n=10), grid=0.0)
 
     def test_grid_whose_voxel_numbers_overflow_int64_rejected(self):
         # x / grid reaches 2**63 at x = 1 and 2, which would share a voxel
         cloud = channel_cloud([[0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]], np.zeros(3), 0)
-        with pytest.raises(DataError, match="1e-300"):
+        with pytest.raises(ConfigError, match="1e-300"):
             voxel_subsample(cloud, grid=1e-300)
         assert voxel_subsample(cloud, grid=1e-18).count == 3  # 2e18 fits
 

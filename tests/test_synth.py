@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from mslidar.cloud import Label
-from mslidar.errors import ConfigError
+from mslidar.errors import BYTE_LIMIT, ConfigError
 from mslidar.synth import (
-    SyntheticSceneConfig, _terrain, generate_scene, scaled_config,
+    SCENE_BYTES, SyntheticSceneConfig, _terrain, generate_scene, scaled_config,
 )
 
 CFG = SyntheticSceneConfig(
@@ -116,3 +116,13 @@ def test_scaled_config_hits_point_target():
     cloud = generate_scene(cfg)
     assert abs(cloud.count - 60000) <= 2
     assert cfg.seed == 3
+
+
+def test_scaled_config_refuses_a_scene_over_the_byte_limit():
+    """A 4M-point scene is accepted; the limit sits at BYTE_LIMIT //
+    SCENE_BYTES points, checked before anything is generated."""
+    most = BYTE_LIMIT // SCENE_BYTES
+    for points in (4_000_000, most):
+        scaled_config(points)
+    with pytest.raises(ConfigError, match=f"synth.target_points {most + 1} is too large"):
+        scaled_config(most + 1)
