@@ -177,6 +177,12 @@ class Model:
     seed: int
 
 
+def _union(columns: Iterable[str]) -> tuple[str, ...]:
+    """The distinct spectral columns named, in XYZ_GREEN_NIR_PNDVI order."""
+    names = set(columns)
+    return tuple(c for c in FeatureConfig.XYZ_GREEN_NIR_PNDVI.spectral_columns if c in names)
+
+
 def _stats_matrices(cloud, recipes, neighborhood, workers) -> Iterator[np.ndarray]:
     """The neighborhood_stats matrix of each (feature config, normalization)
     recipe in turn, from one pass over the union of their spectral columns.
@@ -190,7 +196,7 @@ def _stats_matrices(cloud, recipes, neighborhood, workers) -> Iterator[np.ndarra
         for name, *scale in zip(params.columns, params.lo, params.hi, params.impute):
             if scaling.setdefault(name, scale) != scale:
                 raise DataError(f"the models disagree on the scaling of column {name!r}")
-    union = tuple(c for c in FeatureConfig.XYZ_GREEN_NIR_PNDVI.spectral_columns if c in scaling)
+    union = _union(scaling)
     # scaling reads only lo, hi and impute: the union's percentiles are placeholders
     lo_hi_impute = map(np.array, zip(*map(scaling.get, union)))
     params = NormalizationParams(union, 0.0, 100.0, *lo_hi_impute) if union else None
@@ -214,12 +220,17 @@ def fit(
     effective config `cfg`; returns each with its per-epoch loss curve.
 
     Spectral columns are scaled at the features.p_low/p_high percentiles
-    of this cloud; one neighbourhood pass serves every config.
+    of this cloud, fitted once for the union of the configs' columns; one
+    neighbourhood pass serves every config.
     """
     cloud.require("label", "h_norm")
+    fconfigs = list(fconfigs)
+    union = _union(c for fconfig in fconfigs for c in fconfig.spectral_columns)
     p_low, p_high = cfg["features"]["p_low"], cfg["features"]["p_high"]
-    recipes = [(c, fit_config_normalization(cloud, c, p_low=p_low, p_high=p_high)
-                if c.spectral_columns else None) for c in fconfigs]
+    scaling = (fit_config_normalization(cloud, union, p_low=p_low, p_high=p_high)
+               if union else None)
+    recipes = [(c, scaling.select(c.spectral_columns) if c.spectral_columns else None)
+               for c in fconfigs]
     neighborhood, workers = dict(cfg["neighborhood"]), worker_count(cfg["threads"])
     weights = compute_class_weights(cloud.label)
     fitted = []

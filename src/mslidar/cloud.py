@@ -11,22 +11,27 @@ behind one batch query, :meth:`SpatialIndex.knn_batch`, whose every row
 is identical to a brute-force scan, ties broken by lower point id. It is
 the one neighbor kernel: SOR, merge, the neighborhood graph and the DTM
 (in XY) all build it with :func:`build_index`, the only place a tree is
-built, so no result depends on how the tree is built. The kernel
-answers exactly the rows it is given, and every neighbor pass hands it
-one :func:`row_blocks` block at a time, whose size shrinks as k grows,
-so a block's (rows, k) arrays stay a few MB whatever k is.
+built, so no result depends on how the tree is built. The build is
+scipy's sliding-midpoint rule (``balanced_tree=False``), chosen by
+measurement: it builds in about half the time of the median split and
+queries no slower. The kernel answers exactly the rows it is given, and
+every neighbor pass hands it one :func:`row_blocks` block at a time,
+whose size shrinks as k grows, so a block's (rows, k) arrays stay a few
+MB whatever k is.
 
 :func:`group_cells` groups points by integer cell (voxel, tile, query
-cell) with one np.lexsort: cells come out in lexicographic key order,
-each cell's rows by ascending id. A neighbor pass may visit its query
-rows in a spatial order, so that consecutive queries walk the same tree
-nodes: :func:`ordered_blocks` yields the row ids of each block in that
-order, and the pass gathers their coordinates and writes their results
-back to those rows. A row's result depends on that row alone, so the
-visiting order changes no bit of the output.
+cell) with one stable sort, of one packed int64 key where the key spans
+allow and of the key columns (np.lexsort) otherwise: cells come out in
+lexicographic key order, each cell's rows by ascending id. A neighbor
+pass may visit its query rows in a spatial order, so that consecutive
+queries walk the same tree nodes: :func:`ordered_blocks` yields the row
+ids of each block in that order, and the pass gathers their coordinates
+and writes their results back to those rows. A row's result depends on
+that row alone, so the visiting order changes no bit of the output.
 """
 
 import itertools
+import math
 import os
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -223,23 +228,43 @@ CELL_LIMIT = 2.0 ** 63
 
 
 def group_cells(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Group rows by integer cell, given one key column per axis.
+    """Group rows by integer cell, given one int64 key column per axis.
 
     Returns (order, starts, inverse). `order` sorts the rows by cell,
     cells in lexicographic key order and each cell's rows by ascending
     id; cell g occupies order[starts[g]:starts[g + 1]], and inverse[i] is
-    the cell of row i. One np.lexsort; the cells, their order and the
-    inverse are those of a row-wise unique over the stacked keys.
+    the cell of row i. The cells, their order and the inverse are those
+    of a row-wise unique over the stacked keys.
+
+    When the product of the key spans is below 2**63, the columns, each
+    taken from its minimum, are packed into one mixed-radix int64 key
+    whose order is the lexicographic one, and one stable argsort sorts
+    it; otherwise one np.lexsort sorts the columns. Both give the same
+    result.
     """
-    order = np.lexsort(keys[::-1])  # lexsort's last key is its primary one
-    new = np.zeros(order.shape[0], dtype=bool)  # row starts a new cell
+    n = keys[0].shape[0]
+    lows = [int(key.min()) for key in keys] if n else []
+    spans = [int(key.max()) - lo + 1 for key, lo in zip(keys, lows)]
+    if n and math.prod(spans) < 2 ** 63:
+        # Built in place in uint64, whose arithmetic wraps modulo 2**64:
+        # each partial key's value lies in [0, 2**63), so it comes out exact.
+        packed = np.zeros(n, dtype=np.uint64)
+        for key, lo, span in zip(keys, lows, spans):
+            packed *= np.uint64(span)
+            packed += key.view(np.uint64)
+            packed -= np.uint64(lo % 2 ** 64)
+        order, keys = np.argsort(packed, kind="stable"), (packed,)
+        del packed  # keys holds the one reference, dropped after the scan
+    else:
+        order = np.lexsort(keys[::-1])  # lexsort's last key is its primary one
+    new = np.zeros(n, dtype=bool)  # row starts a new cell
     new[:1] = True
     for key in keys:
         ranked = key[order]
         new[1:] |= ranked[1:] != ranked[:-1]
-    del ranked  # freed before the cumsum: a lower peak
+    del ranked, key, keys  # the packed key too: freed before the cumsum, a lower peak
     starts = np.flatnonzero(new)
-    inverse = np.empty(order.shape[0], dtype=np.intp)
+    inverse = np.empty(n, dtype=np.intp)
     inverse[order] = np.cumsum(new) - 1
     return order, starts, inverse
 
@@ -331,4 +356,6 @@ def build_index(points: np.ndarray) -> SpatialIndex:
             f"so an index holds at most {np.iinfo(np.int32).max}"
         )
     pts = np.ascontiguousarray(points, dtype=np.float64)
-    return SpatialIndex(points=pts, tree=cKDTree(pts))
+    # sliding-midpoint splits: about half the median split's build time,
+    # and no slower to query (README tables the measured build options)
+    return SpatialIndex(points=pts, tree=cKDTree(pts, balanced_tree=False))

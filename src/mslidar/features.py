@@ -127,6 +127,13 @@ class NormalizationParams:
         if np.any(self.lo > self.hi):
             raise DataError("normalization lo exceeds hi")
 
+    def select(self, columns: tuple[str, ...]) -> "NormalizationParams":
+        """The scaling of the named columns, in that order: the fit is
+        column by column, so these are the params of a fit on them alone."""
+        at = [self.columns.index(c) for c in columns]
+        return NormalizationParams(tuple(columns), self.p_low, self.p_high,
+                                   self.lo[at], self.hi[at], self.impute[at])
+
 
 def _check_percentiles(p_low: float, p_high: float) -> None:
     if not 0.0 <= p_low < p_high <= 100.0:
@@ -203,12 +210,12 @@ def spectral_matrix(cloud: PointCloud, columns: tuple[str, ...]) -> np.ndarray:
 
 
 def fit_config_normalization(
-    train_cloud: PointCloud, config: FeatureConfig, p_low: float, p_high: float
+    train_cloud: PointCloud, columns: tuple[str, ...], p_low: float, p_high: float
 ) -> NormalizationParams:
-    """Fit spectral-column normalization on the training split."""
+    """Fit the normalization of the named spectral columns on the training
+    split; NormalizationParams.select gives each feature config its own."""
     return fit_normalization(
-        spectral_matrix(train_cloud, config.spectral_columns), config.spectral_columns,
-        p_low=p_low, p_high=p_high,
+        spectral_matrix(train_cloud, columns), columns, p_low=p_low, p_high=p_high,
     )
 
 

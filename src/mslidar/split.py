@@ -59,11 +59,11 @@ def split_plots(
     """
     ratios = tuple(float(r) for r in ratios)
     if len(ratios) != 3 or any(r < 0 for r in ratios):
-        raise ConfigError("split ratios must be three non-negative fractions")
+        raise ConfigError(f"split.ratios must be three non-negative fractions, got {ratios!r}")
     if abs(sum(ratios) - 1.0) > 1e-6:
-        raise ConfigError(f"split ratios must sum to 1, got {sum(ratios)!r}")
+        raise ConfigError(f"split.ratios must sum to 1, got {sum(ratios)!r}")
     if not tile_size > 0:
-        raise ConfigError("tile_size must be positive")
+        raise ConfigError(f"split.tile_size must be positive, got {tile_size!r}")
     if cloud.count == 0:
         raise DataError("cannot split an empty cloud")
 
@@ -71,7 +71,7 @@ def split_plots(
     span = max(float(cloud.x.max()) - x0, float(cloud.y.max()) - y0)
     if span / tile_size >= CELL_LIMIT:
         raise ConfigError(
-            f"tile_size {tile_size!r} is too small for a cloud spanning {span:g}: "
+            f"split.tile_size {tile_size!r} is too small for a cloud spanning {span:g}: "
             "tile numbers overflow int64"
         )
     ix = np.floor((cloud.x - x0) / tile_size).astype(np.int64)

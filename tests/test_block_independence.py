@@ -8,11 +8,10 @@ neighbour query goes through `cloud.build_index`, the only place a tree
 is built, so patching the tree class it builds changes the tree under
 all of them. The 11 geometry stages, per-channel LAS in and LAS out,
 must write the same bytes, manifests included, with blocks of 257 rows
-and with sliding-midpoint trees (scipy's `balanced_tree=False`) as with
-the defaults.
+and with median-split trees (scipy's `balanced_tree=True`) as with the
+defaults, whose trees are built by the sliding-midpoint rule.
 """
 
-import functools
 from pathlib import Path
 
 import numpy as np
@@ -74,15 +73,18 @@ def query_rows_257(monkeypatch):
     monkeypatch.setattr(cloud_module, "QUERY_ROWS", 257)
 
 
-def sliding_midpoint_tree(monkeypatch):
-    balanced = spatial.cKDTree
-    monkeypatch.setattr(spatial, "cKDTree", functools.partial(balanced, balanced_tree=False))
+def balanced_tree(monkeypatch):
+    tree = spatial.cKDTree
+    # balanced_tree=True over the keyword build_index passes
+    monkeypatch.setattr(spatial, "cKDTree", lambda pts, **kwargs: tree(
+        pts, **{**kwargs, "balanced_tree": True}))
     # the patch reaches build_index, and its trees order the points otherwise
     pts = np.random.default_rng(0).uniform(0.0, 1.0, (1000, 3))
-    assert not np.array_equal(cloud_module.build_index(pts).tree.indices, balanced(pts).indices)
+    assert not np.array_equal(cloud_module.build_index(pts).tree.indices,
+                              tree(pts, balanced_tree=False).indices)
 
 
-@pytest.mark.parametrize("variant", [query_rows_257, sliding_midpoint_tree],
+@pytest.mark.parametrize("variant", [query_rows_257, balanced_tree],
                          ids=lambda variant: variant.__name__)
 def test_geometry_chain_bytes_do_not_depend_on(variant, channel_las, default_chain,
                                                monkeypatch):

@@ -395,16 +395,36 @@ class TestSharedPass:
             predicted.append(features.copy())
             return predict(features, *args, **kwargs)
 
+        def spy_fit(cloud, columns, **kwargs):
+            fitted.append(columns)
+            return fit_config_normalization(cloud, columns, **kwargs)
+
+        fitted = []
         monkeypatch.setattr(classifier, "train", spy_train)
         monkeypatch.setattr(classifier, "predict", spy_predict)
+        monkeypatch.setattr(classifier, "fit_config_normalization", spy_fit)
         models = [model for model, _ in fit(train_cloud, fconfigs, cfg)]
         classify(test_cloud, models, cfg)
         assert [m.feature_config for m in models] == list(fconfigs)
+        # one fit over the union of the spectral columns, in canonical order
+        union = {c for fconfig in fconfigs for c in fconfig.spectral_columns}
+        assert fitted == [tuple(c for c in FeatureConfig.XYZ_GREEN_NIR_PNDVI.spectral_columns
+                                if c in union)]
+        lone = {fconfig: fit_config_normalization(train_cloud, fconfig.spectral_columns,
+                                                  p_low=1.0, p_high=99.0)
+                for fconfig in fconfigs if fconfig.spectral_columns}
+        for model in models:
+            params = lone.get(model.feature_config)
+            assert (model.normalization is None) == (params is None)
+            if params is not None:
+                assert model.normalization.columns == params.columns
+                for name in ("lo", "hi", "impute"):
+                    np.testing.assert_array_equal(getattr(model.normalization, name),
+                                                  getattr(params, name))
         for cloud, got in ((train_cloud, trained), (test_cloud, predicted)):
             assert len(got) == len(fconfigs)
             for fconfig, matrix in zip(fconfigs, got):
-                params = (fit_config_normalization(train_cloud, fconfig, p_low=1.0, p_high=99.0)
-                          if fconfig.spectral_columns else None)
+                params = lone.get(fconfig)
                 alone = neighborhood_stats(assemble_features(cloud, params),
                                            neighborhood_graph(cloud, **cfg["neighborhood"]))
                 assert matrix.shape == alone.shape

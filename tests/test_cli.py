@@ -283,7 +283,7 @@ def test_ablate_fits_normalization_at_configured_percentiles(chain, tmp_path,
     (params,) = fitted
     assert (params.p_low, params.p_high) == (10.0, 90.0)
     default = fit_config_normalization(
-        read_columnar(chain["splits"] / "train.mst"), FeatureConfig.XYZ_PNDVI,
+        read_columnar(chain["splits"] / "train.mst"), FeatureConfig.XYZ_PNDVI.spectral_columns,
         p_low=1.0, p_high=99.0,
     )
     assert np.all(params.lo > default.lo) and np.all(params.hi < default.hi)

@@ -300,6 +300,68 @@ class TestGroupCells:
         order, starts, inverse = group_cells(np.empty(0, np.int64), np.empty(0, np.int64))
         assert order.size == starts.size == inverse.size == 0
 
+    @staticmethod
+    def grouped(keys, monkeypatch, packed):
+        """group_cells(*keys), checked against the unique_cells oracle and
+        against the path expected: the packed key, or np.lexsort's fallback."""
+        calls = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda k: calls.append(1) or lexsort(k))
+        got = group_cells(*keys)
+        monkeypatch.setattr(np, "lexsort", lexsort)
+        assert calls == ([] if packed else [1])
+        for a, b in zip(got, unique_cells(*keys)):
+            np.testing.assert_array_equal(a, b)
+        return got
+
+    @pytest.mark.parametrize("spans, packed", [
+        ((2 ** 62, 2), False),              # the product reaches 2**63
+        ((2 ** 61, 2, 3), False),
+        ((7, (2 ** 63 - 1) // 7), True),    # the largest product that packs
+        ((2 ** 32, 2 ** 31 - 1), True),
+    ])
+    def test_span_product_of_2_63_falls_back_to_lexsort(self, spans, packed, monkeypatch):
+        rng = np.random.default_rng(len(spans))
+        # each column takes its smallest and largest value, and some between
+        keys = [np.array([-3, -3 + span - 1, *rng.integers(-3, span - 3, 40)], dtype=np.int64)
+                for span in spans]
+        for key in keys:
+            rng.shuffle(key)
+        self.grouped(keys, monkeypatch, packed)
+
+    @pytest.mark.parametrize("lows", [
+        (-2 ** 62, 2 ** 62), (2 ** 62, -2 ** 62), (-2 ** 63, 2 ** 63 - 8), (2 ** 63 - 8, -2 ** 63),
+    ])
+    def test_keys_near_the_int64_limits_pack_from_their_minimum(self, lows, monkeypatch):
+        # small spans far from zero: the keys pack only once offset, and
+        # packed * span + key, or that less lo, leaves int64 on the way
+        rng = np.random.default_rng(5)
+        keys = [lo + rng.integers(0, 8, 200) for lo in lows]
+        self.grouped(keys, monkeypatch, packed=True)
+
+    @pytest.mark.parametrize("values, packed", [
+        ([5, -2, 5, 9, -2, 0], True),
+        ([2 ** 63 - 1, -2 ** 63, 0, -2 ** 63, 2 ** 63 - 1], False),  # span 2**64
+        ([2 ** 63 - 1, 0, 1, 2 ** 63 - 1], False),  # span 2**63
+        ([2 ** 63 - 2, 0, 1, 2 ** 63 - 2], True),
+    ])
+    def test_one_key_column(self, values, packed, monkeypatch):
+        order, starts, inverse = self.grouped([np.array(values, dtype=np.int64)], monkeypatch,
+                                              packed)
+        assert np.array_equal(np.sort(values, kind="stable"), np.asarray(values)[order])
+
+    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    def test_packed_key_and_lexsort_give_the_same_cells(self, ndim, monkeypatch):
+        rng = np.random.default_rng(10 + ndim)
+        keys = [rng.integers(-50, 50, 3000) for _ in range(ndim)]
+        packed = self.grouped(keys, monkeypatch, packed=True)
+        # any product of spans at or above 2**63 takes the fallback
+        monkeypatch.setattr(cloud_module.math, "prod", lambda spans: 2 ** 63)
+        fallback = self.grouped(keys, monkeypatch, packed=False)
+        for a, b in zip(packed, fallback):
+            assert a.dtype == b.dtype == np.intp
+            np.testing.assert_array_equal(a, b)
+
 
 def test_threads_above_the_usable_cpus_start_no_more_threads(monkeypatch):
     """scipy starts one thread per worker on every query, so the workers of

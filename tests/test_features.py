@@ -180,7 +180,7 @@ class TestAssembleFeatures:
     def test_full_config_dimension(self):
         cloud = add_pndvi(spectral_cloud())
         cfg = FeatureConfig.XYZ_GREEN_NIR_PNDVI
-        params = fit_config_normalization(cloud, cfg, p_low=1.0, p_high=99.0)
+        params = fit_config_normalization(cloud, cfg.spectral_columns, p_low=1.0, p_high=99.0)
         fm = assemble_features(cloud, params)
         assert fm.shape == (cloud.count, 4)
 
@@ -188,7 +188,7 @@ class TestAssembleFeatures:
         cloud = add_pndvi(spectral_cloud())
         widths = []
         for cfg in ALL_CONFIGS:
-            params = (fit_config_normalization(cloud, cfg, p_low=1.0, p_high=99.0)
+            params = (fit_config_normalization(cloud, cfg.spectral_columns, p_low=1.0, p_high=99.0)
                       if cfg.spectral_columns else None)
             widths.append(assemble_features(cloud, params).shape[1])
         assert sorted(widths) == [1, 2, 2, 2, 3, 4]
@@ -197,12 +197,12 @@ class TestAssembleFeatures:
         cloud = spectral_cloud()
         cfg = FeatureConfig.XYZ_PNDVI
         with pytest.raises(DataError, match="pndvi"):
-            fit_config_normalization(cloud, cfg, p_low=1.0, p_high=99.0)
+            fit_config_normalization(cloud, cfg.spectral_columns, p_low=1.0, p_high=99.0)
 
     def test_spectral_columns_normalized(self):
         cloud = spectral_cloud()
         cfg = FeatureConfig.XYZ_GREEN_NIR
-        params = fit_config_normalization(cloud, cfg, p_low=1.0, p_high=99.0)
+        params = fit_config_normalization(cloud, cfg.spectral_columns, p_low=1.0, p_high=99.0)
         fm = assemble_features(cloud, params)
         assert fm[:, 1:].min() >= 0.0
         assert fm[:, 1:].max() <= 1.0
@@ -220,7 +220,7 @@ class TestAssembleFeatures:
         refl[:5] = np.nan
         cloud = cloud.with_column("refl_green_db", refl)
         cfg = FeatureConfig.XYZ_GREEN
-        params = fit_config_normalization(cloud, cfg, p_low=1.0, p_high=99.0)
+        params = fit_config_normalization(cloud, cfg.spectral_columns, p_low=1.0, p_high=99.0)
         fm = assemble_features(cloud, params)
         assert np.isfinite(fm).all()
 

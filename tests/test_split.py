@@ -1,4 +1,5 @@
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -101,6 +102,20 @@ def test_tile_size_whose_tile_numbers_overflow_int64_rejected():
         split_plots(cloud, ratios=(0.7, 0.2, 0.1), tile_size=1e-300)
     split = split_plots(cloud, ratios=(0.7, 0.2, 0.1), tile_size=1e-18)
     assert split.tile_ids.shape[0] == 3  # 2e18 fits
+
+
+@pytest.mark.parametrize("ratios, tile_size, message", [
+    ((0.5, 0.2, 0.2), 20.0, "split.ratios must sum to 1"),
+    ((0.7, 0.4, -0.1), 20.0, "split.ratios must be three non-negative fractions"),
+    ((0.5, 0.5), 20.0, "split.ratios must be three non-negative fractions"),
+    ((0.7, 0.2, 0.1), 0.0, "split.tile_size must be positive"),
+    ((0.7, 0.2, 0.1), 1e-300, "split.tile_size 1e-300 is too small"),
+])
+def test_config_errors_name_their_dotted_key(ratios, tile_size, message):
+    cloud = PointCloud(x=np.array([0.0, 1.0, 2.0]), y=np.zeros(3), z=np.zeros(3),
+                       channel=np.zeros(3, np.uint8))
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        split_plots(cloud, ratios=ratios, tile_size=tile_size)
 
 
 def test_single_tile_falls_back_to_train(caplog):
