@@ -4,9 +4,10 @@ Reflectance arrives in decibels; the vegetation index is computed in
 linear units (conversion 10^(dB/10)), so a common dB offset on both
 channels cancels. The conversions and the index map arrays to float64
 arrays elementwise (a scalar gives a numpy float64). Spectral columns
-are then made comparable by robust scaling: clip to the training
-split's [p1, p99] and min-max to [0, 1]; a fitted scaling names its
-columns, so :func:`assemble_features` reads them from it. Absolute
+are then made comparable by robust scaling, two calls on a cloud:
+:func:`fit_config_normalization` fits each named column on the training
+split (its [p1, p99] and median), and :func:`assemble_features` imputes,
+clips and min-maxes those columns to [0, 1] beside h_norm. Absolute
 position is not a feature: geometry enters as height above terrain, so
 a model does not depend on where its cloud lies, and the classifier
 adds relative geometry from each point's neighborhood.
@@ -98,7 +99,7 @@ class FeatureConfig(Enum):
             return cls[key]
         except KeyError:
             valid = ", ".join(c.name for c in cls)
-            raise DataError(f"unknown feature config {name!r}; one of: {valid}") from None
+            raise ConfigError(f"unknown feature config {name!r}; one of: {valid}") from None
 
 
 ALL_CONFIGS = tuple(FeatureConfig)
@@ -143,91 +144,56 @@ def _check_percentiles(p_low: float, p_high: float) -> None:
         )
 
 
-def fit_normalization(
-    features: np.ndarray,
-    columns: tuple[str, ...],
-    p_low: float = 1.0,
-    p_high: float = 99.0,
+def fit_config_normalization(
+    train_cloud: PointCloud, columns: tuple[str, ...], p_low: float = 1.0, p_high: float = 99.0,
 ) -> NormalizationParams:
-    """Fit robust scaling on training features, one column per name of
-    `columns`.
+    """Fit robust scaling of the named spectral columns on the training
+    split, column by column; NormalizationParams.select gives each feature
+    config its own.
 
     NaN entries (missing markers) are excluded from the percentiles and
     the imputation median. A constant column gets lo == hi and maps to
-    0.5 under apply, with a warning here.
+    0.5 in :func:`assemble_features`, with a warning here.
     """
-    feats = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    if feats.shape[0] < 2:
-        raise DataError("need at least 2 rows to fit normalization")
     _check_percentiles(p_low, p_high)
-    if np.isnan(feats).all(axis=0).any():
-        raise DataError("a feature column holds no observed values at all")
-    lo = np.nanpercentile(feats, p_low, axis=0)
-    hi = np.nanpercentile(feats, p_high, axis=0)
-    impute = np.nanmedian(feats, axis=0)
-    for j in np.nonzero(hi <= lo)[0]:
-        logger.warning(
-            "feature column %r is constant on the training split; "
-            "it will normalize to 0.5", columns[j],
-        )
-    return NormalizationParams(
-        columns=tuple(columns), p_low=p_low, p_high=p_high,
-        lo=lo, hi=hi, impute=impute,
-    )
-
-
-def apply_normalization(features: np.ndarray, params: NormalizationParams) -> np.ndarray:
-    """Impute NaN with the training median, clip to [lo, hi], scale to [0, 1]."""
-    feats = np.array(np.atleast_2d(features), dtype=np.float64)
-    if feats.shape[1] != params.lo.shape[0]:
-        raise DataError(
-            f"feature count {feats.shape[1]} does not match fitted params "
-            f"({params.lo.shape[0]} columns)"
-        )
-    nan_mask = np.isnan(feats)
-    if nan_mask.any():
-        feats[nan_mask] = np.broadcast_to(params.impute, feats.shape)[nan_mask]
-    span = params.hi - params.lo
-    out = np.empty_like(feats)
-    for j in range(feats.shape[1]):
-        if span[j] > 0:
-            out[:, j] = (np.clip(feats[:, j], params.lo[j], params.hi[j]) - params.lo[j]) / span[j]
-        else:
-            out[:, j] = 0.5
-    return out
-
-
-def spectral_matrix(cloud: PointCloud, columns: tuple[str, ...]) -> np.ndarray:
-    """Raw (possibly NaN-holding) spectral columns of the given names, in order."""
-    cols = []
-    for name in columns:
-        if not cloud.has(name):
-            raise DataError(f"feature column {name!r} is missing from the cloud")
-        cols.append(getattr(cloud, name).astype(np.float64))
-    if not cols:
-        return np.empty((cloud.count, 0), dtype=np.float64)
-    return np.column_stack(cols)
-
-
-def fit_config_normalization(
-    train_cloud: PointCloud, columns: tuple[str, ...], p_low: float, p_high: float
-) -> NormalizationParams:
-    """Fit the normalization of the named spectral columns on the training
-    split; NormalizationParams.select gives each feature config its own."""
-    return fit_normalization(
-        spectral_matrix(train_cloud, columns), columns, p_low=p_low, p_high=p_high,
-    )
+    train_cloud.require(*columns)
+    if train_cloud.count < 2:
+        raise DataError("need at least 2 rows to fit normalization")
+    lo, hi, impute = np.empty((3, len(columns)))
+    for j, name in enumerate(columns):
+        values = getattr(train_cloud, name).astype(np.float64)
+        if np.isnan(values).all():
+            raise DataError(f"feature column {name!r} holds no observed values at all")
+        lo[j] = np.nanpercentile(values, p_low)
+        hi[j] = np.nanpercentile(values, p_high)
+        impute[j] = np.nanmedian(values)
+        if hi[j] <= lo[j]:
+            logger.warning(
+                "feature column %r is constant on the training split; "
+                "it will normalize to 0.5", name,
+            )
+    return NormalizationParams(tuple(columns), p_low, p_high, lo, hi, impute)
 
 
 def assemble_features(cloud: PointCloud, params: NormalizationParams | None) -> np.ndarray:
     """Build the (n, d) feature matrix [h_norm, spectral...] of the
-    spectral columns `params` was fitted for, each scaled by it; None
-    gives h_norm alone. The result holds no NaN or Inf."""
-    cloud.require("h_norm")
-    values = cloud.h_norm.astype(np.float64)[:, None]
-    if params is not None:
-        spec = apply_normalization(spectral_matrix(cloud, params.columns), params)
-        values = np.column_stack((values, spec))
+    spectral columns `params` was fitted for, each with NaN imputed by the
+    training median, clipped to [lo, hi] and scaled to [0, 1]; None gives
+    h_norm alone. The result holds no NaN or Inf."""
+    columns = () if params is None else params.columns
+    cloud.require("h_norm", *columns)
+    values = np.empty((cloud.count, 1 + len(columns)))
+    values[:, 0] = cloud.h_norm
+    for j, name in enumerate(columns):
+        col, lo, hi = values[:, 1 + j], params.lo[j], params.hi[j]
+        col[:] = getattr(cloud, name)
+        col[np.isnan(col)] = params.impute[j]
+        if hi > lo:
+            np.clip(col, lo, hi, out=col)
+            col -= lo
+            col /= hi - lo
+        else:
+            col[:] = 0.5
     if not np.all(np.isfinite(values)):
         raise NumericError("feature matrix contains non-finite values")
     return values

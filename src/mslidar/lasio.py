@@ -43,6 +43,7 @@ _POINT_DTYPES[7] = _POINT_DTYPES[6] + [("red", "<u2"), ("green", "<u2"), ("blue"
 _POINT_DTYPES[8] = _POINT_DTYPES[7] + [("nir", "<u2")]
 
 _HEADER_SIZES = {(1, 2): 227, (1, 3): 235, (1, 4): 375}
+_INT32_MAX = np.iinfo(np.int32).max
 
 # Extra-bytes data_type codes we accept (all we ever write is 9 = float32).
 _EXTRA_DTYPES = {
@@ -223,7 +224,9 @@ def write_las(
     attribute named "reflectance"; refl_green_db, refl_nir_db, pndvi and
     h_norm follow, each under its own name, when the column is present;
     then any caller-supplied `extra` float columns (e.g. an error flag).
-    Output bytes depend only on the cloud contents (no timestamps).
+    Output bytes depend only on the cloud contents (no timestamps). An
+    axis that spans more than int32 steps of `scale` is a DataError,
+    raised before the file is opened.
     """
     path = Path(path)
     if cloud.count == 0:
@@ -243,6 +246,14 @@ def write_las(
         float(np.floor(cloud.y.min())),
         float(np.floor(cloud.z.min())),
     )
+    # the quantized coordinates are int32 from the offset up: refuse a span they would wrap
+    for axis, off in zip("xyz", offs):
+        span = float(getattr(cloud, axis).max()) - off
+        if np.round(span / scale) > _INT32_MAX:
+            raise DataError(
+                f"{axis} spans {span:.3f} m, more than LAS int32 coordinates hold at "
+                f"scale {scale} ({_INT32_MAX * scale:.3f} m)"
+            )
     ix = np.round((cloud.x - offs[0]) / scale).astype(np.int32)
     iy = np.round((cloud.y - offs[1]) / scale).astype(np.int32)
     iz = np.round((cloud.z - offs[2]) / scale).astype(np.int32)

@@ -33,7 +33,7 @@ from .columnar import (check_label_count, read_columnar, read_labels, write_colu
 from .csf import CsfParams, csf_ground
 from .dtm import build_dtm, normalize_height
 from .errors import ConfigError
-from .features import ALL_CONFIGS, FeatureConfig, add_pndvi, fit_normalization
+from .features import ALL_CONFIGS, FeatureConfig, add_pndvi, fit_config_normalization
 from .mlp import TrainConfig
 from .preprocess import SorParams, merge_channels, sor_filter, voxel_subsample
 from .split import SPLIT_NAMES, split_plots
@@ -64,7 +64,7 @@ DEFAULTS: dict = {
     "dtm": _defaults(build_dtm, "cell"),
     "voxel": _defaults(voxel_subsample, "grid"),
     "features": {"config": "XYZ_GREEN_NIR_PNDVI",
-                 **_defaults(fit_normalization, "p_low", "p_high")},
+                 **_defaults(fit_config_normalization, "p_low", "p_high")},
     "neighborhood": _defaults(clf.neighborhood_graph, "k", "radius"),
     "train": _defaults(TrainConfig, "epochs", "learning_rate", "weight_decay",
                        "batch_size", "hidden"),

@@ -17,7 +17,6 @@ from mslidar.errors import DataError, NumericError
 from mslidar.evaluation import run_ablation
 from mslidar.features import (
     ALL_CONFIGS, FeatureConfig, add_pndvi, assemble_features, fit_config_normalization,
-    fit_normalization,
 )
 from mslidar.mlp import DTYPE, Mlp, TrainConfig, train
 from mslidar.pipeline import load_config
@@ -550,9 +549,16 @@ class TestImportAndPostprocess:
 NEIGHBORHOOD = {"k": 16, "radius": 2.0}
 
 
+def spectral_params(rng, columns, **percentiles):
+    """The scaling fitted on 100 normal values per named column."""
+    cloud = random_cloud(rng, n=100)
+    for name in columns:
+        cloud = cloud.with_column(name, rng.normal(size=100).astype(np.float32))
+    return fit_config_normalization(cloud, columns, **percentiles)
+
+
 def pndvi_params():
-    values = np.random.default_rng(4).normal(size=(100, 1))
-    return fit_normalization(values, ("pndvi",))
+    return spectral_params(np.random.default_rng(4), ("pndvi",))
 
 
 def pndvi_model(net):
@@ -599,8 +605,7 @@ class TestCheckpoint:
         columns = fconfig.spectral_columns
         params = None
         if columns:
-            values = np.random.default_rng(5).normal(size=(100, len(columns)))
-            params = fit_normalization(values, columns, p_low=2.5, p_high=97.0)
+            params = spectral_params(np.random.default_rng(5), columns, p_low=2.5, p_high=97.0)
         first, again = tmp_path / "first.mstm", tmp_path / "again.mstm"
         save_checkpoint(first, Model(Mlp(7, (6, 5), seed=3), fconfig, params,
                                      {"k": 9, "radius": 1.25}, (0.7, 1.3), 11))

@@ -615,8 +615,32 @@ class TestErrorPaths:
         rc = main(["train", "--train", str(chain["splits"] / "train.mst"),
                    "--out-dir", str(tmp_path / "m"),
                    "--feature-config", "XYZ_KRYPTON", "--epochs", "1"])
+        assert rc == 2
+        assert "error[config]: unknown feature config 'XYZ_KRYPTON'" in capsys.readouterr().err
+
+    def test_unknown_ablation_config_rejected(self, chain, tmp_path, capsys):
+        splits = chain["splits"]
+        rc = main(["ablate", "--train", str(splits / "train.mst"),
+                   "--test", str(splits / "test.mst"), "--out-dir", str(tmp_path / "a"),
+                   "--configs", "XYZ", "bogus", "--epochs", "1"])
+        assert rc == 2
+        assert "error[config]: unknown feature config 'bogus'" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
+
+    def test_far_coordinate_export_is_data_error(self, chain, tmp_path, capsys):
+        """LAS coordinates are int32 steps from the cloud's floor: a point
+        3000 km out would wrap, so the export stops before the file opens."""
+        cloud = read_columnar(chain["splits"] / "test.mst")
+        x = cloud.x.copy()
+        x[0] += 3e6
+        far, las = tmp_path / "far.mst", tmp_path / "far.las"
+        write_columnar(dataclasses.replace(cloud, x=x), far)
+        las.write_bytes(b"earlier bytes")
+        rc = main(["export", "--cloud", str(far), "--las", str(las)])
         assert rc == 3
-        assert "unknown feature config" in capsys.readouterr().err
+        assert "error[data]: x spans 300" in capsys.readouterr().err
+        assert las.read_bytes() == b"earlier bytes"
+        assert not las.with_name(las.name + ".manifest.json").exists()
 
 
 def test_parser_requires_subcommand(capsys):

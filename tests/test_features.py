@@ -3,11 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mslidar.cloud import PointCloud
-from mslidar.errors import DataError, NumericError
+from mslidar.errors import ConfigError, DataError, NumericError
 from mslidar.features import (
-    ALL_CONFIGS, FeatureConfig, add_pndvi,
-    apply_normalization, assemble_features, db_to_linear,
-    fit_config_normalization, fit_normalization, linear_to_db, pndvi,
+    ALL_CONFIGS, FeatureConfig, add_pndvi, assemble_features, db_to_linear,
+    fit_config_normalization, linear_to_db, pndvi,
 )
 
 finite_db = st.floats(-60.0, 30.0)
@@ -92,71 +91,113 @@ class TestPndvi:
         assert np.isnan(out.pndvi[1])
 
 
+def columns_cloud(**columns):
+    """A cloud at the origin holding the named spectral columns, as float32,
+    and h_norm = 0."""
+    n = len(next(iter(columns.values())))
+    cols = {name: np.asarray(v, dtype=np.float32) for name, v in columns.items()}
+    return PointCloud(x=np.zeros(n), y=np.zeros(n), z=np.zeros(n),
+                      channel=np.zeros(n, np.uint8), h_norm=np.zeros(n, np.float32), **cols)
+
+
+def scaled(params, **columns):
+    """The scaled spectral columns of a cloud holding `columns`."""
+    return assemble_features(columns_cloud(**columns), params)[:, 1:]
+
+
 class TestNormalization:
+    # spectral columns are float32: the values below are exact in it
     def test_percentile_endpoints_map_to_unit_interval(self):
-        rng = np.random.default_rng(0)
-        col = rng.normal(size=(5000, 1))
-        params = fit_normalization(col, ("a",))
-        out = apply_normalization(np.array([[params.lo[0]], [params.hi[0]]]), params)
+        # the percentiles of 0..100 are whole numbers
+        col = np.random.default_rng(0).permutation(101)
+        params = fit_config_normalization(columns_cloud(pndvi=col), ("pndvi",))
+        out = scaled(params, pndvi=[params.lo[0], params.hi[0]])
         assert out[0, 0] == 0.0 and out[1, 0] == 1.0
 
     def test_values_below_p1_clip_to_zero(self):
         rng = np.random.default_rng(1)
-        params = fit_normalization(rng.normal(size=(1000, 1)), ("a",))
-        out = apply_normalization(np.array([[-1e9]]), params)
-        assert out[0, 0] == 0.0
+        params = fit_config_normalization(columns_cloud(pndvi=rng.normal(size=1000)), ("pndvi",))
+        assert scaled(params, pndvi=[-1e9])[0, 0] == 0.0
 
     def test_uniform_midpoint(self):
         rng = np.random.default_rng(2)
-        params = fit_normalization(rng.uniform(0, 100, size=(20000, 1)), ("a",))
-        out = apply_normalization(np.array([[50.0]]), params)
-        assert out[0, 0] == pytest.approx(0.5, abs=0.02)
+        cloud = columns_cloud(pndvi=rng.uniform(0, 100, size=20000))
+        params = fit_config_normalization(cloud, ("pndvi",))
+        assert scaled(params, pndvi=[50.0])[0, 0] == pytest.approx(0.5, abs=0.02)
 
     def test_constant_column_warns_and_maps_to_half(self, caplog):
-        col = np.full((10, 1), 3.0)
+        col = np.full(10, 3.0)
         with caplog.at_level("WARNING"):
-            params = fit_normalization(col, ("flat",))
-        assert any("flat" in r.message for r in caplog.records)
-        out = apply_normalization(col, params)
-        assert np.all(out == 0.5)
+            params = fit_config_normalization(columns_cloud(pndvi=col), ("pndvi",))
+        assert any("pndvi" in r.message for r in caplog.records)
+        assert np.all(scaled(params, pndvi=col) == 0.5)
 
     def test_train_data_lands_in_unit_interval(self):
         rng = np.random.default_rng(3)
-        feats = rng.normal(size=(500, 3)) * [1, 10, 100]
-        params = fit_normalization(feats, ("a", "b", "c"))
-        out = apply_normalization(feats, params)
+        names = ("refl_green_db", "refl_nir_db", "pndvi")
+        cols = dict(zip(names, rng.normal(size=(3, 500)) * [[1], [10], [100]]))
+        params = fit_config_normalization(columns_cloud(**cols), names)
+        out = scaled(params, **cols)
         assert out.min() >= 0.0 and out.max() <= 1.0
 
     def test_unseen_data_still_clipped_to_unit_interval(self):
         rng = np.random.default_rng(4)
-        params = fit_normalization(rng.normal(size=(500, 2)), ("a", "b"))
-        out = apply_normalization(rng.normal(size=(200, 2)) * 50, params)
+        names = ("refl_green_db", "refl_nir_db")
+        train = columns_cloud(**dict(zip(names, rng.normal(size=(2, 500)))))
+        params = fit_config_normalization(train, names)
+        out = scaled(params, **dict(zip(names, rng.normal(size=(2, 200)) * 50)))
         assert out.min() >= 0.0 and out.max() <= 1.0
 
     def test_nan_imputed_with_training_median(self):
-        col = np.arange(101, dtype=float)[:, None]
-        params = fit_normalization(col, ("a",))
+        params = fit_config_normalization(columns_cloud(pndvi=np.arange(101)), ("pndvi",))
         assert params.impute[0] == 50.0
-        got = apply_normalization(np.array([[np.nan]]), params)
-        want = apply_normalization(np.array([[50.0]]), params)
-        assert got[0, 0] == want[0, 0]
+        assert scaled(params, pndvi=[np.nan])[0, 0] == scaled(params, pndvi=[50.0])[0, 0]
 
     def test_nan_excluded_from_percentiles(self):
         col = np.arange(101, dtype=float)
-        with_nan = np.concatenate((col, [np.nan] * 50))[:, None]
-        a = fit_normalization(col[:, None], ("a",))
-        b = fit_normalization(with_nan, ("a",))
+        with_nan = np.concatenate((col, [np.nan] * 50))
+        a = fit_config_normalization(columns_cloud(pndvi=col), ("pndvi",))
+        b = fit_config_normalization(columns_cloud(pndvi=with_nan), ("pndvi",))
         assert a.lo[0] == b.lo[0] and a.hi[0] == b.hi[0]
 
     def test_all_nan_column_rejected(self):
-        col = np.full((10, 1), np.nan)
-        with pytest.raises(DataError, match="no observed values"):
-            fit_normalization(col, ("a",))
+        cloud = columns_cloud(refl_nir_db=np.zeros(10), pndvi=np.full(10, np.nan))
+        with pytest.raises(DataError, match="'pndvi' holds no observed values"):
+            fit_config_normalization(cloud, ("refl_nir_db", "pndvi"))
 
-    def test_column_count_mismatch_rejected(self):
-        params = fit_normalization(np.random.default_rng(6).normal(size=(50, 2)), ("a", "b"))
-        with pytest.raises(DataError, match="does not match"):
-            apply_normalization(np.zeros((3, 3)), params)
+    @pytest.mark.parametrize("p_low, p_high", [(-1.0, 99.0), (1.0, 100.5), (50.0, 50.0)])
+    def test_bad_percentiles_are_config_errors(self, p_low, p_high):
+        # checked first: a cloud without the column, or one numpy would reject
+        with pytest.raises(ConfigError, match="p_low < p_high"):
+            fit_config_normalization(columns_cloud(pndvi=[1.0]), ("refl_green_db",),
+                                     p_low=p_low, p_high=p_high)
+
+    def test_matches_per_element_oracle(self):
+        """Each scaled value is the Python float arithmetic of one element:
+        NaN imputed, clipped, scaled, a constant column 0.5; bit for bit."""
+        rng = np.random.default_rng(5)
+        names = ("refl_green_db", "refl_nir_db", "pndvi")
+
+        def spectral(n):
+            cols = dict(zip(names, rng.normal(-8, 4, size=(3, n)).astype(np.float32)))
+            cols["pndvi"][:] = 0.375  # constant on the training split
+            for col in cols.values():
+                col[rng.random(n) < 0.3] = np.nan
+            return cols
+
+        params = fit_config_normalization(columns_cloud(**spectral(400)), names)
+        cols = spectral(300)
+        cols["refl_green_db"][:3] = (-1e6, 1e6, np.nan)
+        cloud = columns_cloud(**cols).with_column("h_norm", rng.uniform(0, 30, 300))
+        want = np.empty((300, 4))
+        want[:, 0] = cloud.h_norm
+        for j, name in enumerate(names):
+            lo, hi, impute = (float(a[j]) for a in (params.lo, params.hi, params.impute))
+            for i, v in enumerate(map(float, getattr(cloud, name))):
+                v = impute if v != v else v
+                want[i, 1 + j] = (min(max(v, lo), hi) - lo) / (hi - lo) if hi > lo else 0.5
+        got = assemble_features(cloud, params)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
 
 
 def spectral_cloud(n=50, seed=0):
@@ -230,5 +271,5 @@ class TestAssembleFeatures:
         assert FeatureConfig.from_name("xyz-green-nir") is FeatureConfig.XYZ_GREEN_NIR
         # a name is the full name: no XYZ_ prefix is added
         for name in ("bogus", "XYZ_KRYPTON", "", "  ", "pndvi", "green-nir"):
-            with pytest.raises(DataError, match="unknown feature config"):
+            with pytest.raises(ConfigError, match="unknown feature config"):
                 FeatureConfig.from_name(name)

@@ -43,6 +43,27 @@ def test_derived_columns_written_as_extra_attributes(tmp_path):
     np.testing.assert_array_equal(back.reflectance_db, cloud.h_norm)
 
 
+@pytest.mark.parametrize("axis", ["x", "y", "z"])
+def test_span_beyond_int32_steps_rejected_before_the_file_opens(tmp_path, axis):
+    cloud = las_cloud()
+    far = getattr(cloud, axis).copy()
+    far[0] = np.floor(far.min()) + 2147483.649  # one step past int32 at scale 0.001
+    path = tmp_path / "far.las"
+    path.write_bytes(b"earlier bytes")
+    with pytest.raises(DataError, match=f"{axis} spans 2147483.649 m"):
+        write_las(cloud.with_column(axis, far), path)
+    assert path.read_bytes() == b"earlier bytes"
+
+
+def test_span_of_int32_max_steps_round_trips(tmp_path):
+    cloud = las_cloud()
+    x = cloud.x.copy()
+    x[0] = np.floor(x.min()) + 2147483.647  # the last step int32 holds
+    path = tmp_path / "edge.las"
+    write_las(cloud.with_column("x", x), path)
+    np.testing.assert_allclose(read_las(path, channel="scanner").x, x, atol=0.0005 + 1e-9)
+
+
 def test_write_is_deterministic(tmp_path):
     cloud = las_cloud()
     p1, p2 = tmp_path / "a.las", tmp_path / "b.las"
