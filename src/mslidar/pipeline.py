@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .cloud import Channel, PointCloud, concat, worker_count
+from .cloud import Channel, PointCloud, worker_count
 from .columnar import (check_label_count, read_columnar, read_labels, write_columnar,
                        write_labels)
 from .csf import CsfParams, csf_ground
@@ -387,14 +387,22 @@ def stage_ingest(cfg: dict, las: PointCloud) -> tuple[dict, dict]:
 @stage("denoise", "statistical outlier removal (per channel)",
        IN, OUT, setting("sor.k"), setting("sor.n_sigma"))
 def stage_denoise(cfg: dict, cloud: PointCloud) -> tuple[dict, dict]:
+    """SOR over each channel against itself (the channels are independent
+    scans), reading only that channel's coordinates; the kept rows, grouped
+    by channel in ascending channel and id, are taken from the cloud once.
+    An empty cloud goes to sor_filter too, to be rejected there."""
     params = SorParams(**cfg["sor"])
-    # channels are independent scans: denoise each against itself; an
-    # empty cloud goes to sor_filter as it is, to be rejected there
-    parts = [cloud.take(cloud.channel == c) for c in np.unique(cloud.channel)] or [cloud]
     workers = worker_count(cfg["threads"])
-    kept, removed = zip(*(sor_filter(p, params, workers=workers) for p in parts))
-    result = concat(kept)
-    return {"out": result}, {"removed": sum(r.size for r in removed), "kept": result.count}
+    channels = (np.flatnonzero(cloud.channel == c) for c in np.unique(cloud.channel))
+    kept = []
+    for rows in channels if cloud.count else [np.arange(0)]:
+        coords = PointCloud(x=cloud.x[rows], y=cloud.y[rows], z=cloud.z[rows],
+                            channel=cloud.channel[rows])
+        kept.append(np.delete(rows, sor_filter(coords, params, workers=workers)[1]))
+    kept = np.concatenate(kept)
+    del rows, coords  # freed before the take: a lower peak
+    result = cloud.take(kept)
+    return {"out": result}, {"removed": cloud.count - result.count, "kept": result.count}
 
 
 def _one_cloud_or_both_channels(given: set[str]) -> None:

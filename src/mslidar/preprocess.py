@@ -12,7 +12,7 @@ import numpy as np
 
 from .cloud import (
     CELL_LIMIT, Channel, Label, PointCloud, build_index, concat, group_cells,
-    ordered_blocks,
+    ordered_blocks, row_blocks,
 )
 from .errors import ConfigError, DataError
 from .features import db_to_linear, linear_to_db
@@ -57,6 +57,7 @@ def sor_filter(
         # (or a coincident twin, which has the same distance, 0).
         d, _ = index.tree.query(index.points[ids], k=params.k + 1, workers=workers)
         mean_d[ids] = d[:, 1:].mean(axis=1)
+    del index, ids  # ids views the tree's leaf order: both freed before the take
     threshold = mean_d.mean() + params.n_sigma * mean_d.std()
     removed = np.nonzero(mean_d > threshold)[0].astype(np.int64)
     kept_mask = np.ones(cloud.count, dtype=bool)
@@ -173,6 +174,11 @@ def voxel_subsample(cloud: PointCloud, grid: float = 0.1) -> PointCloud:
     replaced by the voxel's majority label (tie: Tree, protecting the
     minority class). The voxel lattice is anchored at the coordinate
     origin, which makes the operation idempotent.
+
+    Beside the voxel grouping, the centroids and the output, it holds
+    block-sized temporaries only: the voxel-sorted rows are searched and
+    voted a block of whole voxels at a time (cloud.row_blocks), and the
+    grouping is freed before the one take of the survivors' rows.
     """
     if not grid > 0:
         raise ConfigError(f"voxel.grid must be positive, got {grid!r}")
@@ -187,32 +193,43 @@ def voxel_subsample(cloud: PointCloud, grid: float = 0.1) -> PointCloud:
     order, starts, inverse = _cubic_cells(cloud, grid)
     n_voxels = starts.shape[0]
     counts = np.diff(starts, append=cloud.count)
+    cx, cy, cz = (np.bincount(inverse, weights=c, minlength=n_voxels) / counts
+                  for c in (cloud.x, cloud.y, cloud.z))
+    del inverse
 
-    cx = np.bincount(inverse, weights=cloud.x, minlength=n_voxels) / counts
-    cy = np.bincount(inverse, weights=cloud.y, minlength=n_voxels) / counts
-    cz = np.bincount(inverse, weights=cloud.z, minlength=n_voxels) / counts
-    dist = (
-        (cloud.x - cx[inverse]) ** 2
-        + (cloud.y - cy[inverse]) ** 2
-        + (cloud.z - cz[inverse]) ** 2
-    )[order]
-    # Each voxel's rows run in ascending id, so its first row at the
-    # voxel's smallest distance is the lowest-id survivor.
-    hits = np.flatnonzero(dist == np.repeat(np.minimum.reduceat(dist, starts), counts))
-    keep = order[hits[np.searchsorted(hits, starts)]]
+    # A block is the voxels that start in one row_blocks block of the
+    # voxel-sorted rows; a voxel longer than the block lengthens it.
+    keep = np.empty(n_voxels, dtype=np.intp)
+    vote = np.empty(n_voxels, dtype=np.uint8) if cloud.has("label") else None
+    for rows in row_blocks(cloud.count):
+        lo, hi = np.searchsorted(starts, (rows.start, rows.stop))
+        if lo == hi:
+            continue
+        ids = order[starts[lo]:starts[hi] if hi < n_voxels else cloud.count]
+        local, sizes = starts[lo:hi] - starts[lo], counts[lo:hi]
+        dist = (
+            (cloud.x[ids] - np.repeat(cx[lo:hi], sizes)) ** 2
+            + (cloud.y[ids] - np.repeat(cy[lo:hi], sizes)) ** 2
+            + (cloud.z[ids] - np.repeat(cz[lo:hi], sizes)) ** 2
+        )
+        # Each voxel's rows run in ascending id, so its first row at the
+        # voxel's smallest distance is the lowest-id survivor.
+        hits = np.flatnonzero(dist == np.repeat(np.minimum.reduceat(dist, local), sizes))
+        first = hits[np.searchsorted(hits, local)]
+        keep[lo:hi] = ids[first]
+        if vote is not None:
+            labels = cloud.label[ids]
+            tree, nontree = (np.add.reduceat(labels == int(c), local, dtype=np.intp)
+                             for c in (Label.TREE, Label.NON_TREE))
+            block = labels[first]  # all-unlabeled voxels keep the survivor's label
+            block[tree >= np.maximum(nontree, 1)] = int(Label.TREE)
+            block[nontree > tree] = int(Label.NON_TREE)
+            vote[lo:hi] = block
+    # before the take, a lower peak (ids and sizes are views of order and counts)
+    del order, starts, counts, cx, cy, cz, ids, sizes
 
     out = cloud.take(keep)
-    if cloud.has("label"):
-        tree_votes = np.bincount(
-            inverse, weights=(cloud.label == int(Label.TREE)), minlength=n_voxels
-        )
-        nontree_votes = np.bincount(
-            inverse, weights=(cloud.label == int(Label.NON_TREE)), minlength=n_voxels
-        )
-        # out holds one row per voxel, in voxel order
-        vote = out.label.copy()  # all-unlabeled voxels keep the survivor's label
-        vote[tree_votes >= np.maximum(nontree_votes, 1)] = int(Label.TREE)
-        vote[nontree_votes > tree_votes] = int(Label.NON_TREE)
+    if vote is not None:
         out = out.with_column("label", vote)
     logger.info(
         "voxel subsample grid=%g: %d -> %d points", grid, cloud.count, out.count

@@ -2,8 +2,9 @@
 k-d tree is built.
 
 Every per-point pass (neighbour queries, SOR, merge, the cloth floor and
-ground flags, the DTM, height normalization) walks `cloud.row_blocks`,
-so patching `cloud.QUERY_ROWS` re-blocks all of them at once. Every
+ground flags, the DTM, height normalization, and the voxel survivor
+search and label votes of `subsample`) walks `cloud.row_blocks`, so
+patching `cloud.QUERY_ROWS` re-blocks all of them at once. Every
 neighbour query goes through `cloud.build_index`, the only place a tree
 is built, so patching the tree class it builds changes the tree under
 all of them. The 11 geometry stages, per-channel LAS in and LAS out,

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from mslidar import cloud as cloud_module
 from mslidar.cloud import Channel, Label, PointCloud, build_index, concat
 from mslidar.errors import ConfigError, DataError
+from mslidar.pipeline import load_config, stage_denoise
 from mslidar.preprocess import (
     SorParams, merge_channels, sor_filter, voxel_subsample,
 )
@@ -402,14 +403,38 @@ class TestVoxelSubsample:
         ))
         assert len(np.unique(keys, axis=0)) == out.count
 
-    def test_allocates_less_than_twelve_columns(self):
+    @pytest.mark.parametrize("rows", [1, 2, 3, 7])
+    def test_survivors_do_not_depend_on_block_edges(self, rows, monkeypatch):
+        """Voxels are searched in blocks of whole voxels cut at row_blocks
+        edges; with blocks of a few rows, voxels longer than a block and
+        voxels that straddle an edge choose the same survivors and votes."""
+        monkeypatch.setattr(cloud_module, "QUERY_ROWS", rows)
+        rng = np.random.default_rng(30 + rows)
+        for make in (random_cloud, tied_cloud):
+            for grid in (0.25, 0.5):  # about 1 and 9 rows per voxel
+                cloud = make(rng, n=300, extent=2.0)
+                cloud.label[rng.random(cloud.count) < 0.2] = int(Label.UNLABELED)
+                self.assert_rows_match_unique_oracle(cloud, grid)
+        # a single voxel of 40 rows, then the same voxel between small ones
+        inside = rng.uniform(0.01, 0.99, (40, 3))
+        one = channel_cloud(inside, rng.normal(size=40), 0).with_column(
+            "label", rng.integers(0, 2, 40).astype(np.uint8))
+        assert self.assert_rows_match_unique_oracle(one, 1.0).count == 1
+        xyz = np.vstack((rng.uniform(-3.0, 3.0, (30, 3)), inside))[rng.permutation(70)]
+        mixed = channel_cloud(xyz, rng.normal(size=70), 0).with_column(
+            "label", rng.integers(0, 2, 70).astype(np.uint8))
+        self.assert_rows_match_unique_oracle(mixed, 1.0)
+
+    def test_allocates_less_than_six_columns(self):
         """Besides the thinned cloud it returns, voxel_subsample over n
-        points allocates less than twelve float64 columns of n."""
+        points allocates less than six float64 columns of n: its
+        distances and votes are block-sized, and the cell grouping sets
+        the peak."""
         n = 1 << 17
         cloud = spread_cloud(n, 26)
         extra, out = traced_bytes_beyond_output(lambda: voxel_subsample(cloud, 0.5))
         assert n // 2 < out.count < n
-        assert extra < 12 * 8 * n
+        assert extra < 6 * 8 * n
 
     def test_invalid_grid_rejected(self):
         rng = np.random.default_rng(16)
@@ -436,3 +461,62 @@ class TestVoxelSubsample:
         ref = cloud.take(kept)
         ro = np.lexsort((ref.z, ref.y, ref.x))
         np.testing.assert_array_equal(out.xyz[po], ref.xyz[ro])
+
+
+class TestStageDenoise:
+    @staticmethod
+    def per_channel_copies(cloud, params):
+        """The output and extra of SOR over a copy of each channel (of the
+        cloud itself when it is empty), the kept copies concatenated in
+        ascending channel."""
+        copies = [cloud.take(cloud.channel == c) for c in np.unique(cloud.channel)]
+        parts = [sor_filter(copy, params) for copy in copies or [cloud]]
+        out = concat([kept for kept, _ in parts])
+        return out, {"removed": sum(r.size for _, r in parts), "kept": out.count}
+
+    def test_matches_sor_over_channel_copies(self):
+        """Channels interleaved row by row come out grouped by channel,
+        every column byte for byte as SOR over each channel's copy."""
+        cfg = load_config()
+        rng = np.random.default_rng(28)
+        for make in (random_cloud, tied_cloud):
+            cloud = make(rng, n=3000, extent=15.0)
+            cloud.channel[:] = np.arange(cloud.count) % 2
+            cloud = cloud.with_column("h_norm", rng.normal(size=cloud.count))
+            result, extra = stage_denoise(cfg, cloud)
+            ref, ref_extra = self.per_channel_copies(cloud, SorParams(**cfg["sor"]))
+            assert 0 < extra["removed"] and extra == ref_extra
+            cols, ref_cols = result["out"]._column_dict(), ref._column_dict()
+            assert list(cols) == list(ref_cols)
+            for name, col in cols.items():
+                assert col.dtype == ref_cols[name].dtype
+                assert col.tobytes() == ref_cols[name].tobytes(), name
+
+    def test_empty_cloud_and_small_channel_raise_as_before(self):
+        cfg = load_config()
+        rng = np.random.default_rng(29)
+        empty = random_cloud(rng, n=0)
+        small = random_cloud(rng, n=106)
+        small.channel[:] = 0
+        small.channel[::20] = 1  # six points, k = 6
+        for cloud in (empty, small):
+            with pytest.raises(DataError) as expected:
+                self.per_channel_copies(cloud, SorParams(**cfg["sor"]))
+            with pytest.raises(DataError) as raised:
+                stage_denoise(cfg, cloud)
+            assert str(raised.value) == str(expected.value)
+            assert str(raised.value).endswith(f"cloud has {6 if cloud.count else 0}")
+
+    def test_allocates_less_than_three_columns(self, monkeypatch):
+        """Besides the denoised cloud it returns, stage_denoise over n
+        points of two channels allocates less than three float64 columns
+        of n: it copies only one channel's coordinates at a time, and
+        takes the kept rows from its input once."""
+        import scipy.spatial  # noqa: F401  (imported before tracing starts)
+
+        monkeypatch.setattr(cloud_module, "QUERY_ROWS", 1024)  # blocks << n
+        n = 1 << 17
+        cloud, cfg = spread_cloud(n, 27), load_config()
+        extra, out = traced_bytes_beyond_output(lambda: stage_denoise(cfg, cloud)[0]["out"])
+        assert n // 2 < out.count < n and set(np.unique(out.channel)) == {0, 1}
+        assert extra < 3 * 8 * n
