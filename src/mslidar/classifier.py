@@ -189,7 +189,8 @@ def _stats_matrices(cloud, recipes, neighborhood, workers) -> Iterator[np.ndarra
 
     Scaling and statistics work column by column, so each recipe gets its
     columns of the union's matrix, bit for bit those of the recipe alone:
-    the matrix itself when it holds every union column, else a copy. The
+    the matrix itself when it holds every union column, else a C-ordered
+    copy of its columns, which `train` and `predict` use as they are. The
     union is dropped before the last recipe's matrix is handed out."""
     scaling = {}  # union column -> its (lo, hi, impute), which every recipe must share
     for params in (p for _, p in recipes if p is not None):
@@ -206,7 +207,7 @@ def _stats_matrices(cloud, recipes, neighborhood, workers) -> Iterator[np.ndarra
     for i, (fconfig, _) in enumerate(recipes):
         at = [1 + union.index(c) for c in fconfig.spectral_columns]
         cols = [0, *at, *(d + 2 * a + b - 2 for a in at for b in (0, 1)), 3 * d - 2, 3 * d - 1]
-        matrix = stats if len(at) == len(union) else stats[:, cols]
+        matrix = stats if len(at) == len(union) else stats.take(cols, axis=1)
         if i == len(recipes) - 1:
             del stats
         yield matrix

@@ -188,11 +188,14 @@ def concat(clouds: Sequence[PointCloud]) -> PointCloud:
 
 
 # Query rows per block of every neighbor pass with up to BLOCK_K values per
-# row; past that, blocks shrink in proportion to k. Rows are independent,
-# so blocking changes no result, and the (rows, k) temporaries stay a few
-# MB instead of growing with the cloud or with k.
+# row; past that, blocks shrink in proportion to k, so a block holds at most
+# QUERY_ROWS * BLOCK_K values per (rows, k) array. Every default k but the
+# neighbourhood graph's 16 (SOR 6 + 1, merge 7, DTM 8) keeps full blocks;
+# the graph's blocks are half size. Rows are independent, so blocking
+# changes no result, and the (rows, k) temporaries stay a few MB instead
+# of growing with the cloud or with k.
 QUERY_ROWS = 1 << 15
-BLOCK_K = 16
+BLOCK_K = 8
 
 
 def worker_count(threads: int | None) -> int:
@@ -265,7 +268,12 @@ def group_cells(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     del ranked, key, keys  # the packed key too: freed before the cumsum, a lower peak
     starts = np.flatnonzero(new)
     inverse = np.empty(n, dtype=np.intp)
-    inverse[order] = np.cumsum(new) - 1
+    # the one n-sized temporary beside the result: a cumsum of the bools
+    # themselves would add a full-size cast buffer
+    run = new.astype(np.intp)
+    np.cumsum(run, out=run)
+    run -= 1
+    inverse[order] = run
     return order, starts, inverse
 
 

@@ -33,7 +33,8 @@ worker count nor on OPENBLAS_NUM_THREADS.
 A pass reads its input in the model dtype and takes each shard as a view
 of it: the float32 feature matrix that `train` and a prediction receive
 is used as it is, and an input of another dtype is converted once, on
-entry.
+entry. `train` gathers each batch's rows from it by the epoch's
+permutation, so a batch, not the whole set, is what an epoch copies.
 Each worker has its own workspace of activation, backward-delta,
 ReLU-mask and gradient buffers of SHARD_ROWS rows, so a pass allocates no
 (rows x hidden) temporaries and, on input in the model dtype, its
@@ -382,22 +383,26 @@ def train(
     loss_curve[0] is the pre-training loss over the full set; entry e+1
     is the running weighted mean over epoch e's batches. Every pass runs
     on one crew of at most `workers` workers, one per shard of a batch.
-    A C-contiguous DTYPE `features` matrix, as `neighborhood_stats` makes,
-    is trained on as it is, with no copy; other input is converted once.
+    A C-contiguous DTYPE `features` matrix, as `neighborhood_stats` and
+    `fit` make, is trained on as it is, with no copy; other input is
+    converted once. The labels are checked as given and held as uint8.
+    Each batch is gathered from the epoch's permutation as it is trained
+    on, so no epoch copies the whole set.
     A network that would hold more than BYTE_LIMIT bytes (_train_bytes)
     is refused with a ConfigError naming train.hidden.
     Bit-identical results for identical inputs and seed, whatever the
     worker count and the BLAS thread count.
     """
     x = np.ascontiguousarray(features, dtype=DTYPE)
-    y = np.ascontiguousarray(labels).astype(np.int64)
+    y = np.asarray(labels)
     if x.ndim != 2:
         raise DataError("features must be an (n, d) matrix")
     if y.shape[0] != x.shape[0]:
         raise DataError("labels and features disagree on point count")
     if not np.all((y == 0) | (y == 1)):
         raise DataError("training labels must be binary 0/1")
-    if np.unique(y).size < 2:
+    y = y.astype(np.uint8, copy=False)
+    if not 0 < np.count_nonzero(y) < y.size:
         raise DataError("training set must contain both classes")
     n, bs = x.shape[0], config.batch_size
     workers = min(workers, _shards(min(n, bs)))
@@ -423,17 +428,14 @@ def train(
         curve = [model.loss(x, y, class_weights, workers=team)]
         rng = np.random.default_rng(config.seed)
         t = 0
-        xs = np.empty_like(x)
-        ys = np.empty_like(y)
         for epoch in range(config.epochs):
             order = rng.permutation(n)
-            np.take(x, order, axis=0, out=xs)
-            np.take(y, order, out=ys)
             epoch_loss = 0.0
             epoch_weight = 0.0
             for start in range(0, n, bs):
-                xb = xs[start : start + bs]
-                loss, _ = model.loss_and_grads(xb, ys[start : start + bs], class_weights, out=g,
+                rows = order[start : start + bs]
+                xb = x.take(rows, axis=0)  # numpy's take gathers rows faster than x[rows]
+                loss, _ = model.loss_and_grads(xb, y.take(rows), class_weights, out=g,
                                                workers=team)
                 if not np.isfinite(loss):
                     raise NumericError(

@@ -11,7 +11,7 @@ from mslidar.classifier import (
     Model, classify, compute_class_weights, fit, height_threshold_postprocess, load_checkpoint,
     neighborhood_graph, neighborhood_stats, predict, save_checkpoint,
 )
-from mslidar.cloud import QUERY_ROWS, Label, PointCloud, build_index
+from mslidar.cloud import QUERY_ROWS, Label, PointCloud, build_index, row_blocks
 from mslidar.columnar import check_label_count, read_labels
 from mslidar.errors import DataError, NumericError
 from mslidar.evaluation import run_ablation
@@ -154,6 +154,8 @@ class TestTraining:
         x, y = separable_toy(n=20)
         with pytest.raises(DataError, match="binary"):
             train(x, y + 3, (1, 1), TrainConfig(epochs=1))
+        with pytest.raises(DataError, match="binary"):  # checked as given, not truncated
+            train(x, y + 0.25, (1, 1), TrainConfig(epochs=1))
         with pytest.raises(DataError, match="both classes"):
             train(x, np.zeros(20, np.uint8), (1, 1), TrainConfig(epochs=1))
         with pytest.raises(DataError, match="point count"):
@@ -334,9 +336,10 @@ class TestNeighborhood:
             neighborhood_stats(np.zeros((5, 1)), [(slice(0, 4), np.zeros((4, 2), np.int64))])
 
     def test_fit_never_holds_an_n_by_k_id_array(self, monkeypatch):
-        """fit on a cloud of four query blocks asks the kernel for one block
-        of ids at a time, and each block is dropped before the next query,
-        so no (n, k) id array ever exists, as a whole or as kept blocks."""
+        """fit on a cloud of several query blocks asks the kernel for one
+        block of ids at a time, and each block is dropped before the next
+        query, so no (n, k) id array ever exists, as a whole or as kept
+        blocks."""
         n = 4 * QUERY_ROWS
         rng = np.random.default_rng(25)
         cloud = random_cloud(rng, n=n, extent=(4.0 * n) ** (1 / 3))
@@ -351,8 +354,9 @@ class TestNeighborhood:
             return ids
 
         monkeypatch.setattr(cloud_module.SpatialIndex, "knn_batch", spy)
-        fit(cloud, [FeatureConfig.XYZ], load_config(overrides={"train.epochs": 1}))
-        assert len(blocks) == 4
+        cfg = load_config(overrides={"train.epochs": 1})
+        fit(cloud, [FeatureConfig.XYZ], cfg)
+        assert len(blocks) == len(list(row_blocks(n, cfg["neighborhood"]["k"]))) > 1
         assert max(held) <= 1
 
 
@@ -429,10 +433,28 @@ class TestSharedPass:
                 assert matrix.shape == alone.shape
                 np.testing.assert_array_equal(matrix.view(np.uint32), alone.view(np.uint32))
 
+    def test_train_gets_c_ordered_model_dtype_matrices(self, monkeypatch):
+        """The paper's ablation configs each take some of the union's
+        columns; each gets them as a C-contiguous DTYPE matrix, which
+        `train` trains on without a copy."""
+        rng = np.random.default_rng(31)
+        cloud = labelled_cloud(rng, 240, spectral=True)
+        layouts = []
+
+        def spy_train(features, *args, **kwargs):
+            layouts.append((features.flags.c_contiguous, features.dtype))
+            return train(features, *args, **kwargs)
+
+        monkeypatch.setattr(classifier, "train", spy_train)
+        fconfigs = (FeatureConfig.XYZ, FeatureConfig.XYZ_PNDVI, FeatureConfig.XYZ_GREEN_NIR)
+        fit(cloud, fconfigs, load_config(overrides={"train.epochs": 1}))
+        assert layouts == [(True, DTYPE)] * 3
+
     def test_ablation_queries_each_cloud_once_one_block_at_a_time(self, monkeypatch):
-        """Two configs over a train cloud of four query blocks and a test
-        cloud of two: six kernel calls, each block dropped before the next
-        query, so the ablation holds no cloud's id blocks."""
+        """Two configs over a train cloud of 4 * QUERY_ROWS points and a
+        test cloud of half that: one kernel call per graph block of each
+        cloud, each block dropped before the next query, so the ablation
+        holds no cloud's id blocks."""
         rng = np.random.default_rng(28)
         train_cloud = labelled_cloud(rng, 4 * QUERY_ROWS).with_column(
             "pndvi", rng.uniform(-1, 1, 4 * QUERY_ROWS).astype(np.float32))
@@ -448,11 +470,13 @@ class TestSharedPass:
             return ids
 
         monkeypatch.setattr(cloud_module.SpatialIndex, "knn_batch", spy)
+        cfg = load_config(overrides={"train.epochs": 1})
         reports = run_ablation(train_cloud, test_cloud,
-                               (FeatureConfig.XYZ, FeatureConfig.XYZ_PNDVI),
-                               load_config(overrides={"train.epochs": 1}))
+                               (FeatureConfig.XYZ, FeatureConfig.XYZ_PNDVI), cfg)
         assert list(reports) == [FeatureConfig.XYZ, FeatureConfig.XYZ_PNDVI]
-        assert len(blocks) == 6
+        k = cfg["neighborhood"]["k"]
+        assert len(blocks) == sum(len(list(row_blocks(n, k))) for n in (4 * QUERY_ROWS,
+                                                                          2 * QUERY_ROWS))
         assert max(held) <= 1
 
     def test_no_configs_train_and_classify_nothing(self):

@@ -14,7 +14,7 @@ from mslidar.classifier import neighborhood_graph
 from mslidar.errors import DataError
 from mslidar.pipeline import load_config
 
-from conftest import brute_knn, brute_radius, random_cloud, tied_cloud
+from conftest import brute_knn, brute_radius, peak_traced_bytes, random_cloud, tied_cloud
 
 
 def make_cloud(n=5, **extra):
@@ -177,9 +177,11 @@ class TestSpatialIndex:
                 assert got.dtype == np.int32
                 np.testing.assert_array_equal(got, oracle_rows(index, cloud, qs, k, r))
 
-    def test_block_rows_shrink_in_proportion_to_k_past_16(self, monkeypatch):
+    def test_block_rows_shrink_in_proportion_to_k_past_block_k(self, monkeypatch):
         monkeypatch.setattr(cloud_module, "QUERY_ROWS", 64)
-        for k, size in ((1, 64), (16, 64), (17, 60), (32, 32), (1024, 1), (10**9, 1)):
+        bk = cloud_module.BLOCK_K
+        for k, size in ((1, 64), (bk, 64), (bk + 1, 64 * bk // (bk + 1)), (2 * bk, 32),
+                        (4 * bk, 16), (64 * bk, 1), (10**9, 1)):
             blocks = list(row_blocks(200, k))
             assert [(b.start, b.stop) for b in blocks] == [
                 (lo, lo + size) for lo in range(0, 200, size)], k
@@ -361,6 +363,23 @@ class TestGroupCells:
         for a, b in zip(packed, fallback):
             assert a.dtype == b.dtype == np.intp
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("packed", [True, False])
+    def test_holds_one_int64_column_beside_its_inputs_and_results(self, packed, monkeypatch):
+        """Beside the key columns given and the (order, starts, inverse)
+        it returns, grouping holds at most one more int64 column and its
+        bool flags: the packed key or the sorted key it scans, then the
+        running cell count. One more, as a cumsum over the bools and its
+        less-one copy made, is 2.1 columns."""
+        n = 200_000
+        rng = np.random.default_rng(16)
+        keys = [rng.integers(-4, 4, n) for _ in range(3)]  # 512 cells: starts stays small
+        if not packed:
+            monkeypatch.setattr(cloud_module.math, "prod", lambda spans: 2 ** 63)
+        got = []
+        peak = peak_traced_bytes(lambda: got.append(group_cells(*keys)))
+        extra = peak - sum(a.nbytes for a in got[0])
+        assert extra < 1.5 * 8 * n
 
 
 def test_threads_above_the_usable_cpus_start_no_more_threads(monkeypatch):

@@ -130,6 +130,16 @@ LAS_DAMAGE = {
     "overflowing-scale": lambda raw: raw[:131] + struct.pack("<d", 1e308) + raw[139:],
     "asprs-class-code": lambda raw: raw[:_point_offset(raw) + 16] + b"\x02"
     + raw[_point_offset(raw) + 17:],
+    "version-1.5": lambda raw: raw[:25] + b"\x05" + raw[26:],
+    "point-format-11": lambda raw: raw[:104] + b"\x0b" + raw[105:],
+    "zero-points": lambda raw: raw[:107] + struct.pack("<I", 0) + raw[111:247]
+    + struct.pack("<Q", 0) + raw[255:],
+    "record-too-short": lambda raw: raw[:105] + struct.pack("<H", 20) + raw[107:],
+    # format 1 has no scanner-channel bits for `--channel scanner` to read
+    "scanner-on-format-1": lambda raw: raw[:104] + b"\x01" + raw[105:],
+    # the first point's scanner channel (flags bits 4-5) set to 3
+    "channel-bits-3": lambda raw: raw[:_point_offset(raw) + 15]
+    + bytes([raw[_point_offset(raw) + 15] | 0x30]) + raw[_point_offset(raw) + 16:],
 }
 
 

@@ -259,6 +259,17 @@ def test_train_crew_holds_at_most_the_shards_of_one_batch(monkeypatch):
     assert sizes == [2]
 
 
+def test_train_holds_less_than_a_copy_of_its_features():
+    """An epoch gathers each batch's rows by its permutation and the
+    labels are held as uint8, so beside its inputs `train` holds less
+    than one more feature matrix; a shuffled copy of the set held three."""
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(200_000, 12)).astype(np.float32)
+    y = rng.integers(0, 2, x.shape[0])
+    cfg = TrainConfig(epochs=1, hidden=(64, 64))
+    assert peak_traced_bytes(lambda: train(x, y, (0.7, 1.3), cfg)) < x.nbytes
+
+
 def test_head_starts_at_zero_after_the_hidden_glorot_draws():
     # the hidden layers are the generator's Glorot draws, in order; the
     # head is exactly zero, so every first margin is 0
