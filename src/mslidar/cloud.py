@@ -9,15 +9,16 @@ merging) are encoded as NaN.
 :class:`SpatialIndex` wraps a k-d tree over an (m, d) coordinate array
 behind one batch query, :meth:`SpatialIndex.knn_batch`, whose every row
 is identical to a brute-force scan, ties broken by lower point id. It is
-the one neighbor kernel: SOR, merge, the neighborhood graph and the DTM
-(in XY) all build it with :func:`build_index`, the only place a tree is
-built, so no result depends on how the tree is built. The build is
+the one neighbor kernel: merge, the neighborhood graph and the DTM (in
+XY) query it for neighbor ids. SOR reads only distances, scipy's own
+from ``index.tree.query``, which do not depend on how ties are ordered.
+All four build the index with :func:`build_index`, the only place a tree
+is built, so no result depends on how the tree is built. The build is
 scipy's sliding-midpoint rule (``balanced_tree=False``), chosen by
 measurement: it builds in about half the time of the median split and
-queries no slower. The kernel answers exactly the rows it is given, and
-every neighbor pass hands it one :func:`row_blocks` block at a time,
-whose size shrinks as k grows, so a block's (rows, k) arrays stay a few
-MB whatever k is.
+queries no slower. Every neighbor pass queries one :func:`row_blocks`
+block of rows at a time, whose size shrinks as k grows, so a block's
+(rows, k) arrays stay a few MB whatever k is.
 
 :func:`group_cells` groups points by integer cell (voxel, tile, query
 cell) with one stable sort, of one packed int64 key where the key spans
@@ -161,8 +162,13 @@ class PointCloud:
         if self.has("label"):
             if not np.all((self.label <= Label.TREE) | (self.label == Label.UNLABELED)):
                 raise DataError("label column contains undefined class values")
-        if self.has("h_norm") and not np.all(np.isfinite(self.h_norm)):
-            raise DataError("h_norm column contains non-finite values")
+        for name in ("reflectance_db", "h_norm"):
+            if self.has(name) and not np.all(np.isfinite(getattr(self, name))):
+                raise DataError(f"{name} column contains non-finite values")
+        # NaN marks a missing cross-channel value; an infinite one is no dB value
+        for name in ("refl_green_db", "refl_nir_db"):
+            if self.has(name) and np.isinf(getattr(self, name)).any():
+                raise DataError(f"{name} column contains infinite values")
         if self.has("pndvi"):
             vals = self.pndvi[~np.isnan(self.pndvi)]
             if vals.size and (vals.min() < -1.0 or vals.max() > 1.0):

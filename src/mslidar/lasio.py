@@ -90,16 +90,17 @@ def read_las(
             formats 6-8 only, as written by write_las).
         reflectance_source: "intensity" or the name of an extra-bytes
             attribute; its values are copied verbatim to reflectance_db,
-            so the field must already hold decibels.
+            so the field must already hold decibels, every one finite.
         label_source: "classification" to copy the classification byte
             into the label column, or None to leave labels absent.
 
     Raises:
         DataError: malformed or truncated header, a zero or non-finite
             scale or a non-finite offset, zero points, missing reflectance
-            field, or a cloud that breaks a PointCloud invariant (so
-            ingest never writes an MST1 file its reader rejects); each
-            with a distinct message naming the file.
+            field, or a cloud that breaks a PointCloud invariant, such as
+            a non-finite reflectance or an infinite refl_green_db or
+            refl_nir_db (so ingest never writes an MST1 file its reader
+            rejects); each with a distinct message naming the file.
     """
     path = Path(path)
     try:
@@ -313,4 +314,4 @@ def write_las(
     with path.open("wb") as fh:
         fh.write(hdr)
         fh.write(vlrs)
-        fh.write(rec.tobytes())
+        fh.write(rec)  # the record array's own buffer, not a bytes copy of it

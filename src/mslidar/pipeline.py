@@ -388,17 +388,18 @@ def stage_ingest(cfg: dict, las: PointCloud) -> tuple[dict, dict]:
        IN, OUT, setting("sor.k"), setting("sor.n_sigma"))
 def stage_denoise(cfg: dict, cloud: PointCloud) -> tuple[dict, dict]:
     """SOR over each channel against itself (the channels are independent
-    scans), reading only that channel's coordinates; the kept rows, grouped
-    by channel in ascending channel and id, are taken from the cloud once.
-    An empty cloud goes to sor_filter too, to be rejected there."""
+    scans), on an (n_c, 3) copy of that channel's coordinates; the kept
+    rows, grouped by channel in ascending channel and id, are taken from
+    the cloud once. An empty cloud goes to sor_filter too, to be rejected."""
     params = SorParams(**cfg["sor"])
     workers = worker_count(cfg["threads"])
     channels = (np.flatnonzero(cloud.channel == c) for c in np.unique(cloud.channel))
     kept = []
     for rows in channels if cloud.count else [np.arange(0)]:
-        coords = PointCloud(x=cloud.x[rows], y=cloud.y[rows], z=cloud.z[rows],
-                            channel=cloud.channel[rows])
-        kept.append(np.delete(rows, sor_filter(coords, params, workers=workers)[1]))
+        coords = np.empty((rows.size, 3))
+        for j, col in enumerate((cloud.x, cloud.y, cloud.z)):
+            coords[:, j] = col[rows]
+        kept.append(rows[sor_filter(coords, params, workers=workers)[0]])
     kept = np.concatenate(kept)
     del rows, coords  # freed before the take: a lower peak
     result = cloud.take(kept)

@@ -6,7 +6,7 @@ against brute-force oracles.
 """
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,21 +35,21 @@ class SorParams:
 
 
 def sor_filter(
-    cloud: PointCloud, params: SorParams = SorParams(), workers: int = 1
-) -> tuple[PointCloud, np.ndarray]:
-    """Remove statistical outliers.
+    points: np.ndarray, params: SorParams = SorParams(), workers: int = 1
+) -> tuple[np.ndarray, np.ndarray]:
+    """Remove statistical outliers from an (n, 3) float64 coordinate array.
 
     For every point, d_i is the mean distance to its k nearest other
     points. Points with d_i strictly above mean(d) + n_sigma*std(d)
-    (population std over all d_i) are removed. Returns the kept cloud
-    and the removed original ids; kept and removed partition the input.
+    (population std over all d_i) are removed. Returns (kept, removed),
+    ascending row ids that together cover every row. The distances are
+    scipy's own, which do not depend on how ties are ordered.
     """
-    if cloud.count <= params.k:
-        raise DataError(
-            f"SOR needs more than k={params.k} points, cloud has {cloud.count}"
-        )
-    index = build_index(cloud.xyz)
-    mean_d = np.empty(cloud.count, dtype=np.float64)
+    n = len(points)
+    if n <= params.k:
+        raise DataError(f"SOR needs more than k={params.k} points, cloud has {n}")
+    index = build_index(points)
+    mean_d = np.empty(n, dtype=np.float64)
     # Points are visited in the tree's leaf order, so neighbouring queries
     # walk the same nodes; each row's distances depend on that row alone.
     for ids in ordered_blocks(index.tree.indices, params.k + 1):
@@ -57,16 +57,14 @@ def sor_filter(
         # (or a coincident twin, which has the same distance, 0).
         d, _ = index.tree.query(index.points[ids], k=params.k + 1, workers=workers)
         mean_d[ids] = d[:, 1:].mean(axis=1)
-    del index, ids  # ids views the tree's leaf order: both freed before the take
-    threshold = mean_d.mean() + params.n_sigma * mean_d.std()
-    removed = np.nonzero(mean_d > threshold)[0].astype(np.int64)
-    kept_mask = np.ones(cloud.count, dtype=bool)
-    kept_mask[removed] = False
+    del index, ids  # ids views the tree's leaf order: both freed before the row ids
+    outlier = mean_d > mean_d.mean() + params.n_sigma * mean_d.std()
+    kept, removed = np.flatnonzero(~outlier), np.flatnonzero(outlier)
     logger.info(
         "SOR removed %d of %d points (k=%d, n_sigma=%g)",
-        removed.size, cloud.count, params.k, params.n_sigma,
+        removed.size, n, params.k, params.n_sigma,
     )
-    return cloud.take(kept_mask), removed
+    return kept, removed
 
 
 def _reach(cloud: PointCloud) -> float:
@@ -130,7 +128,8 @@ def merge_channels(
     cross-channel one interpolated from the up-to-k nearest points of the
     other cloud within `radius` (arithmetic mean in the linear domain,
     stored back in dB). Points with no cross-channel neighbor carry NaN
-    in that column.
+    in that column. The merged cloud is the green rows, then the nir rows,
+    each with every column its input has.
     """
     if not radius > 0:
         raise ConfigError(f"merge.radius must be positive, got {radius!r}")
@@ -143,18 +142,15 @@ def merge_channels(
         if not np.all(cloud.channel == int(chan)):
             raise DataError(f"{name} cloud contains points of the other channel")
 
-    green_own = green.reflectance_db
-    nir_own = nir.reflectance_db
     green_cross_nir = _cross_channel_db(green, nir, radius, k, workers)
     nir_cross_green = _cross_channel_db(nir, green, radius, k, workers)
-
-    g = green.with_column("refl_green_db", green_own).with_column(
-        "refl_nir_db", green_cross_nir
+    # an input's own cross-channel columns are replaced, whether or not the other has them
+    merged = replace(
+        concat([replace(c, refl_green_db=None, refl_nir_db=None)
+                for c in (green, nir)]),
+        refl_green_db=np.concatenate((green.reflectance_db, nir_cross_green)),
+        refl_nir_db=np.concatenate((green_cross_nir, nir.reflectance_db)),
     )
-    n = nir.with_column("refl_green_db", nir_cross_green).with_column(
-        "refl_nir_db", nir_own
-    )
-    merged = concat([g, n])
     n_missing = int(
         np.isnan(merged.refl_green_db).sum() + np.isnan(merged.refl_nir_db).sum()
     )

@@ -22,13 +22,12 @@ SPLIT_NAMES = ("train", "val", "test")
 
 @dataclass(frozen=True)
 class PlotSplit:
-    """Tile-to-split assignment plus per-point split indices."""
+    """The tiles and the split index of every point. A tile's id is
+    floor((x - x0) / tile_size), floor((y - y0) / tile_size), where
+    (x0, y0) are the cloud's x and y minima."""
 
-    tile_size: float
-    origin: tuple[float, float]
     tile_ids: np.ndarray        # (t, 2) integer tile coordinates
-    tile_split: np.ndarray      # (t,) split index per tile, 0/1/2
-    point_split: np.ndarray     # (n,) split index per point
+    point_split: np.ndarray     # (n,) split index per point, 0/1/2
     target_ratios: tuple[float, float, float]
     achieved_ratios: tuple[float, float, float]
     single_split: bool
@@ -107,8 +106,7 @@ def split_plots(
     point_split = tile_split[inverse]
     achieved = tuple(float(assigned[i] / total) for i in range(3))
     result = PlotSplit(
-        tile_size=tile_size, origin=(x0, y0), tile_ids=tile_ids,
-        tile_split=tile_split, point_split=point_split,
+        tile_ids=tile_ids, point_split=point_split,
         target_ratios=ratios, achieved_ratios=achieved, single_split=single,
     )
     logger.info(result.summary())

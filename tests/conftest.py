@@ -182,8 +182,8 @@ def prepared_scene(tiny_scene):
     cloud = tiny_scene
     g = cloud.take(cloud.channel == 0)
     n = cloud.take(cloud.channel == 1)
-    gk, _ = preprocess.sor_filter(g)
-    nk, _ = preprocess.sor_filter(n)
+    gk = g.take(preprocess.sor_filter(g.xyz)[0])
+    nk = n.take(preprocess.sor_filter(n.xyz)[0])
     merged = preprocess.merge_channels(gk, nk)
     merged = merged.with_column("ground_flag", csf.csf_ground(merged, csf.CsfParams()))
     grid = dtm.build_dtm(merged)

@@ -88,7 +88,7 @@ def test_oracle_equivalence_against_brute_force():
         cloud = _trial_cloud(rng, trial, int(rng.integers(50, 1501)), extent=10.0)
         params = SorParams(k=int(rng.integers(3, 9)),
                            n_sigma=float(rng.choice([0.5, 1.0, 2.0])))
-        _, removed = sor_filter(cloud, params)
+        _, removed = sor_filter(cloud.xyz, params)
         if not np.array_equal(removed, brute_sor_removed(cloud.xyz, params.k,
                                                          params.n_sigma)):
             mismatches += 1

@@ -108,6 +108,22 @@ def test_non_finite_mst1_coordinate(cloud, tmp_path, capsys, column, value):
     _rejects(path, capsys, "subsample")
 
 
+@pytest.mark.parametrize("column, value", [
+    ("reflectance_db", np.nan), ("reflectance_db", -np.inf),
+    ("refl_green_db", np.inf), ("refl_nir_db", -np.inf),
+])
+def test_non_finite_mst1_reflectance(cloud, tmp_path, capsys, column, value):
+    # NaN marks a missing cross-channel value (every refl_green_db here), never
+    # an own-channel one; no dB value is infinite
+    merged = dataclasses.replace(cloud, refl_green_db=np.full(N, np.nan, np.float32),
+                                 refl_nir_db=np.zeros(N, np.float32))
+    values = getattr(merged, column).copy()
+    values[3] = value
+    path = tmp_path / "c.mst"
+    write_columnar(dataclasses.replace(merged, **{column: values}), path)
+    _rejects(path, capsys, "subsample")
+
+
 # write_las gives a LAS 1.4 header of 375 bytes, then one extra-bytes VLR
 # (a 54-byte record header and 192 bytes per attribute), then the points.
 HEADER, VLR_HEADER = 375, 54
@@ -140,6 +156,11 @@ LAS_DAMAGE = {
     # the first point's scanner channel (flags bits 4-5) set to 3
     "channel-bits-3": lambda raw: raw[:_point_offset(raw) + 15]
     + bytes([raw[_point_offset(raw) + 15] | 0x30]) + raw[_point_offset(raw) + 16:],
+    # the first point's "reflectance", the float32 after the 30-byte fixed record
+    "nan-reflectance": lambda raw: raw[:_point_offset(raw) + 30]
+    + struct.pack("<f", np.nan) + raw[_point_offset(raw) + 34:],
+    "inf-reflectance": lambda raw: raw[:_point_offset(raw) + 30]
+    + struct.pack("<f", np.inf) + raw[_point_offset(raw) + 34:],
 }
 
 

@@ -5,7 +5,7 @@ from mslidar.cloud import Channel, Label, PointCloud
 from mslidar.errors import DataError
 from mslidar.lasio import read_las, write_las
 
-from conftest import random_cloud
+from conftest import peak_traced_bytes, random_cloud
 
 
 def las_cloud(n=40, seed=2):
@@ -70,6 +70,16 @@ def test_write_is_deterministic(tmp_path):
     write_las(cloud, p1)
     write_las(cloud, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_write_holds_its_record_array_once(tmp_path):
+    """write_las writes the records from their own array: it allocates less
+    than twice their bytes, which a bytes copy of them would take."""
+    cloud = las_cloud(n=1 << 17)
+    record_bytes = cloud.count * (30 + 4)  # format 6 and the reflectance float
+    peak = peak_traced_bytes(lambda: write_las(cloud, tmp_path / "big.las"))
+    assert (tmp_path / "big.las").stat().st_size > record_bytes
+    assert peak < 2 * record_bytes
 
 
 def test_fixed_channel_override(tmp_path):

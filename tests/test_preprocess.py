@@ -59,16 +59,16 @@ class TestSor:
         xyz = np.column_stack((gx.ravel(), gy.ravel(), np.zeros(100)))
         xyz = np.vstack((xyz, [100.0, 100.0, 0.0]))
         cloud = channel_cloud(xyz, np.zeros(101), 0)
-        kept, removed = sor_filter(cloud, SorParams(k=6, n_sigma=1.0))
+        kept, removed = sor_filter(cloud.xyz, SorParams(k=6, n_sigma=1.0))
         assert removed.tolist() == [100]
-        assert kept.count == 100
+        assert kept.tolist() == list(range(100))
 
     def test_unreachable_threshold_removes_nothing(self):
         rng = np.random.default_rng(0)
         cloud = random_cloud(rng, n=80)
-        kept, removed = sor_filter(cloud, SorParams(k=6, n_sigma=1e9))
+        kept, removed = sor_filter(cloud.xyz, SorParams(k=6, n_sigma=1e9))
         assert removed.size == 0
-        assert kept.count == cloud.count
+        np.testing.assert_array_equal(kept, np.arange(cloud.count))
 
     def test_cube_vertices_remove_nothing(self):
         # every vertex has the identical neighbor-distance multiset
@@ -77,14 +77,14 @@ class TestSor:
         corners = np.array([(x, y, z) for x in (0.0, 1.0)
                             for y in (0.0, 1.0) for z in (0.0, 1.0)])
         cloud = channel_cloud(corners, np.zeros(8), 0)
-        _, removed = sor_filter(cloud, SorParams(k=6, n_sigma=1.0))
+        _, removed = sor_filter(cloud.xyz, SorParams(k=6, n_sigma=1.0))
         assert removed.size == 0
 
     def test_matches_brute_oracle_randomized(self):
         rng = np.random.default_rng(5)
         for _ in range(15):
             cloud = random_cloud(rng, n=int(rng.integers(20, 150)), extent=6.0)
-            _, removed = sor_filter(cloud, SorParams(k=6, n_sigma=1.0))
+            _, removed = sor_filter(cloud.xyz, SorParams(k=6, n_sigma=1.0))
             expected = brute_sor_removed(cloud.xyz, k=6, n_sigma=1.0)
             np.testing.assert_array_equal(np.sort(removed), np.sort(expected))
 
@@ -92,23 +92,27 @@ class TestSor:
         rng = np.random.default_rng(6)
         base = random_cloud(rng, n=60, extent=4.0)
         cloud = concat([base, base.take([3, 7, 7, 11])])
-        _, removed = sor_filter(cloud, SorParams(k=6, n_sigma=1.0))
+        _, removed = sor_filter(cloud.xyz, SorParams(k=6, n_sigma=1.0))
         expected = brute_sor_removed(cloud.xyz, k=6, n_sigma=1.0)
         np.testing.assert_array_equal(np.sort(removed), np.sort(expected))
 
     def test_kept_and_removed_partition_input(self):
         rng = np.random.default_rng(7)
         cloud = random_cloud(rng, n=100)
-        kept, removed = sor_filter(cloud, SorParams())
-        assert kept.count + removed.size == cloud.count
+        kept, removed = sor_filter(cloud.xyz, SorParams())
+        assert removed.size > 0
+        for ids in (kept, removed):
+            assert np.all(np.diff(ids) > 0)
+        np.testing.assert_array_equal(np.sort(np.concatenate((kept, removed))),
+                                      np.arange(cloud.count))
 
     def test_query_blocks_do_not_change_the_removed_ids(self, monkeypatch):
         # 401 points in blocks of 5, the last one partial
         rng = np.random.default_rng(10)
         cloud = tied_cloud(rng, n=401, extent=4.0)
-        _, whole = sor_filter(cloud, SorParams(k=6, n_sigma=1.0))
+        _, whole = sor_filter(cloud.xyz, SorParams(k=6, n_sigma=1.0))
         monkeypatch.setattr(cloud_module, "QUERY_ROWS", 5)
-        _, blocked = sor_filter(cloud, SorParams(k=6, n_sigma=1.0))
+        _, blocked = sor_filter(cloud.xyz, SorParams(k=6, n_sigma=1.0))
         assert whole.size > 0
         np.testing.assert_array_equal(blocked, whole)
         # the blocks follow the tree's leaf order, not the file order, and
@@ -120,16 +124,16 @@ class TestSor:
     def test_too_small_cloud_rejected(self):
         rng = np.random.default_rng(8)
         with pytest.raises(DataError, match="SOR"):
-            sor_filter(random_cloud(rng, n=5), SorParams(k=6))
+            sor_filter(random_cloud(rng, n=5).xyz, SorParams(k=6))
 
     def test_permutation_invariant_point_set(self):
         rng = np.random.default_rng(9)
         cloud = random_cloud(rng, n=90, extent=5.0)
         perm = rng.permutation(cloud.count)
-        kept_a, _ = sor_filter(cloud, SorParams())
-        kept_b, _ = sor_filter(cloud.take(perm), SorParams())
-        a = np.sort(kept_a.xyz.view([("", float)] * 3).ravel())
-        b = np.sort(kept_b.xyz.view([("", float)] * 3).ravel())
+        kept_a, _ = sor_filter(cloud.xyz, SorParams())
+        kept_b, _ = sor_filter(cloud.xyz[perm], SorParams())
+        a = np.sort(cloud.xyz[kept_a].view([("", float)] * 3).ravel())
+        b = np.sort(cloud.xyz[perm][kept_b].view([("", float)] * 3).ravel())
         np.testing.assert_array_equal(a, b)
 
 
@@ -229,6 +233,21 @@ class TestMergeChannels:
         n_rows = merged.take(merged.channel == int(Channel.NIR_1064))
         np.testing.assert_array_equal(
             np.sort(n_rows.refl_nir_db), np.sort(n.reflectance_db))
+
+    def test_an_inputs_cross_channel_columns_are_replaced(self):
+        # a green cloud ingested from a merged export carries both
+        # cross-channel columns, a nir cloud from a raw scan neither
+        rng = np.random.default_rng(14)
+        g = random_cloud(rng, n=60, extent=5.0)
+        g.channel[:] = int(Channel.GREEN_532)
+        n = random_cloud(rng, n=70, extent=5.0)
+        n.channel[:] = int(Channel.NIR_1064)
+        stale = g.with_column("refl_green_db", np.zeros(g.count)).with_column(
+            "refl_nir_db", np.full(g.count, np.nan))
+        fresh, again = merge_channels(g, n), merge_channels(stale, n)
+        assert list(again._column_dict()) == list(fresh._column_dict())
+        for name, col in fresh._column_dict().items():
+            assert again._column_dict()[name].tobytes() == col.tobytes(), name
 
     def test_channel_purity_enforced(self):
         rng = np.random.default_rng(12)
@@ -470,8 +489,9 @@ class TestStageDenoise:
         cloud itself when it is empty), the kept copies concatenated in
         ascending channel."""
         copies = [cloud.take(cloud.channel == c) for c in np.unique(cloud.channel)]
-        parts = [sor_filter(copy, params) for copy in copies or [cloud]]
-        out = concat([kept for kept, _ in parts])
+        copies = copies or [cloud]
+        parts = [sor_filter(copy.xyz, params) for copy in copies]
+        out = concat([copy.take(kept) for copy, (kept, _) in zip(copies, parts)])
         return out, {"removed": sum(r.size for _, r in parts), "kept": out.count}
 
     def test_matches_sor_over_channel_copies(self):
@@ -507,11 +527,12 @@ class TestStageDenoise:
             assert str(raised.value) == str(expected.value)
             assert str(raised.value).endswith(f"cloud has {6 if cloud.count else 0}")
 
-    def test_allocates_less_than_three_columns(self, monkeypatch):
+    def test_allocates_less_than_one_and_a_half_columns(self, monkeypatch):
         """Besides the denoised cloud it returns, stage_denoise over n
-        points of two channels allocates less than three float64 columns
-        of n: it copies only one channel's coordinates at a time, and
-        takes the kept rows from its input once."""
+        points of two channels allocates less than 1.5 float64 columns
+        of n: it copies one channel's coordinates at a time, once, into
+        the array SOR indexes, and takes the kept rows from its input
+        once."""
         import scipy.spatial  # noqa: F401  (imported before tracing starts)
 
         monkeypatch.setattr(cloud_module, "QUERY_ROWS", 1024)  # blocks << n
@@ -519,4 +540,4 @@ class TestStageDenoise:
         cloud, cfg = spread_cloud(n, 27), load_config()
         extra, out = traced_bytes_beyond_output(lambda: stage_denoise(cfg, cloud)[0]["out"])
         assert n // 2 < out.count < n and set(np.unique(out.channel)) == {0, 1}
-        assert extra < 3 * 8 * n
+        assert extra < 1.5 * 8 * n
