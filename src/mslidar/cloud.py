@@ -175,8 +175,12 @@ class PointCloud:
                 raise DataError("pndvi values outside [-1, 1]")
 
 
-def concat(clouds: Sequence[PointCloud]) -> PointCloud:
-    """Concatenate clouds with identical column presence."""
+def concat(clouds: Sequence[PointCloud],
+           rows: Sequence[slice | np.ndarray] | None = None) -> PointCloud:
+    """Concatenate clouds with identical column presence; `rows`, one
+    entry per cloud, takes just those rows of it (a range or row ids),
+    one column at a time, where a take of each cloud would copy them all
+    first."""
     if not clouds:
         raise DataError("cannot concatenate zero clouds")
     present = clouds[0].present_columns
@@ -186,8 +190,9 @@ def concat(clouds: Sequence[PointCloud]) -> PointCloud:
                 "cannot concatenate clouds with differing columns: "
                 f"{present} vs {c.present_columns}"
             )
+    rows = rows or [slice(None)] * len(clouds)
     cols = {
-        k: np.concatenate([c._column_dict()[k] for c in clouds])
+        k: np.concatenate([c._column_dict()[k][r] for c, r in zip(clouds, rows)])
         for k in clouds[0]._column_dict()
     }
     return PointCloud(crs_note=clouds[0].crs_note, **cols)

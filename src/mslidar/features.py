@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .cloud import PointCloud
+from .cloud import PointCloud, row_blocks
 from .errors import ConfigError, DataError, NumericError
 
 logger = logging.getLogger(__name__)
@@ -64,12 +64,14 @@ def pndvi(nir_db, green_db):
 
 
 def add_pndvi(cloud: PointCloud) -> PointCloud:
-    """Attach the pndvi column computed from the merged spectral columns."""
+    """Attach the pndvi column computed from the merged spectral columns,
+    one row_blocks block at a time into the one float32 column, so its
+    float64 temporaries are block-sized."""
     cloud.require("refl_green_db", "refl_nir_db")
-    values = pndvi(
-        cloud.refl_nir_db.astype(np.float64), cloud.refl_green_db.astype(np.float64)
-    )
-    return cloud.with_column("pndvi", values.astype(np.float32))
+    values = np.empty(cloud.count, dtype=np.float32)
+    for rows in row_blocks(cloud.count):
+        values[rows] = pndvi(cloud.refl_nir_db[rows], cloud.refl_green_db[rows])
+    return cloud.with_column("pndvi", values)
 
 
 class FeatureConfig(Enum):

@@ -35,7 +35,8 @@ from .dtm import build_dtm, normalize_height
 from .errors import ConfigError
 from .features import ALL_CONFIGS, FeatureConfig, add_pndvi, fit_config_normalization
 from .mlp import TrainConfig
-from .preprocess import SorParams, merge_channels, sor_filter, voxel_subsample
+from .preprocess import (SorParams, channel_rows, merge_channels, sor_filter,
+                         voxel_subsample)
 from .split import SPLIT_NAMES, split_plots
 from .synth import generate_scene, scaled_config
 from . import classifier as clf
@@ -417,12 +418,20 @@ def _one_cloud_or_both_channels(given: set[str]) -> None:
        path("--green", required=False, help="green-channel cloud", reads="green"),
        path("--nir", required=False, help="NIR-channel cloud", reads="nir"),
        OUT, setting("merge.radius"), setting("merge.k"), check=_one_cloud_or_both_channels)
-def stage_merge(cfg: dict, cloud: PointCloud | None = None, green: PointCloud | None = None,
+def stage_merge(cfg: dict, paths: dict, cloud: PointCloud | None = None,
+                green: PointCloud | None = None,
                 nir: PointCloud | None = None) -> tuple[dict, dict]:
-    if cloud is not None:
-        green = cloud.take(cloud.channel == int(Channel.GREEN_532))
-        nir = cloud.take(cloud.channel == int(Channel.NIR_1064))
-    merged = merge_channels(green, nir, **cfg["merge"], workers=worker_count(cfg["threads"]))
+    """Both forms run the one merge: a combined cloud is passed as both
+    channels with the rows of each, so no channel is copied whole."""
+    if cloud is None:
+        rows = (slice(None), slice(None))
+        names = (str(paths["green"]), str(paths["nir"]))
+    else:
+        green = nir = cloud
+        rows = channel_rows(cloud.channel)
+        names = (str(paths["cloud"]),) * 2
+    merged = merge_channels(green, nir, **cfg["merge"], workers=worker_count(cfg["threads"]),
+                            rows=rows, names=names)
     return {"out": merged}, {"points": merged.count}
 
 

@@ -26,8 +26,8 @@ from .cloud import Channel, Label, PointCloud
 from .errors import BYTE_LIMIT, ConfigError
 
 # Peak bytes per point of the synth stage (generate, then write): its peak
-# RSS rose by 105 bytes per point from 2M to 4M points (seed 7).
-SCENE_BYTES = 110
+# RSS rose by 80 bytes per point from 2M to 4M points (seed 7).
+SCENE_BYTES = 85
 
 
 @dataclass(frozen=True)
@@ -151,30 +151,27 @@ class _SceneBuffer:
         self.per_channel[channel] += xyz.shape[0]
 
     def assemble(self) -> PointCloud:
+        """The scene's cloud, shuffled; the parts are released once they
+        are stacked, before the shuffle's gather."""
         cfg = self.cfg
-        n = sum(p[0].shape[0] for p in self.parts)
+        sizes = [p[0].shape[0] for p in self.parts]
+        n = sum(sizes)
         xyz = np.concatenate([p[0] for p in self.parts])
-        channel = np.concatenate(
-            [np.full(p[0].shape[0], p[1], dtype=np.uint8) for p in self.parts]
+        channel, label, ground = (
+            np.repeat(np.array([p[j] for p in self.parts], dtype=dtype), sizes)
+            for j, dtype in ((1, np.uint8), (3, np.uint8), (4, bool))
         )
-        label = np.concatenate(
-            [np.full(p[0].shape[0], p[3], dtype=np.uint8) for p in self.parts]
-        )
-        ground = np.concatenate(
-            [np.full(p[0].shape[0], p[4], dtype=bool) for p in self.parts]
-        )
+        spectra = [(p[1], cfg.spectra[p[2]]) for p in self.parts]
+        self.parts.clear()
         refl = np.empty(n, dtype=np.float32)
         pos = 0
-        for pts, chan, cls, _lab, _g in self.parts:
-            spec = cfg.spectra[cls]
+        for size, (chan, spec) in zip(sizes, spectra):
             if chan == int(Channel.GREEN_532):
                 mu, sigma = spec.green_mean_db, spec.green_sigma_db
             else:
                 mu, sigma = spec.nir_mean_db, spec.nir_sigma_db
-            refl[pos : pos + pts.shape[0]] = self.rng.normal(
-                mu, sigma, size=pts.shape[0]
-            )
-            pos += pts.shape[0]
+            refl[pos : pos + size] = self.rng.normal(mu, sigma, size=size)
+            pos += size
         # Shuffle: storage order must not encode class identity.
         order = self.rng.permutation(n)
         return PointCloud(
@@ -348,6 +345,7 @@ def generate_scene(
             np.column_stack((gxy[:, 0], gxy[:, 1], gz)), chan, "ground",
             Label.NON_TREE, ground_flag=True,
         )
+    del gxy, gz  # the last channel's ground, copied into the buffer: a lower peak
 
     cloud = buf.assemble()
     if return_primitives:

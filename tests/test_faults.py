@@ -29,6 +29,7 @@ import pytest
 
 import mslidar
 from mslidar.cli import main
+from mslidar.cloud import PointCloud, concat
 from mslidar.columnar import write_columnar, write_labels
 from mslidar.lasio import write_las
 
@@ -362,6 +363,31 @@ def test_an_out_dir_write_over_the_file_size_limit_names_its_path(cloud, tmp_pat
     err = run.stderr
     assert (run.returncode, f"error[config]: cannot write {splits / 'train.mst'}: " in err) == (
         2, True), err
+
+
+def test_merge_of_a_reflectance_beyond_float64_names_its_input(tmp_path, capsys):
+    """3100 dB is finite, but 10**310 is not: merge refuses the cloud that
+    holds it (exit 3) and writes nothing, where it used to write infinite
+    cross-channel values that the next stage then refused."""
+    def channel(xyz, db, chan):
+        xyz = np.asarray(xyz, dtype=float)
+        return PointCloud(
+            x=xyz[:, 0], y=xyz[:, 1], z=xyz[:, 2], channel=np.full(len(db), chan, np.uint8),
+            reflectance_db=np.asarray(db, np.float32))
+
+    green = channel([[0, 0, 0], [0.5, 0, 0]], [3100.0, 3100.0], 0)
+    nir = channel([[0, 0, 0.1], [0.3, 0, 0]], [-5.0, -6.0], 1)
+    for name, c in (("g.mst", green), ("n.mst", nir),
+                    ("c.mst", concat([nir, green]))):
+        write_columnar(c, tmp_path / name)
+    out = tmp_path / "m.mst"
+    for argv, named in ((["--in", "c.mst"], "c.mst"),
+                        (["--green", "g.mst", "--nir", "n.mst"], "g.mst")):
+        rc = main(["merge", *(str(tmp_path / a) if a.endswith(".mst") else a for a in argv),
+                   "--out", str(out)])
+        err = capsys.readouterr().err
+        assert (rc, err.startswith(f"error[data]: {tmp_path / named}: ")) == (3, True), err
+        assert not out.exists() and not out.with_name("m.mst.manifest.json").exists()
 
 
 def test_merge_k_above_the_point_count_is_clamped(cloud, tmp_path):

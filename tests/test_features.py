@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mslidar import cloud as cloud_module
 from mslidar.cloud import PointCloud
 from mslidar.errors import ConfigError, DataError, NumericError
 from mslidar.features import (
     ALL_CONFIGS, FeatureConfig, add_pndvi, assemble_features, db_to_linear,
     fit_config_normalization, linear_to_db, pndvi,
 )
+
+from conftest import peak_traced_bytes
 
 finite_db = st.floats(-60.0, 30.0)
 
@@ -89,6 +92,43 @@ class TestPndvi:
         out = add_pndvi(cloud)
         assert out.pndvi[0] == pytest.approx(0.9 / 1.1, rel=1e-6)
         assert np.isnan(out.pndvi[1])
+
+    def test_add_pndvi_blocks_match_the_one_shot_formula(self):
+        """Over three row_blocks blocks, the last one partial, with NaN
+        cross values on both sides of each block edge, the blockwise column
+        is the one-shot formula cast to float32, bit for bit."""
+        block = cloud_module.QUERY_ROWS
+        n = 2 * block + block // 2
+        assert len(list(cloud_module.row_blocks(n))) == 3
+        rng = np.random.default_rng(35)
+        green = rng.normal(-12.0, 4.0, n).astype(np.float32)
+        nir = rng.normal(-8.0, 4.0, n).astype(np.float32)
+        edges = np.array([0, block - 1, block, 2 * block - 1, 2 * block, n - 1])
+        green[edges[::2]] = np.nan
+        nir[edges[1::2]] = np.nan
+        cloud = PointCloud(x=np.zeros(n), y=np.zeros(n), z=np.zeros(n),
+                           channel=np.zeros(n, np.uint8), refl_green_db=green,
+                           refl_nir_db=nir)
+        expected = pndvi(nir.astype(np.float64), green.astype(np.float64)).astype(np.float32)
+        got = add_pndvi(cloud).pndvi
+        assert np.isnan(got[edges]).all()
+        np.testing.assert_array_equal(got.view(np.uint32), expected.view(np.uint32))
+
+    def test_add_pndvi_holds_block_sized_temporaries(self, monkeypatch):
+        """Beside the float32 column it adds, add_pndvi over n rows
+        allocates less than one byte per row: its float64 temporaries are
+        one 1024-row block's, where the one-shot formula held several
+        float64 columns of n (over 40 bytes per row)."""
+        monkeypatch.setattr(cloud_module, "QUERY_ROWS", 1024)
+        n = 1 << 17
+        rng = np.random.default_rng(36)
+        cloud = PointCloud(x=np.zeros(n), y=np.zeros(n), z=np.zeros(n),
+                           channel=np.zeros(n, np.uint8),
+                           refl_green_db=rng.normal(-12.0, 4.0, n).astype(np.float32),
+                           refl_nir_db=rng.normal(-8.0, 4.0, n).astype(np.float32))
+        out = []
+        peak = peak_traced_bytes(lambda: out.append(add_pndvi(cloud)))
+        assert peak - out[0].pndvi.nbytes < n
 
 
 def columns_cloud(**columns):

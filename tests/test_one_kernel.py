@@ -160,7 +160,8 @@ def test_stage_functions_map_values_to_values(tmp_path, monkeypatch):
     scene = outputs("synth")["out"]
     assert outputs("ingest", las=scene)["out"] is scene
     cloud = outputs("denoise", cloud=scene)["out"]
-    for name in ("merge", "ground", "normalize-height", "features", "subsample"):
+    cloud = outputs("merge", cloud=cloud, paths={"cloud": tmp_path / "denoised.mst"})["out"]
+    for name in ("ground", "normalize-height", "features", "subsample"):
         cloud = outputs(name, cloud=cloud)["out"]
     splits = outputs("split", cloud=cloud)
     train, test = splits["train.mst"], splits["test.mst"]

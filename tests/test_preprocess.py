@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mslidar import cloud as cloud_module
+from mslidar.cli import main
 from mslidar.cloud import Channel, Label, PointCloud, build_index, concat
+from mslidar.columnar import write_columnar
 from mslidar.errors import ConfigError, DataError
-from mslidar.pipeline import load_config, stage_denoise
+from mslidar.pipeline import load_config, stage_denoise, stage_merge
 from mslidar.preprocess import (
-    SorParams, merge_channels, sor_filter, voxel_subsample,
+    SorParams, channel_rows, merge_channels, sor_filter, voxel_subsample,
 )
 
 from conftest import (
@@ -273,6 +275,19 @@ class TestMergeChannels:
         assert merged.count == n
         assert extra < 14 * n
 
+    @pytest.mark.parametrize("green_db, nir_db", [(3100.0, -5.0), (-5.0, -3300.0)])
+    def test_a_mean_beyond_float64_names_its_source(self, green_db, nir_db):
+        # 10**310 overflows float64 and 10**-330 underflows to 0: neither
+        # mean has a dB value, so the cloud whose values they are is refused
+        # where it used to yield infinite cross-channel values (or a
+        # numeric error)
+        green = channel_cloud([[0, 0, 0], [0.5, 0, 0]], [green_db] * 2, Channel.GREEN_532)
+        nir = channel_cloud([[0, 0, 0.1], [0.3, 0, 0]], [nir_db, nir_db - 1],
+                            Channel.NIR_1064)
+        source = "g.mst" if green_db > 0 else "n.mst"
+        with pytest.raises(DataError, match=rf"^{source}: reflectance_db from .* float64$"):
+            merge_channels(green, nir, names=("g.mst", "n.mst"))
+
     def test_tiny_radius_is_accepted(self):
         # radius-sized query cells would number far beyond int64 here;
         # only the coincident source point lies within the radius
@@ -480,6 +495,72 @@ class TestVoxelSubsample:
         ref = cloud.take(kept)
         ro = np.lexsort((ref.z, ref.y, ref.x))
         np.testing.assert_array_equal(out.xyz[po], ref.xyz[ro])
+
+
+def interleave(green, nir, seed):
+    """The two channel clouds as one, their rows shuffled together, each
+    channel's rows in their own order."""
+    both = concat([green, nir])
+    take = np.random.default_rng(seed).permutation(both.count) < green.count
+    ids = np.empty(both.count, dtype=np.intp)
+    ids[take], ids[~take] = np.arange(green.count), green.count + np.arange(nir.count)
+    return both.take(ids)
+
+
+class TestStageMerge:
+    @staticmethod
+    def channels(n, seed):
+        cloud = spread_cloud(n, seed)
+        green, nir = cloud.take(np.arange(0, n, 2)), cloud.take(np.arange(1, n, 2))
+        green.channel[:], nir.channel[:] = int(Channel.GREEN_532), int(Channel.NIR_1064)
+        return green, nir
+
+    def test_channel_rows_are_ranges_where_the_channels_are_grouped(self):
+        green, nir = self.channels(300, 30)
+        assert channel_rows(concat([green, nir]).channel) == (slice(0, 150), slice(150, 300))
+        assert channel_rows(concat([nir, green]).channel) == (slice(150, 300), slice(0, 150))
+        mixed = interleave(green, nir, 31)
+        rows = channel_rows(mixed.channel)
+        for ids, chan in zip(rows, (Channel.GREEN_532, Channel.NIR_1064)):
+            np.testing.assert_array_equal(ids, np.flatnonzero(mixed.channel == int(chan)))
+
+    def test_both_forms_write_the_same_bytes(self, tmp_path):
+        """Grouped either way or interleaved, a combined cloud merged with
+        --in writes the bytes of its two channel files merged with --green
+        and --nir."""
+        green, nir = self.channels(3000, 32)
+        green = green.with_column("h_norm", np.arange(green.count, dtype=np.float32))
+        nir = nir.with_column("h_norm", -np.arange(nir.count, dtype=np.float32))
+
+        def merge(out, **inputs):
+            argv = ["merge", "--out", str(tmp_path / out)]
+            for flag, cloud in inputs.items():
+                write_columnar(cloud, tmp_path / f"{flag}.mst")
+                argv += [f"--{flag}", str(tmp_path / f"{flag}.mst")]
+            assert main(argv) == 0
+            return (tmp_path / out).read_bytes()
+
+        ref = merge("channels.mst", green=green, nir=nir)
+        for cloud in (concat([green, nir]), concat([nir, green]), interleave(green, nir, 33)):
+            assert merge("combined.mst", **{"in": cloud}) == ref
+
+    @pytest.mark.parametrize("grouped, share", [(False, 0.75), (True, 0.3)])
+    def test_holds_no_copy_of_both_channels(self, monkeypatch, grouped, share):
+        """Besides the merged cloud it returns, merge --in over n points
+        allocates less than `share` of its input's bytes: the channels are
+        read through their row ids (through views where they are
+        grouped), where the two channel copies it used to take came to
+        the whole input (1.31 of it, all told)."""
+        import scipy.spatial  # noqa: F401  (imported before tracing starts)
+
+        monkeypatch.setattr(cloud_module, "QUERY_ROWS", 1024)  # blocks << n
+        green, nir = self.channels(1 << 17, 25)
+        cloud = concat([green, nir]) if grouped else interleave(green, nir, 34)
+        cfg, paths = load_config(), {"cloud": "c.mst"}
+        extra, out = traced_bytes_beyond_output(
+            lambda: stage_merge(cfg, paths, cloud=cloud)[0]["out"])
+        assert out.count == cloud.count
+        assert extra < share * sum(col.nbytes for col in cloud._column_dict().values())
 
 
 class TestStageDenoise:
