@@ -9,6 +9,12 @@ which is all the ablation logic needs. Like those networks, the model
 sees geometry only relative to a point's surroundings, never as an
 absolute location. The neighborhood graph streams its row blocks into the
 statistics, so neither training nor prediction holds an (n, k) id array.
+Each block's normalized values, of its own rows and of the neighbours it
+gathers, come from the cloud's raw columns through
+`features.assemble_features` as the block arrives, so no (n, d) float64
+feature matrix exists: the one float32 statistics matrix is the only
+full-size result, and every feature config reads its own columns of it
+(`train` and `predict` gather them a batch or a shard at a time).
 
 A trained model is one value, a :class:`Model`: the network and the
 feature recipe that built its inputs (feature config, normalization and
@@ -87,63 +93,74 @@ def _check_neighborhood(k: int, radius: float) -> None:
         raise ConfigError(f"neighborhood.radius must be positive and finite, got {radius!r}")
 
 
-def neighborhood_stats(features: np.ndarray, graph: Iterable) -> np.ndarray:
-    """Append per-point neighborhood aggregates to an assembled feature
-    matrix [h_norm, spectral...].
+def neighborhood_stats(
+    cloud: PointCloud, params: NormalizationParams | None, graph: Iterable
+) -> np.ndarray:
+    """The (n, 3d) `mlp.DTYPE` model input of a cloud: its assembled
+    features [h_norm, spectral...] (:func:`features.assemble_features`
+    with `params`), then per-point neighborhood aggregates.
 
     For each spectral column: mean and population std over the
     neighborhood. Always: local h_norm range (max - min) and neighbor
     count. Statistics are computed on the normalized feature values, so
     every appended column is already scale-comparable. The (rows, ids)
     blocks of `graph`, as :func:`neighborhood_graph` yields them, cover
-    every row once; each is computed in float64 as it arrives and
-    rounded once into the one (n, 3d) `mlp.DTYPE` result: the matrix the
-    network trains on and predicts from, with no further copy.
+    every row once. Each block is computed in float64 as it arrives: its
+    rows' features and those of the ids it gathers (a row_blocks(rows,
+    k * d) part of it at a time) are normalized from the cloud's raw
+    columns, so no (n, d) float64 matrix exists, and rounded once into
+    the one result: the matrix the network trains on and predicts from,
+    with no further copy.
     """
-    n, d = features.shape
-    out = np.empty((n, 3 * d), dtype=DTYPE)
-    out[:, :d] = features
+    d = 1 + (0 if params is None else len(params.columns))
+    out = np.empty((cloud.count, 3 * d), dtype=DTYPE)
     covered = 0
     for rows, ids in graph:
-        _stats_block(features, ids, out[rows, d:])
+        block = out[rows]
+        block[:, :d] = assemble_features(cloud, params, rows)
+        for part in row_blocks(ids.shape[0], ids.shape[1] * d):
+            _stats_block(cloud, params, ids[part], block[part, d:])
         covered += ids.shape[0]
-    if covered != n:
+    if covered != cloud.count:
         raise DataError("neighborhood graph and features disagree on point count")
     return out
 
 
-def _stats_block(features: np.ndarray, graph: np.ndarray, out: np.ndarray) -> None:
-    """neighborhood_stats' appended columns for the rows of one graph
-    block, written into `out`."""
+def _stats_block(cloud, params, graph: np.ndarray, out: np.ndarray) -> None:
+    """neighborhood_stats' appended columns for the rows of one part of a
+    graph block, written into `out`."""
     valid = graph >= 0
-    safe = np.where(valid, graph, 0)
+    features = assemble_features(cloud, params, np.where(valid, graph, 0))
     counts = valid.sum(axis=1).astype(np.float64)
-    for ci in range(1, features.shape[1]):
-        vals = np.where(valid, features[:, ci][safe], 0.0)
+    for ci in range(1, features.shape[-1]):
+        vals = np.where(valid, features[..., ci], 0.0)
         mean = vals.sum(axis=1) / counts
         np.square(vals, out=vals)
         var = np.maximum(vals.sum(axis=1) / counts - np.square(mean), 0.0)
         out[:, 2 * ci - 2] = mean
         out[:, 2 * ci - 1] = np.sqrt(var)
-        del vals  # freed before the next column's gather: a lower peak
+        del vals  # freed before the next column's where: a lower peak
 
-    h = features[:, 0][safe]
+    h = features[..., 0]
     hmax = np.where(valid, h, -np.inf).max(axis=1)
     hmin = np.where(valid, h, np.inf).min(axis=1)
     out[:, -2] = hmax - hmin
     out[:, -1] = counts
 
 
-def predict(features: np.ndarray, model: Mlp, workers: int = 1) -> np.ndarray:
+def predict(
+    features: np.ndarray, model: Mlp, workers: int = 1, columns: np.ndarray | None = None,
+) -> np.ndarray:
     """Per-point uint8 labels: tree where the model's margin z > 0, so a
-    margin of exactly 0 goes to non-tree; `workers` run the margins."""
+    margin of exactly 0 goes to non-tree; `workers` run the margins. The
+    model reads the `columns` of `features` (None: every column), which
+    its margin pass gathers a shard at a time."""
     values = np.asarray(features)
-    if values.ndim != 2 or values.shape[1] != model.d_in:
-        raise DataError(
-            f"model expects {model.d_in} features, got "
-            f"{values.shape[1] if values.ndim == 2 else 'non-matrix input'}"
-        )
-    return (model.margins(values, workers=workers) > 0).astype(np.uint8)
+    width = ("non-matrix input" if values.ndim != 2
+             else values.shape[1] if columns is None else len(columns))
+    if width != model.d_in:
+        raise DataError(f"model expects {model.d_in} features, got {width}")
+    return (model.margins(values, workers=workers, columns=columns) > 0).astype(np.uint8)
 
 
 def height_threshold_postprocess(
@@ -183,15 +200,16 @@ def _union(columns: Iterable[str]) -> tuple[str, ...]:
     return tuple(c for c in FeatureConfig.XYZ_GREEN_NIR_PNDVI.spectral_columns if c in names)
 
 
-def _stats_matrices(cloud, recipes, neighborhood, workers) -> Iterator[np.ndarray]:
-    """The neighborhood_stats matrix of each (feature config, normalization)
-    recipe in turn, from one pass over the union of their spectral columns.
+def _stats_matrices(cloud, recipes, neighborhood, workers) -> Iterator[tuple]:
+    """(matrix, columns) of each (feature config, normalization) recipe in
+    turn: the one neighborhood_stats matrix of the union of their
+    spectral columns, made on the first recipe, and the ids of the
+    recipe's columns in it, None where it takes every column.
 
-    Scaling and statistics work column by column, so each recipe gets its
-    columns of the union's matrix, bit for bit those of the recipe alone:
-    the matrix itself when it holds every union column, else a C-ordered
-    copy of its columns, which `train` and `predict` use as they are. The
-    union is dropped before the last recipe's matrix is handed out."""
+    Scaling and statistics work column by column, so a recipe's columns
+    of the shared matrix are bit for bit the matrix of the recipe alone;
+    `train` and `predict` gather them a batch or a shard at a time, so no
+    recipe gets a copy."""
     scaling = {}  # union column -> its (lo, hi, impute), which every recipe must share
     for params in (p for _, p in recipes if p is not None):
         for name, *scale in zip(params.columns, params.lo, params.hi, params.impute):
@@ -201,17 +219,13 @@ def _stats_matrices(cloud, recipes, neighborhood, workers) -> Iterator[np.ndarra
     # scaling reads only lo, hi and impute: the union's percentiles are placeholders
     lo_hi_impute = map(np.array, zip(*map(scaling.get, union)))
     params = NormalizationParams(union, 0.0, 100.0, *lo_hi_impute) if union else None
-    graph = neighborhood_graph(cloud, **neighborhood, workers=workers)  # index first: a lower peak
-    stats = neighborhood_stats(assemble_features(cloud, params), graph)
+    stats = neighborhood_stats(cloud, params,
+                               neighborhood_graph(cloud, **neighborhood, workers=workers))
     d = len(union) + 1
-    for i, (fconfig, _) in enumerate(recipes):
+    for fconfig, _ in recipes:
         at = [1 + union.index(c) for c in fconfig.spectral_columns]
         cols = [0, *at, *(d + 2 * a + b - 2 for a in at for b in (0, 1)), 3 * d - 2, 3 * d - 1]
-        matrix = stats if len(at) == len(union) else stats.take(cols, axis=1)
-        if i == len(recipes) - 1:
-            del stats
-        yield matrix
-        del matrix  # before the next recipe's copy: a lower peak
+        yield stats, None if len(at) == len(union) else np.array(cols)
 
 
 def fit(
@@ -222,7 +236,8 @@ def fit(
 
     Spectral columns are scaled at the features.p_low/p_high percentiles
     of this cloud, fitted once for the union of the configs' columns; one
-    neighbourhood pass serves every config.
+    neighbourhood pass serves every config, each training on its columns
+    of the one shared matrix.
     """
     cloud.require("label", "h_norm")
     fconfigs = list(fconfigs)
@@ -235,11 +250,11 @@ def fit(
     neighborhood, workers = dict(cfg["neighborhood"]), worker_count(cfg["threads"])
     weights = compute_class_weights(cloud.label)
     fitted = []
-    for (fconfig, params), features in zip(
+    for (fconfig, params), (stats, columns) in zip(
             recipes, _stats_matrices(cloud, recipes, neighborhood, workers)):
-        net, loss_curve = train(features, cloud.label, weights,
-                                TrainConfig(**cfg["train"], seed=cfg["seed"]), workers=workers)
-        del features  # freed before the next config's matrix is taken: a lower peak
+        net, loss_curve = train(stats, cloud.label, weights,
+                                TrainConfig(**cfg["train"], seed=cfg["seed"]),
+                                workers=workers, columns=columns)
         fitted.append((Model(net, fconfig, params, neighborhood, weights, cfg["seed"]), loss_curve))
     return fitted
 
@@ -253,7 +268,8 @@ def classify(cloud: PointCloud, models: list[Model], cfg: dict) -> list[np.ndarr
     recipes = [(m.feature_config, m.normalization) for m in models]
     workers, threshold = worker_count(cfg["threads"]), cfg["postprocess"]["threshold"]
     matrices = _stats_matrices(cloud, recipes, models[0].neighborhood if models else {}, workers)
-    labels = [predict(x, model.net, workers=workers) for model, x in zip(models, matrices)]
+    labels = [predict(stats, model.net, workers=workers, columns=columns)
+              for model, (stats, columns) in zip(models, matrices)]
     if threshold is not None:
         labels = [height_threshold_postprocess(y, cloud, threshold) for y in labels]
     return labels

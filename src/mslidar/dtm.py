@@ -69,7 +69,9 @@ def build_dtm(cloud: PointCloud, cell: float = 1.0, workers: int = 1) -> DtmGrid
     extent, so later height normalization finds a cell under every point.
     Cell centres are built, queried and weighted one `row_blocks` block
     of cells at a time, so besides the raster the build's memory is
-    block-sized whatever the cell count.
+    block-sized whatever the cell count. A cell so coarse that the
+    distances from its centres to the points overflow float64 is a
+    ConfigError naming dtm.cell, raised before the index is built.
     """
     if not cell > 0:
         raise ConfigError(f"dtm.cell must be positive, got {cell!r}")
@@ -86,6 +88,13 @@ def build_dtm(cloud: PointCloud, cell: float = 1.0, workers: int = 1) -> DtmGrid
                         max(np.ceil((float(cloud.x.max()) - x0) / cell), 1.0), "dtm.cell")
     cx = x0 + (np.arange(w) + 0.5) * cell
     cy = y0 + (np.arange(h) + 0.5) * cell
+    # the largest centre-to-point offset on each axis, squared and summed as
+    # the kernel's distances are; a Python float overflows to inf, unwarned
+    dx = max(float(cx[-1]) - x0, float(cloud.x.max()) - float(cx[0]))
+    dy = max(float(cy[-1]) - y0, float(cloud.y.max()) - float(cy[0]))
+    if not dx * dx + dy * dy < np.inf:
+        raise ConfigError(f"dtm.cell {cell!r} is too coarse for this cloud: the distances "
+                          "from its cell centres to the points overflow float64")
     index = build_index(gxy)
     k = min(NEIGHBORS, gz.size)
     values = np.full(h * w, np.nan)

@@ -7,7 +7,11 @@ arrays elementwise (a scalar gives a numpy float64). Spectral columns
 are then made comparable by robust scaling, two calls on a cloud:
 :func:`fit_config_normalization` fits each named column on the training
 split (its [p1, p99] and median), and :func:`assemble_features` imputes,
-clips and min-maxes those columns to [0, 1] beside h_norm. Absolute
+clips and min-maxes those columns to [0, 1] beside h_norm, for any rows
+or row ids of the cloud. It is the one normalizer: the classifier calls
+it a neighbourhood block at a time, for the block's rows and for the
+neighbours they gather, so normalized values are never held for the
+whole cloud. Absolute
 position is not a feature: geometry enters as height above terrain, so
 a model does not depend on where its cloud lies, and the classifier
 adds relative geometry from each point's neighborhood.
@@ -177,25 +181,32 @@ def fit_config_normalization(
     return NormalizationParams(tuple(columns), p_low, p_high, lo, hi, impute)
 
 
-def assemble_features(cloud: PointCloud, params: NormalizationParams | None) -> np.ndarray:
-    """Build the (n, d) feature matrix [h_norm, spectral...] of the
-    spectral columns `params` was fitted for, each with NaN imputed by the
-    training median, clipped to [lo, hi] and scaled to [0, 1]; None gives
-    h_norm alone. The result holds no NaN or Inf."""
+def assemble_features(
+    cloud: PointCloud, params: NormalizationParams | None, rows=slice(None),
+) -> np.ndarray:
+    """The float64 features [h_norm, spectral...] of the rows `rows`
+    selects: a slice, which gives an (n, d) matrix, or an array of row
+    ids, which gives its shape plus a last axis of the d features. Each
+    spectral column `params` was fitted for is read from the cloud with
+    NaN imputed by the training median, clipped to [lo, hi] and scaled to
+    [0, 1]; None gives h_norm alone. Every step is per element, so a row's
+    values do not depend on which other rows are asked for. The result
+    holds no NaN or Inf."""
     columns = () if params is None else params.columns
     cloud.require("h_norm", *columns)
-    values = np.empty((cloud.count, 1 + len(columns)))
-    values[:, 0] = cloud.h_norm
+    h_norm = cloud.h_norm[rows]
+    values = np.empty((*h_norm.shape, 1 + len(columns)))
+    values[..., 0] = h_norm
     for j, name in enumerate(columns):
-        col, lo, hi = values[:, 1 + j], params.lo[j], params.hi[j]
-        col[:] = getattr(cloud, name)
-        col[np.isnan(col)] = params.impute[j]
+        col, lo, hi = getattr(cloud, name)[rows].astype(np.float64), params.lo[j], params.hi[j]
+        np.copyto(col, params.impute[j], where=np.isnan(col))
         if hi > lo:
             np.clip(col, lo, hi, out=col)
             col -= lo
             col /= hi - lo
         else:
-            col[:] = 0.5
+            col[...] = 0.5
+        values[..., 1 + j] = col
     if not np.all(np.isfinite(values)):
         raise NumericError("feature matrix contains non-finite values")
     return values

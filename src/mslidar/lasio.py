@@ -91,8 +91,10 @@ def read_las(
         reflectance_source: "intensity" or the name of an extra-bytes
             attribute; its values are copied verbatim to reflectance_db,
             so the field must already hold decibels, every one finite.
-        label_source: "classification" to copy the classification byte
-            into the label column, or None to leave labels absent.
+        label_source: "classification" to copy the class into the label
+            column (the low 5 bits of the classification byte in point
+            formats 0-3, whose bits 5-7 are flags; the whole byte in 6-8),
+            or None to leave labels absent.
 
     Raises:
         DataError: malformed or truncated header, a zero or non-finite
@@ -195,7 +197,10 @@ def read_las(
         if attr in [n for n, _ in extra_defs]:
             cols[attr] = pts[attr].astype(np.float32)
     if label_source == "classification":
-        cols["label"] = pts["classification"].copy()
+        # formats 0-3 keep the synthetic, key-point and withheld flags in
+        # bits 5-7 of the classification byte; 6-8 give the class all 8
+        classes = pts["classification"]
+        cols["label"] = classes & 0x1F if point_format < 6 else classes.copy()
     cloud = PointCloud(x=x, y=y, z=z, channel=chan, reflectance_db=refl, **cols)
     try:
         cloud.validate()  # e.g. coordinates that overflow, an ASPRS class code

@@ -35,6 +35,10 @@ of it: the float32 feature matrix that `train` and a prediction receive
 is used as it is, and an input of another dtype is converted once, on
 entry. `train` gathers each batch's rows from it by the epoch's
 permutation, so a batch, not the whole set, is what an epoch copies.
+A network may read only some columns of that matrix (`columns`: a
+feature config's columns of the classifier's one shared matrix); each
+batch or shard then gathers its rows and, of those, the columns, the
+same bits as the rows of a copy of the columns, which nothing makes.
 Each worker has its own workspace of activation, backward-delta,
 ReLU-mask and gradient buffers of SHARD_ROWS rows, so a pass allocates no
 (rows x hidden) temporaries and, on input in the model dtype, its
@@ -249,15 +253,19 @@ class Mlp:
             return nullcontext(workers)
         return crew(self.sizes, self.dtype, min(workers, _shards(rows)))
 
-    def margins(self, x: np.ndarray, workers: "int | Crew" = 1) -> np.ndarray:
+    def margins(self, x: np.ndarray, workers: "int | Crew" = 1,
+                columns: np.ndarray | None = None) -> np.ndarray:
         """The margin z of every row of x, in the model dtype: class 1 (tree)
-        scores higher than class 0 exactly where z > 0. An x of another
-        dtype is converted to the model dtype once, before the first shard."""
+        scores higher than class 0 exactly where z > 0. The model reads the
+        `columns` of x (None: every column), gathered a shard at a time. An
+        x of another dtype is converted to the model dtype once, before the
+        first shard."""
         x = np.asarray(x, dtype=self.dtype)
         z = np.empty(x.shape[0], self.dtype)
 
         def work(ws, lo):
-            z[lo : lo + SHARD_ROWS] = self.forward(x[lo : lo + SHARD_ROWS], ws)[0]
+            shard = _gather(x, slice(lo, lo + SHARD_ROWS), columns)
+            z[lo : lo + SHARD_ROWS] = self.forward(shard, ws)[0]
 
         with self._crew(workers, x.shape[0]) as team:
             for _ in team.deal(x.shape[0], work):
@@ -271,16 +279,16 @@ class Mlp:
         n1 = int(np.count_nonzero(y))
         return (cw / ((y.shape[0] - n1) * cw[0] + n1 * cw[1])).astype(self.dtype)
 
-    def _pass(self, x, y, class_weights, grad, team: Crew) -> float:
-        """The loss over all rows of (x, y) and, into the flat vector `grad`
-        when one is given, its gradient, each summed over the shards in
-        shard order."""
+    def _pass(self, x, y, class_weights, grad, team: Crew, columns=None) -> float:
+        """The loss over all rows of (x, y), the model reading the `columns`
+        of x, and, into the flat vector `grad` when one is given, its
+        gradient, each summed over the shards in shard order."""
         x = np.asarray(x, dtype=self.dtype)
         y = np.asarray(y)
         scale = self._row_weights(y, class_weights)
 
         def work(ws, lo):
-            z, acts = self.forward(x[lo : lo + SHARD_ROWS], ws)
+            z, acts = self.forward(_gather(x, slice(lo, lo + SHARD_ROWS), columns), ws)
             loss, g = _margin_loss(z, y[lo : lo + SHARD_ROWS], scale)
             if grad is None:
                 return loss, None
@@ -296,10 +304,12 @@ class Mlp:
                 grad += part
         return total
 
-    def loss(self, x, y, class_weights, workers: "int | Crew" = 1) -> float:
-        """The weighted cross-entropy of loss_and_grads, forward passes only."""
+    def loss(self, x, y, class_weights, workers: "int | Crew" = 1, columns=None) -> float:
+        """The weighted cross-entropy of loss_and_grads, forward passes only,
+        over the `columns` of x (None: every column), gathered a shard at a
+        time."""
         with self._crew(workers, len(x)) as team:
-            return self._pass(x, y, class_weights, None, team)
+            return self._pass(x, y, class_weights, None, team, columns)
 
     def loss_and_grads(self, x, y, class_weights, out=None, workers: "int | Crew" = 1):
         """Weighted cross-entropy and its gradients.
@@ -366,6 +376,16 @@ def _train_bytes(sizes, workers: int) -> int:
     return 4 * n_params * item + workers * workspace
 
 
+def _gather(x: np.ndarray, rows, columns: np.ndarray | None) -> np.ndarray:
+    """The `rows` (a slice or row ids) of x, and of those the `columns`
+    (None: every column): a view for a slice of every column, else one
+    C-contiguous matrix, the bits of the same rows of a copy of those
+    columns."""
+    # numpy's take gathers rows faster than x[rows]
+    part = x[rows] if isinstance(rows, slice) else x.take(rows, axis=0)
+    return part if columns is None else part.take(columns, axis=1)
+
+
 def _interleave(weights, biases) -> list[np.ndarray]:
     return [a for pair in zip(weights, biases) for a in pair]
 
@@ -376,6 +396,7 @@ def train(
     class_weights,
     config: TrainConfig = TrainConfig(),
     workers: int = 1,
+    columns: np.ndarray | None = None,
 ) -> tuple[Mlp, list[float]]:
     """Train with AdamW (decoupled weight decay on the weight matrices);
     returns the network and its loss curve.
@@ -383,11 +404,14 @@ def train(
     loss_curve[0] is the pre-training loss over the full set; entry e+1
     is the running weighted mean over epoch e's batches. Every pass runs
     on one crew of at most `workers` workers, one per shard of a batch.
-    A C-contiguous DTYPE `features` matrix, as `neighborhood_stats` and
-    `fit` make, is trained on as it is, with no copy; other input is
-    converted once. The labels are checked as given and held as uint8.
-    Each batch is gathered from the epoch's permutation as it is trained
-    on, so no epoch copies the whole set.
+    The network reads the `columns` of `features` (None: every column).
+    A C-contiguous DTYPE `features` matrix, as `neighborhood_stats` makes
+    and `fit` hands every feature config, is trained on as it is, with
+    no copy; other input is converted once. The labels are checked as
+    given and held as uint8. Each batch's rows, and of those its
+    columns, are gathered from the epoch's permutation as it is trained
+    on (`_gather`), so neither an epoch nor a feature config copies
+    the whole set.
     A network that would hold more than BYTE_LIMIT bytes (_train_bytes)
     is refused with a ConfigError naming train.hidden.
     Bit-identical results for identical inputs and seed, whatever the
@@ -397,6 +421,7 @@ def train(
     y = np.asarray(labels)
     if x.ndim != 2:
         raise DataError("features must be an (n, d) matrix")
+    d = x.shape[1] if columns is None else len(columns)
     if y.shape[0] != x.shape[0]:
         raise DataError("labels and features disagree on point count")
     if not np.all((y == 0) | (y == 1)):
@@ -406,14 +431,14 @@ def train(
         raise DataError("training set must contain both classes")
     n, bs = x.shape[0], config.batch_size
     workers = min(workers, _shards(min(n, bs)))
-    need = _train_bytes((x.shape[1], *config.hidden, 1), workers)
+    need = _train_bytes((d, *config.hidden, 1), workers)
     if need > BYTE_LIMIT:
         raise ConfigError(
-            f"train.hidden {list(config.hidden)} is too wide: training it on {x.shape[1]} "
+            f"train.hidden {list(config.hidden)} is too wide: training it on {d} "
             f"features with {workers} workers would hold {need / 2**30:.1f} GiB, over the "
             f"limit of {BYTE_LIMIT / 2**30:g} GiB")
 
-    model = Mlp(x.shape[1], config.hidden, seed=config.seed, dtype=DTYPE)
+    model = Mlp(d, config.hidden, seed=config.seed, dtype=DTYPE)
     # AdamW on the flat parameter vector; decay covers the weight prefix
     params = model.flat
     decayed = params[: model.n_weights]
@@ -425,7 +450,7 @@ def train(
     decay_t = DTYPE(lr * config.weight_decay)
 
     with crew(model.sizes, model.dtype, workers) as team:
-        curve = [model.loss(x, y, class_weights, workers=team)]
+        curve = [model.loss(x, y, class_weights, workers=team, columns=columns)]
         rng = np.random.default_rng(config.seed)
         t = 0
         for epoch in range(config.epochs):
@@ -434,7 +459,7 @@ def train(
             epoch_weight = 0.0
             for start in range(0, n, bs):
                 rows = order[start : start + bs]
-                xb = x.take(rows, axis=0)  # numpy's take gathers rows faster than x[rows]
+                xb = _gather(x, rows, columns)
                 loss, _ = model.loss_and_grads(xb, y.take(rows), class_weights, out=g,
                                                workers=team)
                 if not np.isfinite(loss):

@@ -1,5 +1,6 @@
 import dataclasses
 import struct
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -243,6 +244,15 @@ def whole_graph(cloud, **neighborhood) -> np.ndarray:
     return np.concatenate([ids for _, ids in neighborhood_graph(cloud, **neighborhood)])
 
 
+def with_features(rng, cloud):
+    """A cloud with random h_norm, green and NIR columns, and the scaling of
+    its green and NIR fitted on it, so assemble_features gives [h_norm,
+    green, nir]."""
+    for name in ("h_norm", "refl_green_db", "refl_nir_db"):
+        cloud = cloud.with_column(name, rng.uniform(0, 5, cloud.count).astype(np.float32))
+    return cloud, fit_config_normalization(cloud, ("refl_green_db", "refl_nir_db"))
+
+
 class TestNeighborhood:
     def test_graph_matches_brute_radius(self):
         rng = np.random.default_rng(19)
@@ -272,13 +282,13 @@ class TestNeighborhood:
     def test_stats_against_loop_oracle(self):
         rng = np.random.default_rng(21)
         n = 60
-        # [h_norm, green, nir]
-        values = np.column_stack((rng.uniform(0, 5, n), rng.random(n), rng.random(n)))
+        cloud, params = with_features(rng, random_cloud(rng, n=n))
+        values = assemble_features(cloud, params)  # [h_norm, green, nir]
         graph = np.full((n, 4), -1, dtype=np.int64)
         for i in range(n):
             members = [(i + j) % n for j in range(rng.integers(1, 5))]
             graph[i, : len(members)] = members
-        out = neighborhood_stats(values, [(slice(0, n), graph)])
+        out = neighborhood_stats(cloud, params, [(slice(0, n), graph)])
         # inputs, then mean/std per spectral column, h_norm range, count,
         # each computed in float64 and rounded once to the model dtype
         want = np.empty((n, 3 + 4 + 2))
@@ -298,14 +308,13 @@ class TestNeighborhood:
     def test_blocked_stats_equal_one_block_bit_for_bit(self, monkeypatch):
         rng = np.random.default_rng(23)
         n = 103
-        cloud = random_cloud(rng, n=n, extent=4.0)
+        cloud, params = with_features(rng, random_cloud(rng, n=n, extent=4.0))
         graph = whole_graph(cloud, k=8, radius=1.5)
-        values = np.column_stack((rng.uniform(0, 5, n), rng.random(n), rng.random(n)))
-        whole = neighborhood_stats(values, [(slice(0, n), graph)])
+        whole = neighborhood_stats(cloud, params, [(slice(0, n), graph)])
         # every row differs, so a block written to other rows shows
         assert np.unique(whole, axis=0).shape[0] == n
         monkeypatch.setattr(cloud_module, "QUERY_ROWS", 5)
-        blocked = neighborhood_stats(values, neighborhood_graph(cloud, k=8, radius=1.5))
+        blocked = neighborhood_stats(cloud, params, neighborhood_graph(cloud, k=8, radius=1.5))
         np.testing.assert_array_equal(blocked.view(np.uint32), whole.view(np.uint32))
 
     @pytest.mark.parametrize("neighbor_pass", ["knn_batch", "neighborhood_stats"])
@@ -326,14 +335,16 @@ class TestNeighborhood:
             block = cloud.xyz[:QUERY_ROWS]
             extra = peak_traced_bytes(lambda: index.knn_batch(block, k, radius=2.0))
         else:
-            values = np.column_stack((rng.uniform(0, 5, n), rng.random(n), rng.random(n)))
+            cloud, params = with_features(rng, cloud)
             extra = peak_traced_bytes(
-                lambda: neighborhood_stats(values, neighborhood_graph(cloud, k, radius=2.0)))
+                lambda: neighborhood_stats(cloud, params, neighborhood_graph(cloud, k, radius=2.0)))
         assert extra < 5 * QUERY_ROWS * k * 8
 
     def test_stats_point_count_mismatch_rejected(self):
+        rng = np.random.default_rng(32)
+        cloud = random_cloud(rng, n=5).with_column("h_norm", np.zeros(5, np.float32))
         with pytest.raises(DataError, match="disagree"):
-            neighborhood_stats(np.zeros((5, 1)), [(slice(0, 4), np.zeros((4, 2), np.int64))])
+            neighborhood_stats(cloud, None, [(slice(0, 4), np.zeros((4, 2), np.int64))])
 
     def test_fit_never_holds_an_n_by_k_id_array(self, monkeypatch):
         """fit on a cloud of several query blocks asks the kernel for one
@@ -376,7 +387,7 @@ def labelled_cloud(rng, n, spectral=False):
 
 class TestSharedPass:
     """fit and classify make one neighbourhood pass per cloud for every
-    config, and give each config its columns of that one matrix."""
+    config, and hand each config that one matrix and its column ids."""
 
     @pytest.mark.parametrize("fconfigs", [
         ALL_CONFIGS,
@@ -388,15 +399,18 @@ class TestSharedPass:
         rng = np.random.default_rng(27)
         train_cloud, test_cloud = (labelled_cloud(rng, n, spectral=True) for n in (240, 90))
         cfg = load_config(overrides={"train.epochs": 1})
-        trained, predicted = [], []
+        trained, predicted = [], []  # per call: (the matrix handed, the model's input)
 
-        def spy_train(features, *args, **kwargs):
-            trained.append(features.copy())
-            return train(features, *args, **kwargs)
+        def model_input(features, columns):
+            return features, (features if columns is None else features[:, columns]).copy()
 
-        def spy_predict(features, *args, **kwargs):
-            predicted.append(features.copy())
-            return predict(features, *args, **kwargs)
+        def spy_train(features, *args, columns=None, **kwargs):
+            trained.append(model_input(features, columns))
+            return train(features, *args, columns=columns, **kwargs)
+
+        def spy_predict(features, *args, columns=None, **kwargs):
+            predicted.append(model_input(features, columns))
+            return predict(features, *args, columns=columns, **kwargs)
 
         def spy_fit(cloud, columns, **kwargs):
             fitted.append(columns)
@@ -426,29 +440,66 @@ class TestSharedPass:
                                                   getattr(params, name))
         for cloud, got in ((train_cloud, trained), (test_cloud, predicted)):
             assert len(got) == len(fconfigs)
-            for fconfig, matrix in zip(fconfigs, got):
+            # every config is handed the one shared matrix, never a copy
+            assert all(handed is got[0][0] for handed, _ in got)
+            for fconfig, (_, matrix) in zip(fconfigs, got):
                 params = lone.get(fconfig)
-                alone = neighborhood_stats(assemble_features(cloud, params),
+                alone = neighborhood_stats(cloud, params,
                                            neighborhood_graph(cloud, **cfg["neighborhood"]))
                 assert matrix.shape == alone.shape
                 np.testing.assert_array_equal(matrix.view(np.uint32), alone.view(np.uint32))
 
     def test_train_gets_c_ordered_model_dtype_matrices(self, monkeypatch):
         """The paper's ablation configs each take some of the union's
-        columns; each gets them as a C-contiguous DTYPE matrix, which
-        `train` trains on without a copy."""
+        columns; each gets the shared C-contiguous DTYPE matrix, which
+        `train` trains on without a copy, and the ids of its columns."""
         rng = np.random.default_rng(31)
         cloud = labelled_cloud(rng, 240, spectral=True)
         layouts = []
 
-        def spy_train(features, *args, **kwargs):
-            layouts.append((features.flags.c_contiguous, features.dtype))
-            return train(features, *args, **kwargs)
+        def spy_train(features, *args, columns=None, **kwargs):
+            layouts.append((features.flags.c_contiguous, features.dtype, len(columns)))
+            return train(features, *args, columns=columns, **kwargs)
 
         monkeypatch.setattr(classifier, "train", spy_train)
         fconfigs = (FeatureConfig.XYZ, FeatureConfig.XYZ_PNDVI, FeatureConfig.XYZ_GREEN_NIR)
         fit(cloud, fconfigs, load_config(overrides={"train.epochs": 1}))
-        assert layouts == [(True, DTYPE)] * 3
+        assert layouts == [(True, DTYPE, 3), (True, DTYPE, 6), (True, DTYPE, 9)]
+
+    def test_fit_and_classify_hold_one_stats_matrix(self, monkeypatch):
+        """fit over the paper's three ablation configs, and classify with
+        their models, on 200k rows: the peak is the neighbourhood graph's
+        own (index and one block) plus the one float32 statistics matrix,
+        less than half a float64 feature matrix above it, and each model
+        starts beside that one matrix, with less than half of the smallest
+        config's copy of it held."""
+        n = 200_000
+        rng = np.random.default_rng(33)
+        cloud = labelled_cloud(rng, n, spectral=True)
+        fconfigs = (FeatureConfig.XYZ, FeatureConfig.XYZ_PNDVI, FeatureConfig.XYZ_GREEN_NIR)
+        cfg = load_config(overrides={"train.epochs": 1})
+        small = labelled_cloud(rng, 500, spectral=True)  # lazy imports load untraced
+        classify(small, [model for model, _ in fit(small, fconfigs, cfg)], cfg)
+        graph = peak_traced_bytes(
+            lambda: [None for _ in neighborhood_graph(cloud, **cfg["neighborhood"])])
+        held = []  # traced bytes at the entry of each train and predict call
+
+        def spy(fn):
+            def wrapper(*args, **kwargs):
+                held.append(tracemalloc.get_traced_memory()[0])
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(classifier, "train", spy(train))
+        monkeypatch.setattr(classifier, "predict", spy(predict))
+        models = []
+        peaks = [peak_traced_bytes(lambda: models.extend(m for m, _ in fit(cloud, fconfigs, cfg))),
+                 peak_traced_bytes(lambda: classify(cloud, models, cfg))]
+        itemsize = np.dtype(DTYPE).itemsize
+        stats = n * 3 * 4 * itemsize  # h_norm, green, NIR and pndvi, with their statistics
+        assert len(held) == 2 * len(fconfigs)
+        assert max(peaks) < graph + stats + n * 4 * 8 // 2
+        assert max(held) < stats + n * 3 * itemsize // 2
 
     def test_ablation_queries_each_cloud_once_one_block_at_a_time(self, monkeypatch):
         """Two configs over a train cloud of 4 * QUERY_ROWS points and a

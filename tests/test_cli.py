@@ -554,6 +554,25 @@ class TestErrorPaths:
         assert main(argv) == 2
         assert f"error[config]: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cell, code", [("1e300", 2), ("1e150", 0)])
+    def test_dtm_cell_whose_distances_overflow_is_config_error(self, chain, tmp_path,
+                                                               cell, code):
+        """A cell so coarse that its centre-to-point distances overflow
+        float64 is refused before the DTM is built, with no numpy warning;
+        one whose distances fit still runs. In a child process, so a
+        warning reaches stderr as a user sees it."""
+        out = tmp_path / "h.mst"
+        env = dict(os.environ, PYTHONPATH=str(Path(mslidar.__file__).parents[1]))
+        run = subprocess.run(
+            [sys.executable, "-c", "import sys; from mslidar.cli import main; sys.exit(main())",
+             "normalize-height", "--in", str(chain["grounded"]), "--out", str(out),
+             "--cell", cell], env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == code, run.stderr
+        assert "Warning" not in run.stderr
+        assert out.exists() == (code == 0)
+        if code:
+            assert "error[config]: dtm.cell" in run.stderr
+
     def test_zero_threads_is_config_error(self, chain, tmp_path, capsys):
         rc = main(["features", "--in", str(chain["hnorm"]),
                    "--out", str(tmp_path / "f.mst"), "--threads", "0"])

@@ -1,9 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
 
 from mslidar.cloud import Channel, Label, PointCloud
 from mslidar.errors import DataError
-from mslidar.lasio import read_las, write_las
+from mslidar.lasio import _POINT_DTYPES, read_las, write_las
 
 from conftest import peak_traced_bytes, random_cloud
 
@@ -89,6 +91,46 @@ def test_fixed_channel_override(tmp_path):
     back = read_las(path, reflectance_source="reflectance",
                     channel=int(Channel.NIR_1064))
     assert np.all(back.channel == int(Channel.NIR_1064))
+
+
+def legacy_las(path, classification, point_format=1) -> None:
+    """A LAS 1.2 file of one point per classification byte, in a point
+    format of 0-3: a 227-byte header, no VLRs, unit scales, zero offsets."""
+    rec = np.zeros(len(classification), np.dtype(_POINT_DTYPES[point_format]))
+    rec["X"] = np.arange(len(classification))
+    rec["intensity"] = 100
+    rec["classification"] = classification
+    header = bytearray(227)
+    header[:4] = b"LASF"
+    header[24:26] = bytes((1, 2))
+    struct.pack_into("<HII", header, 94, 227, 227, 0)
+    struct.pack_into("<BHI", header, 104, point_format, rec.itemsize, len(rec))
+    struct.pack_into("<3d", header, 131, 1.0, 1.0, 1.0)
+    path.write_bytes(bytes(header) + rec.tobytes())
+
+
+@pytest.mark.parametrize("point_format", [0, 1, 2, 3])
+def test_legacy_formats_read_the_class_without_its_flag_bits(tmp_path, point_format):
+    """Bits 5-7 of a format 0-3 classification byte are the synthetic,
+    key-point and withheld flags, not part of the class."""
+    path = tmp_path / "legacy.las"
+    legacy_las(path, [1 | 0x80, 0 | 0x20, 1 | 0x40, 0], point_format)
+    back = read_las(path, channel=int(Channel.GREEN_532), label_source="classification")
+    np.testing.assert_array_equal(back.label, [1, 0, 1, 0])
+
+
+def test_format_6_reads_the_whole_classification_byte(tmp_path):
+    """In formats 6-8 the flags have their own byte: a class of 129 is
+    129, which no label allows."""
+    cloud = las_cloud(n=4)
+    path = tmp_path / "c.las"
+    write_las(cloud, path)
+    raw = bytearray(path.read_bytes())
+    at = struct.unpack_from("<I", raw, 96)[0] + 16  # point 0's classification byte
+    raw[at] = 1 | 0x80
+    path.write_bytes(bytes(raw))
+    with pytest.raises(DataError, match="class"):
+        read_las(path, channel="scanner", label_source="classification")
 
 
 def test_intensity_source(tmp_path):

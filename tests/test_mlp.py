@@ -106,6 +106,26 @@ def test_margins_match_reference(n, workers):
     np.testing.assert_array_equal(model.margins(x, workers=workers), ref.margins(x))
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_columns_read_as_a_copy_of_them(workers):
+    """train, loss and margins on some columns of a wider float32 matrix
+    give the bits of the same calls on a copy of those columns."""
+    x, y = toy(n=2 * SHARD_ROWS + 77, d=8, seed=7)
+    x = x.astype(np.float32)
+    cols = np.array([0, 5, 2, 7])
+    copy = x[:, cols].copy()
+    cfg = TrainConfig(epochs=2, learning_rate=1e-2, batch_size=SHARD_ROWS + 300,
+                      hidden=(16, 8), seed=4)
+    net, curve = train(x, y, (0.8, 1.2), cfg, workers=workers, columns=cols)
+    want, want_curve = train(copy, y, (0.8, 1.2), cfg, workers=workers)
+    assert net.d_in == len(cols) and curve == want_curve
+    np.testing.assert_array_equal(net.flat.view(np.uint32), want.flat.view(np.uint32))
+    loss = net.loss(x, y, (0.8, 1.2), workers=workers, columns=cols)
+    assert loss == net.loss(copy, y, (0.8, 1.2))
+    np.testing.assert_array_equal(net.margins(x, workers=workers, columns=cols).view(np.uint32),
+                                  net.margins(copy).view(np.uint32))
+
+
 def test_parameters_are_views_of_one_flat_vector():
     model = Mlp(5, (8, 4), seed=0)
     assert model.flat.size == sum(p.size for p in model.parameters())
